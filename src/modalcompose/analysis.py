@@ -4,6 +4,11 @@ Importance of a modality at a step is the normalized L2 distance between the
 action the policy would have taken with that modality perturbed and the action
 it actually took, with the same sampling randomness for both. Probing never
 drives the environment with a perturbed action.
+
+Nothing here steps an environment itself: a scenario is a set of hooks on
+``rollout.run_policy_episode`` (a state edit for repositioning and the
+teleport perturbation, an observation filter for corruption), scored by
+``rollout.evaluate_policy``, and the probe is its per-step callback.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envs import (EnvSpec, Observation, env_reset, env_step, observe,
-                   teleport_target, _in_box)
+from .envs import EnvSpec, Observation, teleport_target, _in_box
 from .errors import ConfigError, ContractError
-from .rngstream import TAG_ACT, TAG_EVAL, TAG_PROBE, TAG_SCENARIO, stream
+from .rngstream import TAG_ACT, TAG_PROBE, TAG_SCENARIO, stream
+from .rollout import evaluate_policy, run_policy_episode
 from .runconfig import ProbeConfig
 
 CORRUPTION_KINDS = ("zero", "freeze", "gaussian")
@@ -102,55 +107,43 @@ class ScenarioSpec:
             raise ConfigError("step_star must be >= 0")
 
 
-def _scenario_episode(policy, spec: EnvSpec, scenario: ScenarioSpec | None,
-                      eval_seed: int, ep: int) -> tuple[bool, int]:
-    state, obs = env_reset(spec, stream(eval_seed, TAG_EVAL, ep))
-    if scenario is not None and scenario.kind == "repositioning":
-        state = teleport_target(state, stream(eval_seed, TAG_SCENARIO, ep))
-        obs = None
-    if scenario is not None and scenario.kind == "corruption":
-        scenario.corruption.begin_episode()
+def _scenario_hooks(scenario: ScenarioSpec | None, spec: EnvSpec, seed: int,
+                    ep: int) -> dict:
+    """Episode ep's run_policy_episode hooks for a scenario (None: none)."""
+    if scenario is None:
+        return {}
+    if scenario.kind != "corruption":
+        at = 0 if scenario.kind == "repositioning" else scenario.step_star
+
+        def teleport(state):
+            if state.t != at:
+                return state
+            return teleport_target(state, stream(seed, TAG_SCENARIO, ep))
+
+        return {"edit": teleport}
+    mode = scenario.corruption
+    mode.begin_episode()
     entered = False
-    perturbed = False
-    while not state.done:
-        if obs is None:
-            obs = observe(state)
+
+    def corrupt(obs, state, t):
+        nonlocal entered
         entered = entered or _in_box(spec, state.p)
-        if scenario is not None:
-            if (scenario.kind == "runtime_perturbation" and not perturbed
-                    and state.t >= scenario.step_star):
-                state = teleport_target(state, stream(eval_seed, TAG_SCENARIO, ep))
-                perturbed = True
-                obs = None
-                continue
-            if scenario.kind == "corruption" and (scenario.onset == "start" or entered):
-                seen = corrupt_modality(obs, scenario.corruption,
-                                        stream(eval_seed, TAG_SCENARIO, ep, state.t))
-            else:
-                seen = obs
-        else:
-            seen = obs
-        action = policy.act(seen, stream(eval_seed, TAG_ACT, ep, state.t))
-        state, obs, _, _ = env_step(state, action[: spec.action_dim])
-    return bool(state.success), state.t
+        if scenario.onset == "start" or entered:
+            return corrupt_modality(obs, mode, stream(seed, TAG_SCENARIO, ep, t))
+        return obs
+
+    return {"obs_filter": corrupt}
 
 
 def robustness_eval(policy, spec: EnvSpec, scenario: ScenarioSpec | None,
                     n_episodes: int, seed: int) -> tuple[float, float]:
     """Success rate and mean completion steps under a scenario.
 
-    Failed episodes contribute T_max steps to the mean (timeout convention).
-    scenario=None gives the uncorrupted paired baseline.
+    Failed episodes run to T_max, so they contribute T_max steps to the mean
+    (timeout convention). scenario=None gives the uncorrupted paired baseline.
     """
-    if n_episodes <= 0:
-        raise ContractError("n_episodes must be positive")
-    wins = 0
-    steps = []
-    for ep in range(n_episodes):
-        success, t = _scenario_episode(policy, spec, scenario, seed, ep)
-        wins += success
-        steps.append(t if success else spec.t_max)
-    return wins / n_episodes, float(np.mean(steps))
+    return evaluate_policy(policy, spec, seed, n_episodes,
+                           hooks=lambda ep: _scenario_hooks(scenario, spec, seed, ep))
 
 
 @dataclass
@@ -208,16 +201,9 @@ def perturb_importance(policy, spec: EnvSpec, episode_seed: int,
             raise ConfigError(f"unknown modality {m!r} in probe config")
         if m not in sigmas:
             raise ContractError(f"no sigma provided for modality {m!r}")
-    state, obs = env_reset(spec, stream(episode_seed, TAG_EVAL, episode))
     raw = {m: [] for m in probed}
-    in_box, in_contact, positions = [], [], []
-    contact_mod = "tac" if "tac" in dims else None
-    while not state.done:
-        t = state.t
-        in_box.append(_in_box(spec, state.p))
-        in_contact.append(bool(contact_mod and obs.modalities[contact_mod][0] == 1.0))
-        positions.append(state.p.copy())
-        a_orig = policy.act(obs, stream(episode_seed, TAG_ACT, episode, t))
+
+    def probe(obs, a_orig, t):
         denom = float(np.linalg.norm(a_orig)) + 1e-8
         for idx, m in enumerate(probed):
             vals = []
@@ -229,18 +215,19 @@ def perturb_importance(policy, spec: EnvSpec, episode_seed: int,
                 a_pert = policy.act(pert, stream(episode_seed, TAG_ACT, episode, t))
                 vals.append(float(np.linalg.norm(a_pert - a_orig)) / denom)
             raw[m].append(float(np.mean(vals)))
-        state, obs, _, _ = env_step(state, a_orig[: spec.action_dim])
+
+    rec = run_policy_episode(policy, spec, episode_seed, episode, on_step=probe)
     raw_arr = {m: np.asarray(v) for m, v in raw.items()}
     return ImportanceTrace(
         modalities=tuple(probed),
         sigmas={m: np.asarray(sigmas[m], dtype=np.float64) for m in probed},
         raw=raw_arr,
         ema={m: _ema(v, cfg.ema_alpha) for m, v in raw_arr.items()},
-        success=bool(state.success),
-        steps=state.t,
-        in_box=np.asarray(in_box, dtype=bool),
-        in_contact=np.asarray(in_contact, dtype=bool),
-        positions=np.asarray(positions),
+        success=rec.success,
+        steps=rec.steps,
+        in_box=np.asarray(rec.in_box, dtype=bool),
+        in_contact=np.asarray(rec.in_contact, dtype=bool),
+        positions=np.asarray(rec.positions),
     )
 
 

@@ -100,7 +100,10 @@ def load_checkpoint(path) -> Checkpoint:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = r.unpack("<H")
-        name = r.take(nlen).decode("utf-8")
+        try:
+            name = r.take(nlen).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{p}: bad tensor name: {exc}") from None
         if name in tensors:
             raise FormatError(f"{p}: duplicate tensor name {name!r}")
         (rank,) = r.unpack("<B")

@@ -19,35 +19,16 @@ from . import numcore as nc
 from .diffusion import NoiseSchedule, ddpm_sample, fit_denoiser, make_schedule
 from .envs import ActionStats, Observation
 from .errors import ConfigError, ContractError
-from .experts import ModalityExpert, encode, intra_compose, timestep_features
-from .router import Router, apply_strategy, check_weights, router_weights
+from .experts import TIMESTEP_DIM, ModalityExpert, timestep_features
+from .router import Router, apply_strategy, check_weights
 
 
-def _expert_embeddings(experts: list[ModalityExpert], obs: Observation) -> list[np.ndarray]:
-    embs = []
-    for ex in experts:
-        if ex.modality not in obs.modalities:
-            raise ContractError(f"observation lacks modality '{ex.modality}'")
-        embs.append(encode(ex, obs.modalities[ex.modality], obs.robot_state))
-    return embs
-
-
-def inter_compose(experts: list[ModalityExpert], w: np.ndarray, a_k: np.ndarray,
-                  obs: Observation, k: int) -> np.ndarray:
-    """Consensus-weighted sum of intra-composed expert scores.
-
-    Zero-weight experts are skipped entirely, so a one-hot w reproduces the
-    selected expert's score bit-for-bit.
-    """
-    w = check_weights(w, len(experts))
-    embs = _expert_embeddings(experts, obs)
-    total = None
-    for wi, ex, e in zip(w, experts, embs):
-        if wi == 0.0:
-            continue
-        term = wi * intra_compose(ex, a_k, e, k)
-        total = term if total is None else total + term
-    return total
+def _sample(policy, score, cond, rng: np.random.Generator) -> np.ndarray:
+    """The sampling step every policy shares: one denoising loop over
+    score(a_k, cond, k), then back to the action units."""
+    a_hat = ddpm_sample(score, cond, policy.sched, rng, policy.stats.chunk_dim,
+                        sigma_mode=policy.sigma_mode)
+    return policy.stats.denormalize_chunk(a_hat)
 
 
 @dataclass
@@ -70,35 +51,44 @@ class ComposedPolicy:
             total += self.router.n_params()
         return total
 
+    def _consensus(self, obs: Observation) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Post-strategy consensus weights and the experts' embedding rows."""
+        rs = np.asarray(obs.robot_state, dtype=np.float64)[None, :]
+        embs = []
+        for ex in self.experts:
+            if ex.modality not in obs.modalities:
+                raise ContractError(f"observation lacks modality '{ex.modality}'")
+            m = np.asarray(obs.modalities[ex.modality], dtype=np.float64)
+            embs.append(ex.encode_rows(m[None, :], rs))
+        if self.router is not None:
+            w = self.router.weights_rows(np.concatenate(embs, axis=1))[0]
+        else:
+            w = self.fixed_w
+        return apply_strategy(check_weights(w, len(self.experts)), self.strategy), embs
+
     def weights_for(self, obs: Observation) -> np.ndarray:
         """Post-strategy consensus weights at this state."""
-        if self.router is not None:
-            embs = _expert_embeddings(self.experts, obs)
-            w = router_weights(self.router, embs)
-        else:
-            w = self.fixed_w
-        return apply_strategy(w, self.strategy)
+        return self._consensus(obs)[0]
 
-    def act(self, obs: Observation, rng: np.random.Generator) -> np.ndarray:
-        """One denoised, denormalized action chunk for this observation."""
-        embs = _expert_embeddings(self.experts, obs)
-        if self.router is not None:
-            w = router_weights(self.router, embs)
-        else:
-            w = self.fixed_w
-        w = apply_strategy(w, self.strategy)
+    def score_for(self, obs: Observation):
+        """The consensus score provider (a_k, cond, k) -> eps at this state:
+        the weighted sum of the expert scores. Zero-weight experts are
+        skipped, so a one-hot weight reproduces one expert bit for bit."""
+        w, embs = self._consensus(obs)
         active = [(wi, ex, e) for wi, ex, e in zip(w, self.experts, embs) if wi != 0.0]
 
         def score(a_k, _cond, k):
             total = None
             for wi, ex, e in active:
-                term = wi * ex.score_rows(a_k[None, :], e[None, :], k)[0]
+                term = wi * ex.score_rows(a_k[None, :], e, k)[0]
                 total = term if total is None else total + term
             return total
 
-        a_hat = ddpm_sample(score, None, self.sched, rng, self.stats.chunk_dim,
-                            sigma_mode=self.sigma_mode)
-        return self.stats.denormalize_chunk(a_hat)
+        return score
+
+    def act(self, obs: Observation, rng: np.random.Generator) -> np.ndarray:
+        """One denoised, denormalized action chunk for this observation."""
+        return _sample(self, self.score_for(obs), None, rng)
 
 
 def compose_policy(experts: list[ModalityExpert], router: Router, strategy: str,
@@ -110,6 +100,10 @@ def compose_policy(experts: list[ModalityExpert], router: Router, strategy: str,
         raise ContractError(
             f"router order {router.modality_order} != expert order {order}"
         )
+    emb_dims = tuple(ex.emb_dim for ex in experts)
+    if router.emb_dims != emb_dims:
+        raise ContractError(f"router embedding dims {router.emb_dims} != expert "
+                            f"embedding dims {emb_dims}")
     for ex in experts:
         if ex.action_dim != stats.chunk_dim:
             raise ContractError(
@@ -207,15 +201,7 @@ class ConcatPolicy:
         return self.bank.param_groups() + [("score", self.score_params)]
 
     def act(self, obs: Observation, rng: np.random.Generator) -> np.ndarray:
-        cond = np.concatenate(self.bank.encode_obs(obs))
-
-        def score(a_k, _c, k):
-            x = np.concatenate([a_k, cond, timestep_features(k, self.sched.K)])
-            return nc.mlp_infer(self.score_params, self.score_spec, x[None, :])[0]
-
-        a_hat = ddpm_sample(score, None, self.sched, rng, self.stats.chunk_dim,
-                            sigma_mode=self.sigma_mode)
-        return self.stats.denormalize_chunk(a_hat)
+        return _fusion_sample(self, np.concatenate(self.bank.encode_obs(obs)), rng)
 
 
 @dataclass
@@ -252,15 +238,18 @@ class MoEFeaturePolicy:
     def act(self, obs: Observation, rng: np.random.Generator) -> np.ndarray:
         embs = self.bank.encode_obs(obs)
         g = self.gate_weights(embs)
-        cond = sum(gi * e for gi, e in zip(g, embs))
+        return _fusion_sample(self, sum(gi * e for gi, e in zip(g, embs)), rng)
 
-        def score(a_k, _c, k):
-            x = np.concatenate([a_k, cond, timestep_features(k, self.sched.K)])
-            return nc.mlp_infer(self.score_params, self.score_spec, x[None, :])[0]
 
-        a_hat = ddpm_sample(score, None, self.sched, rng, self.stats.chunk_dim,
-                            sigma_mode=self.sigma_mode)
-        return self.stats.denormalize_chunk(a_hat)
+def _fusion_sample(policy, cond: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Sampling shared by the fusion baselines: one score net over
+    [a_k, cond, timestep features]; they differ only in how cond is built."""
+
+    def score(a_k, c, k):
+        x = np.concatenate([a_k, c, timestep_features(k, policy.sched.K)])
+        return nc.mlp_infer(policy.score_params, policy.score_spec, x[None, :])[0]
+
+    return _sample(policy, score, cond, rng)
 
 
 def _make_bank(dataset, cfg, rng: np.random.Generator) -> _EncoderBank:
@@ -276,42 +265,41 @@ def _make_bank(dataset, cfg, rng: np.random.Generator) -> _EncoderBank:
     )
 
 
-def _cond_layout(dataset):
-    mods, rs_rows, a_rows = dataset.training_rows_multi()
-    blocks = list(mods.values()) + [rs_rows]
-    cond_rows = np.concatenate(blocks, axis=1)
-    slices, off = [], 0
-    for b in blocks:
-        slices.append(slice(off, off + b.shape[1]))
-        off += b.shape[1]
-    return a_rows, cond_rows, slices
+def _score_net(dataset, cond_dim: int, cfg, rng: np.random.Generator):
+    """A fusion baseline's score net over [a_k, cond, timestep features]."""
+    spec = nc.MlpSpec(dataset.chunk_dim + cond_dim + TIMESTEP_DIM,
+                      tuple(cfg.expert.sub_hidden), dataset.chunk_dim,
+                      activation=cfg.expert.activation)
+    return nc.init_mlp(spec, rng), spec
+
+
+def _fit_fusion(policy, dataset, cfg, rng: np.random.Generator, cond_graph):
+    """Train a fusion baseline end to end; cond_graph(embedding tensors) is
+    the graph twin of how its act() builds the condition."""
+    a_rows, cond_rows, slices = dataset.training_cond_rows(policy.bank.modality_order)
+
+    def score(a_k, c, ks):
+        cond = cond_graph(policy.bank.encode_rows_graph(c, slices))
+        feats = timestep_features(ks, policy.sched.K)
+        x = nc.concat_cols([nc.const(a_k), cond, nc.const(feats)])
+        return nc.mlp_forward(policy.score_params, policy.score_spec, x)
+
+    policy.loss_history = fit_denoiser(
+        score, policy.param_groups(), a_rows, cond_rows, policy.sched,
+        steps=cfg.train.steps, batch=cfg.train.batch, lr=cfg.train.lr, rng=rng)
+    return policy
 
 
 def train_concat_policy(dataset, cfg, rng: np.random.Generator) -> ConcatPolicy:
     """All-modality baseline: one score net over concatenated embeddings."""
     bank = _make_bank(dataset, cfg, rng)
-    cond_dim = int(sum(bank.emb_dims()))
-    sub_spec = nc.MlpSpec(dataset.chunk_dim + cond_dim + 16,
-                          tuple(cfg.expert.sub_hidden), dataset.chunk_dim,
-                          activation=cfg.expert.activation)
-    score_params = nc.init_mlp(sub_spec, rng)
+    score_params, score_spec = _score_net(dataset, int(sum(bank.emb_dims())), cfg, rng)
     sched = make_schedule(cfg.diffusion.steps, cfg.diffusion.beta_start,
                           cfg.diffusion.beta_end)
-    a_rows, cond_rows, slices = _cond_layout(dataset)
-    policy = ConcatPolicy(bank=bank, score_params=score_params, score_spec=sub_spec,
+    policy = ConcatPolicy(bank=bank, score_params=score_params, score_spec=score_spec,
                           sched=sched, stats=dataset.stats(),
                           sigma_mode=cfg.diffusion.sigma_mode)
-
-    def score(a_k, c, ks):
-        embs = bank.encode_rows_graph(c, slices)
-        feats = timestep_features(ks, sched.K)
-        x = nc.concat_cols([nc.const(a_k)] + embs + [nc.const(feats)])
-        return nc.mlp_forward(score_params, sub_spec, x)
-
-    policy.loss_history = fit_denoiser(
-        score, policy.param_groups(), a_rows, cond_rows, sched,
-        steps=cfg.train.steps, batch=cfg.train.batch, lr=cfg.train.lr, rng=rng)
-    return policy
+    return _fit_fusion(policy, dataset, cfg, rng, nc.concat_cols)
 
 
 def train_moe_policy(dataset, cfg, rng: np.random.Generator) -> MoEFeaturePolicy:
@@ -321,7 +309,6 @@ def train_moe_policy(dataset, cfg, rng: np.random.Generator) -> MoEFeaturePolicy
     emb_dims = bank.emb_dims()
     if len(set(emb_dims)) != 1:
         raise ConfigError(f"feature MoE needs equal embedding dims, got {emb_dims}")
-    emb_dim = emb_dims[0]
     n = len(bank.modality_order)
     gate_spec = nc.MlpSpec(int(sum(emb_dims)), tuple(cfg.router.hidden), n)
     gate_params = nc.init_mlp(gate_spec, rng)
@@ -330,31 +317,20 @@ def train_moe_policy(dataset, cfg, rng: np.random.Generator) -> MoEFeaturePolicy
     # gate only sharpens once that helps the objective.
     last = len(gate_spec.layer_dims()) - 1
     gate_params[f"W{last}"].data[...] = 0.0
-    sub_spec = nc.MlpSpec(dataset.chunk_dim + emb_dim + 16,
-                          tuple(cfg.expert.sub_hidden), dataset.chunk_dim,
-                          activation=cfg.expert.activation)
-    score_params = nc.init_mlp(sub_spec, rng)
+    score_params, score_spec = _score_net(dataset, emb_dims[0], cfg, rng)
     sched = make_schedule(cfg.diffusion.steps, cfg.diffusion.beta_start,
                           cfg.diffusion.beta_end)
-    a_rows, cond_rows, slices = _cond_layout(dataset)
     policy = MoEFeaturePolicy(bank=bank, gate_params=gate_params, gate_spec=gate_spec,
-                              score_params=score_params, score_spec=sub_spec,
+                              score_params=score_params, score_spec=score_spec,
                               sched=sched, stats=dataset.stats(),
                               sigma_mode=cfg.diffusion.sigma_mode)
 
-    def score(a_k, c, ks):
-        embs = bank.encode_rows_graph(c, slices)
-        logits = nc.mlp_forward(gate_params, gate_spec, nc.concat_cols(embs))
-        g = nc.softmax_rows(logits)
+    def gated(embs):
+        g = nc.softmax_rows(nc.mlp_forward(gate_params, gate_spec, nc.concat_cols(embs)))
         cond = None
         for i, e in enumerate(embs):
             term = nc.mul(nc.col(g, i), e)
             cond = term if cond is None else nc.add(cond, term)
-        feats = timestep_features(ks, sched.K)
-        x = nc.concat_cols([nc.const(a_k), cond, nc.const(feats)])
-        return nc.mlp_forward(score_params, sub_spec, x)
+        return cond
 
-    policy.loss_history = fit_denoiser(
-        score, policy.param_groups(), a_rows, cond_rows, sched,
-        steps=cfg.train.steps, batch=cfg.train.batch, lr=cfg.train.lr, rng=rng)
-    return policy
+    return _fit_fusion(policy, dataset, cfg, rng, gated)

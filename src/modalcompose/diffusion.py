@@ -1,10 +1,13 @@
 """DDPM machinery: schedules, forward noising, the eps-MSE loss, sampling.
 
 A score provider is any callable ``(a_k, cond, k) -> eps_hat``. During
-training it is called batched (2-D arrays, int array k) and must return a
-graph ``Tensor``; at sampling time it is called with single vectors and an
-int k and must return a plain ndarray. Denoising step indices k run 1..K;
-array index k-1 holds the step-k coefficients.
+training it is called batched: a_k is (B, action_dim), cond is (B, cond_dim)
+rows, k is an int array of B step indices, and it must return a (B,
+action_dim) graph ``Tensor``. At sampling time it is called with a single
+(action_dim,) vector, the cond given to ``ddpm_sample`` unchanged (None for
+composed policies, whose provider closes over its embeddings) and an int k,
+and it must return an (action_dim,) ndarray. Denoising step indices k run
+1..K; array index k-1 holds the step-k coefficients.
 """
 
 from __future__ import annotations

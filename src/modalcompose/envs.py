@@ -349,9 +349,16 @@ class Dataset:
             raise ConfigError(f"modality '{modality}' not in dataset")
         return mods[modality], rs, acts
 
-    def training_rows_multi(self):
+    def training_cond_rows(self, order) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+        """Action rows, condition rows [modalities in `order`..., robot state],
+        and each block's column slice in the condition rows."""
         mods, rs, acts = self._flat()
-        return mods, rs, acts
+        blocks = [mods[m] for m in order] + [rs]
+        slices, off = [], 0
+        for b in blocks:
+            slices.append(slice(off, off + b.shape[1]))
+            off += b.shape[1]
+        return acts, np.concatenate(blocks, axis=1), slices
 
     def modality_stds(self) -> dict[str, np.ndarray]:
         """Per-coordinate standard deviation of each raw modality stream."""

@@ -7,6 +7,10 @@ expert's score is the arithmetic mean of its sub-policies (or, with the
 band-split option, the single sub-policy responsible for the current
 denoising band). Embedding = encoder(modality reading) concatenated with
 robot state.
+
+The score has one numpy form, ``encode_rows`` then ``score_rows``, which
+sampling, routing and analysis share, and one graph form for training,
+``_expert_score_graph``, which the expert and the joint router both use.
 """
 
 from __future__ import annotations
@@ -96,11 +100,21 @@ class ModalityExpert:
     # -- frozen (numpy) paths used by sampling, routing, and analysis --
 
     def encode_rows(self, m_rows: np.ndarray, rs_rows: np.ndarray) -> np.ndarray:
+        """Embedding rows: encoder(modality rows) followed by robot-state rows."""
+        if m_rows.shape[1:] != (self.modality_dim,) or rs_rows.shape[1:] != (self.robot_dim,):
+            raise ShapeError(
+                f"expert '{self.modality}' expects modality rows of width "
+                f"{self.modality_dim} and robot-state rows of width {self.robot_dim}, "
+                f"got {m_rows.shape} and {rs_rows.shape}")
         code = nc.mlp_infer(self.encoder, self.encoder_spec, m_rows)
         return np.concatenate([code, rs_rows], axis=1)
 
     def score_rows(self, a_rows: np.ndarray, emb_rows: np.ndarray, ks) -> np.ndarray:
         """Batched intra-composed score; ks is an int or an int array."""
+        # checked at every denoising step: a Python int k costs no numpy call
+        if not (1 <= ks <= self.n_steps if isinstance(ks, int)
+                else 1 <= np.min(ks) and np.max(ks) <= self.n_steps):
+            raise ContractError(f"denoising index outside 1..{self.n_steps}: {ks}")
         ks = np.broadcast_to(np.asarray(ks), (a_rows.shape[0],))
         feats = timestep_features(ks, self.n_steps)
         x = np.concatenate([a_rows, emb_rows, feats], axis=1)
@@ -128,45 +142,6 @@ def _band_mask(ks: np.ndarray, n_steps: int, j: int, n_sub: int) -> np.ndarray:
     return (ks > lo) & (ks <= hi)
 
 
-def encode(expert: ModalityExpert, m: np.ndarray, robot_state: np.ndarray) -> np.ndarray:
-    """Embed one modality reading: encoder output followed by robot state."""
-    m = np.asarray(m, dtype=np.float64)
-    robot_state = np.asarray(robot_state, dtype=np.float64)
-    if m.shape != (expert.modality_dim,):
-        raise ShapeError(
-            f"modality '{expert.modality}' expects dim {expert.modality_dim}, got {m.shape}"
-        )
-    if robot_state.shape != (expert.robot_dim,):
-        raise ShapeError(f"robot state dim {robot_state.shape} != {expert.robot_dim}")
-    return expert.encode_rows(m[None, :], robot_state[None, :])[0]
-
-
-def subpolicy_eps(sp: SubPolicy, a_k: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
-    """Single sub-policy noise prediction for one (a_k, embedding, k)."""
-    if not 1 <= k <= sp.n_steps:
-        raise ContractError(f"k={k} outside 1..{sp.n_steps}")
-    x = np.concatenate([a_k, e, timestep_features(k, sp.n_steps)])
-    if x.shape[0] != sp.spec.input_dim:
-        raise ShapeError(
-            f"sub-policy input dim {x.shape[0]} != expected {sp.spec.input_dim}"
-        )
-    return nc.mlp_infer(sp.params, sp.spec, x[None, :])[0]
-
-
-def intra_compose(expert: ModalityExpert, a_k: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
-    """Mean of the expert's sub-policy scores (band-active one if split)."""
-    if expert.noise_band_split:
-        ks = np.asarray([k])
-        for j, sp in enumerate(expert.subs):
-            if _band_mask(ks, expert.n_steps, j, expert.n_sub)[0]:
-                return subpolicy_eps(sp, a_k, e, k)
-        raise ContractError(f"k={k} falls in no denoising band")
-    acc = subpolicy_eps(expert.subs[0], a_k, e, k)
-    for sp in expert.subs[1:]:
-        acc = acc + subpolicy_eps(sp, a_k, e, k)
-    return acc / expert.n_sub
-
-
 def init_expert(modality: str, modality_dim: int, robot_dim: int, action_dim: int,
                 cfg, rng: np.random.Generator) -> ModalityExpert:
     """Fresh expert with random encoder/sub-policy weights from cfg shapes."""
@@ -188,15 +163,13 @@ def init_expert(modality: str, modality_dim: int, robot_dim: int, action_dim: in
     )
 
 
-def _expert_score_graph(expert: ModalityExpert, a_k: np.ndarray,
-                        cond: np.ndarray, ks: np.ndarray) -> nc.Tensor:
-    """Training-time score: graph-recorded encoder + sub-policies.
+def _expert_score_graph(expert: ModalityExpert, a_k: np.ndarray, m_rows: np.ndarray,
+                        rs_rows: np.ndarray, ks: np.ndarray) -> tuple[nc.Tensor, nc.Tensor]:
+    """Training-time (score, embedding): graph-recorded encoder + sub-policies.
 
-    cond rows are [raw modality reading, robot state]; gradients flow into
-    the encoder and every sub-policy active for each row.
+    The graph twin of encode_rows then score_rows; gradients flow into the
+    encoder and every sub-policy active for each row.
     """
-    m_rows = cond[:, :expert.modality_dim]
-    rs_rows = cond[:, expert.modality_dim:]
     code = nc.mlp_forward(expert.encoder, expert.encoder_spec, nc.const(m_rows))
     emb = nc.concat_cols([code, nc.const(rs_rows)])
     feats = timestep_features(ks, expert.n_steps)
@@ -208,12 +181,12 @@ def _expert_score_graph(expert: ModalityExpert, a_k: np.ndarray,
             term = nc.mul(nc.mlp_forward(sp.params, sp.spec, x),
                           nc.const(mask[:, None].astype(np.float64)))
             total = term if total is None else nc.add(total, term)
-        return total
+        return total, emb
     total = None
     for sp in expert.subs:
         out = nc.mlp_forward(sp.params, sp.spec, x)
         total = out if total is None else nc.add(total, out)
-    return nc.scale(total, 1.0 / expert.n_sub)
+    return nc.scale(total, 1.0 / expert.n_sub), emb
 
 
 def train_expert(dataset, modality: str, cfg, rng: np.random.Generator) -> ModalityExpert:
@@ -226,13 +199,13 @@ def train_expert(dataset, modality: str, cfg, rng: np.random.Generator) -> Modal
         raise ConfigError(
             f"dataset has modalities {list(dataset.modality_dims)}, not '{modality}'"
         )
-    m_rows, rs_rows, a_rows = dataset.training_rows(modality)
+    a_rows, cond_rows, (m_cols, rs_cols) = dataset.training_cond_rows((modality,))
     expert = init_expert(modality, dataset.modality_dims[modality],
                          dataset.robot_dim, a_rows.shape[1], cfg, rng)
     sched = make_schedule(cfg.diffusion.steps, cfg.diffusion.beta_start,
                           cfg.diffusion.beta_end)
-    cond_rows = np.concatenate([m_rows, rs_rows], axis=1)
-    score = lambda ak, c, ks: _expert_score_graph(expert, ak, c, ks)
+    score = lambda ak, c, ks: _expert_score_graph(
+        expert, ak, c[:, m_cols], c[:, rs_cols], ks)[0]
     expert.loss_history = fit_denoiser(
         score, expert.param_groups(), a_rows, cond_rows, sched,
         steps=cfg.train.steps, batch=cfg.train.batch, lr=cfg.train.lr, rng=rng)

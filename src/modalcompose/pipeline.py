@@ -8,8 +8,6 @@ is a pure function of (config, seed), so reruns are byte-identical.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +19,7 @@ from .diffusion import make_schedule
 from .envs import Dataset, generate_dataset, make_env_spec, run_expert_episode
 from .errors import ConfigError, ContractError, FormatError
 from .experts import train_expert
-from .rollout import run_policy_episode
+from .rollout import evaluate_policy
 from .router import STRATEGIES, train_router
 from .rngstream import TAG_EVAL, TAG_TRAIN, stream
 from .runconfig import RunConfig, model_hash
@@ -31,15 +29,6 @@ from .runconfig import RunConfig, model_hash
 _ROUTER_LABEL = 1000
 _CONCAT_LABEL = 1001
 _MOE_LABEL = 1002
-
-
-def n_threads() -> int:
-    """Worker cap from MODALCOMPOSE_THREADS (default 1)."""
-    raw = os.environ.get("MODALCOMPOSE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"MODALCOMPOSE_THREADS must be an integer, got {raw!r}") from None
 
 
 def default_dataset_path(cfg: RunConfig, out_dir: Path) -> Path:
@@ -119,27 +108,15 @@ def run_training(cfg: RunConfig) -> dict[str, Path]:
     stats = dataset.stats()
     mods = list(dataset.modality_dims)
 
-    def train_one_expert(mod: str):
-        rng = stream(seed, TAG_TRAIN, 1 + mods.index(mod))
-        return train_expert(dataset, mod, cfg, rng)
-
     experts_cache: dict[str, object] = {}
 
     def expert_for(mod: str):
         if mod not in experts_cache:
-            experts_cache[mod] = train_one_expert(mod)
+            rng = stream(seed, TAG_TRAIN, 1 + mods.index(mod))
+            experts_cache[mod] = train_expert(dataset, mod, cfg, rng)
         return experts_cache[mod]
 
     written: dict[str, Path] = {}
-    expert_methods = [m for m in methods if m.startswith("expert:")]
-    workers = n_threads()
-    if workers > 1 and len(expert_methods) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {m: pool.submit(train_one_expert, m.split(":", 1)[1])
-                       for m in expert_methods}
-            for m in expert_methods:
-                experts_cache[m.split(":", 1)[1]] = futures[m].result()
-
     for method in methods:
         path = out / _method_filename(method, seed)
         if method.startswith("expert:"):
@@ -206,8 +183,8 @@ def load_manifest(path) -> tuple[ComposedPolicy, dict]:
         raise FormatError(f"manifest not found: {p}")
     fields = {"expert": []}
     for lineno, line in enumerate(p.read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise FormatError(f"{p}:{lineno}: expected 'key = value'")
@@ -288,24 +265,6 @@ def _policy_from_path(path) -> tuple[object, str, str]:
     return policy, label, meta["env"]
 
 
-def _eval_episodes(policy, spec, seed: int, n: int) -> tuple[float, float]:
-    workers = n_threads()
-    if workers == 1:
-        wins = 0
-        steps = []
-        for ep in range(n):
-            rec = run_policy_episode(policy, spec, seed, ep)
-            wins += rec.success
-            steps.append(rec.steps)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            recs = list(pool.map(
-                lambda ep: run_policy_episode(policy, spec, seed, ep), range(n)))
-        wins = sum(r.success for r in recs)
-        steps = [r.steps for r in recs]
-    return wins / n, float(np.mean(steps))
-
-
 def run_eval(target, n: int, seed: int, env_name: str | None = None,
              method: str | None = None) -> list[dict]:
     """Evaluate a policy target over n seeded episodes.
@@ -323,7 +282,7 @@ def run_eval(target, n: int, seed: int, env_name: str | None = None,
             raise ContractError("policy objects need env_name and method labels")
         policy, label, env = target, method, env_name
     spec = make_env_spec(env_name or env)
-    rate, mean_steps = _eval_episodes(policy, spec, seed, n)
+    rate, mean_steps = evaluate_policy(policy, spec, seed, n)
     return [{"task": spec.name, "method": label, "success_rate": rate,
              "mean_steps": mean_steps, "param_count": policy.n_params(),
              "seed": seed}]

@@ -15,7 +15,7 @@ import numpy as np
 from . import numcore as nc
 from .diffusion import fit_denoiser, make_schedule
 from .errors import ConfigError, ContractError
-from .experts import ModalityExpert, timestep_features
+from .experts import ModalityExpert, _expert_score_graph
 
 STRATEGIES = ("soft", "hard", "top2")
 
@@ -62,21 +62,6 @@ def init_router(modality_order: tuple[str, ...], emb_dims: tuple[int, ...],
                   modality_order=tuple(modality_order), emb_dims=tuple(emb_dims))
 
 
-def router_weights(router: Router, embeddings: list[np.ndarray]) -> np.ndarray:
-    """Consensus weights for one state; embeddings in the recorded order."""
-    if len(embeddings) != router.n_modalities:
-        raise ContractError(
-            f"router expects {router.n_modalities} embeddings, got {len(embeddings)}"
-        )
-    for e, d, name in zip(embeddings, router.emb_dims, router.modality_order):
-        if np.asarray(e).shape != (d,):
-            raise ContractError(
-                f"embedding for '{name}' has shape {np.asarray(e).shape}, expected ({d},)"
-            )
-    cat = np.concatenate(embeddings)[None, :]
-    return router.weights_rows(cat)[0]
-
-
 def apply_strategy(w: np.ndarray, strategy: str) -> np.ndarray:
     """Post-process consensus weights; soft is the exact identity.
 
@@ -110,7 +95,9 @@ def _router_score_graph(router: Router, experts: list[ModalityExpert],
     """Weighted sum of expert scores with the weights on the graph.
 
     Expert scores enter as constants unless ``joint`` is set, in which case
-    their encoders and sub-policies are recorded too and receive gradients.
+    they come from the experts' own training graph, so their encoders and
+    sub-policies receive gradients and the band split applies as at
+    inference.
     """
     rs = cond[:, slices[-1]]
     embs = []
@@ -118,20 +105,12 @@ def _router_score_graph(router: Router, experts: list[ModalityExpert],
     for ex, sl in zip(experts, slices[:-1]):
         m_rows = cond[:, sl]
         if joint:
-            code = nc.mlp_forward(ex.encoder, ex.encoder_spec, nc.const(m_rows))
-            emb = nc.concat_cols([code, nc.const(rs)])
-            feats = timestep_features(ks, ex.n_steps)
-            x = nc.concat_cols([nc.const(a_k), emb, nc.const(feats)])
-            total = None
-            for sp in ex.subs:
-                out = nc.mlp_forward(sp.params, sp.spec, x)
-                total = out if total is None else nc.add(total, out)
-            scores.append(nc.scale(total, 1.0 / ex.n_sub))
-            embs.append(emb)
+            score, emb = _expert_score_graph(ex, a_k, m_rows, rs, ks)
         else:
             emb_np = ex.encode_rows(m_rows, rs)
-            scores.append(nc.const(ex.score_rows(a_k, emb_np, ks)))
-            embs.append(nc.const(emb_np))
+            score, emb = nc.const(ex.score_rows(a_k, emb_np, ks)), nc.const(emb_np)
+        scores.append(score)
+        embs.append(emb)
     logits = nc.mlp_forward(router.params, router.spec, nc.concat_cols(embs))
     w = nc.softmax_rows(logits)
     total = None
@@ -156,13 +135,7 @@ def train_router(experts: list[ModalityExpert], dataset, cfg,
     for ex in experts:
         if ex.modality not in dataset.modality_dims:
             raise ContractError(f"dataset lacks modality '{ex.modality}'")
-    mods, rs_rows, a_rows = dataset.training_rows_multi()
-    blocks = [mods[ex.modality] for ex in experts] + [rs_rows]
-    cond_rows = np.concatenate(blocks, axis=1)
-    slices, off = [], 0
-    for b in blocks:
-        slices.append(slice(off, off + b.shape[1]))
-        off += b.shape[1]
+    a_rows, cond_rows, slices = dataset.training_cond_rows(names)
     router = init_router(tuple(names), tuple(ex.emb_dim for ex in experts),
                          tuple(cfg.router.hidden), rng)
     sched = make_schedule(cfg.diffusion.steps, cfg.diffusion.beta_start,

@@ -105,6 +105,15 @@ def test_ac1_composition_identity():
     # three experts over the same modality with identical parameters
     clones = [xp.init_expert("vis", 5, 2, 2, cfg, np.random.default_rng(99))
               for _ in range(3)]
+    sched = make_schedule()
+    stats = constant_action_dataset([0.1, 0.2]).stats()
+    uniform = compose.manual_compose(clones, np.full(3, 1.0 / 3.0), sched, stats)
+
+    def expert_score(ex, a_k, obs, k):
+        emb = ex.encode_rows(obs.modalities[ex.modality][None, :],
+                             obs.robot_state[None, :])
+        return ex.score_rows(a_k[None, :], emb, k)[0]
+
     worst = 0.0
     for trial in range(100):
         obs = Observation(
@@ -115,13 +124,12 @@ def test_ac1_composition_identity():
         j = trial % 3
         one_hot = np.zeros(3)
         one_hot[j] = 1.0
-        got = compose.inter_compose(distinct, one_hot, a_k, obs, k)
-        emb = xp.encode(distinct[j], obs.modalities[names[j]], obs.robot_state)
-        want = xp.intra_compose(distinct[j], a_k, emb, k)
+        selected = compose.manual_compose(distinct, one_hot, sched, stats)
+        got = selected.score_for(obs)(a_k, None, k)
+        want = expert_score(distinct[j], a_k, obs, k)
         assert got.tobytes() == want.tobytes()
-        mixed = compose.inter_compose(clones, np.full(3, 1.0 / 3.0), a_k, obs, k)
-        emb0 = xp.encode(clones[0], obs.modalities["vis"], obs.robot_state)
-        single = xp.intra_compose(clones[0], a_k, emb0, k)
+        mixed = uniform.score_for(obs)(a_k, None, k)
+        single = expert_score(clones[0], a_k, obs, k)
         worst = max(worst, float(np.max(np.abs(mixed - single))))
     elapsed = time.time() - t0
     gate(worst <= 1e-12 and elapsed < 1.0, "AC-1",

@@ -1,6 +1,7 @@
 """Corruption, robustness-scenario, and importance-probing tests."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -51,6 +52,27 @@ class Spy:
     def act(self, obs, rng):
         self.seen.append(obs.copy())
         return self.inner.act(obs, rng)
+
+
+class NoisyFollower(Follower):
+    """Follower plus a small draw from the action stream, so the pins also
+    cover which stream each action comes from."""
+
+    def act(self, obs, rng):
+        return np.clip(super().act(obs, rng) + 0.05 * rng.standard_normal(2),
+                       -1.0, 1.0)
+
+
+class NoisyPhase:
+    """Heads for whichever phase_reach waypoint is still open, with a small
+    draw from the action stream."""
+
+    def act(self, obs, rng):
+        wpa, wpb = obs.modalities["wpa"], obs.modalities["wpb"]
+        d = wpb[1:] if wpa[0] == 1.0 else wpa[1:]
+        dist = np.linalg.norm(d)
+        step = d / dist * min(1.0, dist / 0.08) if dist > 1e-12 else np.zeros(2)
+        return np.clip(step + 0.05 * rng.standard_normal(2), -1.0, 1.0)
 
 
 def make_obs(rng):
@@ -233,6 +255,20 @@ def test_probing_never_disturbs_the_episode():
     assert trace.positions.tobytes() == np.asarray(record.positions).tobytes()
 
 
+def test_contact_comes_from_touch_alone():
+    """phase_reach has no touch sensor, so it never reports contact, even once
+    its first waypoint is visited; rollout and probe flag contact alike."""
+    spec = make_env_spec("phase_reach")
+    record = run_policy_episode(NoisyPhase(), spec, 13, 0)
+    assert record.success and not any(record.in_contact)
+    spec = make_env_spec("occluded_reach")
+    record = run_policy_episode(Follower(), spec, 21, 0)
+    trace = an.perturb_importance(Follower(), spec, 21, ProbeConfig(),
+                                  sigmas_for(spec))
+    assert any(record.in_contact)
+    assert trace.in_contact.tolist() == record.in_contact
+
+
 def test_probe_deterministic():
     spec = make_env_spec("occluded_reach")
     a = an.perturb_importance(Follower(), spec, 22, ProbeConfig(), sigmas_for(spec))
@@ -296,3 +332,92 @@ def test_probe_sigmas_scale(const_dataset):
     stds = const_dataset.modality_stds()
     for m in stds:
         assert np.allclose(sig[m], 0.1 * stds[m], atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# pinned trajectories: every scenario kind, replayed bit for bit
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+PINNED_SCENARIOS = {
+    "baseline": None,
+    "repositioning": an.ScenarioSpec(kind="repositioning"),
+    "runtime_perturbation": an.ScenarioSpec(kind="runtime_perturbation", step_star=6),
+    **{f"{kind}@{onset}": an.ScenarioSpec(
+        kind="corruption", onset=onset,
+        corruption=an.CorruptionMode(kind, "vis", sigma_c=0.3))
+       for kind in an.CORRUPTION_KINDS for onset in an.ONSETS},
+}
+
+
+# (success rate, mean steps), robot-state digest, modality-reading digest
+PINNED_SCENARIO_DIGESTS = {
+    "occluded_reach:baseline":
+        ((1.0, 18.75), "5c7c11052068feac", "f9c2dbc4418a2811"),
+    "occluded_reach:repositioning":
+        ((1.0, 19.25), "54415ad841da78ea", "d34ed4c72e9b96b1"),
+    "occluded_reach:runtime_perturbation":
+        ((1.0, 19.5), "5c7213b2e6ca72ab", "6cf3cb050a923839"),
+    "occluded_reach:zero@start":
+        ((0.0, 80.0), "29ae355fd2d00c40", "cc61635da46b2c99"),
+    "occluded_reach:zero@occlusion_entry":
+        ((0.0, 80.0), "52843f77dcb8a1d4", "c632fbb6348e5f39"),
+    "occluded_reach:freeze@start":
+        ((0.0, 80.0), "8cb18198fc030f80", "b16b34f1ba2f5be8"),
+    "occluded_reach:freeze@occlusion_entry":
+        ((1.0, 18.75), "5c7c11052068feac", "f882144343ca62f4"),
+    "occluded_reach:gaussian@start":
+        ((0.0, 80.0), "7864ec36d35a50e6", "07ed5bb390637ffd"),
+    "occluded_reach:gaussian@occlusion_entry":
+        ((1.0, 18.75), "5c7c11052068feac", "4375769d5397215c"),
+    "phase_reach:baseline":
+        ((1.0, 22.0), "b362d62d46e22d4f", "b8c487d4d85edb20"),
+    "phase_reach:repositioning":
+        ((1.0, 20.5), "9a707c8ec496084e", "4544ebd3abb60e57"),
+    "phase_reach:runtime_perturbation":
+        ((1.0, 20.5), "3c2aefcca6c0a613", "3eb48505ed0e3376"),
+}
+
+# success, steps, then digests of positions, raw and EMA importance, and the
+# in-box and contact flags
+PINNED_PROBE_DIGESTS = {
+    "occluded_reach": (True, 23, "125c93135b1ee6d3", "7927f39374f3fa57",
+                       "02aede2ad4e20831", "22fb629b6b2c3e65"),
+    "phase_reach": (True, 23, "53be9f5c794b2706", "abb9d6c7b9a80f39",
+                    "7987759a5f8c00f5", "37c2200b1a1bf14e"),
+}
+
+
+def test_scenario_trajectories_are_pinned():
+    """Success, mean steps and a hash of every observation the policy saw
+    (robot state and modality readings), per scenario kind."""
+    runs = [("occluded_reach", name, NoisyFollower) for name in PINNED_SCENARIOS]
+    runs += [("phase_reach", name, NoisyPhase)
+             for name in ("baseline", "repositioning", "runtime_perturbation")]
+    got = {}
+    for env, name, policy in runs:
+        spy = Spy(policy())
+        result = an.robustness_eval(spy, make_env_spec(env), PINNED_SCENARIOS[name],
+                                    4, seed=13)
+        got[f"{env}:{name}"] = (
+            result, _digest(o.robot_state for o in spy.seen),
+            _digest(v for o in spy.seen for v in o.modalities.values()))
+    assert got == PINNED_SCENARIO_DIGESTS
+
+
+def test_probe_trajectories_are_pinned():
+    got = {}
+    for env, policy in (("occluded_reach", NoisyFollower()), ("phase_reach", NoisyPhase())):
+        spec = make_env_spec(env)
+        trace = an.perturb_importance(policy, spec, 17, ProbeConfig(draws=2),
+                                      sigmas_for(spec), episode=1)
+        got[env] = (trace.success, trace.steps, _digest([trace.positions]),
+                    _digest(trace.raw.values()), _digest(trace.ema.values()),
+                    _digest([trace.in_box, trace.in_contact]))
+    assert got == PINNED_PROBE_DIGESTS

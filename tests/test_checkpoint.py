@@ -136,6 +136,16 @@ def test_load_rejects_bad_metadata_and_duplicates(tmp_path):
         cpt.load_checkpoint(dup)
 
 
+def test_load_rejects_undecodable_tensor_name(tmp_path):
+    tensor = struct.pack("<H", 2) + b"\xffa" + struct.pack("<B", 0) + struct.pack("<d", 1.0)
+    blob = b"MCPF" + struct.pack("<I", 1) + struct.pack("<I", 2) + b"{}"
+    blob += struct.pack("<I", 1) + tensor
+    bad = tmp_path / "name.mcpf"
+    bad.write_bytes(blob)
+    with pytest.raises(FormatError, match="tensor name"):
+        cpt.load_checkpoint(bad)
+
+
 # ---------------------------------------------------------------------------
 # typed round-trips
 
@@ -155,10 +165,10 @@ def test_expert_round_trip(tmp_path, rng):
     assert back.modality == "vis" and back.n_sub == expert.n_sub
     assert stats2.key() == stats.key()
     assert sched2.K == sched.K and np.allclose(sched2.betas, sched.betas)
-    e = xp.encode(back, rng.normal(size=5), rng.normal(size=2))
-    a_k = rng.normal(size=2)
-    orig = xp.intra_compose(expert, a_k, e, 7)
-    assert xp.intra_compose(back, a_k, e, 7).tobytes() == orig.tobytes()
+    e = back.encode_rows(rng.normal(size=(1, 5)), rng.normal(size=(1, 2)))
+    a_k = rng.normal(size=(1, 2))
+    orig = expert.score_rows(a_k, e, 7)
+    assert back.score_rows(a_k, e, 7).tobytes() == orig.tobytes()
 
 
 def test_router_round_trip(tmp_path, rng):
@@ -169,9 +179,8 @@ def test_router_round_trip(tmp_path, rng):
     back = cpt.router_from_checkpoint(cpt.load_checkpoint(path))
     assert back.modality_order == ("vis", "tac")
     assert back.emb_dims == (10, 10)
-    embs = [rng.normal(size=10), rng.normal(size=10)]
-    assert rt.router_weights(back, embs).tobytes() == \
-        rt.router_weights(router, embs).tobytes()
+    embs = rng.normal(size=(1, 20))
+    assert back.weights_rows(embs).tobytes() == router.weights_rows(embs).tobytes()
 
 
 @pytest.mark.parametrize("trainer,kind", [(train_concat_policy, "concat"),

@@ -39,16 +39,27 @@ def random_obs(rng, n=2):
 
 
 # ---------------------------------------------------------------------------
-# inter_compose algebra
+# inter-modality composition: the composed policy's score
+
+
+def mixed_score(experts, w, a_k, obs, k):
+    """The score a fixed-weight composition samples with at (a_k, obs, k)."""
+    stats = constant_action_dataset(np.array([0.1, 0.2])).stats()
+    policy = cp.manual_compose(experts, w, make_schedule(), stats)
+    return policy.score_for(obs)(a_k, None, k)
+
+
+def expert_score(ex, a_k, obs, k):
+    e = ex.encode_rows(obs.modalities[ex.modality][None, :], obs.robot_state[None, :])
+    return ex.score_rows(a_k[None, :], e, k)[0]
 
 
 def test_one_hot_weight_reproduces_expert_bitwise(rng):
     experts = fresh_experts()
     obs = random_obs(rng)
     a_k = rng.normal(size=2)
-    got = cp.inter_compose(experts, np.array([1.0, 0.0]), a_k, obs, 12)
-    e0 = xp.encode(experts[0], obs.modalities["vis"], obs.robot_state)
-    want = xp.intra_compose(experts[0], a_k, e0, 12)
+    got = mixed_score(experts, np.array([1.0, 0.0]), a_k, obs, 12)
+    want = expert_score(experts[0], a_k, obs, 12)
     assert got.tobytes() == want.tobytes()
 
 
@@ -57,11 +68,8 @@ def test_inter_compose_is_weighted_sum(rng):
     obs = random_obs(rng)
     a_k = rng.normal(size=2)
     w = np.array([0.3, 0.7])
-    got = cp.inter_compose(experts, w, a_k, obs, 30)
-    scores = []
-    for ex in experts:
-        e = xp.encode(ex, obs.modalities[ex.modality], obs.robot_state)
-        scores.append(xp.intra_compose(ex, a_k, e, 30))
+    got = mixed_score(experts, w, a_k, obs, 30)
+    scores = [expert_score(ex, a_k, obs, 30) for ex in experts]
     assert np.allclose(got, 0.3 * scores[0] + 0.7 * scores[1], atol=1e-15)
 
 
@@ -74,8 +82,8 @@ def test_zero_weight_third_expert_changes_nothing(rng):
                                    if k != "aud"},
                        robot_state=obs3.robot_state)
     a_k = rng.normal(size=2)
-    two = cp.inter_compose(pair, np.array([0.4, 0.6]), a_k, obs2, 9)
-    three = cp.inter_compose(trio, np.array([0.4, 0.6, 0.0]), a_k, obs3, 9)
+    two = mixed_score(pair, np.array([0.4, 0.6]), a_k, obs2, 9)
+    three = mixed_score(trio, np.array([0.4, 0.6, 0.0]), a_k, obs3, 9)
     assert three.tobytes() == two.tobytes()
 
 
@@ -84,7 +92,13 @@ def test_inter_compose_requires_matching_modalities(rng):
     obs = Observation(modalities={"vis": rng.normal(size=5)},
                       robot_state=rng.normal(size=2))
     with pytest.raises(ContractError):
-        cp.inter_compose(experts, np.array([0.5, 0.5]), np.zeros(2), obs, 1)
+        mixed_score(experts, np.array([0.5, 0.5]), np.zeros(2), obs, 1)
+    # weights that do not match the experts are refused when scoring
+    policy = cp.manual_compose(experts, [0.5, 0.5], make_schedule(),
+                               constant_action_dataset(np.array([0.1, 0.2])).stats())
+    policy.fixed_w = np.array([0.2, 0.3, 0.5])
+    with pytest.raises(ContractError):
+        policy.score_for(random_obs(rng))
 
 
 # ---------------------------------------------------------------------------

@@ -58,52 +58,66 @@ def make_expert(rng, n_sub=2, band=False):
     return xp.init_expert("vis", 5, 2, 2, cfg, rng)
 
 
+def encode(ex, m, rs):
+    return ex.encode_rows(m[None, :], rs[None, :])
+
+
+def sub_eps(sp, a_k, e, k):
+    """One sub-policy's noise prediction for one row: the oracle score_rows
+    averages (or, with band split, selects)."""
+    x = np.concatenate([a_k, e[0], xp.timestep_features(k, sp.n_steps)])
+    return nc.mlp_infer(sp.params, sp.spec, x[None, :])[0]
+
+
+def score(ex, a_k, e, k):
+    return ex.score_rows(a_k[None, :], e, k)[0]
+
+
 def test_encode_shape_and_validation(rng):
     ex = make_expert(rng)
-    e = xp.encode(ex, rng.normal(size=5), rng.normal(size=2))
-    assert e.shape == (8 + 2,)
-    assert np.array_equal(e[-2:], e[-2:])  # robot state present at the tail
+    e = encode(ex, rng.normal(size=5), rng.normal(size=2))
+    assert e.shape == (1, 8 + 2)
+    assert np.array_equal(e[0, -2:], e[0, -2:])  # robot state present at the tail
     with pytest.raises(ShapeError):
-        xp.encode(ex, rng.normal(size=4), rng.normal(size=2))
+        encode(ex, rng.normal(size=4), rng.normal(size=2))
     with pytest.raises(ShapeError):
-        xp.encode(ex, rng.normal(size=5), rng.normal(size=3))
+        encode(ex, rng.normal(size=5), rng.normal(size=3))
 
 
 def test_encode_appends_robot_state_verbatim(rng):
     ex = make_expert(rng)
     rs = np.array([0.25, -0.75])
-    e = xp.encode(ex, rng.normal(size=5), rs)
-    assert np.array_equal(e[-2:], rs)
+    e = encode(ex, rng.normal(size=5), rs)
+    assert np.array_equal(e[0, -2:], rs)
 
 
 def test_intra_compose_is_mean_of_subpolicies(rng):
     ex = make_expert(rng, n_sub=3)
-    e = xp.encode(ex, rng.normal(size=5), rng.normal(size=2))
+    e = encode(ex, rng.normal(size=5), rng.normal(size=2))
     a_k = rng.normal(size=2)
-    per_sub = [xp.subpolicy_eps(sp, a_k, e, 20) for sp in ex.subs]
-    assert np.allclose(xp.intra_compose(ex, a_k, e, 20),
-                       np.mean(per_sub, axis=0), atol=1e-15)
+    per_sub = [sub_eps(sp, a_k, e, 20) for sp in ex.subs]
+    assert np.allclose(score(ex, a_k, e, 20), np.mean(per_sub, axis=0), atol=1e-15)
 
 
 def test_subpolicy_eps_validates_k_and_dims(rng):
     ex = make_expert(rng)
-    e = xp.encode(ex, rng.normal(size=5), rng.normal(size=2))
+    e = encode(ex, rng.normal(size=5), rng.normal(size=2))
     with pytest.raises(ContractError):
-        xp.subpolicy_eps(ex.subs[0], np.zeros(2), e, 0)
+        score(ex, np.zeros(2), e, 0)
     with pytest.raises(ContractError):
-        xp.subpolicy_eps(ex.subs[0], np.zeros(2), e, 51)
+        score(ex, np.zeros(2), e, 51)
     with pytest.raises(ShapeError):
-        xp.subpolicy_eps(ex.subs[0], np.zeros(3), e, 1)
+        score(ex, np.zeros(3), e, 1)
 
 
 def test_band_split_routes_by_denoising_half(rng):
     ex = make_expert(rng, band=True)
-    e = xp.encode(ex, rng.normal(size=5), rng.normal(size=2))
+    e = encode(ex, rng.normal(size=5), rng.normal(size=2))
     a_k = rng.normal(size=2)
     # sub 0 owns the coarse half (k > 25), sub 1 the fine half (k <= 25)
     for k, owner in ((50, 0), (26, 0), (25, 1), (1, 1)):
-        got = xp.intra_compose(ex, a_k, e, k)
-        want = xp.subpolicy_eps(ex.subs[owner], a_k, e, k)
+        got = score(ex, a_k, e, k)
+        want = sub_eps(ex.subs[owner], a_k, e, k)
         assert np.array_equal(got, want), f"k={k}"
 
 
@@ -116,7 +130,7 @@ def test_score_rows_matches_single_calls(rng):
     emb = ex.encode_rows(m, rs)
     batched = ex.score_rows(a, emb, ks)
     for r in range(4):
-        single = xp.intra_compose(ex, a[r], xp.encode(ex, m[r], rs[r]), int(ks[r]))
+        single = score(ex, a[r], encode(ex, m[r], rs[r]), int(ks[r]))
         assert np.allclose(batched[r], single, atol=1e-12)
 
 

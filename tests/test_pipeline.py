@@ -5,6 +5,7 @@ import pytest
 
 from modalcompose import checkpoint as cpt
 from modalcompose import pipeline as pl
+from modalcompose.cli import cli_dispatch
 from modalcompose.envs import make_env_spec
 from modalcompose.errors import ConfigError, ContractError, FormatError
 from modalcompose.rollout import evaluate_policy, run_policy_episode
@@ -128,6 +129,20 @@ def test_manifest_round_trip_with_router(tmp_path):
     assert policy.router is not None
     assert policy.modality_order == ("vis", "tac")
     assert meta["env"] == "occluded_reach"
+
+
+def test_manifest_paths_may_contain_hash(tmp_path):
+    """Only whole-line comments are stripped, so a '#' in a checkpoint path
+    survives the round trip."""
+    _, written = trained_paths(tmp_path / "run#1")
+    man = tmp_path / "composed.txt"
+    args = ["compose", "--experts", f"{written['expert:vis']},{written['expert:tac']}",
+            "--router", str(written["router"]), "--out", str(man)]
+    assert cli_dispatch(args) == 0
+    assert "run#1/" in man.read_text()
+    policy, _ = pl.load_manifest(man)
+    assert policy.router is not None
+    assert policy.modality_order == ("vis", "tac")
 
 
 def test_manifest_with_fixed_weights(tmp_path):

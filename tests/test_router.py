@@ -5,8 +5,12 @@ import pytest
 
 from modalcompose import experts as xp
 from modalcompose import router as rt
+from modalcompose.compose import compose_policy
+from modalcompose.diffusion import make_schedule
+from modalcompose.envs import Observation
 from modalcompose.errors import ConfigError, ContractError
 from modalcompose.runconfig import RunConfig
+from tests.conftest import constant_action_dataset
 
 
 def small_cfg(router_steps=0, joint=False):
@@ -28,7 +32,7 @@ def test_random_routers_emit_valid_weights(rng):
         dims = tuple(int(rng.integers(1, 7)) for _ in range(n))
         router = rt.init_router(tuple(f"m{i}" for i in range(n)), dims, (6,), rng)
         embs = [rng.normal(size=d) * 3 for d in dims]
-        w = rt.router_weights(router, embs)
+        w = router.weights_rows(np.concatenate(embs)[None, :])[0]
         assert w.shape == (n,)
         assert np.all(w > 0)
         assert abs(w.sum() - 1.0) < 1e-12
@@ -38,7 +42,7 @@ def test_zero_logit_router_is_uniform(rng):
     router = rt.init_router(("a", "b", "c"), (2, 2, 2), (4,), rng)
     for _, t in router.params.items():
         t.data[...] = 0.0
-    w = rt.router_weights(router, [np.ones(2)] * 3)
+    w = router.weights_rows(np.ones((1, 6)))[0]
     assert np.allclose(w, 1 / 3, atol=1e-15)
 
 
@@ -94,11 +98,18 @@ def test_strategy_and_weight_validation():
 
 
 def test_router_weights_validates_embeddings(rng):
-    router = rt.init_router(("a", "b"), (3, 4), (5,), rng)
+    """A router is only composed with experts of its modality count and
+    embedding widths."""
+    cfg = small_cfg()
+    experts = [xp.init_expert("a", 3, 2, 2, cfg, rng), xp.init_expert("b", 4, 2, 2, cfg, rng)]
+    stats = constant_action_dataset([0.1, 0.2]).stats()
+    sched = make_schedule()
+    one = rt.init_router(("a",), (10,), (5,), rng)
     with pytest.raises(ContractError):
-        rt.router_weights(router, [np.zeros(3)])
+        compose_policy(experts, one, "soft", sched, stats)
+    narrow = rt.init_router(("a", "b"), (10, 9), (5,), rng)
     with pytest.raises(ContractError):
-        rt.router_weights(router, [np.zeros(3), np.zeros(5)])
+        compose_policy(experts, narrow, "soft", sched, stats)
 
 
 def test_weights_rows_matches_single(rng):
@@ -106,8 +117,8 @@ def test_weights_rows_matches_single(rng):
     embs = [(rng.normal(size=3), rng.normal(size=4)) for _ in range(6)]
     cat = np.stack([np.concatenate(p) for p in embs])
     batch = router.weights_rows(cat)
-    for r, p in enumerate(embs):
-        assert np.allclose(batch[r], rt.router_weights(router, list(p)), atol=1e-14)
+    for r in range(len(embs)):
+        assert np.allclose(batch[r], router.weights_rows(cat[r:r + 1])[0], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -159,3 +170,25 @@ def test_train_router_reproducible(const_dataset):
         router = rt.train_router(experts, const_dataset, cfg, np.random.default_rng(8))
         runs.append((router.params.checksum(), tuple(router.loss_history)))
     assert runs[0] == runs[1]
+
+
+def test_joint_training_score_matches_inference_with_band_split(rng):
+    """The joint-mode training score is the composed policy's sampling score,
+    band split included."""
+    cfg = small_cfg(joint=True).with_section("expert", noise_band_split=True)
+    experts = [xp.init_expert("vis", 5, 2, 2, cfg, rng),
+               xp.init_expert("tac", 3, 2, 2, cfg, rng)]
+    router = rt.init_router(("vis", "tac"), (10, 10), (8,), rng)
+    policy = compose_policy(experts, router, "soft", make_schedule(),
+                            constant_action_dataset([0.1, 0.2]).stats())
+    n = 12
+    vis, tac, rs = rng.normal(size=(n, 5)), rng.normal(size=(n, 3)), rng.normal(size=(n, 2))
+    a_k = rng.normal(size=(n, 2))
+    ks = rng.integers(1, 51, size=n)
+    cond = np.concatenate([vis, tac, rs], axis=1)
+    slices = [slice(0, 5), slice(5, 8), slice(8, 10)]
+    trained = rt._router_score_graph(router, experts, a_k, cond, ks, slices, True).data
+    for r in range(n):
+        obs = Observation({"vis": vis[r], "tac": tac[r]}, rs[r])
+        served = policy.score_for(obs)(a_k[r], None, int(ks[r]))
+        assert np.max(np.abs(trained[r] - served)) <= 1e-12, r
