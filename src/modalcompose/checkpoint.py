@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
-from .diffusion import NoiseSchedule, make_schedule
+from .diffusion import SIGMA_MODES, NoiseSchedule, make_schedule
 from .envs import ActionStats
 from .errors import ContractError, FormatError
 from .experts import ModalityExpert, SubPolicy
@@ -157,11 +157,14 @@ def _params_tensors(prefix: str, params: nc.ParamSet) -> dict[str, np.ndarray]:
 
 def _params_from_tensors(ck: Checkpoint, prefix: str, spec: nc.MlpSpec) -> nc.ParamSet:
     ps = nc.ParamSet()
-    for i in range(len(spec.layer_dims())):
-        for base in (f"W{i}", f"b{i}"):
+    for i, (fan_in, fan_out) in enumerate(spec.layer_dims()):
+        for base, shape in ((f"W{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
             key = f"{prefix}/{base}"
             if key not in ck.tensors:
                 raise FormatError(f"checkpoint missing tensor {key!r}")
+            if ck.tensors[key].shape != shape:
+                raise FormatError(f"tensor {key!r} has shape {ck.tensors[key].shape}, "
+                                  f"its spec needs {shape}")
             ps.add(base, ck.tensors[key])
     return ps
 
@@ -183,6 +186,9 @@ def save_expert(expert: ModalityExpert, stats: ActionStats, sched: NoiseSchedule
         "encoder_spec": _spec_meta(expert.encoder_spec),
         "sub_specs": [_spec_meta(s.spec) for s in expert.subs],
     })
+    # written only when not the default, so default checkpoints keep their bytes
+    if expert.sigma_mode != "beta":
+        meta["sigma_mode"] = expert.sigma_mode
     tensors = _params_tensors("enc", expert.encoder)
     for i, sub in enumerate(expert.subs):
         tensors.update(_params_tensors(f"sub{i}", sub.params))
@@ -195,8 +201,15 @@ def expert_from_checkpoint(ck: Checkpoint) -> tuple[ModalityExpert, ActionStats,
     if m.get("kind") != "expert":
         raise FormatError(f"expected an expert checkpoint, got kind {m.get('kind')!r}")
     enc_spec = _spec_from_meta(m["encoder_spec"])
+    sub_specs = m["sub_specs"]
+    if not sub_specs or any(sm != sub_specs[0] for sm in sub_specs):
+        raise FormatError(f"expert sub-policy specs must be one spec, "
+                          f"at least once, got {sub_specs}")
+    sigma_mode = m.get("sigma_mode", "beta")
+    if sigma_mode not in SIGMA_MODES:
+        raise FormatError(f"unknown expert sigma_mode {sigma_mode!r}")
     subs = []
-    for i, sm in enumerate(m["sub_specs"]):
+    for i, sm in enumerate(sub_specs):
         spec = _spec_from_meta(sm)
         subs.append(SubPolicy(params=_params_from_tensors(ck, f"sub{i}", spec),
                               spec=spec, n_steps=m["n_steps"]))
@@ -205,6 +218,7 @@ def expert_from_checkpoint(ck: Checkpoint) -> tuple[ModalityExpert, ActionStats,
         robot_dim=m["robot_dim"], action_dim=m["action_dim"],
         encoder=_params_from_tensors(ck, "enc", enc_spec), encoder_spec=enc_spec,
         subs=subs, n_steps=m["n_steps"], noise_band_split=m["noise_band_split"],
+        sigma_mode=sigma_mode,
     )
     return expert, _stats_from_meta(m["stats"]), _sched_from_meta(m["schedule"])
 
@@ -301,7 +315,8 @@ def fusion_from_checkpoint(ck: Checkpoint):
 
 def check_compose_compatibility(metas: list[dict]) -> None:
     """Experts/router being composed must share config hash, schedule,
-    normalization stats, action dim, horizon, and environment."""
+    normalization stats, action dim, horizon, and environment; the experts
+    also their sigma mode."""
     if not metas:
         raise ContractError("nothing to check")
     ref = metas[0]
@@ -311,3 +326,6 @@ def check_compose_compatibility(metas: list[dict]) -> None:
                 raise ContractError(
                     f"incompatible checkpoints: {key} differs "
                     f"({m.get(key)!r} vs {ref.get(key)!r})")
+    modes = {m.get("sigma_mode", "beta") for m in metas if m.get("kind") == "expert"}
+    if len(modes) > 1:
+        raise ContractError(f"incompatible checkpoints: sigma_mode differs {sorted(modes)}")

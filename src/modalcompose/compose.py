@@ -39,7 +39,16 @@ class ComposedPolicy:
     router: Router | None = None
     fixed_w: np.ndarray | None = None
     strategy: str = "soft"
-    sigma_mode: str = "beta"
+
+    def __post_init__(self):
+        modes = {ex.sigma_mode for ex in self.experts}
+        if len(modes) > 1:
+            raise ContractError(f"experts differ in sigma_mode: {sorted(modes)}")
+
+    @property
+    def sigma_mode(self) -> str:
+        """The experts' reverse-step noise mode, which they all share."""
+        return self.experts[0].sigma_mode
 
     @property
     def modality_order(self) -> tuple[str, ...]:
@@ -92,8 +101,7 @@ class ComposedPolicy:
 
 
 def compose_policy(experts: list[ModalityExpert], router: Router, strategy: str,
-                   sched: NoiseSchedule, stats: ActionStats,
-                   sigma_mode: str = "beta") -> ComposedPolicy:
+                   sched: NoiseSchedule, stats: ActionStats) -> ComposedPolicy:
     """Router-weighted composition of trained experts."""
     order = tuple(ex.modality for ex in experts)
     if router.modality_order != order:
@@ -110,11 +118,11 @@ def compose_policy(experts: list[ModalityExpert], router: Router, strategy: str,
                 f"expert '{ex.modality}' action dim {ex.action_dim} != {stats.chunk_dim}"
             )
     return ComposedPolicy(experts=experts, sched=sched, stats=stats,
-                          router=router, strategy=strategy, sigma_mode=sigma_mode)
+                          router=router, strategy=strategy)
 
 
 def manual_compose(experts: list[ModalityExpert], fixed_weights, sched: NoiseSchedule,
-                   stats: ActionStats, sigma_mode: str = "beta") -> ComposedPolicy:
+                   stats: ActionStats) -> ComposedPolicy:
     """Fixed-weight composition, e.g. (0.5, 0.5) over independently trained
     experts; weights are renormalized to sum 1 with a warning if needed."""
     w = np.asarray(fixed_weights, dtype=np.float64)
@@ -129,12 +137,12 @@ def manual_compose(experts: list[ModalityExpert], fixed_weights, sched: NoiseSch
         warnings.warn(f"manual weights sum to {s}; renormalizing")
         w = w / s
     return ComposedPolicy(experts=experts, sched=sched, stats=stats,
-                          fixed_w=w, strategy="soft", sigma_mode=sigma_mode)
+                          fixed_w=w, strategy="soft")
 
 
 def single_expert_policy(expert: ModalityExpert, sched: NoiseSchedule,
-                         stats: ActionStats, sigma_mode: str = "beta") -> ComposedPolicy:
-    return manual_compose([expert], [1.0], sched, stats, sigma_mode)
+                         stats: ActionStats) -> ComposedPolicy:
+    return manual_compose([expert], [1.0], sched, stats)
 
 
 # ---------------------------------------------------------------------------

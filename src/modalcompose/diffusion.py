@@ -7,12 +7,14 @@ action_dim) graph ``Tensor``. At sampling time it is called with a single
 (action_dim,) vector, the cond given to ``ddpm_sample`` unchanged (None for
 composed policies, whose provider closes over its embeddings) and an int k,
 and it must return an (action_dim,) ndarray. Denoising step indices k run
-1..K; array index k-1 holds the step-k coefficients.
+1..K; array index k-1 holds the step-k coefficients. The sampler reads its
+per-step constants from tables cached on the schedule, one per sigma mode,
+and draws each sample's noise as one block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,12 +28,27 @@ class NoiseSchedule:
     betas: np.ndarray        # (K,) beta_k at index k-1
     alphas: np.ndarray       # 1 - beta
     alpha_bars: np.ndarray   # cumprod of alphas
+    _step_tables: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def sqrt_ab(self, k) -> np.ndarray | float:
         return np.sqrt(self.alpha_bars[np.asarray(k) - 1])
 
     def sqrt_one_minus_ab(self, k) -> np.ndarray | float:
         return np.sqrt(1.0 - self.alpha_bars[np.asarray(k) - 1])
+
+    def step_table(self, sigma_mode: str) -> list[tuple[float, float, float]]:
+        """Per reverse step, at index k-1: (beta_k / sqrt(1 - ab_k),
+        sqrt(alpha_k), sigma_k), made once per sigma mode by the same
+        elementwise operations the sampler once did per step."""
+        table = self._step_tables.get(sigma_mode)
+        if table is None:
+            table = list(zip(
+                (self.betas / np.sqrt(1.0 - self.alpha_bars)).tolist(),
+                np.sqrt(self.alphas).tolist(),
+                posterior_sigma(self, sigma_mode).tolist()))
+            self._step_tables[sigma_mode] = table
+        return table
 
 
 def make_schedule(K: int = 50, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
@@ -114,6 +131,9 @@ def fit_denoiser(score, groups, a_rows: np.ndarray, cond_rows: np.ndarray,
     return history
 
 
+SIGMA_MODES = ("beta", "beta_tilde")
+
+
 def posterior_sigma(sched: NoiseSchedule, sigma_mode: str = "beta") -> np.ndarray:
     """Reverse-step noise scale sigma_k at index k-1."""
     if sigma_mode == "beta":
@@ -139,22 +159,28 @@ def ddpm_sample(
 
     rng=None disables both the initial draw (init must then be given) and the
     per-step noise injection z, making the trajectory deterministic.
+
+    The step constants come from ``sched.step_table``. All noise is drawn
+    up front as one (K, dim) block, the initial state then one vector per
+    step k = K..2, or (K-1, dim) when init is given; a block fills in the
+    order sequential draws would, so the samples match one draw per step.
     """
-    sigmas = posterior_sigma(sched, sigma_mode)
+    table = sched.step_table(sigma_mode)
     if init is not None:
         a = np.array(init, dtype=np.float64)
+        noise = None if rng is None else rng.standard_normal((sched.K - 1, dim))
     elif rng is not None:
-        a = rng.standard_normal(dim)
+        noise = rng.standard_normal((sched.K, dim))
+        a, noise = noise[0], noise[1:]
     else:
         raise ContractError("ddpm_sample needs rng or an explicit init")
     for k in range(sched.K, 0, -1):
         eps_hat = np.asarray(score(a, cond, k), dtype=np.float64)
-        i = k - 1
-        a = (a - sched.betas[i] / np.sqrt(1.0 - sched.alpha_bars[i]) * eps_hat) \
-            / np.sqrt(sched.alphas[i])
-        if k > 1 and rng is not None:
-            a = a + sigmas[i] * rng.standard_normal(dim)
-        if not np.all(np.isfinite(a)):
+        eps_coef, sqrt_alpha, sigma = table[k - 1]
+        a = (a - eps_coef * eps_hat) / sqrt_alpha
+        if k > 1 and noise is not None:
+            a = a + sigma * noise[sched.K - k]
+        if not np.isfinite(a).all():
             raise NumericError(f"non-finite sample state at step k={k}")
     return np.clip(a, -1.0, 1.0)
 

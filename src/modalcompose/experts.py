@@ -11,11 +11,22 @@ robot state.
 The score has one numpy form, ``encode_rows`` then ``score_rows``, which
 sampling, routing and analysis share, and one graph form for training,
 ``_expert_score_graph``, which the expert and the joint router both use.
+
+Storage: an expert keeps its sub-policies' weights stacked, one array per
+tensor name with the sub-policy on the leading axis (``W_i`` of shape
+(n_sub, in, out), ``b_i`` of shape (n_sub, 1, out)), and each sub-policy's
+tensors are views of its slice. There is one copy of the weights, so Adam's
+in-place updates, joint router fine-tuning and direct edits of a
+sub-policy's ``.data`` are all seen by the next score. ``score_rows`` scores
+every sub-policy with one ``mlp_infer`` call on the stack and then averages
+the slices in sub-policy order, which reproduces one call per sub-policy
+bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,15 +38,10 @@ TIMESTEP_DIM = 16
 _N_FREQ = TIMESTEP_DIM // 2
 
 
-def timestep_features(k, n_steps: int) -> np.ndarray:
-    """Sinusoidal features of the denoising index.
-
-    8 geometric frequencies spanning 1..n_steps applied to t = k/n_steps;
-    the f=1 cosine is strictly monotone on (0, 1], so distinct k never
-    collide. Accepts an int (returns (16,)) or an int array (returns (B,16)).
-    """
-    karr = np.asarray(k, dtype=np.float64)
-    t = karr / n_steps
+@lru_cache(maxsize=16)
+def _feature_table(n_steps: int) -> np.ndarray:
+    """Read-only features of k = 1..n_steps, row k-1 (see timestep_features)."""
+    t = np.arange(1, n_steps + 1, dtype=np.float64) / n_steps
     if n_steps > 1:
         freqs = float(n_steps) ** (np.arange(_N_FREQ) / (_N_FREQ - 1))
     else:
@@ -44,7 +50,30 @@ def timestep_features(k, n_steps: int) -> np.ndarray:
     out = np.empty(t.shape + (TIMESTEP_DIM,))
     out[..., 0::2] = np.sin(angles)
     out[..., 1::2] = np.cos(angles)
+    out.flags.writeable = False
     return out
+
+
+def timestep_features(k, n_steps: int) -> np.ndarray:
+    """Sinusoidal features of the denoising index.
+
+    8 geometric frequencies spanning 1..n_steps applied to t = k/n_steps;
+    the f=1 cosine is strictly monotone on (0, 1], so distinct k never
+    collide. Accepts an int (returns a read-only (16,) row) or an int array
+    (returns (B,16)); rows come from one table per n_steps, so they equal
+    the formula bit for bit. k outside 1..n_steps raises ContractError.
+    """
+    table = _feature_table(n_steps)
+    # checked at every denoising step: a Python int k costs no numpy call
+    if isinstance(k, int):
+        if not 1 <= k <= n_steps:
+            raise ContractError(f"denoising index outside 1..{n_steps}: {k}")
+        return table[k - 1]
+    karr = np.asarray(k)
+    if karr.dtype.kind not in "iu" or (
+            karr.size and not (1 <= karr.min() and karr.max() <= n_steps)):
+        raise ContractError(f"denoising index outside 1..{n_steps}: {k}")
+    return table[karr - 1]
 
 
 @dataclass
@@ -70,7 +99,26 @@ class ModalityExpert:
     subs: list[SubPolicy]
     n_steps: int
     noise_band_split: bool = False
+    sigma_mode: str = "beta"
     loss_history: list[float] = field(default_factory=list, repr=False)
+    _stack: nc.ParamSet = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.subs:
+            raise ShapeError(f"expert '{self.modality}' has no sub-policies")
+        spec = self.subs[0].spec
+        if any(sp.spec != spec for sp in self.subs):
+            raise ShapeError(f"expert '{self.modality}' sub-policies differ in spec")
+        self._stack = nc.ParamSet()
+        for i in range(len(spec.layer_dims())):
+            for name in (f"W{i}", f"b{i}"):
+                stacked = np.stack([sp.params[name].data for sp in self.subs])
+                if name[0] == "b":
+                    stacked = stacked[:, None, :]
+                data = self._stack.add(name, stacked).data
+                for j, sp in enumerate(self.subs):
+                    t = sp.params[name]
+                    t.data = data[j].reshape(t.data.shape)
 
     @property
     def n_sub(self) -> int:
@@ -110,42 +158,49 @@ class ModalityExpert:
         return np.concatenate([code, rs_rows], axis=1)
 
     def score_rows(self, a_rows: np.ndarray, emb_rows: np.ndarray, ks) -> np.ndarray:
-        """Batched intra-composed score; ks is an int or an int array."""
-        # checked at every denoising step: a Python int k costs no numpy call
-        if not (1 <= ks <= self.n_steps if isinstance(ks, int)
-                else 1 <= np.min(ks) and np.max(ks) <= self.n_steps):
-            raise ContractError(f"denoising index outside 1..{self.n_steps}: {ks}")
-        ks = np.broadcast_to(np.asarray(ks), (a_rows.shape[0],))
+        """Batched intra-composed score; ks is an int or an int array.
+
+        Without band split, one stacked mlp_infer call scores every
+        sub-policy and the slices are averaged in sub-policy order. With
+        band split, an int k calls its band's sub-policy alone and an array
+        scores each band's rows with that band's sub-policy.
+        """
+        n = a_rows.shape[0]
         feats = timestep_features(ks, self.n_steps)
+        if feats.ndim == 1:
+            feats = feats[None, :].repeat(n, axis=0)
         x = np.concatenate([a_rows, emb_rows, feats], axis=1)
-        if self.noise_band_split:
-            out = np.zeros((a_rows.shape[0], self.action_dim))
-            for j, sp in enumerate(self.subs):
-                mask = _band_mask(ks, self.n_steps, j, self.n_sub)
-                if mask.any():
-                    out[mask] = nc.mlp_infer(sp.params, sp.spec, x[mask])
-            return out
-        acc = nc.mlp_infer(self.subs[0].params, self.subs[0].spec, x)
-        for sp in self.subs[1:]:
-            acc = acc + nc.mlp_infer(sp.params, sp.spec, x)
-        return acc / self.n_sub
+        if not self.noise_band_split:
+            out = nc.mlp_infer(self._stack, self.subs[0].spec, x)
+            return sum(out[1:], out[0]) / self.n_sub
+        if isinstance(ks, int):
+            sp = self.subs[_band_owner(ks, self.n_steps, self.n_sub)]
+            return nc.mlp_infer(sp.params, sp.spec, x)
+        owner = _band_owner(np.broadcast_to(np.asarray(ks), (n,)), self.n_steps, self.n_sub)
+        out = np.zeros((n, self.action_dim))
+        for j, sp in enumerate(self.subs):
+            mask = owner == j
+            if mask.any():
+                out[mask] = nc.mlp_infer(sp.params, sp.spec, x[mask])
+        return out
 
 
-def _band_mask(ks: np.ndarray, n_steps: int, j: int, n_sub: int) -> np.ndarray:
-    """Which rows of ks fall in sub-policy j's denoising band.
+def _band_owner(ks, n_steps: int, n_sub: int):
+    """The sub-policy whose denoising band holds each k.
 
     Band 0 owns the coarse half k > n_steps/2, the last band owns the rest;
     with more than two subs the range splits evenly, highest k first.
     """
     edges = np.linspace(0, n_steps, n_sub + 1)
-    lo, hi = edges[n_sub - 1 - j], edges[n_sub - j]
-    return (ks > lo) & (ks <= hi)
+    return n_sub - np.searchsorted(edges, ks, side="left")
 
 
 def init_expert(modality: str, modality_dim: int, robot_dim: int, action_dim: int,
                 cfg, rng: np.random.Generator) -> ModalityExpert:
     """Fresh expert with random encoder/sub-policy weights from cfg shapes."""
     ex = cfg.expert
+    if ex.n_sub < 1:
+        raise ConfigError(f"[expert] n_sub must be >= 1, got {ex.n_sub}")
     enc_spec = nc.MlpSpec(modality_dim, tuple(ex.enc_hidden), ex.enc_out,
                           activation=ex.activation)
     encoder = nc.init_mlp(enc_spec, rng)
@@ -159,7 +214,7 @@ def init_expert(modality: str, modality_dim: int, robot_dim: int, action_dim: in
         modality=modality, modality_dim=modality_dim, robot_dim=robot_dim,
         action_dim=action_dim, encoder=encoder, encoder_spec=enc_spec,
         subs=subs, n_steps=cfg.diffusion.steps,
-        noise_band_split=ex.noise_band_split,
+        noise_band_split=ex.noise_band_split, sigma_mode=cfg.diffusion.sigma_mode,
     )
 
 
@@ -175,9 +230,10 @@ def _expert_score_graph(expert: ModalityExpert, a_k: np.ndarray, m_rows: np.ndar
     feats = timestep_features(ks, expert.n_steps)
     x = nc.concat_cols([nc.const(a_k), emb, nc.const(feats)])
     if expert.noise_band_split:
+        owner = _band_owner(ks, expert.n_steps, expert.n_sub)
         total = None
         for j, sp in enumerate(expert.subs):
-            mask = _band_mask(ks, expert.n_steps, j, expert.n_sub)
+            mask = owner == j
             term = nc.mul(nc.mlp_forward(sp.params, sp.spec, x),
                           nc.const(mask[:, None].astype(np.float64)))
             total = term if total is None else nc.add(total, term)

@@ -24,7 +24,7 @@ Array = np.ndarray
 
 
 def _check_finite(data: Array, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError(f"non-finite value produced by op '{op}'")
 
 
@@ -316,17 +316,23 @@ def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor) -> Tensor:
 
 
 def mlp_infer(params: ParamSet, spec: MlpSpec, x: Array) -> Array:
-    """Plain numpy forward pass for frozen parameters (no graph)."""
+    """Plain numpy forward pass for frozen parameters (no graph).
+
+    ``params`` may also hold S nets of one spec stacked along a leading axis,
+    weights ``(S, in, out)`` and biases ``(S, 1, out)``: the (B, in) input
+    then broadcasts against every net and the result is (S, B, out), slice s
+    bit-identical to a call with net s alone.
+    """
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ShapeError(
             f"MLP input shape {x.shape} does not match input_dim {spec.input_dim}"
         )
     _, act = _ACTIVATIONS[spec.activation]
-    n_layers = len(spec.layer_dims())
+    last = len(spec.hidden)
     h = x
-    for i in range(n_layers):
+    for i in range(last + 1):
         h = h @ params[f"W{i}"].data + params[f"b{i}"].data
-        if i < n_layers - 1:
+        if i < last:
             h = act(h)
     _check_finite(h, "mlp_infer")
     return h

@@ -117,7 +117,9 @@ def run_training(cfg: RunConfig) -> dict[str, Path]:
         return experts_cache[mod]
 
     written: dict[str, Path] = {}
-    for method in methods:
+    # the router trains first: in joint mode it fine-tunes the experts in
+    # place, and those fine-tuned experts are the ones to write
+    for method in sorted(methods, key=lambda m: m != "router"):
         path = out / _method_filename(method, seed)
         if method.startswith("expert:"):
             mod = method.split(":", 1)[1]
@@ -147,7 +149,7 @@ def run_training(cfg: RunConfig) -> dict[str, Path]:
         _write_loss_csv(out / f"loss_{method.replace(':', '-')}_seed{seed}.csv",
                         history)
         written[method] = path
-    return written
+    return {method: written[method] for method in methods}
 
 
 # ---------------------------------------------------------------------------

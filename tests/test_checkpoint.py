@@ -229,6 +229,55 @@ def test_missing_tensor_detected(tmp_path, rng):
         cpt.expert_from_checkpoint(ck)
 
 
+def saved_expert_checkpoint(tmp_path, cfg=None):
+    expert = xp.init_expert("vis", 5, 2, 2, cfg or small_cfg(), np.random.default_rng(1))
+    path = tmp_path / "e.mcpf"
+    cpt.save_expert(expert, demo_stats(), make_schedule(), path,
+                    env_name="occluded_reach", seed=0, config_hash="h")
+    return expert, path
+
+
+def test_malformed_expert_shapes_rejected(tmp_path):
+    """A tensor whose shape is not its spec's, and sub-policy specs that
+    differ or are missing, are format errors, not crashes at the first score."""
+    _, path = saved_expert_checkpoint(tmp_path)
+    ck = cpt.load_checkpoint(path)
+    ck.tensors["sub1/W1"] = ck.tensors["sub1/W1"][:, :1]
+    with pytest.raises(FormatError, match="sub1/W1"):
+        cpt.expert_from_checkpoint(ck)
+    ck = cpt.load_checkpoint(path)
+    ck.tensors["enc/b0"] = np.zeros(3)
+    with pytest.raises(FormatError, match="enc/b0"):
+        cpt.expert_from_checkpoint(ck)
+    ck = cpt.load_checkpoint(path)
+    ck.metadata["sub_specs"][1]["hidden"] = [16]
+    with pytest.raises(FormatError):
+        cpt.expert_from_checkpoint(ck)
+    ck = cpt.load_checkpoint(path)
+    ck.metadata["sub_specs"] = []
+    with pytest.raises(FormatError):
+        cpt.expert_from_checkpoint(ck)
+
+
+def test_sigma_mode_round_trip(tmp_path):
+    """beta_tilde is written and read back; the default writes no key, so
+    default checkpoints keep their bytes, and a missing key reads as beta."""
+    expert, path = saved_expert_checkpoint(tmp_path)
+    assert expert.sigma_mode == "beta"
+    ck = cpt.load_checkpoint(path)
+    assert "sigma_mode" not in ck.metadata
+    assert cpt.expert_from_checkpoint(ck)[0].sigma_mode == "beta"
+    tilde = small_cfg().with_section("diffusion", sigma_mode="beta_tilde")
+    expert, path = saved_expert_checkpoint(tmp_path, tilde)
+    assert expert.sigma_mode == "beta_tilde"
+    ck = cpt.load_checkpoint(path)
+    assert ck.metadata["sigma_mode"] == "beta_tilde"
+    assert cpt.expert_from_checkpoint(ck)[0].sigma_mode == "beta_tilde"
+    ck.metadata["sigma_mode"] = "cosine"
+    with pytest.raises(FormatError):
+        cpt.expert_from_checkpoint(ck)
+
+
 # ---------------------------------------------------------------------------
 # compatibility
 
@@ -256,3 +305,11 @@ def test_compatibility_rejects_each_divergence():
             cpt.check_compose_compatibility([meta_with(), bad])
     with pytest.raises(ContractError):
         cpt.check_compose_compatibility([])
+
+
+def test_compatibility_compares_expert_sigma_mode():
+    router = dict(meta_with(), kind="router")
+    cpt.check_compose_compatibility([meta_with(sigma_mode="beta_tilde"),
+                                     meta_with(sigma_mode="beta_tilde"), router])
+    with pytest.raises(ContractError):
+        cpt.check_compose_compatibility([meta_with(), meta_with(sigma_mode="beta_tilde")])

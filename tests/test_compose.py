@@ -6,7 +6,7 @@ import pytest
 from modalcompose import compose as cp
 from modalcompose import experts as xp
 from modalcompose import router as rt
-from modalcompose.diffusion import make_schedule
+from modalcompose.diffusion import ddpm_sample, make_schedule
 from modalcompose.envs import Observation
 from modalcompose.errors import ContractError
 from modalcompose.runconfig import RunConfig
@@ -99,6 +99,23 @@ def test_inter_compose_requires_matching_modalities(rng):
     policy.fixed_w = np.array([0.2, 0.3, 0.5])
     with pytest.raises(ContractError):
         policy.score_for(random_obs(rng))
+
+
+def test_composed_policy_samples_with_its_experts_sigma_mode(rng):
+    cfg = small_cfg().with_section("diffusion", sigma_mode="beta_tilde")
+    g = np.random.default_rng(4)
+    tilde = [xp.init_expert(m, d, 2, 2, cfg, g) for m, d in (("vis", 5), ("tac", 3))]
+    stats = constant_action_dataset(np.array([0.1, 0.2])).stats()
+    sched = make_schedule()
+    policy = cp.manual_compose(tilde, [0.5, 0.5], sched, stats)
+    assert policy.sigma_mode == "beta_tilde"
+    obs = random_obs(rng)
+    want = stats.denormalize_chunk(ddpm_sample(
+        policy.score_for(obs), None, sched, np.random.default_rng(6), 2,
+        sigma_mode="beta_tilde"))
+    assert policy.act(obs, np.random.default_rng(6)).tobytes() == want.tobytes()
+    with pytest.raises(ContractError, match="sigma_mode"):
+        cp.manual_compose([tilde[0], fresh_experts()[1]], [0.5, 0.5], sched, stats)
 
 
 # ---------------------------------------------------------------------------

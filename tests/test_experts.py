@@ -143,6 +143,19 @@ def test_expert_param_count(rng):
     assert ex.emb_dim == 10
 
 
+def test_expert_needs_subpolicies_of_one_spec(rng):
+    with pytest.raises(ConfigError):
+        make_expert(rng, n_sub=0)
+    ex = make_expert(rng)
+    with pytest.raises(ShapeError):
+        xp.ModalityExpert("vis", 5, 2, 2, ex.encoder, ex.encoder_spec, [], 50)
+    other = make_expert(rng, n_sub=1)
+    odd = nc.init_mlp(nc.MlpSpec(28, (16,), 2), rng)
+    subs = [other.subs[0], xp.SubPolicy(odd, nc.MlpSpec(28, (16,), 2), 50)]
+    with pytest.raises(ShapeError):
+        xp.ModalityExpert("vis", 5, 2, 2, ex.encoder, ex.encoder_spec, subs, 50)
+
+
 def test_init_expert_deterministic():
     a = make_expert(np.random.default_rng(21))
     b = make_expert(np.random.default_rng(21))

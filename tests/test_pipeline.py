@@ -6,9 +6,15 @@ import pytest
 from modalcompose import checkpoint as cpt
 from modalcompose import pipeline as pl
 from modalcompose.cli import cli_dispatch
-from modalcompose.envs import make_env_spec
+from modalcompose.compose import compose_policy
+from modalcompose.diffusion import make_schedule
+from modalcompose.envs import Dataset, env_reset, make_env_spec
+from modalcompose.experts import timestep_features, train_expert
+from modalcompose.numcore import mlp_infer
 from modalcompose.errors import ConfigError, ContractError, FormatError
+from modalcompose.rngstream import TAG_ACT, TAG_EVAL, TAG_TRAIN, stream
 from modalcompose.rollout import evaluate_policy, run_policy_episode
+from modalcompose.router import train_router
 from modalcompose.runconfig import RunConfig
 
 
@@ -102,6 +108,41 @@ def test_rerun_is_byte_identical(tmp_path):
     wb = pl.run_training(cfg_b)
     for m in wa:
         assert wa[m].read_bytes() == wb[m].read_bytes(), m
+
+
+def test_joint_run_writes_the_fine_tuned_experts(tmp_path):
+    """A joint run's saved experts and router compose into the policy it
+    trained in memory, bit for bit, and the experts' stacked sub-policies
+    saw every Adam update of the joint training."""
+    cfg = tiny_cfg(tmp_path, methods=("expert:vis", "expert:tac", "router"))
+    cfg = cfg.with_section("router", joint=True)
+    pl.gen_data(cfg)
+    written = pl.run_training(cfg)
+    ds = Dataset.read(pl.default_dataset_path(cfg, tmp_path))
+    seed = cfg.run.seed
+    experts = [train_expert(ds, m, cfg, stream(seed, TAG_TRAIN, 1 + i))
+               for i, m in enumerate(("vis", "tac"))]
+    router = train_router(experts, ds, cfg, stream(seed, TAG_TRAIN, pl._ROUTER_LABEL))
+    sched = make_schedule(cfg.diffusion.steps)
+    in_memory = compose_policy(experts, router, "soft", sched, ds.stats())
+    man = tmp_path / "joint.txt"
+    pl.write_manifest(man, env_name="occluded_reach",
+                      expert_paths=[written["expert:vis"].name,
+                                    written["expert:tac"].name],
+                      router_path=written["router"].name, stats_hash=ds.stats().key())
+    loaded, _ = pl.load_manifest(man)
+    spec = make_env_spec("occluded_reach")
+    for i in range(3):
+        _, obs = env_reset(spec, stream(4, TAG_EVAL, i))
+        want = in_memory.act(obs, stream(4, TAG_ACT, i))
+        assert loaded.act(obs, stream(4, TAG_ACT, i)).tobytes() == want.tobytes()
+    g = np.random.default_rng(0)
+    for ex in experts:
+        emb = ex.encode_rows(g.normal(size=(4, ex.modality_dim)), g.normal(size=(4, 2)))
+        a, ks = g.normal(size=(4, 2)), np.array([1, 9, 30, 50])
+        x = np.concatenate([a, emb, timestep_features(ks, ex.n_steps)], axis=1)
+        per_sub = [mlp_infer(sp.params, sp.spec, x) for sp in ex.subs]
+        assert np.array_equal(ex.score_rows(a, emb, ks), (per_sub[0] + per_sub[1]) / 2)
 
 
 # ---------------------------------------------------------------------------
