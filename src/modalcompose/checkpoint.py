@@ -315,8 +315,7 @@ def fusion_from_checkpoint(ck: Checkpoint):
 
 def check_compose_compatibility(metas: list[dict]) -> None:
     """Experts/router being composed must share config hash, schedule,
-    normalization stats, action dim, horizon, and environment; the experts
-    also their sigma mode."""
+    normalization stats, action dim, horizon, and environment."""
     if not metas:
         raise ContractError("nothing to check")
     ref = metas[0]
@@ -326,6 +325,3 @@ def check_compose_compatibility(metas: list[dict]) -> None:
                 raise ContractError(
                     f"incompatible checkpoints: {key} differs "
                     f"({m.get(key)!r} vs {ref.get(key)!r})")
-    modes = {m.get("sigma_mode", "beta") for m in metas if m.get("kind") == "expert"}
-    if len(modes) > 1:
-        raise ContractError(f"incompatible checkpoints: sigma_mode differs {sorted(modes)}")

@@ -7,14 +7,14 @@ action_dim) graph ``Tensor``. At sampling time it is called with a single
 (action_dim,) vector, the cond given to ``ddpm_sample`` unchanged (None for
 composed policies, whose provider closes over its embeddings) and an int k,
 and it must return an (action_dim,) ndarray. Denoising step indices k run
-1..K; array index k-1 holds the step-k coefficients. The sampler reads its
-per-step constants from tables cached on the schedule, one per sigma mode,
-and draws each sample's noise as one block.
+1..K; array index k-1 holds the step-k coefficients. The sampler computes
+its per-step constants once per sample, as whole-schedule vectors, and draws
+each sample's noise as one block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,27 +28,12 @@ class NoiseSchedule:
     betas: np.ndarray        # (K,) beta_k at index k-1
     alphas: np.ndarray       # 1 - beta
     alpha_bars: np.ndarray   # cumprod of alphas
-    _step_tables: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
 
     def sqrt_ab(self, k) -> np.ndarray | float:
         return np.sqrt(self.alpha_bars[np.asarray(k) - 1])
 
     def sqrt_one_minus_ab(self, k) -> np.ndarray | float:
         return np.sqrt(1.0 - self.alpha_bars[np.asarray(k) - 1])
-
-    def step_table(self, sigma_mode: str) -> list[tuple[float, float, float]]:
-        """Per reverse step, at index k-1: (beta_k / sqrt(1 - ab_k),
-        sqrt(alpha_k), sigma_k), made once per sigma mode by the same
-        elementwise operations the sampler once did per step."""
-        table = self._step_tables.get(sigma_mode)
-        if table is None:
-            table = list(zip(
-                (self.betas / np.sqrt(1.0 - self.alpha_bars)).tolist(),
-                np.sqrt(self.alphas).tolist(),
-                posterior_sigma(self, sigma_mode).tolist()))
-            self._step_tables[sigma_mode] = table
-        return table
 
 
 def make_schedule(K: int = 50, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
@@ -160,12 +145,16 @@ def ddpm_sample(
     rng=None disables both the initial draw (init must then be given) and the
     per-step noise injection z, making the trajectory deterministic.
 
-    The step constants come from ``sched.step_table``. All noise is drawn
-    up front as one (K, dim) block, the initial state then one vector per
-    step k = K..2, or (K-1, dim) when init is given; a block fills in the
-    order sequential draws would, so the samples match one draw per step.
+    The step constants beta_k / sqrt(1 - ab_k), sqrt(alpha_k) and sigma_k
+    are computed for every k at once, by the same elementwise operations as
+    one step at a time. All noise is drawn up front as one (K, dim) block,
+    the initial state then one vector per step k = K..2, or (K-1, dim) when
+    init is given; a block fills in the order sequential draws would, so the
+    samples match one draw per step.
     """
-    table = sched.step_table(sigma_mode)
+    table = list(zip((sched.betas / np.sqrt(1.0 - sched.alpha_bars)).tolist(),
+                     np.sqrt(sched.alphas).tolist(),
+                     posterior_sigma(sched, sigma_mode).tolist()))
     if init is not None:
         a = np.array(init, dtype=np.float64)
         noise = None if rng is None else rng.standard_normal((sched.K - 1, dim))

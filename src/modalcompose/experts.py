@@ -14,8 +14,9 @@ sampling, routing and analysis share, and one graph form for training,
 
 Storage: an expert keeps its sub-policies' weights stacked, one array per
 tensor name with the sub-policy on the leading axis (``W_i`` of shape
-(n_sub, in, out), ``b_i`` of shape (n_sub, 1, out)), and each sub-policy's
-tensors are views of its slice. There is one copy of the weights, so Adam's
+(n_sub, in, out), ``b_i`` of shape (n_sub, 1, out)). The constructor copies
+the sub-policies it is given into the stack and keeps new ones, whose
+tensors are views of their slices. There is one copy of the weights, so Adam's
 in-place updates, joint router fine-tuning and direct edits of a
 sub-policy's ``.data`` are all seen by the next score. ``score_rows`` scores
 every sub-policy with one ``mlp_infer`` call on the stack and then averages
@@ -109,7 +110,10 @@ class ModalityExpert:
         spec = self.subs[0].spec
         if any(sp.spec != spec for sp in self.subs):
             raise ShapeError(f"expert '{self.modality}' sub-policies differ in spec")
+        # the sub-policies given are only read: the expert holds new ones whose
+        # tensors view its stack, so no two experts ever share a sub-policy
         self._stack = nc.ParamSet()
+        views = [nc.ParamSet() for _ in self.subs]
         for i in range(len(spec.layer_dims())):
             for name in (f"W{i}", f"b{i}"):
                 stacked = np.stack([sp.params[name].data for sp in self.subs])
@@ -117,8 +121,9 @@ class ModalityExpert:
                     stacked = stacked[:, None, :]
                 data = self._stack.add(name, stacked).data
                 for j, sp in enumerate(self.subs):
-                    t = sp.params[name]
-                    t.data = data[j].reshape(t.data.shape)
+                    views[j].add(name, data[j].reshape(sp.params[name].shape))
+        self.subs = [SubPolicy(ps, sp.spec, sp.n_steps)
+                     for ps, sp in zip(views, self.subs)]
 
     @property
     def n_sub(self) -> int:
@@ -162,8 +167,8 @@ class ModalityExpert:
 
         Without band split, one stacked mlp_infer call scores every
         sub-policy and the slices are averaged in sub-policy order. With
-        band split, an int k calls its band's sub-policy alone and an array
-        scores each band's rows with that band's sub-policy.
+        band split, each band's rows are scored by that band's sub-policy
+        alone.
         """
         n = a_rows.shape[0]
         feats = timestep_features(ks, self.n_steps)
@@ -173,9 +178,6 @@ class ModalityExpert:
         if not self.noise_band_split:
             out = nc.mlp_infer(self._stack, self.subs[0].spec, x)
             return sum(out[1:], out[0]) / self.n_sub
-        if isinstance(ks, int):
-            sp = self.subs[_band_owner(ks, self.n_steps, self.n_sub)]
-            return nc.mlp_infer(sp.params, sp.spec, x)
         owner = _band_owner(np.broadcast_to(np.asarray(ks), (n,)), self.n_steps, self.n_sub)
         out = np.zeros((n, self.action_dim))
         for j, sp in enumerate(self.subs):

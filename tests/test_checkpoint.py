@@ -305,11 +305,3 @@ def test_compatibility_rejects_each_divergence():
             cpt.check_compose_compatibility([meta_with(), bad])
     with pytest.raises(ContractError):
         cpt.check_compose_compatibility([])
-
-
-def test_compatibility_compares_expert_sigma_mode():
-    router = dict(meta_with(), kind="router")
-    cpt.check_compose_compatibility([meta_with(sigma_mode="beta_tilde"),
-                                     meta_with(sigma_mode="beta_tilde"), router])
-    with pytest.raises(ContractError):
-        cpt.check_compose_compatibility([meta_with(), meta_with(sigma_mode="beta_tilde")])

@@ -1,10 +1,12 @@
 """Sampler pins and invariants of the scoring path.
 
 The action hashes were recorded with one sub-policy MLP call per sub-policy
-and one noise draw per denoising step; stacked scoring, the step tables and
-the block noise draw must reproduce them bit for bit.
+and one noise draw per denoising step; stacked scoring, the feature tables, the
+per-sample step constants and the block noise draw must reproduce them bit
+for bit.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -146,6 +148,22 @@ def test_in_place_edit_of_one_subpolicy_is_seen(rng):
                        axis=1)
     per_sub = [nc.mlp_infer(sp.params, sp.spec, x) for sp in ex.subs]
     assert np.array_equal(after, (per_sub[0] + per_sub[1] + per_sub[2]) / 3)
+
+
+def test_experts_never_share_subpolicies(rng):
+    ex = fresh_expert()
+    emb = ex.encode_rows(rng.normal(size=(3, 5)), rng.normal(size=(3, 2)))
+    a = rng.normal(size=(3, 2))
+    before = ex.score_rows(a, emb, 17)
+    twin = dataclasses.replace(ex)   # built from ex.subs
+    assert all(t is not s for t, s in zip(twin.subs, ex.subs))
+    ex.subs[1].params["W0"].data[...] = 0.0
+    assert np.array_equal(twin.score_rows(a, emb, 17), before)
+    x = np.concatenate([a, emb, xp.timestep_features(np.full(3, 17), ex.n_steps)],
+                       axis=1)
+    per_sub = [nc.mlp_infer(sp.params, sp.spec, x) for sp in ex.subs]
+    assert np.array_equal(ex.score_rows(a, emb, 17),
+                          (per_sub[0] + per_sub[1] + per_sub[2]) / 3)
 
 
 def test_nonfinite_output_of_one_subpolicy_raises(rng):
