@@ -8,13 +8,15 @@ drives the environment with a perturbed action.
 Nothing here steps an environment itself: a scenario is a set of hooks on
 ``rollout.run_policy_episode`` (a state edit for repositioning and the
 teleport perturbation, an observation filter for corruption), scored by
-``rollout.evaluate_policy``, and the probe is its per-step callback.
+``rollout.evaluate_policy``; the probe drives that loop with a policy that
+samples the seen and the perturbed observations in one ``act_rows`` call.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -193,7 +195,13 @@ def perturb_importance(policy, spec: EnvSpec, episode_seed: int,
     used; importance is ||a_pert - a_orig|| / (||a_orig|| + 1e-8), averaged
     over cfg.draws, then EMA-smoothed with cfg.ema_alpha. sigmas are
     per-coordinate scales, conventionally cfg.sigma_scale x training std.
+    The seen and the perturbed observations are the rows of one
+    ``policy.act_rows`` call, each on its own generator of that stream.
     """
+    if cfg.draws < 1:
+        raise ConfigError(f"[probe] draws must be >= 1, got {cfg.draws}")
+    if not 0.0 < cfg.ema_alpha <= 1.0:
+        raise ConfigError(f"[probe] ema_alpha must be in (0, 1], got {cfg.ema_alpha}")
     dims = spec.modality_dims()
     probed = cfg.modalities if cfg.modalities else tuple(dims)
     for m in probed:
@@ -201,26 +209,30 @@ def perturb_importance(policy, spec: EnvSpec, episode_seed: int,
             raise ConfigError(f"unknown modality {m!r} in probe config")
         if m not in sigmas:
             raise ContractError(f"no sigma provided for modality {m!r}")
+    scales = {m: np.asarray(sigmas[m], dtype=np.float64) for m in probed}
     raw = {m: [] for m in probed}
 
-    def probe(obs, a_orig, t):
-        denom = float(np.linalg.norm(a_orig)) + 1e-8
+    def act(seen, rng):
+        t = len(raw[probed[0]])   # run_policy_episode acts once per step
+        rows = [seen]
         for idx, m in enumerate(probed):
-            vals = []
             for d in range(cfg.draws):
-                delta = stream(episode_seed, TAG_PROBE, episode, t, idx, d).normal(
-                    0.0, 1.0, size=dims[m]) * np.asarray(sigmas[m], dtype=np.float64)
-                pert = obs.copy()
-                pert.modalities[m] = pert.modalities[m] + delta
-                a_pert = policy.act(pert, stream(episode_seed, TAG_ACT, episode, t))
-                vals.append(float(np.linalg.norm(a_pert - a_orig)) / denom)
-            raw[m].append(float(np.mean(vals)))
+                rows.append(seen.copy())
+                rows[-1].modalities[m] += stream(episode_seed, TAG_PROBE, episode, t, idx,
+                                                 d).normal(0.0, 1.0, size=dims[m]) * scales[m]
+        acts = policy.act_rows(rows, [rng] + [stream(episode_seed, TAG_ACT, episode, t)
+                                              for _ in rows[1:]])
+        denom = float(np.linalg.norm(acts[0])) + 1e-8
+        dist = [float(np.linalg.norm(a - acts[0])) / denom for a in acts[1:]]
+        for idx, m in enumerate(probed):
+            raw[m].append(float(np.mean(dist[idx * cfg.draws:(idx + 1) * cfg.draws])))
+        return acts[0]
 
-    rec = run_policy_episode(policy, spec, episode_seed, episode, on_step=probe)
+    rec = run_policy_episode(SimpleNamespace(act=act), spec, episode_seed, episode)
     raw_arr = {m: np.asarray(v) for m, v in raw.items()}
     return ImportanceTrace(
         modalities=tuple(probed),
-        sigmas={m: np.asarray(sigmas[m], dtype=np.float64) for m in probed},
+        sigmas=scales,
         raw=raw_arr,
         ema={m: _ema(v, cfg.ema_alpha) for m, v in raw_arr.items()},
         success=rec.success,

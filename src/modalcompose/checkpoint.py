@@ -8,6 +8,7 @@ canonical JSON (sorted keys), so identical runs write identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -17,8 +18,8 @@ import numpy as np
 
 from . import numcore as nc
 from .diffusion import SIGMA_MODES, NoiseSchedule, make_schedule
-from .envs import ActionStats
-from .errors import ContractError, FormatError
+from .envs import ActionStats, _Reader
+from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .experts import ModalityExpert, SubPolicy
 from .router import Router
 
@@ -64,23 +65,6 @@ def save_checkpoint(tensors: dict[str, np.ndarray], metadata: dict, path) -> Non
     Path(path).write_bytes(bytes(blob))
 
 
-class _Reader:
-    def __init__(self, data: bytes, what: str):
-        self.data = data
-        self.off = 0
-        self.what = what
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise FormatError(f"{self.what}: truncated (wanted {n} bytes at {self.off})")
-        out = self.data[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def load_checkpoint(path) -> Checkpoint:
     p = Path(path)
     if not p.exists():
@@ -96,6 +80,8 @@ def load_checkpoint(path) -> Checkpoint:
         metadata = json.loads(r.take(mlen).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{p}: bad metadata block: {exc}") from None
+    if not isinstance(metadata, dict):
+        raise FormatError(f"{p}: metadata is not a JSON object")
     (count,) = r.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -112,13 +98,67 @@ def load_checkpoint(path) -> Checkpoint:
         payload = r.take(8 * n)
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(
             np.float64)
-    if r.off != len(r.data):
-        raise FormatError(f"{p}: {len(r.data) - r.off} trailing bytes")
+    r.expect_end()
     return Checkpoint(metadata=metadata, tensors=tensors)
 
 
 # ---------------------------------------------------------------------------
 # typed metadata helpers
+
+# The metadata each typed reader needs: a dict maps required keys to their
+# schemas, a one-item list is a list of that schema, a type is a JSON value
+# (float admits ints, int and float never admit booleans).
+_SPEC = {"input_dim": int, "hidden": [int], "output_dim": int, "activation": str}
+_COMMON = {"env": str, "stats": {"act_min": [float], "act_max": [float],
+                                 "action_dim": int, "horizon": int},
+           "schedule": {"steps": int, "beta_start": float, "beta_end": float}}
+_BANK = {**_COMMON, "modality_order": [str], "modality_dims": [int], "robot_dim": int,
+         "encoder_specs": [_SPEC], "score_spec": _SPEC, "sigma_mode": str}
+_SCHEMAS = {
+    "expert": {**_COMMON, "modality": str, "modality_dim": int, "robot_dim": int,
+               "action_dim": int, "n_steps": int, "noise_band_split": bool,
+               "encoder_spec": _SPEC, "sub_specs": [_SPEC]},
+    "router": {**_COMMON, "modality_order": [str], "emb_dims": [int], "router_spec": _SPEC},
+    "concat": _BANK,
+    "moe": {**_BANK, "gate_spec": _SPEC},
+}
+
+
+def _check_schema(value, schema, where: str) -> None:
+    kind = schema if isinstance(schema, type) else type(schema)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise FormatError(f"{where} must be {kind.__name__}, got {value!r}")
+    if isinstance(schema, dict):
+        for key, sub in schema.items():
+            if key not in value:
+                raise FormatError(f"{where} lacks {key!r}")
+            _check_schema(value[key], sub, f"{where}.{key}")
+    elif isinstance(schema, list):
+        for i, item in enumerate(value):
+            _check_schema(item, schema[0], f"{where}[{i}]")
+
+
+def _typed_reader(*kinds: str):
+    """Check a reader's metadata against its kind's schema, and turn any value
+    it still cannot build from into a FormatError: a malformed checkpoint
+    never crashes the caller."""
+
+    def wrap(read):
+        @functools.wraps(read)
+        def reader(ck: Checkpoint):
+            kind = ck.metadata.get("kind")
+            if kind not in kinds:
+                raise FormatError(f"expected a {' or '.join(kinds)} checkpoint, got {kind!r}")
+            _check_schema(ck.metadata, _SCHEMAS[kind], f"{kind} metadata")
+            try:
+                return read(ck)
+            except (ConfigError, ContractError, ShapeError) as exc:
+                raise FormatError(f"{kind} metadata: {exc}") from None
+
+        return reader
+
+    return wrap
 
 
 def _spec_meta(spec: nc.MlpSpec) -> dict:
@@ -137,6 +177,9 @@ def _stats_meta(stats: ActionStats) -> dict:
 
 
 def _stats_from_meta(m: dict) -> ActionStats:
+    if not (len(m["act_min"]) == len(m["act_max"]) == m["action_dim"] >= 1
+            and m["horizon"] >= 1):
+        raise FormatError(f"inconsistent action stats {m}")
     return ActionStats(act_min=np.asarray(m["act_min"], dtype=np.float64),
                        act_max=np.asarray(m["act_max"], dtype=np.float64),
                        action_dim=m["action_dim"], horizon=m["horizon"])
@@ -195,11 +238,10 @@ def save_expert(expert: ModalityExpert, stats: ActionStats, sched: NoiseSchedule
     save_checkpoint(tensors, meta, path)
 
 
+@_typed_reader("expert")
 def expert_from_checkpoint(ck: Checkpoint) -> tuple[ModalityExpert, ActionStats,
                                                     NoiseSchedule]:
     m = ck.metadata
-    if m.get("kind") != "expert":
-        raise FormatError(f"expected an expert checkpoint, got kind {m.get('kind')!r}")
     enc_spec = _spec_from_meta(m["encoder_spec"])
     sub_specs = m["sub_specs"]
     if not sub_specs or any(sm != sub_specs[0] for sm in sub_specs):
@@ -208,6 +250,8 @@ def expert_from_checkpoint(ck: Checkpoint) -> tuple[ModalityExpert, ActionStats,
     sigma_mode = m.get("sigma_mode", "beta")
     if sigma_mode not in SIGMA_MODES:
         raise FormatError(f"unknown expert sigma_mode {sigma_mode!r}")
+    if m["n_steps"] < 1:
+        raise FormatError(f"expert n_steps must be >= 1, got {m['n_steps']}")
     subs = []
     for i, sm in enumerate(sub_specs):
         spec = _spec_from_meta(sm)
@@ -234,10 +278,9 @@ def save_router(router: Router, stats: ActionStats, sched: NoiseSchedule,
     save_checkpoint(_params_tensors("router", router.params), meta, path)
 
 
+@_typed_reader("router")
 def router_from_checkpoint(ck: Checkpoint) -> Router:
     m = ck.metadata
-    if m.get("kind") != "router":
-        raise FormatError(f"expected a router checkpoint, got kind {m.get('kind')!r}")
     spec = _spec_from_meta(m["router_spec"])
     return Router(params=_params_from_tensors(ck, "router", spec), spec=spec,
                   modality_order=tuple(m["modality_order"]),
@@ -260,6 +303,9 @@ def _bank_tensors(bank) -> dict[str, np.ndarray]:
 
 def _bank_from_checkpoint(ck: Checkpoint, m: dict):
     from .compose import _EncoderBank
+    if not len(m["modality_order"]) == len(m["modality_dims"]) == len(m["encoder_specs"]):
+        raise FormatError("fusion checkpoint modality_order, modality_dims and "
+                          "encoder_specs differ in length")
     encoders = []
     for name, sm in zip(m["modality_order"], m["encoder_specs"]):
         spec = _spec_from_meta(sm)
@@ -291,18 +337,18 @@ def save_fusion(policy, path, *, env_name: str, seed: int, config_hash: str) -> 
     save_checkpoint(tensors, meta, path)
 
 
+@_typed_reader("concat", "moe")
 def fusion_from_checkpoint(ck: Checkpoint):
     from .compose import ConcatPolicy, MoEFeaturePolicy
     m = ck.metadata
-    kind = m.get("kind")
-    if kind not in ("concat", "moe"):
-        raise FormatError(f"expected a fusion checkpoint, got kind {kind!r}")
+    if m["sigma_mode"] not in SIGMA_MODES:
+        raise FormatError(f"unknown fusion sigma_mode {m['sigma_mode']!r}")
     bank = _bank_from_checkpoint(ck, m)
     score_spec = _spec_from_meta(m["score_spec"])
     score_params = _params_from_tensors(ck, "score", score_spec)
     stats = _stats_from_meta(m["stats"])
     sched = _sched_from_meta(m["schedule"])
-    if kind == "concat":
+    if m["kind"] == "concat":
         return ConcatPolicy(bank=bank, score_params=score_params,
                             score_spec=score_spec, sched=sched, stats=stats,
                             sigma_mode=m["sigma_mode"])

@@ -5,7 +5,8 @@ weighted sum of per-expert scores; weights come from a router or a fixed
 vector and are post-processed by a routing strategy. The baselines fuse at
 the feature level instead: one score network conditioned on concatenated
 embeddings (ConcatPolicy) or on a gated weighted sum of embeddings
-(MoEFeaturePolicy).
+(MoEFeaturePolicy). Every policy samples B observations at once with
+``act_rows``, each row bit for bit its own one-row ``act``.
 """
 
 from __future__ import annotations
@@ -19,20 +20,36 @@ from . import numcore as nc
 from .diffusion import NoiseSchedule, ddpm_sample, fit_denoiser, make_schedule
 from .envs import ActionStats, Observation
 from .errors import ConfigError, ContractError
-from .experts import TIMESTEP_DIM, ModalityExpert, timestep_features
-from .router import Router, apply_strategy, check_weights
+from .experts import TIMESTEP_DIM, ModalityExpert, timestep_features, timestep_rows
+from .router import Router, apply_strategy, check_weights, softmax
 
 
-def _sample(policy, score, cond, rng: np.random.Generator) -> np.ndarray:
-    """The sampling step every policy shares: one denoising loop over
-    score(a_k, cond, k), then back to the action units."""
-    a_hat = ddpm_sample(score, cond, policy.sched, rng, policy.stats.chunk_dim,
-                        sigma_mode=policy.sigma_mode)
-    return policy.stats.denormalize_chunk(a_hat)
+def _rows(obs_rows, name: str | None = None) -> np.ndarray:
+    """Every observation's reading of one modality (None: robot state) as
+    sampling rows."""
+    try:
+        vals = [o.robot_state if name is None else o.modalities[name] for o in obs_rows]
+    except KeyError:
+        raise ContractError(f"observation lacks modality '{name}'") from None
+    return nc.row_layout(np.array(vals, dtype=np.float64))
+
+
+class _RowSampler:
+    """The one sampler of every policy: a denoising loop over the rows of its
+    ``score_provider(obs_rows)``, then back to action units. ``act(obs,
+    rng)`` is its one-row case, ``act_rows([obs], [rng])[0]``."""
+
+    def act_rows(self, obs_rows, rngs) -> np.ndarray:
+        """(B, chunk_dim) action chunks, row r bit for bit act(obs_rows[r], rngs[r])."""
+        if not obs_rows or len(obs_rows) != len(rngs):
+            raise ContractError(f"{len(rngs)} generators for {len(obs_rows)} observations")
+        a_hat = ddpm_sample(self.score_provider(obs_rows), None, self.sched, rngs,
+                            self.stats.chunk_dim, sigma_mode=self.sigma_mode)
+        return self.stats.denormalize_chunk(a_hat)
 
 
 @dataclass
-class ComposedPolicy:
+class ComposedPolicy(_RowSampler):
     experts: list[ModalityExpert]
     sched: NoiseSchedule
     stats: ActionStats
@@ -60,36 +77,37 @@ class ComposedPolicy:
             total += self.router.n_params()
         return total
 
-    def _consensus(self, obs: Observation) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Post-strategy consensus weights and the experts' embedding rows."""
-        rs = np.asarray(obs.robot_state, dtype=np.float64)[None, :]
-        embs = []
-        for ex in self.experts:
-            if ex.modality not in obs.modalities:
-                raise ContractError(f"observation lacks modality '{ex.modality}'")
-            m = np.asarray(obs.modalities[ex.modality], dtype=np.float64)
-            embs.append(ex.encode_rows(m[None, :], rs))
-        if self.router is not None:
-            w = self.router.weights_rows(np.concatenate(embs, axis=1))[0]
+    def _consensus(self, obs_rows) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Post-strategy consensus weights, one row per observation, and the
+        experts' embedding rows."""
+        rs = _rows(obs_rows)
+        embs = [ex.encode_rows(_rows(obs_rows, ex.modality), rs) for ex in self.experts]
+        if self.router is None:
+            w = [self.fixed_w] * len(obs_rows)
         else:
-            w = self.fixed_w
-        return apply_strategy(check_weights(w, len(self.experts)), self.strategy), embs
+            w = self.router.weights_rows(np.concatenate(embs, axis=-1)).reshape(len(obs_rows), -1)
+        n = len(self.experts)
+        return np.array([apply_strategy(check_weights(wr, n), self.strategy)
+                         for wr in w]), embs
 
     def weights_for(self, obs: Observation) -> np.ndarray:
         """Post-strategy consensus weights at this state."""
-        return self._consensus(obs)[0]
+        return self._consensus([obs])[0][0]
 
-    def score_for(self, obs: Observation):
-        """The consensus score provider (a_k, cond, k) -> eps at this state:
-        the weighted sum of the expert scores. Zero-weight experts are
-        skipped, so a one-hot weight reproduces one expert bit for bit."""
-        w, embs = self._consensus(obs)
-        active = [(wi, ex, e) for wi, ex, e in zip(w, self.experts, embs) if wi != 0.0]
+    def score_provider(self, obs_rows):
+        """The consensus score provider over these observations' rows: the
+        weighted sum of the expert scores. An expert no row weights is
+        skipped, so a one-hot weight reproduces one expert bit for bit; on a
+        row that weights it zero among others, its term is a zero that
+        changes no sum but the sign of an exact zero."""
+        w, embs = self._consensus(obs_rows)
+        terms = [(nc.row_layout(w[:, i:i + 1]), ex, e)
+                 for i, (ex, e) in enumerate(zip(self.experts, embs)) if w[:, i].any()]
 
         def score(a_k, _cond, k):
             total = None
-            for wi, ex, e in active:
-                term = wi * ex.score_rows(a_k[None, :], e, k)[0]
+            for wi, ex, e in terms:
+                term = wi * ex.score_rows(a_k, e, k)
                 total = term if total is None else total + term
             return total
 
@@ -97,7 +115,7 @@ class ComposedPolicy:
 
     def act(self, obs: Observation, rng: np.random.Generator) -> np.ndarray:
         """One denoised, denormalized action chunk for this observation."""
-        return _sample(self, self.score_for(obs), None, rng)
+        return self.act_rows([obs], [rng])[0]
 
 
 def compose_policy(experts: list[ModalityExpert], router: Router, strategy: str,
@@ -161,16 +179,12 @@ class _EncoderBank:
     def emb_dims(self) -> tuple[int, ...]:
         return tuple(spec.output_dim + self.robot_dim for _, spec in self.encoders)
 
-    def encode_obs(self, obs: Observation) -> list[np.ndarray]:
-        embs = []
-        for name, dim, (params, spec) in zip(self.modality_order, self.modality_dims,
-                                             self.encoders):
-            if name not in obs.modalities:
-                raise ContractError(f"observation lacks modality '{name}'")
-            m = obs.modalities[name]
-            code = nc.mlp_infer(params, spec, np.asarray(m, dtype=np.float64)[None, :])[0]
-            embs.append(np.concatenate([code, obs.robot_state]))
-        return embs
+    def embed(self, obs_rows) -> list[np.ndarray]:
+        """Each modality's embedding rows: encoder(readings), robot state."""
+        rs = _rows(obs_rows)
+        return [np.concatenate([nc.mlp_infer(params, spec, _rows(obs_rows, name)), rs],
+                               axis=-1)
+                for name, (params, spec) in zip(self.modality_order, self.encoders)]
 
     def encode_rows_graph(self, cond: np.ndarray, slices: list[slice]) -> list[nc.Tensor]:
         rs = cond[:, slices[-1]]
@@ -188,8 +202,12 @@ class _EncoderBank:
                 zip(self.modality_order, self.encoders)]
 
 
-@dataclass
-class ConcatPolicy:
+@dataclass(kw_only=True)
+class _FusionPolicy(_RowSampler):
+    """What both baselines share: per-modality encoders and one score net
+    over [a_k, cond rows, timestep features]. They differ only in how
+    ``_cond`` builds cond from the embedding rows."""
+
     bank: _EncoderBank
     score_params: nc.ParamSet
     score_spec: nc.MlpSpec
@@ -203,61 +221,49 @@ class ConcatPolicy:
         return self.bank.modality_order
 
     def n_params(self) -> int:
-        return self.bank.n_params() + self.score_params.n_params()
+        return sum(ps.n_params() for _, ps in self.param_groups())
 
     def param_groups(self) -> list[tuple[str, nc.ParamSet]]:
         return self.bank.param_groups() + [("score", self.score_params)]
 
+    def score_provider(self, obs_rows):
+        cond = self._cond(self.bank.embed(obs_rows))
+
+        def score(a_k, _cond, k):
+            x = np.concatenate([a_k, cond, timestep_rows(k, self.sched.K, a_k)], axis=-1)
+            return nc.mlp_infer(self.score_params, self.score_spec, x)
+
+        return score
+
+
+class ConcatPolicy(_FusionPolicy):
+    def _cond(self, embs: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate(embs, axis=-1)
+
     def act(self, obs: Observation, rng: np.random.Generator) -> np.ndarray:
-        return _fusion_sample(self, np.concatenate(self.bank.encode_obs(obs)), rng)
+        return self.act_rows([obs], [rng])[0]
 
 
-@dataclass
-class MoEFeaturePolicy:
-    bank: _EncoderBank
+@dataclass(kw_only=True)
+class MoEFeaturePolicy(_FusionPolicy):
     gate_params: nc.ParamSet
     gate_spec: nc.MlpSpec
-    score_params: nc.ParamSet
-    score_spec: nc.MlpSpec
-    sched: NoiseSchedule
-    stats: ActionStats
-    sigma_mode: str = "beta"
-    loss_history: list[float] = field(default_factory=list, repr=False)
-
-    @property
-    def modality_order(self) -> tuple[str, ...]:
-        return self.bank.modality_order
-
-    def n_params(self) -> int:
-        return (self.bank.n_params() + self.gate_params.n_params()
-                + self.score_params.n_params())
 
     def param_groups(self) -> list[tuple[str, nc.ParamSet]]:
         return (self.bank.param_groups()
                 + [("gate", self.gate_params), ("score", self.score_params)])
 
     def gate_weights(self, embs: list[np.ndarray]) -> np.ndarray:
-        logits = nc.mlp_infer(self.gate_params, self.gate_spec,
-                              np.concatenate(embs)[None, :])[0]
-        z = logits - logits.max()
-        e = np.exp(z)
-        return e / e.sum()
+        """Gate softmax rows over the modalities, from embedding rows."""
+        return softmax(nc.mlp_infer(self.gate_params, self.gate_spec,
+                                    np.concatenate(embs, axis=-1)))
+
+    def _cond(self, embs: list[np.ndarray]) -> np.ndarray:
+        g = self.gate_weights(embs)
+        return sum(g[..., i:i + 1] * e for i, e in enumerate(embs))
 
     def act(self, obs: Observation, rng: np.random.Generator) -> np.ndarray:
-        embs = self.bank.encode_obs(obs)
-        g = self.gate_weights(embs)
-        return _fusion_sample(self, sum(gi * e for gi, e in zip(g, embs)), rng)
-
-
-def _fusion_sample(policy, cond: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Sampling shared by the fusion baselines: one score net over
-    [a_k, cond, timestep features]; they differ only in how cond is built."""
-
-    def score(a_k, c, k):
-        x = np.concatenate([a_k, c, timestep_features(k, policy.sched.K)])
-        return nc.mlp_infer(policy.score_params, policy.score_spec, x[None, :])[0]
-
-    return _sample(policy, score, cond, rng)
+        return self.act_rows([obs], [rng])[0]
 
 
 def _make_bank(dataset, cfg, rng: np.random.Generator) -> _EncoderBank:

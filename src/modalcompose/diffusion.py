@@ -1,15 +1,13 @@
 """DDPM machinery: schedules, forward noising, the eps-MSE loss, sampling.
 
-A score provider is any callable ``(a_k, cond, k) -> eps_hat``. During
-training it is called batched: a_k is (B, action_dim), cond is (B, cond_dim)
-rows, k is an int array of B step indices, and it must return a (B,
-action_dim) graph ``Tensor``. At sampling time it is called with a single
-(action_dim,) vector, the cond given to ``ddpm_sample`` unchanged (None for
-composed policies, whose provider closes over its embeddings) and an int k,
-and it must return an (action_dim,) ndarray. Denoising step indices k run
-1..K; array index k-1 holds the step-k coefficients. The sampler computes
-its per-step constants once per sample, as whole-schedule vectors, and draws
-each sample's noise as one block.
+A score provider is any callable ``(a_k, cond, k) -> eps_hat`` over rows.
+During training a_k is (B, action_dim), cond is (B, cond_dim), k is an int
+array of B step indices, and it returns a (B, action_dim) graph ``Tensor``.
+At sampling time a_k holds the B sampled rows in the layout of
+``numcore.row_layout``, cond is what ``ddpm_sample`` was given (None for the
+policies, whose providers close over their observations), k is an int, and
+it returns an ndarray of a_k's shape. Denoising step indices k run 1..K;
+array index k-1 holds the step-k coefficients.
 """
 
 from __future__ import annotations
@@ -65,13 +63,8 @@ def forward_noise(a0: np.ndarray, k, sched: NoiseSchedule, rng: np.random.Genera
     a0 = np.asarray(a0, dtype=np.float64)
     _check_k(k, sched.K)
     eps = rng.standard_normal(a0.shape)
-    if a0.ndim == 2:
-        sab = sched.sqrt_ab(k)[:, None]
-        somab = sched.sqrt_one_minus_ab(k)[:, None]
-    else:
-        sab = sched.sqrt_ab(k)
-        somab = sched.sqrt_one_minus_ab(k)
-    return sab * a0 + somab * eps, eps
+    per_row = (Ellipsis, None) if a0.ndim == 2 else ()
+    return sched.sqrt_ab(k)[per_row] * a0 + sched.sqrt_one_minus_ab(k)[per_row] * eps, eps
 
 
 def denoise_loss(score, batch, sched: NoiseSchedule, rng: np.random.Generator) -> nc.Tensor:
@@ -134,44 +127,46 @@ def ddpm_sample(
     score,
     cond,
     sched: NoiseSchedule,
-    rng: np.random.Generator | None,
+    rngs,
     dim: int,
     *,
     init: np.ndarray | None = None,
     sigma_mode: str = "beta",
 ) -> np.ndarray:
-    """Ancestral sampling from a^K down to a^0, clamped to [-1, 1].
+    """Ancestral sampling of B rows from a^K down to a^0, clamped to [-1, 1].
 
-    rng=None disables both the initial draw (init must then be given) and the
-    per-step noise injection z, making the trajectory deterministic.
-
-    The step constants beta_k / sqrt(1 - ab_k), sqrt(alpha_k) and sigma_k
-    are computed for every k at once, by the same elementwise operations as
-    one step at a time. All noise is drawn up front as one (K, dim) block,
-    the initial state then one vector per step k = K..2, or (K-1, dim) when
-    init is given; a block fills in the order sequential draws would, so the
-    samples match one draw per step.
+    Row r draws its noise from ``rngs[r]`` alone, as one (K, dim) block: the
+    initial state, then one vector per step k = K..2, in the order sequential
+    draws would fill it. Given ``init`` rows instead, sampling starts there
+    and injects no noise, so the trajectory is deterministic. The state keeps
+    the layout of ``nc.row_layout``, which the score provider sees and
+    returns; the result is (B, dim). The step constants beta_k /
+    sqrt(1 - ab_k), sqrt(alpha_k) and sigma_k are computed for every k at
+    once, by the same elementwise operations as one step at a time.
     """
+    if (init is None) == (rngs is None):
+        raise ContractError("ddpm_sample takes either rngs or init rows")
     table = list(zip((sched.betas / np.sqrt(1.0 - sched.alpha_bars)).tolist(),
                      np.sqrt(sched.alphas).tolist(),
                      posterior_sigma(sched, sigma_mode).tolist()))
-    if init is not None:
-        a = np.array(init, dtype=np.float64)
-        noise = None if rng is None else rng.standard_normal((sched.K - 1, dim))
-    elif rng is not None:
-        noise = rng.standard_normal((sched.K, dim))
+    if init is None:
+        # (K, B, dim) in row layout: noise[j] holds every row's j-th draw
+        noise = nc.row_layout(np.stack([g.standard_normal((sched.K, dim)) for g in rngs],
+                                       axis=1))
         a, noise = noise[0], noise[1:]
     else:
-        raise ContractError("ddpm_sample needs rng or an explicit init")
+        a, noise = nc.row_layout(np.array(init, dtype=np.float64).reshape(-1, dim)), None
     for k in range(sched.K, 0, -1):
-        eps_hat = np.asarray(score(a, cond, k), dtype=np.float64)
+        eps_hat = score(a, cond, k)
+        if eps_hat.shape != a.shape:
+            raise ContractError(f"score rows {eps_hat.shape} for sample rows {a.shape}")
         eps_coef, sqrt_alpha, sigma = table[k - 1]
         a = (a - eps_coef * eps_hat) / sqrt_alpha
         if k > 1 and noise is not None:
             a = a + sigma * noise[sched.K - k]
         if not np.isfinite(a).all():
             raise NumericError(f"non-finite sample state at step k={k}")
-    return np.clip(a, -1.0, 1.0)
+    return np.clip(a, -1.0, 1.0).reshape(-1, dim)
 
 
 def effective_eps(a_k: np.ndarray, a0: np.ndarray, k: int, sched: NoiseSchedule) -> np.ndarray:

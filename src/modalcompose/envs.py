@@ -124,17 +124,21 @@ def observe(state: EnvState) -> Observation:
     return Observation({"wpa": wpa, "wpb": wpb}, p.copy())
 
 
+def _draw_target(spec: EnvSpec, rng: np.random.Generator) -> np.ndarray:
+    """occluded_reach's true target, with clearance so that the apparent
+    point stays in the box."""
+    return np.array([rng.uniform(spec.box_x[0] + spec.off_x + 0.01,
+                                 spec.box_x[1] - spec.off_x - 0.01),
+                     rng.uniform(spec.box_y[0] + spec.off_y_hi + 0.01,
+                                 spec.box_y[1] - spec.off_y_hi - 0.01)])
+
+
 def env_reset(spec: EnvSpec, rng: np.random.Generator) -> tuple[EnvState, Observation]:
     """Sample a fresh episode. Deterministic given the rng stream."""
     if spec.name == "occluded_reach":
         p = np.array([rng.uniform(ARENA_LO, ARENA_LO + 2.0 / 3.0),
                       rng.uniform(ARENA_LO, ARENA_HI)])
-        # true target keeps clearance so the apparent point stays in the box
-        qx = rng.uniform(spec.box_x[0] + spec.off_x + 0.01,
-                         spec.box_x[1] - spec.off_x - 0.01)
-        qy = rng.uniform(spec.box_y[0] + spec.off_y_hi + 0.01,
-                         spec.box_y[1] - spec.off_y_hi - 0.01)
-        q = np.array([qx, qy])
+        q = _draw_target(spec, rng)
         dx = rng.uniform(-spec.off_x, spec.off_x)
         dy = rng.uniform(spec.off_y_lo, spec.off_y_hi) * (1.0 if rng.random() < 0.5 else -1.0)
         q_vis = q - np.array([dx, dy])
@@ -181,11 +185,7 @@ def teleport_target(state: EnvState, rng: np.random.Generator) -> EnvState:
     """
     spec = state.spec
     if spec.name == "occluded_reach":
-        qx = rng.uniform(spec.box_x[0] + spec.off_x + 0.01,
-                         spec.box_x[1] - spec.off_x - 0.01)
-        qy = rng.uniform(spec.box_y[0] + spec.off_y_hi + 0.01,
-                         spec.box_y[1] - spec.off_y_hi - 0.01)
-        q = np.array([qx, qy])
+        q = _draw_target(spec, rng)
         offset = state.q - state.q_vis
         return replace(state, q=q, q_vis=q - offset)
     w2 = np.array([rng.uniform(0.4, 0.8), rng.uniform(-0.7, 0.7)])
@@ -368,9 +368,7 @@ class Dataset:
     # -- binary round-trip --------------------------------------------------
 
     def write(self, path: str | Path) -> None:
-        buf = bytearray()
-        buf += b"MCDS"
-        buf += struct.pack("<I", 1)
+        buf = bytearray(b"MCDS" + struct.pack("<I", 1))
         name_b = self.env_name.encode("utf-8")
         buf += struct.pack("<H", len(name_b)) + name_b
         buf += struct.pack("<I", len(self.episodes))
@@ -379,16 +377,12 @@ class Dataset:
             mb = mname.encode("utf-8")
             buf += struct.pack("<H", len(mb)) + mb
             buf += struct.pack("<I", dim)
-        buf += struct.pack("<I", self.robot_dim)
-        buf += struct.pack("<I", self.action_dim)
-        buf += struct.pack("<I", self.horizon)
+        buf += struct.pack("<III", self.robot_dim, self.action_dim, self.horizon)
         for ep in self.episodes:
+            # one row per step: every modality in order, robot state, action
+            cols = [ep.modalities[m] for m in self.modality_dims] + [ep.robot, ep.actions]
             buf += struct.pack("<I", ep.length)
-            for t in range(ep.length):
-                for mname in self.modality_dims:
-                    buf += ep.modalities[mname][t].astype("<f8").tobytes()
-                buf += ep.robot[t].astype("<f8").tobytes()
-                buf += ep.actions[t].astype("<f8").tobytes()
+            buf += np.concatenate(cols, axis=1).astype("<f8").tobytes()
         buf += self.act_min.astype("<f8").tobytes()
         buf += self.act_max.astype("<f8").tobytes()
         Path(path).write_bytes(bytes(buf))
@@ -409,21 +403,15 @@ class Dataset:
         for _ in range(n_mods):
             mname = r.take(r.u16()).decode("utf-8")
             modality_dims[mname] = r.u32()
-        robot_dim = r.u32()
-        action_dim = r.u32()
-        horizon = r.u32()
+        robot_dim, action_dim, horizon = r.unpack("<III")
+        widths = [*modality_dims.values(), robot_dim, action_dim]
         episodes = []
         for _ in range(n_eps):
             t_len = r.u32()
-            mods = {m: np.empty((t_len, d)) for m, d in modality_dims.items()}
-            robot = np.empty((t_len, robot_dim))
-            actions = np.empty((t_len, action_dim))
-            for t in range(t_len):
-                for mname, d in modality_dims.items():
-                    mods[mname][t] = r.f64(d)
-                robot[t] = r.f64(robot_dim)
-                actions[t] = r.f64(action_dim)
-            episodes.append(Episode(mods, robot, actions))
+            rows = r.f64(t_len * sum(widths)).reshape(t_len, sum(widths))
+            cols = [np.ascontiguousarray(c)
+                    for c in np.split(rows, np.cumsum(widths)[:-1], axis=1)]
+            episodes.append(Episode(dict(zip(modality_dims, cols)), cols[-2], cols[-1]))
         act_min = r.f64(action_dim)
         act_max = r.f64(action_dim)
         r.expect_end()
@@ -433,6 +421,9 @@ class Dataset:
 
 
 class _Reader:
+    """Bounds-checked little-endian reads of a binary file (datasets and
+    checkpoints): running past the end is a FormatError."""
+
     def __init__(self, raw: bytes, where: str):
         self.raw = raw
         self.pos = 0
@@ -440,19 +431,19 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.raw):
-            raise FormatError(f"{self.where}: truncated file")
+            raise FormatError(f"{self.where}: truncated (wanted {n} bytes at {self.pos})")
         out = self.raw[self.pos:self.pos + n]
         self.pos += n
         return out
 
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
     def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
+        return self.unpack("<H")[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u8(self) -> int:
-        return self.take(1)[0]
+        return self.unpack("<I")[0]
 
     def f64(self, n: int) -> np.ndarray:
         return np.frombuffer(self.take(8 * n), dtype="<f8").copy()

@@ -77,6 +77,16 @@ def timestep_features(k, n_steps: int) -> np.ndarray:
     return table[karr - 1]
 
 
+def timestep_rows(ks, n_steps: int, rows: np.ndarray) -> np.ndarray:
+    """timestep_features of ks as rows in the layout of ``rows``: an int k
+    gives the same row for every one."""
+    feats = timestep_features(ks, n_steps)
+    if feats.ndim > 1:
+        return feats
+    feats = feats[(None,) * (rows.ndim - 1)]
+    return feats if rows.shape[0] == 1 else feats.repeat(rows.shape[0], axis=0)
+
+
 @dataclass
 class SubPolicy:
     """One noise-prediction MLP over [a_k, embedding, timestep features]."""
@@ -153,17 +163,19 @@ class ModalityExpert:
     # -- frozen (numpy) paths used by sampling, routing, and analysis --
 
     def encode_rows(self, m_rows: np.ndarray, rs_rows: np.ndarray) -> np.ndarray:
-        """Embedding rows: encoder(modality rows) followed by robot-state rows."""
-        if m_rows.shape[1:] != (self.modality_dim,) or rs_rows.shape[1:] != (self.robot_dim,):
+        """Embedding rows: encoder(modality rows) followed by robot-state rows,
+        in the layout given (see ``nc.mlp_infer``)."""
+        if m_rows.shape[-1:] != (self.modality_dim,) or rs_rows.shape[-1:] != (self.robot_dim,):
             raise ShapeError(
                 f"expert '{self.modality}' expects modality rows of width "
                 f"{self.modality_dim} and robot-state rows of width {self.robot_dim}, "
                 f"got {m_rows.shape} and {rs_rows.shape}")
         code = nc.mlp_infer(self.encoder, self.encoder_spec, m_rows)
-        return np.concatenate([code, rs_rows], axis=1)
+        return np.concatenate([code, rs_rows], axis=-1)
 
     def score_rows(self, a_rows: np.ndarray, emb_rows: np.ndarray, ks) -> np.ndarray:
-        """Batched intra-composed score; ks is an int or an int array.
+        """Batched intra-composed score in the rows' layout; ks is an int or
+        an int array.
 
         Without band split, one stacked mlp_infer call scores every
         sub-policy and the slices are averaged in sub-policy order. With
@@ -171,15 +183,13 @@ class ModalityExpert:
         alone.
         """
         n = a_rows.shape[0]
-        feats = timestep_features(ks, self.n_steps)
-        if feats.ndim == 1:
-            feats = feats[None, :].repeat(n, axis=0)
-        x = np.concatenate([a_rows, emb_rows, feats], axis=1)
+        x = np.concatenate([a_rows, emb_rows, timestep_rows(ks, self.n_steps, a_rows)],
+                           axis=-1)
         if not self.noise_band_split:
             out = nc.mlp_infer(self._stack, self.subs[0].spec, x)
             return sum(out[1:], out[0]) / self.n_sub
         owner = _band_owner(np.broadcast_to(np.asarray(ks), (n,)), self.n_steps, self.n_sub)
-        out = np.zeros((n, self.action_dim))
+        out = np.zeros(a_rows.shape[:-1] + (self.action_dim,))
         for j, sp in enumerate(self.subs):
             mask = owner == j
             if mask.any():

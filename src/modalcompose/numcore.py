@@ -256,12 +256,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
-
     def names(self) -> list[str]:
         return list(self._tensors)
 
@@ -315,23 +309,36 @@ def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor) -> Tensor:
     return h
 
 
+def row_layout(x: Array) -> Array:
+    """Rows on axis -2 as sampling takes them: one row as it is, B > 1 rows
+    row-stacked as (..., B, 1, d), whose matmul is B one-row (1, d) @ W
+    products bit for bit (a (B, d) gemm sums in other blocks)."""
+    return x if x.shape[-2] == 1 else x[..., None, :]
+
+
 def mlp_infer(params: ParamSet, spec: MlpSpec, x: Array) -> Array:
     """Plain numpy forward pass for frozen parameters (no graph).
 
-    ``params`` may also hold S nets of one spec stacked along a leading axis,
-    weights ``(S, in, out)`` and biases ``(S, 1, out)``: the (B, in) input
-    then broadcasts against every net and the result is (S, B, out), slice s
-    bit-identical to a call with net s alone.
+    ``x`` is (B, in) rows for one gemm, or row-stacked (B, 1, in) rows (see
+    ``row_layout``). ``params`` may hold S nets of one spec stacked along a
+    leading axis, weights ``(S, in, out)`` and biases ``(S, 1, out)``: the
+    result then gains a leading S axis, slice s bit-identical to a call with
+    net s alone.
     """
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+    if x.shape[-1] != spec.input_dim or not (
+            x.ndim == 2 or x.ndim == 3 and x.shape[1] == 1):
         raise ShapeError(
             f"MLP input shape {x.shape} does not match input_dim {spec.input_dim}"
         )
     _, act = _ACTIVATIONS[spec.activation]
     last = len(spec.hidden)
+    row_stacked = x.ndim == 3
     h = x
     for i in range(last + 1):
-        h = h @ params[f"W{i}"].data + params[f"b{i}"].data
+        W, b = params[f"W{i}"].data, params[f"b{i}"].data
+        if row_stacked and W.ndim == 3:
+            W, b = W[:, None], b[:, None]
+        h = h @ W + b
         if i < last:
             h = act(h)
     _check_finite(h, "mlp_infer")

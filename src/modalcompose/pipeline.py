@@ -29,6 +29,8 @@ from .runconfig import RunConfig, model_hash
 _ROUTER_LABEL = 1000
 _CONCAT_LABEL = 1001
 _MOE_LABEL = 1002
+_FUSION_TRAINERS = {"concat": (train_concat_policy, _CONCAT_LABEL),
+                    "moe": (train_moe_policy, _MOE_LABEL)}
 
 
 def default_dataset_path(cfg: RunConfig, out_dir: Path) -> Path:
@@ -134,15 +136,9 @@ def run_training(cfg: RunConfig) -> dict[str, Path]:
             cp.save_router(router, stats, sched, path, env_name=cfg.env.name,
                            seed=seed, config_hash=mhash)
             history = router.loss_history
-        elif method == "concat":
-            policy = train_concat_policy(dataset, cfg,
-                                         stream(seed, TAG_TRAIN, _CONCAT_LABEL))
-            cp.save_fusion(policy, path, env_name=cfg.env.name, seed=seed,
-                           config_hash=mhash)
-            history = policy.loss_history
         else:
-            policy = train_moe_policy(dataset, cfg,
-                                      stream(seed, TAG_TRAIN, _MOE_LABEL))
+            train, label = _FUSION_TRAINERS[method]
+            policy = train(dataset, cfg, stream(seed, TAG_TRAIN, label))
             cp.save_fusion(policy, path, env_name=cfg.env.name, seed=seed,
                            config_hash=mhash)
             history = policy.loss_history
@@ -240,8 +236,11 @@ class RandomPolicy:
     def n_params(self) -> int:
         return 0
 
+    def act_rows(self, obs_rows, rngs) -> np.ndarray:
+        return np.array([g.uniform(-1.0, 1.0, size=self.action_dim) for g in rngs])
+
     def act(self, obs, rng) -> np.ndarray:
-        return rng.uniform(-1.0, 1.0, size=self.action_dim)
+        return self.act_rows([obs], [rng])[0]
 
 
 def _policy_from_path(path) -> tuple[object, str, str]:

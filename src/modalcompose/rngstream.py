@@ -9,8 +9,6 @@ regardless of execution order or parallelism.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -41,12 +39,6 @@ def mix64(*labels: int) -> int:
     for v in labels:
         state = _splitmix64(state ^ (int(v) & MASK64))
     return state
-
-
-def str_key(s: str) -> int:
-    """Stable 64-bit key for a string label (method names etc.)."""
-    digest = hashlib.sha256(s.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
 
 
 def stream(*labels: int) -> np.random.Generator:

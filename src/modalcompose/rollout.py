@@ -6,17 +6,18 @@ episode `ep` resets from stream(eval_seed, TAG_EVAL, ep) and the action at
 step t draws from stream(eval_seed, TAG_ACT, ep, t).  Any code that recreates
 these streams replays the exact same episode.
 
-Robustness scenarios and importance probes are hooks on this loop, each
-optional and built per episode:
+Robustness scenarios are hooks on this loop, each optional and built per
+episode:
 
 - ``edit(state) -> EnvState`` runs after reset and before every step; a
   returned state that is not the given one is observed afresh (target
   repositioning, the teleport perturbation);
 - ``obs_filter(obs, state, t) -> Observation`` rewrites the view the policy
   gets (sensor corruption); the environment and the contact flag keep the
-  true observation;
-- ``on_step(seen, action, t)`` sees each driving action before the
-  environment applies it (the importance probe).
+  true observation.
+
+The importance probe drives this loop with a policy of its own, which
+samples every perturbed view alongside the seen one.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class RolloutRecord:
 
 
 def run_policy_episode(policy, spec: EnvSpec, eval_seed: int, ep: int, *,
-                       edit=None, obs_filter=None, on_step=None) -> RolloutRecord:
+                       edit=None, obs_filter=None) -> RolloutRecord:
     """Roll one episode with the hooks described in the module docstring."""
     state, obs = env_reset(spec, stream(eval_seed, TAG_EVAL, ep))
     rec = RolloutRecord(success=False, steps=0)
@@ -62,8 +63,6 @@ def run_policy_episode(policy, spec: EnvSpec, eval_seed: int, ep: int, *,
                                    and obs.modalities["tac"][0] == 1.0))
         action = policy.act(seen, stream(eval_seed, TAG_ACT, ep, state.t))
         rec.actions.append(action)
-        if on_step is not None:
-            on_step(seen, action, state.t)
         state, obs, _, _ = env_step(state, action[: spec.action_dim])
     rec.success = bool(state.success)
     rec.steps = state.t

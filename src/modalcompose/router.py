@@ -28,19 +28,20 @@ class Router:
     emb_dims: tuple[int, ...]
     loss_history: list[float] = field(default_factory=list, repr=False)
 
-    @property
-    def n_modalities(self) -> int:
-        return len(self.modality_order)
-
     def n_params(self) -> int:
         return self.params.n_params()
 
     def weights_rows(self, emb_cat: np.ndarray) -> np.ndarray:
-        """Batched softmax weights from pre-concatenated embedding rows."""
-        logits = nc.mlp_infer(self.params, self.spec, emb_cat)
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        """Batched softmax weights from pre-concatenated embedding rows, in
+        their layout (see ``nc.mlp_infer``)."""
+        return softmax(nc.mlp_infer(self.params, self.spec, emb_cat))
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of logit rows."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def check_weights(w: np.ndarray, n: int | None = None) -> np.ndarray:

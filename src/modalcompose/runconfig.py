@@ -100,16 +100,12 @@ def _parse_value(raw: str, template, where: str):
         if low in ("false", "0", "no"):
             return False
         raise ConfigError(f"{where}: expected a boolean, got '{raw}'")
-    if isinstance(template, int):
+    if isinstance(template, (int, float)):
         try:
-            return int(raw)
+            return type(template)(raw)
         except ValueError:
-            raise ConfigError(f"{where}: expected an integer, got '{raw}'") from None
-    if isinstance(template, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: expected a number, got '{raw}'") from None
+            what = "an integer" if isinstance(template, int) else "a number"
+            raise ConfigError(f"{where}: expected {what}, got '{raw}'") from None
     if isinstance(template, tuple):
         if raw.strip() == "":
             return ()
@@ -167,23 +163,26 @@ def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
     return parse_config_text(p.read_text(), base)
 
 
+def _section_lines(cfg: RunConfig, name: str) -> list[str]:
+    """One section's header and canonical ``key = value`` lines."""
+    sec = getattr(cfg, name)
+    lines = [f"[{name}]"]
+    for f in fields(sec):
+        v = getattr(sec, f.name)
+        if isinstance(v, tuple):
+            v = ",".join(str(x) for x in v)
+        elif isinstance(v, bool):
+            v = "true" if v else "false"
+        elif isinstance(v, float):
+            v = repr(v)
+        lines.append(f"{f.name} = {v}")
+    return lines
+
+
 def config_text(cfg: RunConfig) -> str:
     """Canonical serialization; parsing it back reproduces cfg exactly."""
-    lines = []
-    for sec_field in fields(RunConfig):
-        sec = getattr(cfg, sec_field.name)
-        lines.append(f"[{sec_field.name}]")
-        for f in fields(sec):
-            v = getattr(sec, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            elif isinstance(v, float):
-                v = repr(v)
-            lines.append(f"{f.name} = {v}")
-        lines.append("")
-    return "\n".join(lines)
+    return "\n".join(line for f in fields(RunConfig)
+                     for line in _section_lines(cfg, f.name) + [""])
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -199,17 +198,5 @@ def model_hash(cfg: RunConfig) -> str:
     Excludes [probe] and [run], so checkpoints trained under different seeds,
     output paths, or probe settings still compose.
     """
-    lines = []
-    for name in _MODEL_SECTIONS:
-        sec = getattr(cfg, name)
-        lines.append(f"[{name}]")
-        for f in fields(sec):
-            v = getattr(sec, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            elif isinstance(v, float):
-                v = repr(v)
-            lines.append(f"{f.name} = {v}")
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+    text = "\n".join(line for name in _MODEL_SECTIONS for line in _section_lines(cfg, name))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

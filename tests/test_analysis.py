@@ -13,7 +13,14 @@ from modalcompose.rollout import run_policy_episode
 from modalcompose.runconfig import ProbeConfig
 
 
-class Follower:
+class RowsByAct:
+    """act_rows as one act() per row, the probe's one-call sampling."""
+
+    def act_rows(self, obs_rows, rngs):
+        return np.array([self.act(obs, rng) for obs, rng in zip(obs_rows, rngs)])
+
+
+class Follower(RowsByAct):
     """Deterministic obs-driven controller for occluded_reach.
 
     Heads for the box edge at the apparent target's height, drifts right once
@@ -36,7 +43,7 @@ class Follower:
         return d / dist * min(1.0, dist / 0.08)
 
 
-class VisOnly:
+class VisOnly(RowsByAct):
     """Reacts to the vision vector alone; touch never enters the action."""
 
     def act(self, obs, rng):
@@ -63,7 +70,7 @@ class NoisyFollower(Follower):
                        -1.0, 1.0)
 
 
-class NoisyPhase:
+class NoisyPhase(RowsByAct):
     """Heads for whichever phase_reach waypoint is still open, with a small
     draw from the action stream."""
 
@@ -242,6 +249,25 @@ def test_probe_validation():
         an.perturb_importance(Follower(), spec, 1, bad_cfg, sigmas_for(spec))
     with pytest.raises(ContractError):
         an.perturb_importance(Follower(), spec, 1, ProbeConfig(), {"vis": np.ones(5)})
+
+
+@pytest.mark.parametrize("knobs", [dict(draws=0), dict(draws=-2), dict(ema_alpha=0.0),
+                                   dict(ema_alpha=-0.1), dict(ema_alpha=1.5),
+                                   dict(ema_alpha=float("nan"))])
+def test_probe_rejects_knobs_outside_their_range(knobs):
+    """draws = 0 would average nothing into NaN importance, and an EMA weight
+    outside (0, 1] is no EMA; both are refused before any step runs."""
+    spec = make_env_spec("occluded_reach")
+    with pytest.raises(ConfigError):
+        an.perturb_importance(Follower(), spec, 1, ProbeConfig(**knobs), sigmas_for(spec))
+
+
+def test_probe_ema_alpha_one_is_the_raw_series():
+    spec = make_env_spec("occluded_reach")
+    trace = an.perturb_importance(Follower(), spec, 21, ProbeConfig(ema_alpha=1.0),
+                                  sigmas_for(spec))
+    for m in trace.modalities:
+        assert trace.ema[m].tobytes() == trace.raw[m].tobytes()
 
 
 def test_probing_never_disturbs_the_episode():

@@ -305,3 +305,95 @@ def test_compatibility_rejects_each_divergence():
             cpt.check_compose_compatibility([meta_with(), bad])
     with pytest.raises(ContractError):
         cpt.check_compose_compatibility([])
+
+
+# ---------------------------------------------------------------------------
+# typed readers: malformed metadata is a FormatError, never a crash
+
+
+def saved_checkpoints(tmp_path):
+    """One saved checkpoint of each typed reader's kind, and the reader."""
+    _, epath = saved_expert_checkpoint(tmp_path)
+    router = rt.init_router(("vis", "tac"), (10, 10), (8,), np.random.default_rng(2))
+    rpath = tmp_path / "router.mcpf"
+    cpt.save_router(router, demo_stats(), make_schedule(), rpath,
+                    env_name="occluded_reach", seed=0, config_hash="h")
+    fpath = tmp_path / "moe.mcpf"
+    policy = train_moe_policy(constant_action_dataset(np.array([0.2, -0.2])),
+                              small_cfg(), np.random.default_rng(4))
+    cpt.save_fusion(policy, fpath, env_name="occluded_reach", seed=1, config_hash="h")
+    return {"expert": (epath, cpt.expert_from_checkpoint),
+            "router": (rpath, cpt.router_from_checkpoint),
+            "moe": (fpath, cpt.fusion_from_checkpoint)}
+
+
+def _drop(key):
+    def edit(m):
+        del m[key]
+    return edit
+
+
+def _put(path, value):
+    def edit(m):
+        for key in path[:-1]:
+            m = m[key]
+        m[path[-1]] = value
+    return edit
+
+
+BAD_METADATA = {
+    "expert": [_drop("sub_specs"), _put(["n_steps"], "fifty"), _put(["n_steps"], 0),
+               _drop("modality"), _put(["sub_specs"], "one"), _put(["sub_specs"], [3]),
+               _put(["encoder_spec", "hidden"], ["16"]), _put(["stats"], None),
+               _put(["stats", "act_min"], [0.0]), _put(["schedule", "steps"], "fifty"),
+               _put(["noise_band_split"], "no"), _put(["robot_dim"], True),
+               _put(["encoder_spec", "input_dim"], -5)],
+    "router": [_drop("router_spec"), _put(["router_spec", "output_dim"], "fifty"),
+               _put(["emb_dims"], "fifty"), _put(["modality_order"], [1, 2]),
+               _put(["router_spec", "activation"], "relu6")],
+    "moe": [_drop("score_spec"), _drop("gate_spec"), _put(["schedule", "steps"], "fifty"),
+            _put(["schedule", "steps"], 0), _put(["sigma_mode"], "sharp"),
+            _put(["encoder_specs"], [{}]), _put(["modality_dims"], [5]),
+            _drop("stats"), _put(["stats", "horizon"], 2.5)],
+}
+
+
+@pytest.mark.parametrize("kind,i", [(k, i) for k, edits in BAD_METADATA.items()
+                                    for i in range(len(edits))])
+def test_typed_readers_reject_malformed_metadata(tmp_path, kind, i):
+    path, read = saved_checkpoints(tmp_path)[kind]
+    ck = cpt.load_checkpoint(path)
+    read(ck)   # the unedited checkpoint reads
+    BAD_METADATA[kind][i](ck.metadata)
+    with pytest.raises(FormatError):
+        read(ck)
+
+
+def test_metadata_must_be_an_object(tmp_path):
+    meta = b"[1,2]"
+    blob = b"MCPF" + struct.pack("<I", 1) + struct.pack("<I", len(meta)) + meta
+    blob += struct.pack("<I", 0)
+    bad = tmp_path / "list.mcpf"
+    bad.write_bytes(blob)
+    with pytest.raises(FormatError, match="JSON object"):
+        cpt.load_checkpoint(bad)
+
+
+def test_eval_of_malformed_checkpoint_is_a_format_error(tmp_path, capsys):
+    from modalcompose.cli import cli_dispatch
+
+    _, path = saved_expert_checkpoint(tmp_path)
+    ck = cpt.load_checkpoint(path)
+    del ck.metadata["sub_specs"]
+    bad = tmp_path / "bad.mcpf"
+    cpt.save_checkpoint(ck.tensors, ck.metadata, bad)
+    assert cli_dispatch(["eval", "--manifest", str(bad), "--n", "1",
+                         "--out", str(tmp_path / "m.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "sub_specs" in err and "Traceback" not in err
+    ck = cpt.load_checkpoint(path)
+    del ck.metadata["env"]
+    cpt.save_checkpoint(ck.tensors, ck.metadata, bad)
+    assert cli_dispatch(["eval", "--manifest", str(bad), "--n", "1",
+                         "--out", str(tmp_path / "m.csv")]) == 1
+    assert "'env'" in capsys.readouterr().err

@@ -46,7 +46,7 @@ def mixed_score(experts, w, a_k, obs, k):
     """The score a fixed-weight composition samples with at (a_k, obs, k)."""
     stats = constant_action_dataset(np.array([0.1, 0.2])).stats()
     policy = cp.manual_compose(experts, w, make_schedule(), stats)
-    return policy.score_for(obs)(a_k, None, k)
+    return policy.score_provider([obs])(a_k[None, :], None, k)[0]
 
 
 def expert_score(ex, a_k, obs, k):
@@ -98,7 +98,7 @@ def test_inter_compose_requires_matching_modalities(rng):
                                constant_action_dataset(np.array([0.1, 0.2])).stats())
     policy.fixed_w = np.array([0.2, 0.3, 0.5])
     with pytest.raises(ContractError):
-        policy.score_for(random_obs(rng))
+        policy.score_provider([random_obs(rng)])
 
 
 def test_composed_policy_samples_with_its_experts_sigma_mode(rng):
@@ -111,8 +111,8 @@ def test_composed_policy_samples_with_its_experts_sigma_mode(rng):
     assert policy.sigma_mode == "beta_tilde"
     obs = random_obs(rng)
     want = stats.denormalize_chunk(ddpm_sample(
-        policy.score_for(obs), None, sched, np.random.default_rng(6), 2,
-        sigma_mode="beta_tilde"))
+        policy.score_provider([obs]), None, sched, [np.random.default_rng(6)], 2,
+        sigma_mode="beta_tilde")[0])
     assert policy.act(obs, np.random.default_rng(6)).tobytes() == want.tobytes()
     with pytest.raises(ContractError, match="sigma_mode"):
         cp.manual_compose([tilde[0], fresh_experts()[1]], [0.5, 0.5], sched, stats)
@@ -226,8 +226,8 @@ def test_moe_gate_starts_uniform():
     policy = cp.train_moe_policy(ds, small_cfg(steps=0), np.random.default_rng(2))
     for trial in range(5):
         r = np.random.default_rng(trial)
-        embs = [r.normal(size=10) * 4, r.normal(size=10) * 4]
-        assert np.array_equal(policy.gate_weights(embs), [0.5, 0.5])
+        embs = [r.normal(size=(1, 10)) * 4, r.normal(size=(1, 10)) * 4]
+        assert np.array_equal(policy.gate_weights(embs)[0], [0.5, 0.5])
 
 
 def test_moe_policy_recovers_constant_action():
@@ -235,7 +235,7 @@ def test_moe_policy_recovers_constant_action():
     policy = cp.train_moe_policy(ds, small_cfg(steps=1500), np.random.default_rng(3))
     assert np.mean(policy.loss_history[-50:]) < np.mean(policy.loss_history[:50])
     obs = random_obs(np.random.default_rng(14))
-    g = policy.gate_weights(policy.bank.encode_obs(obs))
+    g = policy.gate_weights(policy.bank.embed([obs]))[0]
     assert abs(g.sum() - 1.0) < 1e-12
     rng = np.random.default_rng(66)
     mean = np.mean([policy.act(obs, rng) for _ in range(8)], axis=0)

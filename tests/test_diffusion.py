@@ -97,8 +97,8 @@ def test_perfect_denoiser_reconstructs_exactly(rng):
 
     for trial in range(3):
         init = rng.normal(size=3) * (trial + 1)
-        out = df.ddpm_sample(oracle, None, s, None, 3, init=init)
-        assert np.allclose(out, a0, atol=1e-10)
+        out = df.ddpm_sample(oracle, None, s, None, 3, init=init[None, :])
+        assert np.allclose(out[0], a0, atol=1e-10)
 
 
 def test_sampler_clamps_to_unit_box():
@@ -108,8 +108,8 @@ def test_sampler_clamps_to_unit_box():
     def oracle(a, cond, k):
         return df.effective_eps(a, a0, k, s)
 
-    out = df.ddpm_sample(oracle, None, s, None, 2, init=np.zeros(2))
-    assert np.allclose(out, [1.0, -1.0], atol=1e-10)
+    out = df.ddpm_sample(oracle, None, s, None, 2, init=np.zeros((1, 2)))
+    assert np.allclose(out[0], [1.0, -1.0], atol=1e-10)
 
 
 def test_sampler_deterministic_given_seed():
@@ -118,8 +118,8 @@ def test_sampler_deterministic_given_seed():
     def score(a, cond, k):
         return 0.1 * a
 
-    one = df.ddpm_sample(score, None, s, np.random.default_rng(9), 4)
-    two = df.ddpm_sample(score, None, s, np.random.default_rng(9), 4)
+    one = df.ddpm_sample(score, None, s, [np.random.default_rng(9)], 4)
+    two = df.ddpm_sample(score, None, s, [np.random.default_rng(9)], 4)
     assert np.array_equal(one, two)
 
 
@@ -136,7 +136,7 @@ def test_sampler_flags_nonfinite_scores():
         return np.full_like(a, np.inf)
 
     with pytest.raises(NumericError):
-        df.ddpm_sample(bad, None, s, None, 2, init=np.zeros(2))
+        df.ddpm_sample(bad, None, s, None, 2, init=np.zeros((1, 2)))
 
 
 def test_posterior_sigma_modes():

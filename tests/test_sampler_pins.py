@@ -3,7 +3,8 @@
 The action hashes were recorded with one sub-policy MLP call per sub-policy
 and one noise draw per denoising step; stacked scoring, the feature tables, the
 per-sample step constants and the block noise draw must reproduce them bit
-for bit.
+for bit. Sampling B rows in one act_rows call must reproduce B act() calls
+bit for bit too.
 """
 
 import dataclasses
@@ -12,15 +13,17 @@ import hashlib
 import numpy as np
 import pytest
 
+from modalcompose import analysis as an
 from modalcompose import compose as cp
 from modalcompose import experts as xp
 from modalcompose import numcore as nc
 from modalcompose.diffusion import make_schedule
-from modalcompose.envs import env_reset, generate_dataset, make_env_spec
+from modalcompose.envs import env_reset, env_step, generate_dataset, make_env_spec
 from modalcompose.errors import ContractError, NumericError
 from modalcompose.rngstream import TAG_ACT, TAG_EVAL, TAG_TRAIN, stream
-from modalcompose.router import train_router
-from modalcompose.runconfig import RunConfig
+from modalcompose.rollout import run_policy_episode
+from modalcompose.router import init_router, train_router
+from modalcompose.runconfig import ProbeConfig, RunConfig
 
 # sha256 of the act() outputs of each policy over the observations and
 # action streams of `act_digest`
@@ -91,6 +94,86 @@ def act_digest(policy) -> str:
 @pytest.mark.parametrize("kind", sorted(PINNED))
 def test_act_outputs_are_pinned(policies, kind):
     assert act_digest(policies[kind]) == PINNED[kind]
+
+
+# ---------------------------------------------------------------------------
+# the row path: act_rows over B observations is B act() calls
+
+
+def mixed_observations(n):
+    """n observations from different episodes, steps and contact states, every
+    third one with a perturbed vision reading."""
+    spec = make_env_spec("occluded_reach")
+    g = np.random.default_rng(3)
+    out = []
+    for i in range(n):
+        state, obs = env_reset(spec, stream(9, TAG_EVAL, i))
+        for _ in range(3 * i):
+            state, obs, _, _ = env_step(state, np.array([1.0, 0.5 - 0.2 * i]))
+        if i % 3 == 2:
+            obs = obs.copy()
+            obs.modalities["vis"] = obs.modalities["vis"] + 0.1 * g.standard_normal(5)
+        out.append(obs)
+    return out
+
+
+def assert_rows_match_acts(policy, obs_rows):
+    """One act_rows call equals per-row act(), on distinct streams per row and
+    on one stream repeated across rows."""
+    n = len(obs_rows)
+    for make_rngs in (lambda: [stream(5, TAG_ACT, r, 1) for r in range(n)],
+                      lambda: [stream(5, TAG_ACT, 0, 0) for _ in range(n)]):
+        got = policy.act_rows(obs_rows, make_rngs())
+        want = np.array([policy.act(obs, g) for obs, g in zip(obs_rows, make_rngs())])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("B", [1, 3, 7])
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_act_rows_equal_per_row_act(policies, kind, B):
+    assert_rows_match_acts(policies[kind], mixed_observations(B))
+
+
+def test_act_rows_with_rows_on_different_experts(policies):
+    """Hard routing zeroes a different expert on different rows; each row must
+    still be its own expert's sample bit for bit."""
+    learned = policies["learned"]
+    router = init_router(learned.router.modality_order, learned.router.emb_dims, (8,),
+                         np.random.default_rng(0))
+    router.params["W1"].data *= 20.0   # weights that swing from row to row
+    hard = dataclasses.replace(learned, router=router, strategy="hard")
+    obs = mixed_observations(7)
+    chosen = {int(np.argmax(hard.weights_for(o))) for o in obs}
+    assert chosen == {0, 1}
+    assert_rows_match_acts(hard, obs)
+    one_off = cp.manual_compose(learned.experts, [0.0, 1.0], learned.sched, learned.stats)
+    assert_rows_match_acts(one_off, obs)
+
+
+def test_act_rows_needs_one_generator_per_row(policies):
+    obs = mixed_observations(2)
+    with pytest.raises(ContractError):
+        policies["equal"].act_rows(obs, [stream(5, TAG_ACT, 0, 0)])
+    with pytest.raises(ContractError):
+        policies["concat"].act_rows([], [])
+
+
+def test_probe_of_a_trained_policy(policies):
+    """Probing a trained composed policy drives the plain rollout's episode,
+    and zero perturbations give exactly zero importance."""
+    policy = policies["learned"]
+    spec = make_env_spec("occluded_reach")
+    rec = run_policy_episode(policy, spec, 4, 1)
+    dims = spec.modality_dims()
+    for scale in (0.0, 0.1):
+        sigmas = {m: np.full(d, scale) for m, d in dims.items()}
+        trace = an.perturb_importance(policy, spec, 4, ProbeConfig(draws=2), sigmas,
+                                      episode=1)
+        assert trace.steps == rec.steps and trace.success == rec.success
+        assert trace.positions.tobytes() == np.asarray(rec.positions).tobytes()
+        for m in trace.modalities:
+            assert np.array_equal(trace.raw[m], np.zeros(trace.steps)) == (scale == 0.0)
 
 
 # ---------------------------------------------------------------------------
