@@ -20,7 +20,7 @@ from . import numcore as nc
 from .diffusion import SIGMA_MODES, NoiseSchedule, make_schedule
 from .envs import ActionStats, _Reader
 from .errors import ConfigError, ContractError, FormatError, ShapeError
-from .experts import ModalityExpert, SubPolicy
+from .experts import ModalityExpert
 from .router import Router
 
 MAGIC = b"MCPF"
@@ -85,11 +85,7 @@ def load_checkpoint(path) -> Checkpoint:
     (count,) = r.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = r.unpack("<H")
-        try:
-            name = r.take(nlen).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{p}: bad tensor name: {exc}") from None
+        name = r.text("tensor name")
         if name in tensors:
             raise FormatError(f"{p}: duplicate tensor name {name!r}")
         (rank,) = r.unpack("<B")
@@ -227,14 +223,14 @@ def save_expert(expert: ModalityExpert, stats: ActionStats, sched: NoiseSchedule
         "robot_dim": expert.robot_dim, "action_dim": expert.action_dim,
         "n_steps": expert.n_steps, "noise_band_split": expert.noise_band_split,
         "encoder_spec": _spec_meta(expert.encoder_spec),
-        "sub_specs": [_spec_meta(s.spec) for s in expert.subs],
+        "sub_specs": [_spec_meta(expert.sub_spec)] * expert.n_sub,
     })
     # written only when not the default, so default checkpoints keep their bytes
     if expert.sigma_mode != "beta":
         meta["sigma_mode"] = expert.sigma_mode
     tensors = _params_tensors("enc", expert.encoder)
-    for i, sub in enumerate(expert.subs):
-        tensors.update(_params_tensors(f"sub{i}", sub.params))
+    for i in range(expert.n_sub):
+        tensors.update(_params_tensors(f"sub{i}", nc.unstack_params(expert.subs, i)))
     save_checkpoint(tensors, meta, path)
 
 
@@ -252,17 +248,15 @@ def expert_from_checkpoint(ck: Checkpoint) -> tuple[ModalityExpert, ActionStats,
         raise FormatError(f"unknown expert sigma_mode {sigma_mode!r}")
     if m["n_steps"] < 1:
         raise FormatError(f"expert n_steps must be >= 1, got {m['n_steps']}")
-    subs = []
-    for i, sm in enumerate(sub_specs):
-        spec = _spec_from_meta(sm)
-        subs.append(SubPolicy(params=_params_from_tensors(ck, f"sub{i}", spec),
-                              spec=spec, n_steps=m["n_steps"]))
+    sub_spec = _spec_from_meta(sub_specs[0])
+    subs = nc.stack_params([_params_from_tensors(ck, f"sub{i}", sub_spec)
+                            for i in range(len(sub_specs))])
     expert = ModalityExpert(
         modality=m["modality"], modality_dim=m["modality_dim"],
         robot_dim=m["robot_dim"], action_dim=m["action_dim"],
         encoder=_params_from_tensors(ck, "enc", enc_spec), encoder_spec=enc_spec,
-        subs=subs, n_steps=m["n_steps"], noise_band_split=m["noise_band_split"],
-        sigma_mode=sigma_mode,
+        subs=subs, sub_spec=sub_spec, n_steps=m["n_steps"],
+        noise_band_split=m["noise_band_split"], sigma_mode=sigma_mode,
     )
     return expert, _stats_from_meta(m["stats"]), _sched_from_meta(m["schedule"])
 

@@ -146,8 +146,8 @@ def manual_compose(experts: list[ModalityExpert], fixed_weights, sched: NoiseSch
     w = np.asarray(fixed_weights, dtype=np.float64)
     if w.shape != (len(experts),):
         raise ContractError(f"{len(experts)} experts but weight shape {w.shape}")
-    if np.any(w < 0.0):
-        raise ContractError(f"negative manual weight in {w}")
+    if not np.all(np.isfinite(w) & (w >= 0.0)):
+        raise ContractError(f"manual weights must be finite and nonnegative, got {w}")
     s = w.sum()
     if s <= 0.0:
         raise ContractError("manual weights must not be all zero")

@@ -67,23 +67,23 @@ def forward_noise(a0: np.ndarray, k, sched: NoiseSchedule, rng: np.random.Genera
     return sched.sqrt_ab(k)[per_row] * a0 + sched.sqrt_one_minus_ab(k)[per_row] * eps, eps
 
 
-def denoise_loss(score, batch, sched: NoiseSchedule, rng: np.random.Generator) -> nc.Tensor:
+def denoise_loss(score, a0: np.ndarray, cond: np.ndarray, sched: NoiseSchedule,
+                 rng: np.random.Generator) -> nc.Tensor:
     """Mean over the batch of ||eps - eps_hat||^2 with k uniform in 1..K.
 
-    ``batch`` is a list of (a0, cond) vector pairs; the provider is called
-    once on the stacked arrays and may return a Tensor (training) or ndarray.
+    ``a0`` and ``cond`` are the batch's action and condition rows; the
+    provider is called once on them and may return a Tensor (training) or
+    ndarray.
     """
-    if len(batch) == 0:
+    if len(a0) == 0:
         raise ContractError("denoise_loss needs a nonempty batch")
-    a0 = np.stack([np.asarray(a, dtype=np.float64) for a, _ in batch])
-    cond = np.stack([np.asarray(c, dtype=np.float64) for _, c in batch])
-    ks = rng.integers(1, sched.K + 1, size=len(batch))
+    ks = rng.integers(1, sched.K + 1, size=len(a0))
     a_k, eps = forward_noise(a0, ks, sched, rng)
     eps_hat = score(a_k, cond, ks)
     if not isinstance(eps_hat, nc.Tensor):
         eps_hat = nc.const(eps_hat)
     d = nc.sub(eps_hat, nc.const(eps))
-    return nc.scale(nc.sumall(nc.mul(d, d)), 1.0 / len(batch))
+    return nc.scale(nc.sumall(nc.mul(d, d)), 1.0 / len(a0))
 
 
 def fit_denoiser(score, groups, a_rows: np.ndarray, cond_rows: np.ndarray,
@@ -101,8 +101,7 @@ def fit_denoiser(score, groups, a_rows: np.ndarray, cond_rows: np.ndarray,
     n = a_rows.shape[0]
     for _ in range(steps):
         idx = rng.integers(0, n, size=batch)
-        pairs = [(a_rows[i], cond_rows[i]) for i in idx]
-        loss = denoise_loss(score, pairs, sched, rng)
+        loss = denoise_loss(score, a_rows[idx], cond_rows[idx], sched, rng)
         nc.backward(loss, groups)
         nc.adam_step(groups, opt)
         history.append(float(loss.data))

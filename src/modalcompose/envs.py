@@ -396,12 +396,12 @@ class Dataset:
         version = r.u32()
         if version != 1:
             raise FormatError(f"{path}: unsupported dataset version {version}")
-        env_name = r.take(r.u16()).decode("utf-8")
+        env_name = r.text("env name")
         n_eps = r.u32()
         n_mods = r.u16()
         modality_dims: dict[str, int] = {}
         for _ in range(n_mods):
-            mname = r.take(r.u16()).decode("utf-8")
+            mname = r.text("modality name")
             modality_dims[mname] = r.u32()
         robot_dim, action_dim, horizon = r.unpack("<III")
         widths = [*modality_dims.values(), robot_dim, action_dim]
@@ -444,6 +444,14 @@ class _Reader:
 
     def u32(self) -> int:
         return self.unpack("<I")[0]
+
+    def text(self, what: str) -> str:
+        """A u16-length-prefixed UTF-8 string; bad bytes are a FormatError."""
+        raw = self.take(self.u16())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.where}: bad {what}: {exc}") from None
 
     def f64(self, n: int) -> np.ndarray:
         return np.frombuffer(self.take(8 * n), dtype="<f8").copy()

@@ -12,16 +12,15 @@ The score has one numpy form, ``encode_rows`` then ``score_rows``, which
 sampling, routing and analysis share, and one graph form for training,
 ``_expert_score_graph``, which the expert and the joint router both use.
 
-Storage: an expert keeps its sub-policies' weights stacked, one array per
-tensor name with the sub-policy on the leading axis (``W_i`` of shape
-(n_sub, in, out), ``b_i`` of shape (n_sub, 1, out)). The constructor copies
-the sub-policies it is given into the stack and keeps new ones, whose
-tensors are views of their slices. There is one copy of the weights, so Adam's
-in-place updates, joint router fine-tuning and direct edits of a
-sub-policy's ``.data`` are all seen by the next score. ``score_rows`` scores
-every sub-policy with one ``mlp_infer`` call on the stack and then averages
-the slices in sub-policy order, which reproduces one call per sub-policy
-bit for bit.
+Storage: an expert keeps its sub-policies as one stacked ``ParamSet``, one
+array per tensor name with the sub-policy on the leading axis (``W_i`` of
+shape (n_sub, in, out), ``b_i`` of shape (n_sub, 1, out)), and one spec they
+share. Training, Adam, joint router fine-tuning, checkpoints and inference
+all use that one form. ``score_rows`` scores every sub-policy with one
+``mlp_infer`` call and ``_expert_score_graph`` with one ``mlp_forward`` call;
+each slice is bit-identical to that sub-policy's own call, and both average
+the slices in sub-policy order, dividing the sum by ``n_sub``, or take each
+row's band owner.
 """
 
 from __future__ import annotations
@@ -88,18 +87,6 @@ def timestep_rows(ks, n_steps: int, rows: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SubPolicy:
-    """One noise-prediction MLP over [a_k, embedding, timestep features]."""
-
-    params: nc.ParamSet
-    spec: nc.MlpSpec
-    n_steps: int
-
-    def n_params(self) -> int:
-        return self.params.n_params()
-
-
-@dataclass
 class ModalityExpert:
     modality: str
     modality_dim: int
@@ -107,58 +94,39 @@ class ModalityExpert:
     action_dim: int
     encoder: nc.ParamSet
     encoder_spec: nc.MlpSpec
-    subs: list[SubPolicy]
+    subs: nc.ParamSet          # the stacked sub-policies, see the module docstring
+    sub_spec: nc.MlpSpec
     n_steps: int
     noise_band_split: bool = False
     sigma_mode: str = "beta"
     loss_history: list[float] = field(default_factory=list, repr=False)
-    _stack: nc.ParamSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.subs:
-            raise ShapeError(f"expert '{self.modality}' has no sub-policies")
-        spec = self.subs[0].spec
-        if any(sp.spec != spec for sp in self.subs):
-            raise ShapeError(f"expert '{self.modality}' sub-policies differ in spec")
-        # the sub-policies given are only read: the expert holds new ones whose
-        # tensors view its stack, so no two experts ever share a sub-policy
-        self._stack = nc.ParamSet()
-        views = [nc.ParamSet() for _ in self.subs]
-        for i in range(len(spec.layer_dims())):
-            for name in (f"W{i}", f"b{i}"):
-                stacked = np.stack([sp.params[name].data for sp in self.subs])
-                if name[0] == "b":
-                    stacked = stacked[:, None, :]
-                data = self._stack.add(name, stacked).data
-                for j, sp in enumerate(self.subs):
-                    views[j].add(name, data[j].reshape(sp.params[name].shape))
-        self.subs = [SubPolicy(ps, sp.spec, sp.n_steps)
-                     for ps, sp in zip(views, self.subs)]
+        got = {name: t.shape for name, t in self.subs.items()}
+        n = got.get("W0", (0,))[0]
+        want = {}
+        for i, (fan_in, fan_out) in enumerate(self.sub_spec.layer_dims()):
+            want.update({f"W{i}": (n, fan_in, fan_out), f"b{i}": (n, 1, fan_out)})
+        if n < 1 or got != want:
+            raise ShapeError(f"expert '{self.modality}' needs one or more stacked "
+                             f"sub-policies of one spec, {want}, got {got}")
 
     @property
     def n_sub(self) -> int:
-        return len(self.subs)
+        return self.subs["W0"].shape[0]
 
     @property
     def emb_dim(self) -> int:
         return self.encoder_spec.output_dim + self.robot_dim
 
     def n_params(self) -> int:
-        return self.encoder.n_params() + sum(sp.n_params() for sp in self.subs)
+        return self.encoder.n_params() + self.subs.n_params()
 
     def param_groups(self) -> list[tuple[str, nc.ParamSet]]:
-        groups = [("enc", self.encoder)]
-        groups += [(f"sub{j}", sp.params) for j, sp in enumerate(self.subs)]
-        return groups
+        return [("enc", self.encoder), ("subs", self.subs)]
 
     def checksum(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        for label, ps in self.param_groups():
-            h.update(label.encode())
-            h.update(ps.checksum().encode())
-        return h.hexdigest()
+        return self.encoder.checksum() + self.subs.checksum()
 
     # -- frozen (numpy) paths used by sampling, routing, and analysis --
 
@@ -177,24 +145,18 @@ class ModalityExpert:
         """Batched intra-composed score in the rows' layout; ks is an int or
         an int array.
 
-        Without band split, one stacked mlp_infer call scores every
-        sub-policy and the slices are averaged in sub-policy order. With
-        band split, each band's rows are scored by that band's sub-policy
-        alone.
+        One stacked mlp_infer call scores every sub-policy; without band
+        split the slices are averaged in sub-policy order, with it each row
+        takes the slice of its band's sub-policy.
         """
         n = a_rows.shape[0]
         x = np.concatenate([a_rows, emb_rows, timestep_rows(ks, self.n_steps, a_rows)],
                            axis=-1)
+        out = nc.mlp_infer(self.subs, self.sub_spec, x)
         if not self.noise_band_split:
-            out = nc.mlp_infer(self._stack, self.subs[0].spec, x)
             return sum(out[1:], out[0]) / self.n_sub
         owner = _band_owner(np.broadcast_to(np.asarray(ks), (n,)), self.n_steps, self.n_sub)
-        out = np.zeros(a_rows.shape[:-1] + (self.action_dim,))
-        for j, sp in enumerate(self.subs):
-            mask = owner == j
-            if mask.any():
-                out[mask] = nc.mlp_infer(sp.params, sp.spec, x[mask])
-        return out
+        return out[owner, np.arange(n)]
 
 
 def _band_owner(ks, n_steps: int, n_sub: int):
@@ -220,12 +182,11 @@ def init_expert(modality: str, modality_dim: int, robot_dim: int, action_dim: in
     sub_spec = nc.MlpSpec(action_dim + emb_dim + TIMESTEP_DIM,
                           tuple(ex.sub_hidden), action_dim,
                           activation=ex.activation)
-    subs = [SubPolicy(nc.init_mlp(sub_spec, rng), sub_spec, cfg.diffusion.steps)
-            for _ in range(ex.n_sub)]
+    subs = nc.stack_params([nc.init_mlp(sub_spec, rng) for _ in range(ex.n_sub)])
     return ModalityExpert(
         modality=modality, modality_dim=modality_dim, robot_dim=robot_dim,
         action_dim=action_dim, encoder=encoder, encoder_spec=enc_spec,
-        subs=subs, n_steps=cfg.diffusion.steps,
+        subs=subs, sub_spec=sub_spec, n_steps=cfg.diffusion.steps,
         noise_band_split=ex.noise_band_split, sigma_mode=cfg.diffusion.sigma_mode,
     )
 
@@ -234,27 +195,20 @@ def _expert_score_graph(expert: ModalityExpert, a_k: np.ndarray, m_rows: np.ndar
                         rs_rows: np.ndarray, ks: np.ndarray) -> tuple[nc.Tensor, nc.Tensor]:
     """Training-time (score, embedding): graph-recorded encoder + sub-policies.
 
-    The graph twin of encode_rows then score_rows; gradients flow into the
+    The graph twin of encode_rows then score_rows: one stacked mlp_forward
+    call, reduced as score_rows reduces it, so gradients flow into the
     encoder and every sub-policy active for each row.
     """
     code = nc.mlp_forward(expert.encoder, expert.encoder_spec, nc.const(m_rows))
     emb = nc.concat_cols([code, nc.const(rs_rows)])
     feats = timestep_features(ks, expert.n_steps)
     x = nc.concat_cols([nc.const(a_k), emb, nc.const(feats)])
-    if expert.noise_band_split:
-        owner = _band_owner(ks, expert.n_steps, expert.n_sub)
-        total = None
-        for j, sp in enumerate(expert.subs):
-            mask = owner == j
-            term = nc.mul(nc.mlp_forward(sp.params, sp.spec, x),
-                          nc.const(mask[:, None].astype(np.float64)))
-            total = term if total is None else nc.add(total, term)
-        return total, emb
-    total = None
-    for sp in expert.subs:
-        out = nc.mlp_forward(sp.params, sp.spec, x)
-        total = out if total is None else nc.add(total, out)
-    return nc.scale(total, 1.0 / expert.n_sub), emb
+    out = nc.mlp_forward(expert.subs, expert.sub_spec, x)
+    if not expert.noise_band_split:
+        return nc.reduce_stack(out), emb
+    owner = _band_owner(ks, expert.n_steps, expert.n_sub)
+    masks = owner == np.arange(expert.n_sub)[:, None]
+    return nc.reduce_stack(out, masks[..., None].astype(np.float64)), emb
 
 
 def train_expert(dataset, modality: str, cfg, rng: np.random.Generator) -> ModalityExpert:

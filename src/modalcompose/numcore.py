@@ -144,14 +144,20 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}"
-        )
-    out = Tensor(a.data @ b.data, (a, b), _op="matmul")
-    out._bw = lambda g: (_acc(a, g @ b.data.T), _acc(b, a.data.T @ g))
+    """a @ b of 2-D operands, or with a stack of S right operands:
+    (B, in) @ (S, in, out) and (S, B, h) @ (S, h, out) give (S, B, out), each
+    slice the 2-D product bit for bit. The backward takes the same per-slice
+    products; a left operand shared by the stack gets their sum in slice
+    order, as S separate products would accumulate it."""
+    ad, bd = a.data, b.data
+    if ad.ndim not in (2, bd.ndim) or bd.ndim not in (2, 3):
+        raise ShapeError(f"matmul expects 2-D operands or a stacked right one, "
+                         f"got {ad.shape} @ {bd.shape}")
+    if ad.shape[-1] != bd.shape[-2] or ad.ndim == 3 and ad.shape[0] != bd.shape[0]:
+        raise ShapeError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
+    out = Tensor(ad @ bd, (a, b), _op="matmul")
+    out._bw = lambda g: (_acc(a, _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)),
+                         _acc(b, ad.swapaxes(-1, -2) @ g))
     return out
 
 
@@ -172,6 +178,18 @@ def relu(a: Tensor) -> Tensor:
 def sumall(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(), (a,), _op="sumall")
     out._bw = lambda g: _acc(a, np.full(a.data.shape, float(g)))
+    return out
+
+
+def reduce_stack(a: Tensor, masks: Array | None = None) -> Tensor:
+    """Reduce the leading (stack) axis of S slices in slice order: their sum
+    divided by S, or with ``masks`` (S, B, 1) the sum of the mask-weighted
+    slices."""
+    n = a.data.shape[0]
+    terms = a.data if masks is None else a.data * masks
+    total = sum(terms[1:], terms[0])
+    out = Tensor(total / n if masks is None else total, (a,), _op="reduce_stack")
+    out._bw = lambda g: _acc(a, g / n if masks is None else g * masks)
     return out
 
 
@@ -293,8 +311,29 @@ def init_mlp(spec: MlpSpec, rng: np.random.Generator) -> ParamSet:
     return ps
 
 
+def stack_params(nets: Sequence[ParamSet]) -> ParamSet:
+    """Nets of one spec as one stacked set for ``mlp_forward`` and
+    ``mlp_infer``: weights (S, in, out) and biases (S, 1, out), in net order."""
+    ps = ParamSet()
+    for name in nets[0].names():
+        data = np.stack([net[name].data for net in nets])
+        ps.add(name, data[:, None] if name.startswith("b") else data)
+    return ps
+
+
+def unstack_params(stack: ParamSet, s: int) -> ParamSet:
+    """A copy of net s of a stacked set, shaped as ``init_mlp`` makes it."""
+    ps = ParamSet()
+    for name, t in stack.items():
+        ps.add(name, (t.data[s, 0] if name.startswith("b") else t.data[s]).copy())
+    return ps
+
+
 def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor) -> Tensor:
-    """Recorded forward pass; input shape (batch, input_dim)."""
+    """Recorded forward pass; input shape (batch, input_dim). ``params`` may
+    hold S nets stacked as in ``mlp_infer``: the output is then (S, batch,
+    output_dim), slice s bit-identical to net s alone, and so are the
+    gradients each net receives."""
     if x.data.ndim != 2 or x.data.shape[1] != spec.input_dim:
         raise ShapeError(
             f"MLP input shape {x.data.shape} does not match input_dim {spec.input_dim}"

@@ -209,7 +209,11 @@ def load_manifest(path) -> tuple[ComposedPolicy, dict]:
                                 sched, stats)
     elif "weights" in fields:
         cp.check_compose_compatibility(metas)
-        w = [float(x) for x in fields["weights"].split(",")]
+        try:
+            w = [float(x) for x in fields["weights"].split(",")]
+        except ValueError:
+            raise FormatError(f"{p}: weights must be numbers, got "
+                              f"{fields['weights']!r}") from None
         policy = manual_compose(experts, w, sched, stats)
         policy.strategy = fields.get("strategy", "soft")
     else:

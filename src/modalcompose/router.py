@@ -45,12 +45,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def check_weights(w: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Validate a consensus-weight vector: nonnegative, sums to 1 (1e-12)."""
+    """Validate a consensus-weight vector: finite, nonnegative, sums to 1
+    (1e-12)."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1 or (n is not None and w.shape[0] != n):
         raise ContractError(f"expected {n} weights, got shape {w.shape}")
-    if np.any(w < 0.0):
-        raise ContractError(f"negative consensus weight in {w}")
+    if not np.all(np.isfinite(w) & (w >= 0.0)):
+        raise ContractError(f"consensus weights must be finite and nonnegative, got {w}")
     if abs(w.sum() - 1.0) > 1e-12:
         raise ContractError(f"consensus weights sum to {w.sum()!r}, not 1")
     return w

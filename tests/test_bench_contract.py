@@ -106,6 +106,14 @@ def test_traced_names_see_sampling(tracer):
         assert calls(tracer, f"compose.act.{kind}") == 1
 
 
+def test_expert_training_step_records_two_mlp_forwards(tracer):
+    """One graph forward for the encoder and one for the stacked sub-policies,
+    whatever n_sub is."""
+    ds = constant_action_dataset([0.1, 0.2])
+    xp.train_expert(ds, "vis", tiny_cfg(steps=1), np.random.default_rng(0))
+    assert calls(tracer, "numcore.mlp_forward") == 2
+
+
 def test_traced_names_see_training_and_probing(tracer):
     ds = constant_action_dataset([0.1, 0.2])
     xp.train_expert(ds, "vis", tiny_cfg(steps=2), np.random.default_rng(0))

@@ -137,6 +137,9 @@ def test_manual_compose_validation(rng):
     stats = constant_action_dataset(np.array([0.1, 0.2])).stats()
     with pytest.raises(ContractError):
         cp.manual_compose(experts, [0.5, -0.5], sched, stats)
+    for bad in ([np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf]):
+        with pytest.raises(ContractError, match="finite"):
+            cp.manual_compose(experts, bad, sched, stats)
     with pytest.raises(ContractError):
         cp.manual_compose(experts, [0.0, 0.0], sched, stats)
     with pytest.raises(ContractError):

@@ -156,22 +156,21 @@ def test_posterior_sigma_modes():
 
 def test_denoise_loss_perfect_score_is_zero(rng):
     s = df.make_schedule()
-    batch = [(rng.normal(size=2), rng.normal(size=3)) for _ in range(6)]
-    a0 = np.stack([a for a, _ in batch])
+    a0, cond = rng.normal(size=(6, 2)), rng.normal(size=(6, 3))
 
     def oracle(a_k, cond, ks):
         sab = np.sqrt(s.alpha_bars[ks - 1])[:, None]
         somab = np.sqrt(1 - s.alpha_bars[ks - 1])[:, None]
         return (a_k - sab * a0) / somab
 
-    loss = df.denoise_loss(oracle, batch, s, np.random.default_rng(4))
+    loss = df.denoise_loss(oracle, a0, cond, s, np.random.default_rng(4))
     assert float(loss.data) < 1e-20
 
 
 def test_denoise_loss_empty_batch_rejected(rng):
     s = df.make_schedule()
     with pytest.raises(ContractError):
-        df.denoise_loss(lambda a, c, k: a, [], s, rng)
+        df.denoise_loss(lambda a, c, k: a, np.zeros((0, 2)), np.zeros((0, 3)), s, rng)
 
 
 def test_fit_denoiser_reduces_loss(rng):

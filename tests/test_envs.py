@@ -305,6 +305,19 @@ def test_dataset_read_rejects_corruption(tmp_path):
         envs.Dataset.read(trailing)
 
 
+def test_dataset_read_rejects_undecodable_names(tmp_path):
+    spec = envs.make_env_spec("occluded_reach")
+    path = tmp_path / "d.mcds"
+    envs.generate_dataset(spec, 1, seed=2, path=path)
+    raw = path.read_bytes()
+    # byte 10 is the first byte of the env name, after magic, version and length
+    for at, what in ((10, "env name"), (raw.index(b"vis"), "modality name")):
+        bad = tmp_path / f"n{at}.mcds"
+        bad.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+        with pytest.raises(FormatError, match=what):
+            envs.Dataset.read(bad)
+
+
 # ---------------------------------------------------------------------------
 # normalization
 

@@ -62,11 +62,11 @@ def encode(ex, m, rs):
     return ex.encode_rows(m[None, :], rs[None, :])
 
 
-def sub_eps(sp, a_k, e, k):
-    """One sub-policy's noise prediction for one row: the oracle score_rows
-    averages (or, with band split, selects)."""
-    x = np.concatenate([a_k, e[0], xp.timestep_features(k, sp.n_steps)])
-    return nc.mlp_infer(sp.params, sp.spec, x[None, :])[0]
+def sub_eps(ex, j, a_k, e, k):
+    """Sub-policy j's noise prediction for one row, from a copy of its stack
+    slice: the oracle score_rows averages (or, with band split, selects)."""
+    x = np.concatenate([a_k, e[0], xp.timestep_features(k, ex.n_steps)])
+    return nc.mlp_infer(nc.unstack_params(ex.subs, j), ex.sub_spec, x[None, :])[0]
 
 
 def score(ex, a_k, e, k):
@@ -95,7 +95,7 @@ def test_intra_compose_is_mean_of_subpolicies(rng):
     ex = make_expert(rng, n_sub=3)
     e = encode(ex, rng.normal(size=5), rng.normal(size=2))
     a_k = rng.normal(size=2)
-    per_sub = [sub_eps(sp, a_k, e, 20) for sp in ex.subs]
+    per_sub = [sub_eps(ex, j, a_k, e, 20) for j in range(ex.n_sub)]
     assert np.allclose(score(ex, a_k, e, 20), np.mean(per_sub, axis=0), atol=1e-15)
 
 
@@ -117,7 +117,7 @@ def test_band_split_routes_by_denoising_half(rng):
     # sub 0 owns the coarse half (k > 25), sub 1 the fine half (k <= 25)
     for k, owner in ((50, 0), (26, 0), (25, 1), (1, 1)):
         got = score(ex, a_k, e, k)
-        want = sub_eps(ex.subs[owner], a_k, e, k)
+        want = sub_eps(ex, owner, a_k, e, k)
         assert np.array_equal(got, want), f"k={k}"
 
 
@@ -134,6 +134,19 @@ def test_score_rows_matches_single_calls(rng):
         assert np.allclose(batched[r], single, atol=1e-12)
 
 
+@pytest.mark.parametrize("band", [False, True])
+@pytest.mark.parametrize("n_sub", [1, 2, 3])
+def test_training_graph_scores_as_score_rows(rng, n_sub, band):
+    """Training and inference compute the same function: the graph's score
+    equals score_rows on the same 2-D rows bit for bit, every band owned."""
+    ex = make_expert(rng, n_sub=n_sub, band=band)
+    m, rs, a = rng.normal(size=(64, 5)), rng.normal(size=(64, 2)), rng.normal(size=(64, 2))
+    ks = rng.integers(1, ex.n_steps + 1, size=64)
+    graph, emb = xp._expert_score_graph(ex, a, m, rs, ks)
+    assert np.array_equal(emb.data, ex.encode_rows(m, rs))
+    assert np.array_equal(graph.data, ex.score_rows(a, emb.data, ks))
+
+
 def test_expert_param_count(rng):
     ex = make_expert(rng)
     # encoder 5->16->8 plus two sub nets (2+10+16)->32->2
@@ -147,13 +160,14 @@ def test_expert_needs_subpolicies_of_one_spec(rng):
     with pytest.raises(ConfigError):
         make_expert(rng, n_sub=0)
     ex = make_expert(rng)
-    with pytest.raises(ShapeError):
-        xp.ModalityExpert("vis", 5, 2, 2, ex.encoder, ex.encoder_spec, [], 50)
-    other = make_expert(rng, n_sub=1)
-    odd = nc.init_mlp(nc.MlpSpec(28, (16,), 2), rng)
-    subs = [other.subs[0], xp.SubPolicy(odd, nc.MlpSpec(28, (16,), 2), 50)]
-    with pytest.raises(ShapeError):
-        xp.ModalityExpert("vis", 5, 2, 2, ex.encoder, ex.encoder_spec, subs, 50)
+    empty = nc.ParamSet()
+    for name, t in ex.subs.items():
+        empty.add(name, t.data[:0])
+    odd = nc.stack_params([nc.init_mlp(nc.MlpSpec(28, (16,), 2), rng)] * 2)
+    for subs in (nc.ParamSet(), empty, odd):
+        with pytest.raises(ShapeError):
+            xp.ModalityExpert("vis", 5, 2, 2, ex.encoder, ex.encoder_spec, subs,
+                              ex.sub_spec, 50)
 
 
 def test_init_expert_deterministic():

@@ -192,6 +192,92 @@ def test_mlp_gradcheck_many_random_shapes(rng):
     assert worst < 1e-6, f"worst relative grad error {worst}"
 
 
+def stacked_nets(rng, spec, n):
+    nets = [nc.init_mlp(spec, rng) for _ in range(n)]
+    for net in nets:
+        for _, t in net.items():
+            t.data += rng.normal(scale=0.05, size=t.data.shape)
+    return nets
+
+
+@pytest.mark.parametrize("band", [False, True])
+def test_stacked_mlp_forward_is_each_net_alone(rng, band):
+    """Every slice of the stacked forward, and every net's gradients, equal
+    the separate 2-D graph bit for bit; the shared input's adjoint is their
+    sum in net order."""
+    spec = nc.MlpSpec(5, (7, 6), 3)
+    nets = stacked_nets(rng, spec, 3)
+    stack = nc.stack_params(nets)
+    x_val, adj = rng.normal(size=(9, 5)), rng.normal(size=(9, 3))
+    masks = (rng.integers(0, 3, size=9) == np.arange(3)[:, None])[..., None] * 1.0
+
+    x = nc.Tensor(x_val)
+    out = nc.mlp_forward(stack, spec, x)
+    nc.backward(nc.sumall(nc.mul(nc.reduce_stack(out, masks if band else None),
+                                 nc.const(adj))), [("s", stack), ("x", _as_paramset(x=x))])
+    x_grad = np.zeros_like(x_val)
+    for j, net in enumerate(nets):
+        xj = nc.Tensor(x_val)
+        oj = nc.mlp_forward(net, spec, xj)
+        assert np.array_equal(out.data[j], oj.data)
+        # the slice's share of the adjoint, as the reduction hands it down
+        share = adj * masks[j] if band else adj / 3
+        nc.backward(nc.sumall(nc.mul(oj, nc.const(share))),
+                    [("n", net), ("x", _as_paramset(x=xj))])
+        x_grad += xj.grad
+        for name, t in net.items():
+            assert np.array_equal(stack[name].grad[j].reshape(t.shape), t.grad)
+    assert np.array_equal(x.grad, x_grad)
+
+
+def test_reduce_stack_mean_and_masked_sum(rng):
+    a = rng.normal(size=(3, 4, 2))
+    mean = nc.reduce_stack(nc.const(a)).data
+    assert np.array_equal(mean, (a[0] + a[1] + a[2]) / 3)
+    masks = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0]])[..., None]
+    picked = nc.reduce_stack(nc.const(a), masks).data
+    assert np.array_equal(picked, a[[0, 1, 2, 0], np.arange(4)])
+
+
+def test_stacked_mlp_gradcheck(rng):
+    spec = nc.MlpSpec(3, (4,), 2)
+    stack = nc.stack_params(stacked_nets(rng, spec, 3))
+    x = rng.normal(size=(5, 3))
+    masks = (np.arange(5) % 3 == np.arange(3)[:, None])[..., None] * 1.0
+    for m in (None, masks):
+        def loss():
+            y = nc.reduce_stack(nc.mlp_forward(stack, spec, nc.const(x)), m)
+            return nc.sumall(nc.mul(y, y))
+
+        nc.backward(loss(), [("s", stack)])
+        analytic = {f"s/{n}": t.grad.copy() for n, t in stack.items()}
+        numeric = nc.finite_diff_grad(lambda: loss().data.item(), [("s", stack)])
+        for key in analytic:
+            assert rel_err(analytic[key], numeric[key]) < 1e-6, key
+
+
+def test_stacked_matmul_shape_errors(rng):
+    w = nc.Tensor(rng.normal(size=(2, 3, 4)))
+    for a in (rng.normal(size=(5, 2)), rng.normal(size=(3, 5, 3)),
+              rng.normal(size=(5,)), rng.normal(size=(1, 2, 5, 3))):
+        with pytest.raises(ShapeError):
+            nc.matmul(nc.Tensor(a), w)
+    with pytest.raises(ShapeError):
+        nc.matmul(nc.Tensor(rng.normal(size=(2, 5, 3))), nc.Tensor(rng.normal(size=(3, 4))))
+
+
+def test_stack_and_unstack_round_trip(rng):
+    nets = stacked_nets(rng, nc.MlpSpec(3, (4,), 2), 2)
+    stack = nc.stack_params(nets)
+    assert stack["W0"].shape == (2, 3, 4) and stack["b1"].shape == (2, 1, 2)
+    for j, net in enumerate(nets):
+        back = nc.unstack_params(stack, j)
+        assert back.checksum() == net.checksum()
+        back["W0"].data[...] = 0.0      # a copy, not a view of the stack
+    assert np.array_equal(stack["W0"].data[0], nets[0]["W0"].data)
+
+
 # ---------------------------------------------------------------------------
 # Adam
 

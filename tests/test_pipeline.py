@@ -10,7 +10,7 @@ from modalcompose.compose import compose_policy
 from modalcompose.diffusion import make_schedule
 from modalcompose.envs import Dataset, env_reset, make_env_spec
 from modalcompose.experts import timestep_features, train_expert
-from modalcompose.numcore import mlp_infer
+from modalcompose.numcore import mlp_infer, unstack_params
 from modalcompose.errors import ConfigError, ContractError, FormatError
 from modalcompose.rngstream import TAG_ACT, TAG_EVAL, TAG_TRAIN, stream
 from modalcompose.rollout import evaluate_policy, run_policy_episode
@@ -141,7 +141,8 @@ def test_joint_run_writes_the_fine_tuned_experts(tmp_path):
         emb = ex.encode_rows(g.normal(size=(4, ex.modality_dim)), g.normal(size=(4, 2)))
         a, ks = g.normal(size=(4, 2)), np.array([1, 9, 30, 50])
         x = np.concatenate([a, emb, timestep_features(ks, ex.n_steps)], axis=1)
-        per_sub = [mlp_infer(sp.params, sp.spec, x) for sp in ex.subs]
+        per_sub = [mlp_infer(unstack_params(ex.subs, j), ex.sub_spec, x)
+                   for j in range(ex.n_sub)]
         assert np.array_equal(ex.score_rows(a, emb, ks), (per_sub[0] + per_sub[1]) / 2)
 
 
@@ -196,6 +197,18 @@ def test_manifest_with_fixed_weights(tmp_path):
     policy, _ = pl.load_manifest(man)
     assert policy.router is None
     assert np.allclose(policy.fixed_w, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("weights, error", [("half,0.5", FormatError), ("0.5,", FormatError),
+                                            ("nan,0.5", ContractError)])
+def test_manifest_rejects_bad_weights(tmp_path, weights, error):
+    cfg, written = trained_paths(tmp_path, methods=("expert:vis", "expert:tac"))
+    man = tmp_path / "bad.txt"
+    man.write_text(f"env = occluded_reach\nexpert = {written['expert:vis'].name}\n"
+                   f"expert = {written['expert:tac'].name}\nweights = {weights}\n")
+    with pytest.raises(error):
+        pl.load_manifest(man)
+    assert cli_dispatch(["eval", "--manifest", str(man), "--n", "1"]) == 1
 
 
 def test_manifest_validation(tmp_path):

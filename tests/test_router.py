@@ -91,6 +91,10 @@ def test_strategy_and_weight_validation():
         rt.apply_strategy(np.array([0.5, 0.6]), "soft")
     with pytest.raises(ContractError):
         rt.check_weights(np.array([-0.1, 1.1]))
+    # NaN compares false with everything, so its sum check alone would pass
+    for bad in ([np.nan], [np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ContractError, match="finite"):
+            rt.check_weights(np.array(bad))
     with pytest.raises(ContractError):
         rt.check_weights(w, 3)
     with pytest.raises(ContractError):

