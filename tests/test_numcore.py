@@ -1,5 +1,7 @@
 """Autodiff, MLP, and optimizer unit tests against independent oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,66 @@ def test_stacked_mlp_gradcheck(rng):
         numeric = nc.finite_diff_grad(lambda: loss().data.item(), [("s", stack)])
         for key in analytic:
             assert rel_err(analytic[key], numeric[key]) < 1e-6, key
+
+
+# sha256 of each gradient after one backward through mlp_forward, recorded
+# with one graph node per matmul, bias add and activation
+GRAD_PINS = {
+    ("tanh", 0): {
+        "W0": "e020b78eeeec51ad4fa23e23f20a28485937ec2ace512bb969800ecdbda56bb1",
+        "b0": "2e5598da01dc77b1897f4a6912c85a7289873b03e834295f75c65adafd6e55a2",
+        "W1": "95197dc223a9e5a6adeade685460cfebbae4ca4960f22fe4e1ac6eb3819577a6",
+        "b1": "89cb1f9e24d81717ba4cb6e7f71ff3052e984aeb85e8f36e314e0d4edfe9dab2",
+        "W2": "173690200a07b4808b4291fb9945e20fc8890156d70019f67d96a82583ba32df",
+        "b2": "7c4dc430bf5667bb4e09591e87cd66405f8983b6bd7a02010959e079a6a3147c",
+        "x": "5680d4c277282a62e0a96491501ad6346e117b412145bac5aef3fd0867daa366",
+    },
+    ("tanh", 3): {
+        "W0": "e677ab7a780ad754793af922bb1f777160a21cd264aa879f9aba36b00fb7aa70",
+        "b0": "9c28c9d99cb9986375b3812a9cb16c7cbc96723ec0f8a221a5612f91f4fae529",
+        "W1": "bc1de30b2d85479c0c298d9d913de774382fbb2b745818d6e3bd3b4241e3ccea",
+        "b1": "4e95d96f360aae828e9ef098293c6328b96b17a381ffafbe7e15654b43e3217c",
+        "W2": "3d110dd4a3beaa80d552a436f3b5c5f82c7cada23001df15f14b088f92a5b7be",
+        "b2": "cd1b7e3271f953fa46049421d274d6941ac3ee6dd7ff44f27f743320b90be37a",
+        "x": "6c5aacc7d42aab779291114f827bb1f26c06115c9ff14b36463f0d6b38117710",
+    },
+    ("relu", 0): {
+        "W0": "56bb5dd5d8fc5c90a054d8173a27d558f7777c62b4c3073935247e96fff4a90f",
+        "b0": "d693e17093ac7f1643aad8e620894a7226b4b398b1d425450a8f00026588a9f2",
+        "W1": "93160fb0c49e666b24e3baa4978adf7b6fcfd22e499b3646de2d53c3b69f6d68",
+        "b1": "a92c03c2a25c3c397ec8d811c35f64bf453bedbcd9a52152d06e0628bd111864",
+        "W2": "b630aa315e47ce31aa62ed03c14ed22722ed995b9cd695786ae37e4e385be6ae",
+        "b2": "7c4dc430bf5667bb4e09591e87cd66405f8983b6bd7a02010959e079a6a3147c",
+        "x": "d2d771a22e62e5e4b2548ceefb7b4e5641141c5918f07f4143cc2cf06c8dac61",
+    },
+    ("relu", 3): {
+        "W0": "fca0eb75f4c488c61579fdcb105419151ccbb80d9e8c95e22759bdb80a29e343",
+        "b0": "d4ce604d860959c475c2688c4ac74363e08e76de1757c52f7ba498e720f35457",
+        "W1": "c505fee41fa231afc04e6e3ddc68f1318d1ce334b9ac356d9057e18a4a319cb2",
+        "b1": "6dcf10c249b0e81a7f2d2631af05e34345ea4c743c7519c9045576b3fa7f182a",
+        "W2": "2a1bbff0b4d396de4105b9c9e3ce2b01c5c66bd5b4d4f9915aa1d344d764e807",
+        "b2": "cd1b7e3271f953fa46049421d274d6941ac3ee6dd7ff44f27f743320b90be37a",
+        "x": "f971ba6b26abcaf373bdede31ff8a8a75b43d37e80e341a021ad26bba787f0a4",
+    },
+}
+
+
+@pytest.mark.parametrize("act,n_stack", sorted(GRAD_PINS))
+def test_mlp_backward_grads_are_pinned(act, n_stack):
+    """Parameter and input gradients of 2-D (n_stack 0) and 3-stacked nets,
+    bit for bit, with the input on the graph."""
+    rng = np.random.default_rng(2024)
+    spec = nc.MlpSpec(5, (7, 6), 3, activation=act)
+    nets = stacked_nets(rng, spec, max(n_stack, 1))
+    ps = nc.stack_params(nets) if n_stack else nets[0]
+    x = nc.Tensor(rng.normal(size=(9, 5)))
+    out = nc.mlp_forward(ps, spec, x)
+    adj = rng.normal(size=out.shape)
+    nc.backward(nc.sumall(nc.mul(out, nc.const(adj))),
+                [("net", ps), ("in", _as_paramset(x=x))])
+    got = {name: hashlib.sha256(t.grad.tobytes()).hexdigest() for name, t in ps.items()}
+    got["x"] = hashlib.sha256(x.grad.tobytes()).hexdigest()
+    assert got == GRAD_PINS[act, n_stack]
 
 
 def test_stacked_matmul_shape_errors(rng):

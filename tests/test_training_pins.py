@@ -3,8 +3,9 @@
 
 The hashes were recorded with one graph forward per sub-policy; training on
 the stacked sub-policies must reproduce them bit for bit. They cover the
-default method set, joint router fine-tuning, and three band-split
-sub-policies on phase_reach.
+default method set, joint router fine-tuning, three band-split
+sub-policies on phase_reach, and relu hidden layers in the experts and the
+fusion baselines.
 
 One hash differs from that recording: the phase_reach router. A router
 trained apart from its experts reads their scores from ``score_rows`` over the
@@ -89,6 +90,28 @@ PINNED = {
         "router_seed3.mcpf":
             "e83993bc7dbdfaabf51f83590225c033f5f18b771badbef028fe78148c0f0f02",
     },
+    "relu": {
+        "concat_seed3.mcpf":
+            "f0c7cbe8bc30e82de888c8c3306c823c73b62d7ae7a1b79335f037bfb3a4a8bd",
+        "expert-tac_seed3.mcpf":
+            "3b7a3a03ffd855632ec344c9ffe3aac2d9b80198cd9abc5b98caf14449cd53c5",
+        "expert-vis_seed3.mcpf":
+            "91a51172dce465fd3565de2757f26d3c9f5adca3316564d664410bb4e179320c",
+        "loss_concat_seed3.csv":
+            "276b15d5fc1b46ba0d14d9542e992da70b00ab8e4e31f9539000b7bd2a2592c1",
+        "loss_expert-tac_seed3.csv":
+            "cf78fc92e6e815b362fa5af35f3dead3297bdd9373dbb5d31918ce8feb82d3d9",
+        "loss_expert-vis_seed3.csv":
+            "23e73c683d8e6f71d6fb2ccf1ac23cf6268661bbd95471edd3bb4fb07e5ccad5",
+        "loss_moe_seed3.csv":
+            "ab7bd0d985bbe44d7313293c7655d21ad1a3dfbb7e7d082b738a0fe6256c3a5e",
+        "loss_router_seed3.csv":
+            "3f8c79221160cdaf8a611660995ba480c7891d3b12928e221492c770ed764f38",
+        "moe_seed3.mcpf":
+            "5377c2aa0f71ce471fe93915779c3850540f54e32cef27fa20bd5220df29d1d0",
+        "router_seed3.mcpf":
+            "97297640c7307badd824010f62c3e97c872e30874c91bc1745aa91eb655c2453",
+    },
 }
 
 
@@ -99,6 +122,8 @@ def pin_config(name, out):
     elif name == "phase_band3":
         cfg = cfg.with_section("env", name="phase_reach")
         cfg = cfg.with_section("expert", n_sub=3, noise_band_split=True)
+    elif name == "relu":
+        cfg = cfg.with_section("expert", activation="relu")
     return cfg.with_section("run", demos=2, seed=3, out=str(out))
 
 
