@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--manifest", required=True, help="manifest or checkpoint path")
     p.add_argument("--env", help="environment override")
-    p.add_argument("--n", type=int, default=200, help="evaluation episodes")
+    p.add_argument("--n", type=int, help="evaluation episodes (default [run] eval_n)")
 
     p = sub.add_parser("analyze", help="modality-importance traces")
     common(p)
@@ -189,8 +189,9 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    rows = run_eval(args.manifest, args.n, seed, env_name=args.env)
+    run = _load_cfg(args).run
+    n = args.n if args.n is not None else run.eval_n
+    rows = run_eval(args.manifest, n, run.seed, env_name=args.env)
     out = args.out or "metrics.csv"
     write_metrics_csv(out, rows)
     for row in rows:
@@ -223,7 +224,7 @@ def _cmd_robust(args) -> int:
     policy, meta = load_manifest(args.manifest)
     spec = make_env_spec(meta["env"])
     scenario = _parse_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else 0
+    seed = _load_cfg(args).run.seed
     base_rate, base_steps = robustness_eval(policy, spec, None, args.n, seed)
     rate, steps = robustness_eval(policy, spec, scenario, args.n, seed)
     rows = [

@@ -2,18 +2,21 @@
 
 The graph is recorded eagerly: every op returns a new ``Tensor`` holding its
 value, its parents, and a closure that routes the incoming adjoint to the
-parents. ``Tensor.backward`` topologically sorts the graph, zeroes the grads
-of every reachable node, and accumulates adjoints in reverse order. Leaves
-(parameters) keep their ``grad`` arrays for the optimizer to consume.
+parents. An MLP call is one node, whose backward takes the adjoint steps of
+separate matmul, bias-add and activation ops, layer by layer, in their order.
+``backward`` zeroes the groups' parameter grads and every other reachable
+node's except ``const`` leaves, which take no adjoint, then accumulates in
+reverse topological order. Adam updates all parameters from flat buffers.
 
 Everything is float64 and single-threaded; any NaN/Inf raises ``NumericError``
-at the op that produced it instead of propagating.
+at the op that produced it instead of propagating. An MLP node checks once per
+layer, on the pre-activation, not after each matmul, add and activation.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -55,46 +58,19 @@ class Tensor:
         else:
             self.grad.fill(0.0)
 
-    def backward(self) -> None:
-        """Reverse-mode sweep from a scalar node.
-
-        Grads of every node reachable from this one are overwritten (zeroed,
-        then accumulated); parameters not on the graph are untouched, so
-        callers that need exact zeros there should ``zero_grads`` their
-        ParamSets first.
-        """
-        if self.data.size != 1:
-            raise ContractError(
-                f"backward requires a scalar loss, got shape {self.data.shape}"
-            )
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        for node in topo:
-            node.zero_grad()
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._bw is not None:
-                node._bw(node.grad)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
 
 
+class _Const(Tensor):
+    """A leaf whose grad ``backward`` leaves ``None``: it takes no adjoint."""
+
+    __slots__ = ()
+
+
 def _acc(t: Tensor, g: Array) -> None:
-    t.grad += g
+    if t.grad is not None:
+        t.grad += g
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -112,7 +88,7 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 def const(data) -> Tensor:
     """A leaf tensor that never receives gradients (inputs, targets)."""
-    return Tensor(data, _op="const")
+    return _Const(data, _op="const")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -140,38 +116,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor(a.data * c, (a,), _op="scale")
     out._bw = lambda g: _acc(a, g * c)
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b of 2-D operands, or with a stack of S right operands:
-    (B, in) @ (S, in, out) and (S, B, h) @ (S, h, out) give (S, B, out), each
-    slice the 2-D product bit for bit. The backward takes the same per-slice
-    products; a left operand shared by the stack gets their sum in slice
-    order, as S separate products would accumulate it."""
-    ad, bd = a.data, b.data
-    if ad.ndim not in (2, bd.ndim) or bd.ndim not in (2, 3):
-        raise ShapeError(f"matmul expects 2-D operands or a stacked right one, "
-                         f"got {ad.shape} @ {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2] or ad.ndim == 3 and ad.shape[0] != bd.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
-    out = Tensor(ad @ bd, (a, b), _op="matmul")
-    out._bw = lambda g: (_acc(a, _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)),
-                         _acc(b, ad.swapaxes(-1, -2) @ g))
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = Tensor(y, (a,), _op="tanh")
-    out._bw = lambda g: _acc(a, g * (1.0 - y * y))
-    return out
-
-
-def relu(a: Tensor) -> Tensor:
-    y = np.maximum(a.data, 0.0)
-    out = Tensor(y, (a,), _op="relu")
-    out._bw = lambda g: _acc(a, g * (a.data > 0.0))
     return out
 
 
@@ -234,7 +178,11 @@ def softmax_rows(a: Tensor) -> Tensor:
     return out
 
 
-_ACTIVATIONS = {"tanh": (tanh, np.tanh), "relu": (relu, lambda x: np.maximum(x, 0.0))}
+# activation, and its adjoint factor from the pre-activation z and output y
+_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda z, y: 1.0 - y * y),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, y: z > 0.0),
+}
 
 
 @dataclass(frozen=True)
@@ -279,10 +227,6 @@ class ParamSet:
 
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._tensors.items()
-
-    def zero_grads(self) -> None:
-        for t in self._tensors.values():
-            t.zero_grad()
 
     def n_params(self) -> int:
         return sum(t.size for t in self._tensors.values())
@@ -330,22 +274,46 @@ def unstack_params(stack: ParamSet, s: int) -> ParamSet:
 
 
 def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor) -> Tensor:
-    """Recorded forward pass; input shape (batch, input_dim). ``params`` may
-    hold S nets stacked as in ``mlp_infer``: the output is then (S, batch,
-    output_dim), slice s bit-identical to net s alone, and so are the
-    gradients each net receives."""
+    """Recorded forward pass as one graph node; input shape (batch,
+    input_dim). ``params`` may hold S nets stacked as in ``mlp_infer``: the
+    output is then (S, batch, output_dim), slice s bit-identical to net s
+    alone, and so are the gradients each net receives.
+
+    Each layer checks its pre-activation ``h @ W + b`` for NaN/Inf. The
+    backward takes the separate ops' adjoint steps in their order, last layer
+    first: activation factor, bias sum, ``h^T @ g``, then ``g @ W^T`` (not
+    into a ``const`` input)."""
     if x.data.ndim != 2 or x.data.shape[1] != spec.input_dim:
-        raise ShapeError(
-            f"MLP input shape {x.data.shape} does not match input_dim {spec.input_dim}"
-        )
-    act, _ = _ACTIVATIONS[spec.activation]
-    n_layers = len(spec.layer_dims())
-    h = x
-    for i in range(n_layers):
-        h = add(matmul(h, params[f"W{i}"]), params[f"b{i}"])
-        if i < n_layers - 1:
-            h = act(h)
-    return h
+        raise ShapeError(f"MLP input shape {x.data.shape} does not match "
+                         f"input_dim {spec.input_dim}")
+    act, dact = _ACTIVATIONS[spec.activation]
+    last = len(spec.hidden)
+    Ws = [params[f"W{i}"] for i in range(last + 1)]
+    bs = [params[f"b{i}"] for i in range(last + 1)]
+    hs, zs = [x.data], []     # each layer's input and pre-activation
+    for i, W in enumerate(Ws):
+        h, w = hs[-1], W.data
+        if (h.ndim not in (2, w.ndim) or w.ndim not in (2, 3) or h.shape[-1] != w.shape[-2]
+                or h.ndim == 3 and h.shape[0] != w.shape[0]):
+            raise ShapeError(f"MLP layer {i}: input {h.shape} does not fit W {w.shape}")
+        zs.append(h @ w + bs[i].data)
+        if i < last:
+            _check_finite(zs[-1], f"mlp layer {i}")
+            hs.append(act(zs[-1]))
+    out = Tensor(zs[-1], (x, *Ws, *bs), _op=f"mlp layer {last}")
+
+    def bw(g: Array) -> None:
+        for i in range(last, -1, -1):
+            if i < last:
+                g = g * dact(zs[i], hs[i + 1])
+            _acc(bs[i], _unbroadcast(g, bs[i].data.shape))
+            _acc(Ws[i], hs[i].swapaxes(-1, -2) @ g)
+            if i or x.grad is not None:
+                g = _unbroadcast(g @ Ws[i].data.swapaxes(-1, -2), hs[i].shape)
+        _acc(x, g)
+
+    out._bw = bw
+    return out
 
 
 def row_layout(x: Array) -> Array:
@@ -369,7 +337,7 @@ def mlp_infer(params: ParamSet, spec: MlpSpec, x: Array) -> Array:
         raise ShapeError(
             f"MLP input shape {x.shape} does not match input_dim {spec.input_dim}"
         )
-    _, act = _ACTIVATIONS[spec.activation]
+    act, _ = _ACTIVATIONS[spec.activation]
     last = len(spec.hidden)
     row_stacked = x.ndim == 3
     h = x
@@ -388,58 +356,86 @@ ParamGroups = Sequence[tuple[str, ParamSet]]
 
 
 def backward(loss: Tensor, groups: ParamGroups) -> None:
-    """Zero the groups' grads, then backprop the loss into them."""
+    """Backprop a scalar loss into the groups' grads: zero them (parameters
+    off the graph keep exact zeros) and every other non-``const`` node
+    reachable from the loss, then accumulate in reverse topological order."""
+    if loss.data.size != 1:
+        raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    seen: set[int] = set()
     for _, ps in groups:
-        ps.zero_grads()
-    loss.backward()
+        for _, t in ps.items():
+            t.zero_grad()
+            seen.add(id(t))
+    topo: list[Tensor] = []
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            node.zero_grad()
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if id(p) not in seen and type(p) is not _Const)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._bw is not None:
+            node._bw(node.grad)
 
 
 @dataclass
 class OptimState:
-    """Adam moments keyed by 'group/param', shared step counter."""
+    """Adam moments as flat buffers over the groups' parameters in order,
+    scratch buffers of the same size, and the shared step counter."""
 
+    m: Array
+    v: Array
+    g: Array
+    upd: Array
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict[str, Array] = field(default_factory=dict)
-    v: dict[str, Array] = field(default_factory=dict)
 
 
 def adam_init(groups: ParamGroups, lr: float = 1e-3) -> OptimState:
-    state = OptimState(lr=lr)
-    for label, ps in groups:
-        for name, t in ps.items():
-            qual = f"{label}/{name}"
-            state.m[qual] = np.zeros_like(t.data)
-            state.v[qual] = np.zeros_like(t.data)
-    return state
+    n = sum(ps.n_params() for _, ps in groups)
+    return OptimState(*(np.zeros(n) for _ in range(4)), lr=lr)
 
 
 def adam_step(groups: ParamGroups, state: OptimState) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update of every parameter, in place: the
+    per-tensor formula evaluated over the flat buffers."""
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for label, ps in groups:
-        for name, tensor in ps.items():
-            qual = f"{label}/{name}"
-            g = tensor.grad
-            if g is None:
-                raise ContractError(f"gradient not populated for '{qual}'")
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"NaN/Inf gradient for parameter '{qual}'")
-            m = state.m[qual]
-            v = state.v[qual]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            mhat = m / bc1
-            vhat = v / bc2
-            tensor.data -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    tensors = [(f"{label}/{name}", tensor) for label, ps in groups
+               for name, tensor in ps.items()]
+    for qual, tensor in tensors:
+        if tensor.grad is None:
+            raise ContractError(f"gradient not populated for '{qual}'")
+    g, upd, m, v = state.g, state.upd, state.m, state.v
+    np.concatenate([tensor.grad for _, tensor in tensors], axis=None, out=g)
+    if not np.isfinite(g).all():
+        qual = next(q for q, tensor in tensors if not np.isfinite(tensor.grad).all())
+        raise NumericError(f"NaN/Inf gradient for parameter '{qual}'")
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=upd)
+    v *= state.beta2
+    np.multiply(g, 1.0 - state.beta2, out=upd)
+    v += np.multiply(upd, g, out=upd)
+    np.sqrt(np.divide(v, bc2, out=g), out=g)
+    g += state.eps
+    np.divide(m, bc1, out=upd)
+    upd *= state.lr
+    upd /= g
+    off = 0
+    for _, tensor in tensors:
+        tensor.data -= upd[off:off + tensor.size].reshape(tensor.shape)
+        off += tensor.size
 
 
 def finite_diff_grad(

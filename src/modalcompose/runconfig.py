@@ -18,7 +18,7 @@ from .errors import ConfigError
 @dataclass(frozen=True)
 class EnvConfig:
     name: str = "occluded_reach"
-    modalities: tuple[str, ...] = ()   # empty = the env's native modality order
+    modalities: tuple[str, ...] = ()   # must stay empty: the env's native order
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,8 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     for section, updates in sec_updates.items():
         if updates:
             cfg = cfg.with_section(section, **updates)
+    if cfg.env.modalities:
+        raise ConfigError("[env] modalities is not yet supported (ROADMAP item 4)")
     return cfg
 
 

@@ -32,9 +32,22 @@ def test_parse_and_serialize_round_trip():
     cfg = rc.RunConfig()
     cfg = cfg.with_section("train", steps=123, lr=5e-4)
     cfg = cfg.with_section("expert", enc_hidden=(8, 4), noise_band_split=True)
-    cfg = cfg.with_section("env", name="phase_reach", modalities=("wpa", "wpb"))
+    cfg = cfg.with_section("env", name="phase_reach")
+    cfg = cfg.with_section("probe", modalities=("wpa", "wpb"))
     back = rc.parse_config_text(rc.config_text(cfg))
     assert back == cfg
+
+
+def test_env_modalities_is_refused_until_it_selects_streams(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="ROADMAP item 4"):
+        rc.parse_config_text("[env]\nmodalities = vis\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[env]\nmodalities = tac,vis\n[run]\nout = {tmp_path}\n")
+    assert cli_dispatch(["gen-data", "--config", str(cfg), "--n", "1"]) == 1
+    assert "not yet supported" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.mcds"))
+    # the empty default still serializes, so config and model hashes stay put
+    assert "[env]\nname = occluded_reach\nmodalities = \n" in rc.config_text(rc.RunConfig())
 
 
 def test_parse_value_forms():

@@ -174,13 +174,15 @@ def test_denoise_loss_empty_batch_rejected(rng):
 
 
 def test_fit_denoiser_reduces_loss(rng):
-    """A one-matrix linear denoiser trained on a constant dataset improves."""
+    """A one-layer linear denoiser trained on a constant dataset improves."""
     s = df.make_schedule()
+    spec = nc.MlpSpec(2, (), 2)
     ps = nc.ParamSet()
-    ps.add("W", np.zeros((2, 2)))
+    ps.add("W0", np.zeros((2, 2)))
+    ps.add("b0", np.zeros(2))
 
     def score(a_k, cond, ks):
-        return nc.matmul(nc.const(a_k), ps["W"])
+        return nc.mlp_forward(ps, spec, nc.const(a_k))
 
     a_rows = np.tile([0.5, -0.5], (32, 1))
     cond_rows = np.zeros((32, 1))

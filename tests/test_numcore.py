@@ -32,25 +32,35 @@ def test_add_mul_broadcast_backward(rng):
 def test_matmul_backward_matches_manual(rng):
     a = nc.Tensor(rng.normal(size=(5, 4)))
     w = nc.Tensor(rng.normal(size=(4, 3)))
-    y = nc.sumall(nc.matmul(a, w))
-    nc.backward(y, [("p", _as_paramset(a=a, w=w))])
+    ps = _as_paramset(W0=w, b0=nc.Tensor(np.zeros(3)))
+    y = nc.sumall(nc.mlp_forward(ps, nc.MlpSpec(4, (), 3), a))
+    nc.backward(y, [("p", ps), ("in", _as_paramset(a=a))])
     ones = np.ones((5, 3))
     assert np.allclose(a.grad, ones @ w.data.T, atol=1e-12)
     assert np.allclose(w.grad, a.data.T @ ones, atol=1e-12)
 
 
+def _unit_net(act):
+    """A 1 -> 1 -> 1 net with unit weights and zero biases: act(x) per row."""
+    ps = _as_paramset(W0=nc.Tensor(np.ones((1, 1))), b0=nc.Tensor(np.zeros(1)),
+                      W1=nc.Tensor(np.ones((1, 1))), b1=nc.Tensor(np.zeros(1)))
+    return ps, nc.MlpSpec(1, (1,), 1, activation=act)
+
+
 def test_tanh_relu_values_and_grads(rng):
-    x = nc.Tensor(rng.normal(size=(6,)))
-    t = nc.tanh(x)
+    ps, spec = _unit_net("tanh")
+    x = nc.Tensor(rng.normal(size=(6, 1)))
+    t = nc.mlp_forward(ps, spec, x)
     assert np.allclose(t.data, np.tanh(x.data))
-    nc.backward(nc.sumall(t), [("p", _as_paramset(x=x))])
+    nc.backward(nc.sumall(t), [("net", ps), ("p", _as_paramset(x=x))])
     assert np.allclose(x.grad, 1.0 - np.tanh(x.data) ** 2, atol=1e-12)
 
-    x2 = nc.Tensor(np.array([-2.0, -0.5, 0.5, 3.0]))
-    r = nc.relu(x2)
-    assert np.allclose(r.data, [0.0, 0.0, 0.5, 3.0])
-    nc.backward(nc.sumall(r), [("p", _as_paramset(x=x2))])
-    assert np.allclose(x2.grad, [0.0, 0.0, 1.0, 1.0])
+    ps, spec = _unit_net("relu")
+    x2 = nc.Tensor(np.array([[-2.0], [-0.5], [0.5], [3.0]]))
+    r = nc.mlp_forward(ps, spec, x2)
+    assert np.allclose(r.data[:, 0], [0.0, 0.0, 0.5, 3.0])
+    nc.backward(nc.sumall(r), [("net", ps), ("p", _as_paramset(x=x2))])
+    assert np.allclose(x2.grad[:, 0], [0.0, 0.0, 1.0, 1.0])
 
 
 def test_softmax_rows_is_rowwise_distribution(rng):
@@ -118,7 +128,8 @@ def test_shape_mismatch_raises(rng):
     a = nc.Tensor(rng.normal(size=(3, 2)))
     w = nc.Tensor(rng.normal(size=(3, 2)))
     with pytest.raises(ShapeError):
-        nc.matmul(a, w)
+        nc.mlp_forward(_as_paramset(W0=w, b0=nc.Tensor(np.zeros(2))),
+                       nc.MlpSpec(2, (), 2), a)
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +332,18 @@ def test_mlp_backward_grads_are_pinned(act, n_stack):
 
 def test_stacked_matmul_shape_errors(rng):
     w = nc.Tensor(rng.normal(size=(2, 3, 4)))
+    stacked = _as_paramset(W0=w, b0=nc.Tensor(np.zeros((2, 1, 4))))
+    spec = nc.MlpSpec(3, (), 4)
     for a in (rng.normal(size=(5, 2)), rng.normal(size=(3, 5, 3)),
               rng.normal(size=(5,)), rng.normal(size=(1, 2, 5, 3))):
         with pytest.raises(ShapeError):
-            nc.matmul(nc.Tensor(a), w)
-    with pytest.raises(ShapeError):
-        nc.matmul(nc.Tensor(rng.normal(size=(2, 5, 3))), nc.Tensor(rng.normal(size=(3, 4))))
+            nc.mlp_forward(stacked, spec, nc.Tensor(a))
+    # a stacked hidden layer feeding a 2-D or differently stacked one
+    for w1 in (rng.normal(size=(4, 1)), rng.normal(size=(3, 4, 1))):
+        ps = _as_paramset(W0=w, b0=nc.Tensor(np.zeros((2, 1, 4))), W1=nc.Tensor(w1),
+                          b1=nc.Tensor(np.zeros(1)))
+        with pytest.raises(ShapeError):
+            nc.mlp_forward(ps, nc.MlpSpec(3, (4,), 1), nc.Tensor(rng.normal(size=(5, 3))))
 
 
 def test_stack_and_unstack_round_trip(rng):
@@ -381,6 +398,50 @@ def test_adam_missing_grad_raises(rng):
     state = nc.adam_init([("g", ps)], lr=0.01)
     with pytest.raises(ContractError):
         nc.adam_step([("g", ps)], state)
+
+
+def test_adam_flat_update_matches_per_tensor_reference(rng):
+    """Three steps over two groups of mixed shapes, one of them a stacked
+    (S, in, out) weight, give exactly the per-tensor formula's bytes."""
+    shapes = {"a": {"W0": (2, 3, 4), "b0": (2, 1, 4)}, "b": {"w": (5,), "m": (3, 2)}}
+    groups = []
+    for label, named in shapes.items():
+        ps = nc.ParamSet()
+        for name, shape in named.items():
+            ps.add(name, rng.normal(size=shape))
+        groups.append((label, ps))
+    ref = {f"{label}/{name}": [t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)]
+           for label, ps in groups for name, t in ps.items()}
+    state = nc.adam_init(groups, lr=0.01)
+    for step in range(1, 4):
+        for label, ps in groups:
+            for name, t in ps.items():
+                t.grad = rng.normal(size=t.shape)
+                w, m, v = ref[f"{label}/{name}"]
+                m *= 0.9
+                m += (1.0 - 0.9) * t.grad
+                v *= 0.999
+                v += (1.0 - 0.999) * t.grad * t.grad
+                w -= 0.01 * (m / (1.0 - 0.9 ** step)) / (
+                    np.sqrt(v / (1.0 - 0.999 ** step)) + 1e-8)
+        nc.adam_step(groups, state)
+    for label, ps in groups:
+        for name, t in ps.items():
+            assert np.array_equal(t.data, ref[f"{label}/{name}"][0]), name
+
+
+@pytest.mark.parametrize("group,name", [(0, "b0"), (1, "W0")])
+def test_adam_nonfinite_grad_names_the_parameter(rng, group, name):
+    groups = [("enc", nc.ParamSet()), ("sub", nc.ParamSet())]
+    for _, ps in groups:
+        for pname in ("W0", "b0"):
+            ps.add(pname, rng.normal(size=(2, 3)))
+            ps[pname].grad = rng.normal(size=(2, 3))
+    label, ps = groups[group]
+    ps[name].grad[1, 2] = np.nan
+    state = nc.adam_init(groups)
+    with pytest.raises(NumericError, match=f"'{label}/{name}'"):
+        nc.adam_step(groups, state)
 
 
 def test_paramset_checksum_tracks_values(rng):

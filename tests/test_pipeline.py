@@ -199,6 +199,26 @@ def test_manifest_with_fixed_weights(tmp_path):
     assert np.allclose(policy.fixed_w, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("command", [("eval",), ("robust", "--scenario", "reposition")])
+def test_eval_and_robust_read_the_run_section_of_config(tmp_path, command):
+    """Without --seed and --n, both commands take [run] seed (and eval
+    [run] eval_n) from --config; without --config, seed 0."""
+    _, written = trained_paths(tmp_path, methods=("expert:vis",))
+    man = tmp_path / "vis.txt"
+    pl.write_manifest(man, env_name="occluded_reach",
+                      expert_paths=[written["expert:vis"].name], weights=[1.0])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nseed = 5\neval_n = 2\n")
+    n = [] if command[0] == "eval" else ["--n", "2"]
+    csvs = []
+    for extra in (["--config", str(cfg), *n], ["--seed", "5", "--n", "2"], ["--n", "2"]):
+        out = tmp_path / f"{len(csvs)}.csv"
+        assert cli_dispatch([*command, "--manifest", str(man), "--out", str(out), *extra]) == 0
+        csvs.append(out)
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()
+    assert {row["seed"] for row in pl.read_metrics_csv(csvs[2])} == {0}
+
+
 @pytest.mark.parametrize("weights, error", [("half,0.5", FormatError), ("0.5,", FormatError),
                                             ("nan,0.5", ContractError)])
 def test_manifest_rejects_bad_weights(tmp_path, weights, error):
