@@ -210,6 +210,10 @@ def perturb_importance(policy, spec: EnvSpec, episode_seed: int,
         if m not in sigmas:
             raise ContractError(f"no sigma provided for modality {m!r}")
     scales = {m: np.asarray(sigmas[m], dtype=np.float64) for m in probed}
+    for m, s in scales.items():
+        if s.shape not in ((), (dims[m],)) or not np.all(np.isfinite(s) & (s >= 0.0)):
+            raise ContractError(f"sigma for modality {m!r} must be a scalar or of "
+                                f"shape ({dims[m]},), finite and >= 0, got {sigmas[m]!r}")
     raw = {m: [] for m in probed}
 
     def act(seen, rng):

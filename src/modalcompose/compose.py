@@ -20,7 +20,8 @@ from . import numcore as nc
 from .diffusion import NoiseSchedule, ddpm_sample, fit_denoiser, make_schedule
 from .envs import ActionStats, Observation
 from .errors import ConfigError, ContractError
-from .experts import TIMESTEP_DIM, ModalityExpert, timestep_features, timestep_rows
+from .experts import (TIMESTEP_DIM, ModalityExpert, score_input, stacked_scores,
+                      timestep_features)
 from .router import Router, apply_strategy, check_weights, softmax
 
 
@@ -58,9 +59,16 @@ class ComposedPolicy(_RowSampler):
     strategy: str = "soft"
 
     def __post_init__(self):
-        modes = {ex.sigma_mode for ex in self.experts}
-        if len(modes) > 1:
-            raise ContractError(f"experts differ in sigma_mode: {sorted(modes)}")
+        """The experts sample as one stack, on this schedule and chunk width."""
+        for key in ("sigma_mode", "sub_spec", "n_sub", "noise_band_split"):
+            vals = [getattr(ex, key) for ex in self.experts]
+            if any(v != vals[0] for v in vals):
+                raise ContractError(f"experts differ in {key}: {vals}")
+        want = (self.sched.K, self.stats.chunk_dim)
+        for ex in self.experts:
+            if (ex.n_steps, ex.action_dim) != want:
+                raise ContractError(f"expert '{ex.modality}' has (denoising steps, action "
+                                    f"dim) {(ex.n_steps, ex.action_dim)}, not {want}")
 
     @property
     def sigma_mode(self) -> str:
@@ -96,20 +104,18 @@ class ComposedPolicy(_RowSampler):
 
     def score_provider(self, obs_rows):
         """The consensus score provider over these observations' rows: the
-        weighted sum of the expert scores. An expert no row weights is
-        skipped, so a one-hot weight reproduces one expert bit for bit; on a
-        row that weights it zero among others, its term is a zero that
-        changes no sum but the sign of an exact zero."""
+        weighted sum of the expert scores, one stacked score per step. An
+        expert no row weights is left out, so a one-hot weight reproduces one
+        expert bit for bit; on a row that weights it zero among others, its
+        term is a zero that changes no sum but the sign of an exact zero."""
         w, embs = self._consensus(obs_rows)
-        terms = [(nc.row_layout(w[:, i:i + 1]), ex, e)
-                 for i, (ex, e) in enumerate(zip(self.experts, embs)) if w[:, i].any()]
+        keep = w.any(axis=0).nonzero()[0]
+        scores = stacked_scores([self.experts[i] for i in keep], [embs[i] for i in keep])
+        wk = nc.row_layout(w.T[keep, :, None])
 
         def score(a_k, _cond, k):
-            total = None
-            for wi, ex, e in terms:
-                term = wi * ex.score_rows(a_k, e, k)
-                total = term if total is None else total + term
-            return total
+            terms = scores(a_k, k) * wk
+            return sum(terms[1:], terms[0])
 
         return score
 
@@ -130,11 +136,6 @@ def compose_policy(experts: list[ModalityExpert], router: Router, strategy: str,
     if router.emb_dims != emb_dims:
         raise ContractError(f"router embedding dims {router.emb_dims} != expert "
                             f"embedding dims {emb_dims}")
-    for ex in experts:
-        if ex.action_dim != stats.chunk_dim:
-            raise ContractError(
-                f"expert '{ex.modality}' action dim {ex.action_dim} != {stats.chunk_dim}"
-            )
     return ComposedPolicy(experts=experts, sched=sched, stats=stats,
                           router=router, strategy=strategy)
 
@@ -227,11 +228,11 @@ class _FusionPolicy(_RowSampler):
         return self.bank.param_groups() + [("score", self.score_params)]
 
     def score_provider(self, obs_rows):
-        cond = self._cond(self.bank.embed(obs_rows))
+        rows_at = score_input(self._cond(self.bank.embed(obs_rows)),
+                              self.score_spec.output_dim, self.sched.K)
 
         def score(a_k, _cond, k):
-            x = np.concatenate([a_k, cond, timestep_rows(k, self.sched.K, a_k)], axis=-1)
-            return nc.mlp_infer(self.score_params, self.score_spec, x)
+            return nc.mlp_infer(self.score_params, self.score_spec, rows_at(a_k, k))
 
         return score
 

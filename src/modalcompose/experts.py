@@ -8,19 +8,19 @@ band-split option, the single sub-policy responsible for the current
 denoising band). Embedding = encoder(modality reading) concatenated with
 robot state.
 
-The score has one numpy form, ``encode_rows`` then ``score_rows``, which
-sampling, routing and analysis share, and one graph form for training,
+The score has one numpy form, ``encode_rows`` then ``stacked_scores`` of one
+or more experts (``score_rows`` for one), and one graph form for training,
 ``_expert_score_graph``, which the expert and the joint router both use.
 
 Storage: an expert keeps its sub-policies as one stacked ``ParamSet``, one
 array per tensor name with the sub-policy on the leading axis (``W_i`` of
 shape (n_sub, in, out), ``b_i`` of shape (n_sub, 1, out)), and one spec they
 share. Training, Adam, joint router fine-tuning, checkpoints and inference
-all use that one form. ``score_rows`` scores every sub-policy with one
-``mlp_infer`` call and ``_expert_score_graph`` with one ``mlp_forward`` call;
-each slice is bit-identical to that sub-policy's own call, and both average
-the slices in sub-policy order, dividing the sum by ``n_sub``, or take each
-row's band owner.
+all use that one form. ``stacked_scores`` scores every sub-policy of E
+experts with one ``mlp_infer`` call, ``_expert_score_graph`` one expert's with
+one ``mlp_forward`` call; each slice is bit-identical to that sub-policy's own
+call, and both average the slices in sub-policy order, dividing the sum by
+``n_sub``, or take each row's band owner.
 """
 
 from __future__ import annotations
@@ -76,14 +76,21 @@ def timestep_features(k, n_steps: int) -> np.ndarray:
     return table[karr - 1]
 
 
-def timestep_rows(ks, n_steps: int, rows: np.ndarray) -> np.ndarray:
-    """timestep_features of ks as rows in the layout of ``rows``: an int k
-    gives the same row for every one."""
-    feats = timestep_features(ks, n_steps)
-    if feats.ndim > 1:
-        return feats
-    feats = feats[(None,) * (rows.ndim - 1)]
-    return feats if rows.shape[0] == 1 else feats.repeat(rows.shape[0], axis=0)
+def score_input(cond: np.ndarray, action_dim: int, n_steps: int):
+    """``rows_at(a_k, k)``: one buffer of score-net rows [a_k, cond, timestep
+    features] for one action, cond written once. Each call writes a_k and
+    step k's feature rows (one row for an int k) and returns the buffer."""
+    buf = np.empty(cond.shape[:-1] + (action_dim + cond.shape[-1] + TIMESTEP_DIM,))
+    buf[..., action_dim:-TIMESTEP_DIM] = cond
+
+    def rows_at(a_k: np.ndarray, k) -> np.ndarray:
+        if a_k.shape != buf.shape[-a_k.ndim:-1] + (action_dim,):
+            raise ShapeError(f"action rows {a_k.shape} do not fit score rows {buf.shape}")
+        buf[..., :action_dim] = a_k
+        buf[..., -TIMESTEP_DIM:] = timestep_features(k, n_steps)
+        return buf
+
+    return rows_at
 
 
 @dataclass
@@ -142,21 +149,27 @@ class ModalityExpert:
         return np.concatenate([code, rs_rows], axis=-1)
 
     def score_rows(self, a_rows: np.ndarray, emb_rows: np.ndarray, ks) -> np.ndarray:
-        """Batched intra-composed score in the rows' layout; ks is an int or
-        an int array.
+        """The one-expert case of ``stacked_scores``; ks is an int or int array."""
+        return stacked_scores([self], [emb_rows])(a_rows, ks)[0]
 
-        One stacked mlp_infer call scores every sub-policy; without band
-        split the slices are averaged in sub-policy order, with it each row
-        takes the slice of its band's sub-policy.
-        """
-        n = a_rows.shape[0]
-        x = np.concatenate([a_rows, emb_rows, timestep_rows(ks, self.n_steps, a_rows)],
-                           axis=-1)
-        out = nc.mlp_infer(self.subs, self.sub_spec, x)
-        if not self.noise_band_split:
-            return sum(out[1:], out[0]) / self.n_sub
-        owner = _band_owner(np.broadcast_to(np.asarray(ks), (n,)), self.n_steps, self.n_sub)
-        return out[owner, np.arange(n)]
+
+def stacked_scores(experts: list[ModalityExpert], embs: list[np.ndarray]):
+    """``scores(a_k, ks)``: E experts' scores (E, rows..., action_dim) from one
+    ``mlp_infer`` of their stacks (E, n_sub, in, out) over an (E, 1, rows...,
+    in) buffer of their embedding rows ``embs``. They share one sub_spec,
+    n_sub, n_steps and band split. Built per call, so weight edits are seen."""
+    ex, n = experts[0], experts[0].n_sub
+    subs = {name: np.array([e.subs[name].data for e in experts]) for name in ex.subs.names()}
+    rows_at = score_input(np.array(embs)[:, None], ex.action_dim, ex.n_steps)
+
+    def scores(a_k: np.ndarray, ks) -> np.ndarray:
+        out = nc.mlp_infer(subs, ex.sub_spec, rows_at(a_k, ks))
+        if not ex.noise_band_split:
+            return sum(out.swapaxes(0, 1)[1:], out[:, 0]) / n
+        owner = _band_owner(np.broadcast_to(ks, a_k.shape[:1]), ex.n_steps, n)
+        return out[:, owner, np.arange(len(owner))]
+
+    return scores
 
 
 def _band_owner(ks, n_steps: int, n_sub: int):

@@ -181,7 +181,7 @@ def softmax_rows(a: Tensor) -> Tensor:
 # activation, and its adjoint factor from the pre-activation z and output y
 _ACTIVATIONS = {
     "tanh": (np.tanh, lambda z, y: 1.0 - y * y),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z, y: z > 0.0),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda z, y: z > 0.0),
 }
 
 
@@ -323,31 +323,33 @@ def row_layout(x: Array) -> Array:
     return x if x.shape[-2] == 1 else x[..., None, :]
 
 
-def mlp_infer(params: ParamSet, spec: MlpSpec, x: Array) -> Array:
-    """Plain numpy forward pass for frozen parameters (no graph).
+def mlp_infer(params: ParamSet | dict[str, Array], spec: MlpSpec, x: Array) -> Array:
+    """Forward pass of frozen parameters, a ParamSet or a dict of its arrays.
 
     ``x`` is (B, in) rows for one gemm, or row-stacked (B, 1, in) rows (see
-    ``row_layout``). ``params`` may hold S nets of one spec stacked along a
-    leading axis, weights ``(S, in, out)`` and biases ``(S, 1, out)``: the
-    result then gains a leading S axis, slice s bit-identical to a call with
-    net s alone.
-    """
-    if x.shape[-1] != spec.input_dim or not (
-            x.ndim == 2 or x.ndim == 3 and x.shape[1] == 1):
-        raise ShapeError(
-            f"MLP input shape {x.shape} does not match input_dim {spec.input_dim}"
-        )
+    ``row_layout``), after one axis per leading stack axis of the weights,
+    ``(*S, in, out)`` with biases ``(*S, 1, out)``, broadcasting against S.
+    Each slice of the result is bit-identical to its net alone on its rows.
+    Layers run in place, ``h = h @ W; h += b; act(h, out=h)``, which gives
+    the bits of ``act(h @ W + b)`` and never writes ``x``."""
+    get = (lambda n: params[n].data) if isinstance(params, ParamSet) else params.get
+    n_stack = get("W0").ndim - 2
+    row_axes = x.ndim - n_stack - 1
+    if x.shape[-1] != spec.input_dim or row_axes not in (1, 2) or (
+            row_axes == 2 and x.shape[-2] != 1):
+        raise ShapeError(f"MLP input shape {x.shape} does not match input_dim "
+                         f"{spec.input_dim} and {n_stack} stack axes")
     act, _ = _ACTIVATIONS[spec.activation]
     last = len(spec.hidden)
-    row_stacked = x.ndim == 3
     h = x
     for i in range(last + 1):
-        W, b = params[f"W{i}"].data, params[f"b{i}"].data
-        if row_stacked and W.ndim == 3:
-            W, b = W[:, None], b[:, None]
-        h = h @ W + b
+        W, b = get(f"W{i}"), get(f"b{i}")
+        if row_axes == 2 and n_stack:
+            W, b = W[..., None, :, :], b[..., None, :, :]
+        h = h @ W
+        h += b
         if i < last:
-            h = act(h)
+            act(h, out=h)
     _check_finite(h, "mlp_infer")
     return h
 

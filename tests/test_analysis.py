@@ -251,6 +251,26 @@ def test_probe_validation():
         an.perturb_importance(Follower(), spec, 1, ProbeConfig(), {"vis": np.ones(5)})
 
 
+@pytest.mark.parametrize("bad", [np.ones(2), np.ones((1, 5)), np.full(5, np.nan),
+                                 np.array([0.1, 0.1, np.inf, 0.1, 0.1]), -0.1,
+                                 np.array([0.1, -0.1, 0.1, 0.1, 0.1]), None])
+def test_probe_refuses_bad_sigmas(bad):
+    """A sigma is a scalar or one scale per coordinate, finite and >= 0;
+    anything else is refused before any step runs, not as a broadcast error
+    mid-episode or a NaN importance."""
+    spec = make_env_spec("occluded_reach")
+    sigmas = dict(sigmas_for(spec), vis=bad)
+    with pytest.raises(ContractError, match="sigma for modality 'vis'"):
+        an.perturb_importance(Follower(), spec, 1, ProbeConfig(), sigmas)
+
+
+def test_probe_takes_scalar_and_zero_sigmas():
+    spec = make_env_spec("occluded_reach")
+    trace = an.perturb_importance(Follower(), spec, 1, ProbeConfig(),
+                                  dict(sigmas_for(spec), vis=0.0))
+    assert trace.sigmas["vis"].shape == ()
+
+
 @pytest.mark.parametrize("knobs", [dict(draws=0), dict(draws=-2), dict(ema_alpha=0.0),
                                    dict(ema_alpha=-0.1), dict(ema_alpha=1.5),
                                    dict(ema_alpha=float("nan"))])

@@ -88,18 +88,21 @@ def test_traced_names_see_sampling(tracer):
     policy = cp.compose_policy(experts, router, "soft", make_schedule(), stats)
     _, obs = env_reset(make_env_spec("occluded_reach"), stream(1, TAG_EVAL, 0))
     policy.act(obs, stream(1, TAG_ACT, 0, 0))
-    # 2 encoders, 1 router, 2 stacked expert scores at each of 50 steps
+    # 2 encoders, 1 router, 1 score of both experts' stacks at each of 50 steps
     assert calls(tracer, "compose.act.learned") == 1
     assert calls(tracer, "diffusion.ddpm_sample") == 1
     assert calls(tracer, "experts.encode_rows") == 2
     assert calls(tracer, "router.weights_rows") == 1
-    assert calls(tracer, "experts.score_rows") == 100
-    assert calls(tracer, "numcore.mlp_infer") == 103
-    assert tracer.counts_of("main")["mlp_infer.rows"] == 103
-    # B rows in one call: rows on axis 0 of every mlp_infer input
+    assert calls(tracer, "experts.score_rows") == 0
+    assert calls(tracer, "numcore.mlp_infer") == 53
+    # the tracer reads rows from axis 0 of every mlp_infer input, which is
+    # the expert axis (2) of a stacked score
+    assert tracer.counts_of("main")["mlp_infer.rows"] == 3 + 2 * 50
+    # B rows in one call: rows on axis 0 of the encoder and router inputs
     policy.act_rows([obs] * 3, [stream(1, TAG_ACT, 0, t) for t in range(3)])
-    assert calls(tracer, "numcore.mlp_infer") == 206
-    assert tracer.counts_of("main")["mlp_infer.rows"] == 103 + 3 * 103
+    assert calls(tracer, "numcore.mlp_infer") == 53 + 53
+    assert calls(tracer, "experts.score_rows") == 0
+    assert tracer.counts_of("main")["mlp_infer.rows"] == 103 + 3 * 3 + 2 * 50
     ds = constant_action_dataset([0.1, 0.2])
     for kind, trainer in (("concat", cp.train_concat_policy), ("moe", cp.train_moe_policy)):
         trainer(ds, cfg, g).act(obs, stream(1, TAG_ACT, 0, 0))

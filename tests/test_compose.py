@@ -160,6 +160,32 @@ def test_compose_policy_order_and_dim_checks(rng):
         cp.compose_policy(experts, router, "soft", sched, wide)
 
 
+@pytest.mark.parametrize("key, knobs", [("sub_spec", dict(sub_hidden=(16,))),
+                                         ("sub_spec", dict(activation="relu")),
+                                         ("n_sub", dict(n_sub=3)),
+                                         ("noise_band_split", dict(noise_band_split=True))])
+def test_composed_policy_refuses_experts_that_do_not_stack(rng, key, knobs):
+    """Every expert's sub-policies score as one stack, so they share one
+    spec, n_sub and band split."""
+    cfg = small_cfg().with_section("expert", **knobs)
+    odd = xp.init_expert("tac", 3, 2, 2, cfg, rng)
+    stats = constant_action_dataset(np.array([0.1, 0.2])).stats()
+    with pytest.raises(ContractError, match=f"experts differ in {key}"):
+        cp.manual_compose([fresh_experts()[0], odd], [0.5, 0.5], make_schedule(), stats)
+
+
+def test_composed_policy_refuses_other_schedule_or_action_width(rng):
+    """An expert trained for 50 steps would sample a 10-step schedule with the
+    wrong timestep features, and a wider chunk would fail only at act()."""
+    ex = fresh_experts()[0]
+    stats = constant_action_dataset(np.array([0.1, 0.2])).stats()
+    with pytest.raises(ContractError, match=r"\(50, 2\), not \(10, 2\)"):
+        cp.single_expert_policy(ex, make_schedule(10), stats)
+    wide = constant_action_dataset(np.array([0.1, 0.2, 0.3])).stats()
+    with pytest.raises(ContractError, match=r"\(50, 2\), not \(50, 3\)"):
+        cp.single_expert_policy(ex, make_schedule(), wide)
+
+
 def test_weights_for_applies_strategy(rng):
     experts = fresh_experts()
     sched = make_schedule()

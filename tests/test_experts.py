@@ -147,6 +147,48 @@ def test_training_graph_scores_as_score_rows(rng, n_sub, band):
     assert np.array_equal(graph.data, ex.score_rows(a, emb.data, ks))
 
 
+def per_sub_oracle(ex, a, e, ks):
+    """score_rows written out: each sub-policy net alone on concatenated
+    [a, e, features] rows, averaged in order or taken from the band owner."""
+    n = a.shape[0]
+    feats = xp.timestep_features(np.broadcast_to(ks, (n,)), ex.n_steps)
+    x = np.concatenate([a, e, feats.reshape(a.shape[:-1] + (-1,))], axis=-1)
+    outs = [nc.mlp_infer(nc.unstack_params(ex.subs, j), ex.sub_spec, x)
+            for j in range(ex.n_sub)]
+    if ex.noise_band_split:
+        owner = xp._band_owner(np.broadcast_to(ks, (n,)), ex.n_steps, ex.n_sub)
+        return np.array([outs[o][r] for r, o in enumerate(owner)])
+    total = outs[0]
+    for o in outs[1:]:
+        total = total + o
+    return total / ex.n_sub
+
+
+@pytest.mark.parametrize("act", ["tanh", "relu"])
+@pytest.mark.parametrize("band", [False, True])
+@pytest.mark.parametrize("n_sub", [1, 3])
+@pytest.mark.parametrize("n_exp", [1, 2, 3])
+def test_stacked_scores_are_each_expert_alone(rng, n_exp, n_sub, band, act):
+    """One stacked mlp_infer call scores E experts, each bit for bit as its
+    own score_rows and as its sub-policy nets one at a time: on 64 2-D rows
+    with a k per row, and on B row-stacked rows at one k of either band."""
+    cfg = small_cfg(n_sub=n_sub, band=band).with_section("expert", activation=act)
+    experts = [xp.init_expert(m, d, 2, 2, cfg, rng)
+               for m, d in (("vis", 5), ("tac", 3), ("aud", 4))[:n_exp]]
+    cases = [(64, rng.integers(1, 51, size=64), False)]
+    cases += [(b, k, True) for b in (1, 3, 7) for k in (50, 25)]
+    for n, ks, row_stacked in cases:
+        lay = nc.row_layout if row_stacked else np.asarray
+        a = lay(rng.normal(size=(n, 2)))
+        embs = [ex.encode_rows(lay(rng.normal(size=(n, ex.modality_dim))),
+                               lay(rng.normal(size=(n, 2)))) for ex in experts]
+        got = xp.stacked_scores(experts, embs)(a, ks)
+        assert got.shape == (n_exp,) + a.shape
+        for ex, e, g in zip(experts, embs, got):
+            assert np.array_equal(g, ex.score_rows(a, e, ks))
+            assert np.array_equal(g, per_sub_oracle(ex, a, e, ks))
+
+
 def test_expert_param_count(rng):
     ex = make_expert(rng)
     # encoder 5->16->8 plus two sub nets (2+10+16)->32->2

@@ -213,6 +213,42 @@ def stacked_nets(rng, spec, n):
     return nets
 
 
+@pytest.mark.parametrize("act", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
+def test_mlp_infer_stack_axes_slices_and_untouched_input(rng, hidden, act):
+    """Nets stacked on one or two leading axes: every slice of the result is
+    that net alone on its rows, bit for bit, in the 2-D and the row-stacked
+    layout, and the net alone gives the bits of act(h @ W + b) layer by
+    layer. The input is never written, although the layers run in place."""
+    spec = nc.MlpSpec(3, hidden, 2, activation=act)
+    nets = stacked_nets(rng, spec, 6)
+    flat = nc.stack_params(nets)
+    two = {name: t.data.reshape((2, 3) + t.data.shape[1:]) for name, t in flat.items()}
+    fn = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0)}[act]
+    for x in (rng.normal(size=(5, 3)), nc.row_layout(rng.normal(size=(5, 3))),
+              rng.normal(size=(1, 3))):
+        keep = x.copy()
+        alone = [nc.mlp_infer(net, spec, x) for net in nets]
+        manual = x
+        for i in range(len(hidden) + 1):
+            manual = manual @ nets[0][f"W{i}"].data + nets[0][f"b{i}"].data
+            manual = fn(manual) if i < len(hidden) else manual
+        assert np.array_equal(alone[0], manual)
+        per_net = np.array([x + s for s in range(6)])   # each net its own rows
+        for params, lead in ((flat, (6,)), (two, (2, 3))):
+            out = nc.mlp_infer(params, spec, x.reshape((1,) * len(lead) + x.shape))
+            assert out.shape == lead + alone[0].shape
+            assert np.array_equal(out.reshape((6,) + alone[0].shape), np.array(alone))
+            out = nc.mlp_infer(params, spec, per_net.reshape(lead + x.shape))
+            for s, net in enumerate(nets):
+                assert np.array_equal(out.reshape((6,) + alone[0].shape)[s],
+                                      nc.mlp_infer(net, spec, per_net[s]))
+        assert np.array_equal(x, keep)
+    for params in (flat, two):
+        with pytest.raises(ShapeError):   # 2-D rows without the stack axes
+            nc.mlp_infer(params, spec, rng.normal(size=(5, 3)))
+
+
 @pytest.mark.parametrize("band", [False, True])
 def test_stacked_mlp_forward_is_each_net_alone(rng, band):
     """Every slice of the stacked forward, and every net's gradients, equal
