@@ -62,12 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="modality-importance traces")
     common(p)
-    p.add_argument("--manifest", required=True)
+    p.add_argument("--manifest", required=True, help="manifest or checkpoint path")
     p.add_argument("--n", type=int, default=20, help="episodes to trace")
 
     p = sub.add_parser("robust", help="robustness scenario evaluation")
     common(p)
-    p.add_argument("--manifest", required=True)
+    p.add_argument("--manifest", required=True, help="manifest or checkpoint path")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--scenario", required=True,
                    help="teleport@<step> | reposition | "
@@ -205,10 +205,10 @@ def _cmd_analyze(args) -> int:
     # --seed picks the probe episodes; the dataset (for sigma calibration)
     # stays whatever the config names
     cfg = load_config(args.config) if args.config else RunConfig()
-    policy, meta = load_manifest(args.manifest)
+    policy, _, env = pipeline._policy_from_path(args.manifest)
     dataset, _ = pipeline._load_dataset(cfg)
     sigmas = probe_sigmas(dataset, cfg.probe.sigma_scale)
-    spec = make_env_spec(meta["env"])
+    spec = make_env_spec(env)
     out = Path(args.out or "traces")
     out.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else cfg.run.seed
@@ -221,20 +221,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_robust(args) -> int:
-    policy, meta = load_manifest(args.manifest)
-    spec = make_env_spec(meta["env"])
+    policy, label, env = pipeline._policy_from_path(args.manifest)
+    method = "composed" if label == "manual" else label   # every manifest's rows say "composed"
+    spec = make_env_spec(env)
     scenario = _parse_scenario(args.scenario)
     seed = _load_cfg(args).run.seed
-    base_rate, base_steps = robustness_eval(policy, spec, None, args.n, seed)
-    rate, steps = robustness_eval(policy, spec, scenario, args.n, seed)
-    rows = [
-        {"task": f"{spec.name}[none]", "method": "composed",
-         "success_rate": base_rate, "mean_steps": base_steps,
-         "param_count": policy.n_params(), "seed": seed},
-        {"task": f"{spec.name}[{args.scenario}]", "method": "composed",
-         "success_rate": rate, "mean_steps": steps,
-         "param_count": policy.n_params(), "seed": seed},
-    ]
+    rows = []
+    for name, sc in (("none", None), (args.scenario, scenario)):
+        rate, steps = robustness_eval(policy, spec, sc, args.n, seed)
+        rows.append({"task": f"{spec.name}[{name}]", "method": method, "success_rate": rate,
+                     "mean_steps": steps, "param_count": policy.n_params(), "seed": seed})
     out = args.out or "robust.csv"
     write_metrics_csv(out, rows)
     for row in rows:

@@ -112,12 +112,7 @@ class ComposedPolicy(_RowSampler):
         keep = w.any(axis=0).nonzero()[0]
         scores = stacked_scores([self.experts[i] for i in keep], [embs[i] for i in keep])
         wk = nc.row_layout(w.T[keep, :, None])
-
-        def score(a_k, _cond, k):
-            terms = scores(a_k, k) * wk
-            return sum(terms[1:], terms[0])
-
-        return score
+        return lambda a_k, _cond, k: np.add.reduce(scores(a_k, k) * wk, axis=0)
 
     def act(self, obs: Observation, rng: np.random.Generator) -> np.ndarray:
         """One denoised, denormalized action chunk for this observation."""

@@ -26,12 +26,14 @@ class NoiseSchedule:
     betas: np.ndarray        # (K,) beta_k at index k-1
     alphas: np.ndarray       # 1 - beta
     alpha_bars: np.ndarray   # cumprod of alphas
+    sqrt_abs: np.ndarray     # sqrt(alpha_bars), tabled once
+    sqrt_one_minus_abs: np.ndarray
 
     def sqrt_ab(self, k) -> np.ndarray | float:
-        return np.sqrt(self.alpha_bars[np.asarray(k) - 1])
+        return self.sqrt_abs[np.asarray(k) - 1]
 
     def sqrt_one_minus_ab(self, k) -> np.ndarray | float:
-        return np.sqrt(1.0 - self.alpha_bars[np.asarray(k) - 1])
+        return self.sqrt_one_minus_abs[np.asarray(k) - 1]
 
 
 def make_schedule(K: int = 50, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
@@ -44,14 +46,8 @@ def make_schedule(K: int = 50, beta_start: float = 1e-4, beta_end: float = 0.02)
         )
     betas = np.linspace(beta_start, beta_end, K)
     alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
-    return NoiseSchedule(K=K, betas=betas, alphas=alphas, alpha_bars=alpha_bars)
-
-
-def _check_k(k, K: int) -> None:
-    karr = np.asarray(k)
-    if karr.size == 0 or np.any(karr < 1) or np.any(karr > K):
-        raise ContractError(f"denoising index k={k} outside 1..{K}")
+    ab = np.cumprod(alphas)
+    return NoiseSchedule(K, betas, alphas, ab, np.sqrt(ab), np.sqrt(1.0 - ab))
 
 
 def forward_noise(a0: np.ndarray, k, sched: NoiseSchedule, rng: np.random.Generator):
@@ -61,7 +57,9 @@ def forward_noise(a0: np.ndarray, k, sched: NoiseSchedule, rng: np.random.Genera
     Returns (a_k, eps) with eps drawn from rng.
     """
     a0 = np.asarray(a0, dtype=np.float64)
-    _check_k(k, sched.K)
+    karr = np.asarray(k)
+    if karr.size == 0 or karr.min() < 1 or karr.max() > sched.K:
+        raise ContractError(f"denoising index k={k} outside 1..{sched.K}")
     eps = rng.standard_normal(a0.shape)
     per_row = (Ellipsis, None) if a0.ndim == 2 else ()
     return sched.sqrt_ab(k)[per_row] * a0 + sched.sqrt_one_minus_ab(k)[per_row] * eps, eps
@@ -82,8 +80,7 @@ def denoise_loss(score, a0: np.ndarray, cond: np.ndarray, sched: NoiseSchedule,
     eps_hat = score(a_k, cond, ks)
     if not isinstance(eps_hat, nc.Tensor):
         eps_hat = nc.const(eps_hat)
-    d = nc.sub(eps_hat, nc.const(eps))
-    return nc.scale(nc.sumall(nc.mul(d, d)), 1.0 / len(a0))
+    return nc.mse_rows(eps_hat, eps)
 
 
 def fit_denoiser(score, groups, a_rows: np.ndarray, cond_rows: np.ndarray,
@@ -140,29 +137,33 @@ def ddpm_sample(
     and injects no noise, so the trajectory is deterministic. The state keeps
     the layout of ``nc.row_layout``, which the score provider sees and
     returns; the result is (B, dim). The step constants beta_k /
-    sqrt(1 - ab_k), sqrt(alpha_k) and sigma_k are computed for every k at
-    once, by the same elementwise operations as one step at a time.
+    sqrt(1 - ab_k), sqrt(alpha_k) and every sigma_k z are computed for all k
+    at once, by the same elementwise operations as one step at a time. The
+    state is updated in place in a buffer of its own, so a provider must
+    not keep a_k across steps.
     """
     if (init is None) == (rngs is None):
         raise ContractError("ddpm_sample takes either rngs or init rows")
-    table = list(zip((sched.betas / np.sqrt(1.0 - sched.alpha_bars)).tolist(),
-                     np.sqrt(sched.alphas).tolist(),
-                     posterior_sigma(sched, sigma_mode).tolist()))
+    table = list(zip((sched.betas / sched.sqrt_one_minus_abs).tolist(),
+                     np.sqrt(sched.alphas).tolist()))
     if init is None:
         # (K, B, dim) in row layout: noise[j] holds every row's j-th draw
         noise = nc.row_layout(np.stack([g.standard_normal((sched.K, dim)) for g in rngs],
                                        axis=1))
-        a, noise = noise[0], noise[1:]
+        sigmas = posterior_sigma(sched, sigma_mode)[:0:-1]   # sigma_K .. sigma_2
+        a, sz = noise[0], noise[1:] * sigmas.reshape((-1,) + (1,) * (noise.ndim - 1))
     else:
-        a, noise = nc.row_layout(np.array(init, dtype=np.float64).reshape(-1, dim)), None
+        a, sz = nc.row_layout(np.array(init, dtype=np.float64).reshape(-1, dim)), None
+    step = np.empty_like(a)
     for k in range(sched.K, 0, -1):
         eps_hat = score(a, cond, k)
         if eps_hat.shape != a.shape:
             raise ContractError(f"score rows {eps_hat.shape} for sample rows {a.shape}")
-        eps_coef, sqrt_alpha, sigma = table[k - 1]
-        a = (a - eps_coef * eps_hat) / sqrt_alpha
-        if k > 1 and noise is not None:
-            a = a + sigma * noise[sched.K - k]
+        eps_coef, sqrt_alpha = table[k - 1]
+        a -= np.multiply(eps_hat, eps_coef, out=step)
+        a /= sqrt_alpha
+        if k > 1 and sz is not None:
+            a += sz[sched.K - k]
         if not np.isfinite(a).all():
             raise NumericError(f"non-finite sample state at step k={k}")
     return np.clip(a, -1.0, 1.0).reshape(-1, dim)
@@ -174,5 +175,4 @@ def effective_eps(a_k: np.ndarray, a0: np.ndarray, k: int, sched: NoiseSchedule)
     Feeding this back into the sampler with injection disabled reproduces a0
     exactly; used by tests as a perfect-denoiser oracle.
     """
-    i = np.asarray(k) - 1
-    return (a_k - np.sqrt(sched.alpha_bars[i]) * a0) / np.sqrt(1.0 - sched.alpha_bars[i])
+    return (a_k - sched.sqrt_ab(k) * a0) / sched.sqrt_one_minus_ab(k)

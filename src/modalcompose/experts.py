@@ -19,8 +19,9 @@ share. Training, Adam, joint router fine-tuning, checkpoints and inference
 all use that one form. ``stacked_scores`` scores every sub-policy of E
 experts with one ``mlp_infer`` call, ``_expert_score_graph`` one expert's with
 one ``mlp_forward`` call; each slice is bit-identical to that sub-policy's own
-call, and both average the slices in sub-policy order, dividing the sum by
-``n_sub``, or take each row's band owner.
+call, and both average the slices in sub-policy order (``np.add.reduce``
+adds them in order: the action axis after them is longer than 1), dividing
+the sum by ``n_sub``, or take each row's band owner.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def stacked_scores(experts: list[ModalityExpert], embs: list[np.ndarray]):
     def scores(a_k: np.ndarray, ks) -> np.ndarray:
         out = nc.mlp_infer(subs, ex.sub_spec, rows_at(a_k, ks))
         if not ex.noise_band_split:
-            return sum(out.swapaxes(0, 1)[1:], out[:, 0]) / n
+            return np.add.reduce(out, axis=1) / n
         owner = _band_owner(np.broadcast_to(ks, a_k.shape[:1]), ex.n_steps, n)
         return out[:, owner, np.arange(len(owner))]
 

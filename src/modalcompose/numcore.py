@@ -4,9 +4,9 @@ The graph is recorded eagerly: every op returns a new ``Tensor`` holding its
 value, its parents, and a closure that routes the incoming adjoint to the
 parents. An MLP call is one node, whose backward takes the adjoint steps of
 separate matmul, bias-add and activation ops, layer by layer, in their order.
-``backward`` zeroes the groups' parameter grads and every other reachable
-node's except ``const`` leaves, which take no adjoint, then accumulates in
-reverse topological order. Adam updates all parameters from flat buffers.
+``backward`` zeroes the groups' parameter grads; every other reachable node
+but ``const`` leaves takes its first adjoint as a fresh array, then adds the
+rest. Adam keeps all parameters' data and grads in flat buffers.
 
 Everything is float64 and single-threaded; any NaN/Inf raises ``NumericError``
 at the op that produced it instead of propagating. An MLP node checks once per
@@ -52,12 +52,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
 
@@ -69,8 +63,11 @@ class _Const(Tensor):
 
 
 def _acc(t: Tensor, g: Array) -> None:
+    """Add adjoint g, of t's shape; the first is a fresh array, the bits of 0 + g."""
     if t.grad is not None:
         t.grad += g
+    elif type(t) is not _Const:
+        t.grad = g + 0.0
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -125,15 +122,31 @@ def sumall(a: Tensor) -> Tensor:
     return out
 
 
+def mse_rows(a: Tensor, target: Array) -> Tensor:
+    """sum((a - target)^2) * c, c = 1 / len(a), as one node, with the bits of
+    ``scale(sumall(mul(d, d)), c)``, d = ``sub(a, const(target))``: the
+    adjoint of a is t + t, t = (g c) d, as mul(d, d) hands d t twice."""
+    c, d = 1.0 / len(a.data), a.data - target
+    out = Tensor((d * d).sum() * c, (a,), _op="mse_rows")
+
+    def bw(g: Array) -> None:
+        t = d * (float(g) * c)
+        _acc(a, np.add(t, t, out=t))
+
+    out._bw = bw
+    return out
+
+
 def reduce_stack(a: Tensor, masks: Array | None = None) -> Tensor:
     """Reduce the leading (stack) axis of S slices in slice order: their sum
     divided by S, or with ``masks`` (S, B, 1) the sum of the mask-weighted
     slices."""
     n = a.data.shape[0]
     terms = a.data if masks is None else a.data * masks
-    total = sum(terms[1:], terms[0])
+    total = np.add.reduce(terms, axis=0)
     out = Tensor(total / n if masks is None else total, (a,), _op="reduce_stack")
-    out._bw = lambda g: _acc(a, g / n if masks is None else g * masks)
+    out._bw = lambda g: _acc(a, np.broadcast_to(g / n, a.data.shape) if masks is None
+                             else g * masks)
     return out
 
 
@@ -178,10 +191,15 @@ def softmax_rows(a: Tensor) -> Tensor:
     return out
 
 
-# activation, and its adjoint factor from the pre-activation z and output y
+def _tanh_adjoint(z: Array, y: Array, g: Array) -> Array:
+    d = y * y                           # g * (1 - y*y) in one fresh array
+    return np.multiply(np.subtract(1.0, d, out=d), g, out=d)
+
+
+# activation, and adjoint g times its factor from pre-activation z and output y
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda z, y: 1.0 - y * y),
-    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda z, y: z > 0.0),
+    "tanh": (np.tanh, _tanh_adjoint),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda z, y, g: g * (z > 0.0)),
 }
 
 
@@ -305,10 +323,10 @@ def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor) -> Tensor:
     def bw(g: Array) -> None:
         for i in range(last, -1, -1):
             if i < last:
-                g = g * dact(zs[i], hs[i + 1])
+                g = dact(zs[i], hs[i + 1], g)
             _acc(bs[i], _unbroadcast(g, bs[i].data.shape))
             _acc(Ws[i], hs[i].swapaxes(-1, -2) @ g)
-            if i or x.grad is not None:
+            if i or type(x) is not _Const:
                 g = _unbroadcast(g @ Ws[i].data.swapaxes(-1, -2), hs[i].shape)
         _acc(x, g)
 
@@ -359,14 +377,17 @@ ParamGroups = Sequence[tuple[str, ParamSet]]
 
 def backward(loss: Tensor, groups: ParamGroups) -> None:
     """Backprop a scalar loss into the groups' grads: zero them (parameters
-    off the graph keep exact zeros) and every other non-``const`` node
-    reachable from the loss, then accumulate in reverse topological order."""
+    off the graph keep exact zeros), clear every other node reachable from
+    the loss (see ``_acc``), then accumulate in reverse topological order."""
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     seen: set[int] = set()
     for _, ps in groups:
         for _, t in ps.items():
-            t.zero_grad()
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            else:
+                t.grad.fill(0.0)
             seen.add(id(t))
     topo: list[Tensor] = []
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -374,7 +395,7 @@ def backward(loss: Tensor, groups: ParamGroups) -> None:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
-            node.zero_grad()
+            node.grad = None
         elif id(node) not in seen:
             seen.add(id(node))
             stack.append((node, True))
@@ -388,13 +409,17 @@ def backward(loss: Tensor, groups: ParamGroups) -> None:
 
 @dataclass
 class OptimState:
-    """Adam moments as flat buffers over the groups' parameters in order,
-    scratch buffers of the same size, and the shared step counter."""
+    """Adam over flat buffers: from the first step on, each parameter's data
+    and grad are its views into ``data`` and ``grad``, in group order."""
 
+    tensors: list[Tensor]
+    views: list[tuple[Array, Array]]
+    data: Array
+    grad: Array
     m: Array
     v: Array
-    g: Array
     upd: Array
+    den: Array
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -403,41 +428,48 @@ class OptimState:
 
 
 def adam_init(groups: ParamGroups, lr: float = 1e-3) -> OptimState:
-    n = sum(ps.n_params() for _, ps in groups)
-    return OptimState(*(np.zeros(n) for _ in range(4)), lr=lr)
+    tensors = [t for _, ps in groups for _, t in ps.items()]
+    offs = np.cumsum([0] + [t.size for t in tensors]).tolist()
+    data, grad, *rest = (np.zeros(offs[-1]) for _ in range(6))
+    views = [(data[o:o + t.size].reshape(t.shape), grad[o:o + t.size].reshape(t.shape))
+             for t, o in zip(tensors, offs)]
+    return OptimState(tensors, views, data, grad, *rest, lr=lr)
 
 
 def adam_step(groups: ParamGroups, state: OptimState) -> None:
-    """One bias-corrected Adam update of every parameter, in place: the
-    per-tensor formula evaluated over the flat buffers."""
+    """One bias-corrected Adam update of every parameter: the per-tensor
+    formula evaluated in place over the flat buffers. Data or a grad bound
+    to another array since the last step (by another optimizer, or assigned)
+    is copied into its view first, and the tensor rebound to the view."""
+    if [t for _, ps in groups for _, t in ps.items()] != state.tensors:
+        raise ContractError("adam_step takes the parameter groups of its adam_init")
+    qual = lambda i: [f"{label}/{n}" for label, ps in groups for n in ps.names()][i]
+    for i, (t, (dv, gv)) in enumerate(zip(state.tensors, state.views)):
+        if t.data is not dv:
+            dv[...], t.data = t.data, dv
+        if t.grad is not gv:
+            if t.grad is None:
+                raise ContractError(f"gradient not populated for '{qual(i)}'")
+            gv[...], t.grad = t.grad, gv
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    tensors = [(f"{label}/{name}", tensor) for label, ps in groups
-               for name, tensor in ps.items()]
-    for qual, tensor in tensors:
-        if tensor.grad is None:
-            raise ContractError(f"gradient not populated for '{qual}'")
-    g, upd, m, v = state.g, state.upd, state.m, state.v
-    np.concatenate([tensor.grad for _, tensor in tensors], axis=None, out=g)
+    g, upd, den, m, v = state.grad, state.upd, state.den, state.m, state.v
     if not np.isfinite(g).all():
-        qual = next(q for q, tensor in tensors if not np.isfinite(tensor.grad).all())
-        raise NumericError(f"NaN/Inf gradient for parameter '{qual}'")
+        i = next(i for i, (_, gv) in enumerate(state.views) if not np.isfinite(gv).all())
+        raise NumericError(f"NaN/Inf gradient for parameter '{qual(i)}'")
     m *= state.beta1
     m += np.multiply(g, 1.0 - state.beta1, out=upd)
     v *= state.beta2
     np.multiply(g, 1.0 - state.beta2, out=upd)
     v += np.multiply(upd, g, out=upd)
-    np.sqrt(np.divide(v, bc2, out=g), out=g)
-    g += state.eps
+    np.sqrt(np.divide(v, bc2, out=den), out=den)
+    den += state.eps
     np.divide(m, bc1, out=upd)
     upd *= state.lr
-    upd /= g
-    off = 0
-    for _, tensor in tensors:
-        tensor.data -= upd[off:off + tensor.size].reshape(tensor.shape)
-        off += tensor.size
+    upd /= den
+    state.data -= upd
 
 
 def finite_diff_grad(

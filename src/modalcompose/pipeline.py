@@ -179,8 +179,12 @@ def load_manifest(path) -> tuple[ComposedPolicy, dict]:
     p = Path(path)
     if not p.exists():
         raise FormatError(f"manifest not found: {p}")
+    try:
+        text = p.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{p}: a manifest is UTF-8 text") from None
     fields = {"expert": []}
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

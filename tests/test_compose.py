@@ -73,6 +73,24 @@ def test_inter_compose_is_weighted_sum(rng):
     assert np.allclose(got, 0.3 * scores[0] + 0.7 * scores[1], atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("rows", [1, 4])
+def test_inter_compose_sums_weighted_scores_in_expert_order(rng, n, rows):
+    experts = fresh_experts(n=n)
+    obs = [random_obs(rng, n=n) for _ in range(rows)]
+    stats = constant_action_dataset(np.array([0.1, 0.2])).stats()
+    policy = cp.manual_compose(experts, {2: [0.3, 0.7], 3: [0.2, 0.5, 0.3]}[n],
+                               make_schedule(), stats)
+    a_k = cp.nc.row_layout(rng.normal(size=(rows, 2)))
+    got = policy.score_provider(obs)(a_k, None, 30)
+    want = None
+    for ex, wi in zip(experts, policy.fixed_w):
+        e = ex.encode_rows(cp._rows(obs, ex.modality), cp._rows(obs))
+        term = wi * ex.score_rows(a_k, e, 30)
+        want = term if want is None else want + term
+    assert np.array_equal(got, want)
+
+
 def test_zero_weight_third_expert_changes_nothing(rng):
     """Adding a modality at weight 0 must not perturb the composite score."""
     pair = fresh_experts(n=2)

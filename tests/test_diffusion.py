@@ -123,6 +123,28 @@ def test_sampler_deterministic_given_seed():
     assert np.array_equal(one, two)
 
 
+def test_sampler_updates_its_own_state_buffer():
+    """The state is updated in place in a buffer of the sampler's own: the
+    init rows and a score that returns its input are left as they were."""
+    s = df.make_schedule(K=5)
+    init = np.array([[0.3, -0.2], [0.1, 0.4]])
+    keep = init.copy()
+    returned = []
+
+    def score(a, cond, k):
+        returned.append(a.copy())
+        return a
+
+    out = df.ddpm_sample(score, None, s, None, 2, init=init)
+    assert np.array_equal(init, keep)
+    a = nc.row_layout(keep.copy())
+    for k in range(5, 0, -1):
+        assert np.array_equal(returned[5 - k], a)
+        a = (a - s.betas[k - 1] / np.sqrt(1.0 - s.alpha_bars[k - 1]) * a) / np.sqrt(
+            s.alphas[k - 1])
+    assert np.array_equal(out, np.clip(a, -1.0, 1.0).reshape(-1, 2))
+
+
 def test_sampler_requires_rng_or_init():
     s = df.make_schedule()
     with pytest.raises(ContractError):

@@ -166,12 +166,13 @@ def per_sub_oracle(ex, a, e, ks):
 
 @pytest.mark.parametrize("act", ["tanh", "relu"])
 @pytest.mark.parametrize("band", [False, True])
-@pytest.mark.parametrize("n_sub", [1, 3])
+@pytest.mark.parametrize("n_sub", [1, 2, 3, 5])
 @pytest.mark.parametrize("n_exp", [1, 2, 3])
 def test_stacked_scores_are_each_expert_alone(rng, n_exp, n_sub, band, act):
     """One stacked mlp_infer call scores E experts, each bit for bit as its
-    own score_rows and as its sub-policy nets one at a time: on 64 2-D rows
-    with a k per row, and on B row-stacked rows at one k of either band."""
+    own score_rows and as its sub-policy nets one at a time, averaged by an
+    in-order slice sum: on 64 2-D rows with a k per row, and on B
+    row-stacked rows at one k of either band."""
     cfg = small_cfg(n_sub=n_sub, band=band).with_section("expert", activation=act)
     experts = [xp.init_expert(m, d, 2, 2, cfg, rng)
                for m, d in (("vis", 5), ("tac", 3), ("aud", 4))[:n_exp]]

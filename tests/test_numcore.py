@@ -5,8 +5,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from modalcompose import experts as xp
 from modalcompose import numcore as nc
 from modalcompose.errors import ContractError, NumericError, ShapeError
+from modalcompose.router import train_router
+from modalcompose.runconfig import RunConfig
+from tests.conftest import constant_action_dataset
 
 
 def rel_err(a, b):
@@ -108,6 +112,78 @@ def test_grad_accumulates_when_tensor_reused(rng):
     y = nc.sumall(nc.add(nc.mul(x, x), nc.mul(x, x)))
     nc.backward(y, [("p", _as_paramset(x=x))])
     assert np.allclose(x.grad, 4.0 * x.data, atol=1e-12)
+
+
+def _shared_adjoint_graphs(x, y, c):
+    """Interior nodes that take several adjoints: one g handed to both parents
+    of ``add``, a node used twice by ``mul``, and ``concat_cols`` parts that
+    get views of one g; each also reaches the loss another way."""
+    a = nc.mul(x, nc.const(c))
+    b = nc.scale(x, -0.7)
+    s = nc.add(a, b)
+    yield nc.sumall(nc.add(nc.mul(s, s), nc.mul(a, b)))
+    a = nc.mul(x, nc.const(c))
+    s = nc.add(a, a)
+    yield nc.sumall(nc.mul(nc.add(s, a), s))
+    p, q = nc.scale(x, 1.3), nc.mul(y, y)
+    cat = nc.concat_cols([p, q, p])
+    yield nc.sumall(nc.add(nc.mul(cat, nc.concat_cols([q, p, q])), nc.mul(cat, cat)))
+
+
+@pytest.mark.parametrize("graph", [0, 1, 2])
+def test_shared_adjoints_sum_as_finite_differences(rng, graph):
+    """An interior node's first adjoint is a fresh array, so a later one
+    added to it reaches no other node."""
+    ps = nc.ParamSet()
+    x, y = ps.add("x", rng.normal(size=(4, 3))), ps.add("y", rng.normal(size=(4, 3)))
+    c = rng.normal(size=(4, 3))
+
+    def loss_tensor():
+        return list(_shared_adjoint_graphs(x, y, c))[graph]
+
+    nc.backward(loss_tensor(), [("p", ps)])
+    analytic = {f"p/{n}": t.grad.copy() for n, t in ps.items()}
+    numeric = nc.finite_diff_grad(lambda: loss_tensor().data.item(), [("p", ps)])
+    for key in analytic:
+        assert rel_err(analytic[key], numeric[key]) < 1e-7, key
+
+
+def test_parameters_off_the_graph_keep_exact_zero_grads(rng):
+    used, unused = nc.ParamSet(), nc.ParamSet()
+    x = used.add("x", rng.normal(size=(3, 2)))
+    w = unused.add("w", rng.normal(size=(2, 2)))
+    w.grad = np.ones((2, 2))
+    groups = [("used", used), ("unused", unused)]
+    state = nc.adam_init(groups)
+    w0 = w.data.copy()
+    for _ in range(2):
+        nc.backward(nc.sumall(nc.mul(x, x)), groups)
+        assert np.array_equal(w.grad, np.zeros((2, 2)))
+        assert not np.signbit(w.grad).any()
+        nc.adam_step(groups, state)
+    assert np.array_equal(w.data, w0)
+
+
+def test_mse_rows_has_the_bits_of_the_op_chain(rng):
+    """Value and adjoint of the one eps-MSE node equal sub, mul(d, d), sumall
+    and scale bit for bit, on an interior node and on a parameter."""
+    target = rng.normal(size=(6, 2))
+    target[0, 0], target[1, 1] = 0.0, 0.25
+    for name in ("interior", "param"):
+        results = []
+        for fused in (False, True):
+            ps = nc.ParamSet()
+            p = ps.add("p", rng.normal(size=(6, 2)) if not results else results[0][2])
+            p.data[0, 0], p.data[1, 1] = -0.0, 0.25     # differences -0 and +0
+            pred = nc.scale(p, 1.0) if name == "interior" else p
+            if fused:
+                loss = nc.mse_rows(pred, target)
+            else:
+                d = nc.sub(pred, nc.const(target))
+                loss = nc.scale(nc.sumall(nc.mul(d, d)), 1.0 / len(target))
+            nc.backward(loss, [("g", ps)])
+            results.append((loss.data.tobytes(), p.grad.tobytes(), p.data.copy()))
+        assert results[0][:2] == results[1][:2], name
 
 
 def test_backward_rejects_nonscalar(rng):
@@ -478,6 +554,102 @@ def test_adam_nonfinite_grad_names_the_parameter(rng, group, name):
     state = nc.adam_init(groups)
     with pytest.raises(NumericError, match=f"'{label}/{name}'"):
         nc.adam_step(groups, state)
+
+
+class _RefAdam:
+    """Adam written per tensor, as the formula reads: the reference for the
+    flat-buffer optimizer."""
+
+    def __init__(self, lr):
+        self.lr, self.t, self.m, self.v = lr, 0, {}, {}
+
+    def step(self, weights, grads):
+        self.t += 1
+        for key, g in grads.items():
+            m = self.m.setdefault(key, np.zeros_like(g))
+            v = self.v.setdefault(key, np.zeros_like(g))
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            weights[key] -= self.lr * (m / (1.0 - 0.9 ** self.t)) / (
+                np.sqrt(v / (1.0 - 0.999 ** self.t)) + 1e-8)
+
+
+def test_in_place_weight_edit_is_seen_by_scoring_and_the_next_adam_step(rng):
+    cfg = RunConfig().with_section("expert", enc_hidden=(8,), enc_out=4, sub_hidden=(8,))
+    cfg = cfg.with_section("train", steps=2, batch=8)
+    ex = xp.train_expert(constant_action_dataset([0.1, 0.2]), "vis", cfg, rng)
+    a, ks = rng.normal(size=(5, 2)), rng.integers(1, 51, size=5)
+    emb = ex.encode_rows(rng.normal(size=(5, 5)), rng.normal(size=(5, 2)))
+    before = ex.score_rows(a, emb, ks)
+    ex.subs["W0"].data[1, 2, 3] += 0.5
+    fresh = xp.ModalityExpert(**{**vars(ex), "subs": ex.subs.copy()})
+    assert not np.array_equal(ex.score_rows(a, emb, ks), before)
+    assert np.array_equal(ex.score_rows(a, emb, ks), fresh.score_rows(a, emb, ks))
+
+    groups = ex.param_groups()
+    state, ref = nc.adam_init(groups, lr=0.01), _RefAdam(0.01)
+    weights = {f"{g}/{n}": t.data.copy() for g, ps in groups for n, t in ps.items()}
+    for step in range(3):
+        grads = {}
+        for g, ps in groups:
+            for n, t in ps.items():
+                t.grad = rng.normal(size=t.shape) if step != 1 else t.grad
+                grads[f"{g}/{n}"] = t.grad.copy()
+        if step == 1:     # grads left in place in the flat buffer, edited there
+            ex.subs["b1"].grad[0, 0, 1] = 3.0
+            grads["subs/b1"][0, 0, 1] = 3.0
+        if step == 2:
+            ex.subs["W0"].data[0, 1, 1] -= 0.25
+            weights["subs/W0"][0, 1, 1] -= 0.25
+        nc.adam_step(groups, state)
+        ref.step(weights, grads)
+        for g, ps in groups:
+            for n, t in ps.items():
+                assert np.array_equal(t.data, weights[f"{g}/{n}"]), (step, g, n)
+
+
+def test_paramset_trained_by_two_optimizers_in_turn_keeps_one_copy(rng):
+    """Expert training, then joint router training: the second optimizer
+    takes the weights over, and the first still sees them if it steps again."""
+    shared, own = nc.ParamSet(), nc.ParamSet()
+    shared.add("W", rng.normal(size=(3, 2)))
+    shared.add("b", rng.normal(size=(2,)))
+    own.add("r", rng.normal(size=(4,)))
+    first, second = [("e", shared)], [("router", own), ("e", shared)]
+    weights = {f"{g}/{n}": t.data.copy() for g, ps in second for n, t in ps.items()}
+    refs = {"first": _RefAdam(0.01), "second": _RefAdam(0.02)}
+    opts = {"first": nc.adam_init(first, lr=0.01)}
+    for name, groups in (("first", first), ("first", first), ("second", second),
+                         ("second", second), ("first", first), ("second", second)):
+        if name not in opts:
+            opts[name] = nc.adam_init(groups, lr=0.02)
+        grads = {}
+        for g, ps in groups:
+            for n, t in ps.items():
+                t.grad = rng.normal(size=t.shape)
+                grads[f"{g}/{n}"] = t.grad.copy()
+        nc.adam_step(groups, opts[name])
+        refs[name].step(weights, grads)
+        for g, ps in second:
+            for n, t in ps.items():
+                assert np.array_equal(t.data, weights[f"{g}/{n}"]), (name, g, n)
+    with pytest.raises(ContractError):
+        nc.adam_step(second, opts["first"])
+
+
+def test_joint_router_training_updates_the_experts_own_weights(rng):
+    cfg = RunConfig().with_section("expert", enc_hidden=(8,), enc_out=4, sub_hidden=(8,))
+    cfg = cfg.with_section("router", hidden=(4,), joint=True)
+    cfg = cfg.with_section("train", steps=3, batch=8, router_steps=3)
+    ds = constant_action_dataset([0.1, 0.2])
+    experts = [xp.train_expert(ds, m, cfg, rng) for m in ("vis", "tac")]
+    copies = [(ex.encoder.copy(), ex.subs.copy()) for ex in experts]
+    train_router(experts, ds, cfg, rng)
+    for ex, (enc, subs) in zip(experts, copies):
+        assert ex.encoder.checksum() != enc.checksum()
+        assert ex.subs.checksum() != subs.checksum()
 
 
 def test_paramset_checksum_tracks_values(rng):

@@ -219,6 +219,48 @@ def test_eval_and_robust_read_the_run_section_of_config(tmp_path, command):
     assert {row["seed"] for row in pl.read_metrics_csv(csvs[2])} == {0}
 
 
+def test_analyze_takes_a_checkpoint_as_eval_does(tmp_path):
+    """A checkpoint traces as the one-expert manifest that wraps it."""
+    cfg, written = trained_paths(tmp_path, methods=("expert:vis",))
+    man = tmp_path / "vis.txt"
+    pl.write_manifest(man, env_name="occluded_reach",
+                      expert_paths=[written["expert:vis"].name], weights=[1.0])
+    conf = tmp_path / "run.cfg"
+    conf.write_text(f"[run]\ndataset = {pl.default_dataset_path(cfg, tmp_path)}\n")
+    for target, out in ((written["expert:vis"], "ck"), (man, "man")):
+        assert cli_dispatch(["analyze", "--manifest", str(target), "--config", str(conf),
+                             "--n", "1", "--out", str(tmp_path / out)]) == 0
+    assert ((tmp_path / "ck" / "trace_ep0.csv").read_bytes()
+            == (tmp_path / "man" / "trace_ep0.csv").read_bytes())
+
+
+def test_robust_takes_a_checkpoint_and_labels_manifests_composed(tmp_path):
+    _, written = trained_paths(tmp_path, methods=("expert:vis",))
+    man = tmp_path / "vis.txt"
+    pl.write_manifest(man, env_name="occluded_reach",
+                      expert_paths=[written["expert:vis"].name], weights=[1.0])
+    rows = {}
+    for target, label in ((written["expert:vis"], "expert:vis"), (man, "composed")):
+        out = tmp_path / f"{target.name}.csv"
+        assert cli_dispatch(["robust", "--manifest", str(target), "--n", "2",
+                             "--scenario", "teleport@5", "--out", str(out)]) == 0
+        rows[label] = pl.read_metrics_csv(out)
+        assert [row["method"] for row in rows[label]] == [label, label]
+    strip = lambda rs: [{k: v for k, v in row.items() if k != "method"} for row in rs]
+    assert strip(rows["expert:vis"]) == strip(rows["composed"])
+
+
+@pytest.mark.parametrize("command", [("eval",), ("analyze",),
+                                     ("robust", "--scenario", "reposition")])
+def test_policy_commands_refuse_a_manifest_that_is_not_utf8(tmp_path, command, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"env = occluded_reach\nexpert = \xff\xfe.mcpf\n")
+    with pytest.raises(FormatError, match="UTF-8"):
+        pl.load_manifest(bad)
+    assert cli_dispatch([*command, "--manifest", str(bad), "--n", "1"]) == 1
+    assert "UTF-8" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("weights, error", [("half,0.5", FormatError), ("0.5,", FormatError),
                                             ("nan,0.5", ContractError)])
 def test_manifest_rejects_bad_weights(tmp_path, weights, error):
