@@ -35,8 +35,8 @@ class CorruptionMode:
     """One corruption applied to a named modality.
 
     kind: zero | freeze | gaussian. Freeze holds the modality at its value
-    from the first corrupted step, so the mode carries per-episode state;
-    call begin_episode() before reuse.
+    from the first corrupted step, so the mode carries per-episode state:
+    each episode needs a mode of its own.
     """
 
     def __init__(self, kind: str, modality: str, sigma_c: float = 0.0):
@@ -49,9 +49,6 @@ class CorruptionMode:
         self.sigma_c = float(sigma_c)
         self._held = None
 
-    def begin_episode(self) -> None:
-        self._held = None
-
     def __repr__(self):
         extra = f", sigma_c={self.sigma_c}" if self.kind == "gaussian" else ""
         return f"CorruptionMode({self.kind!r}, {self.modality!r}{extra})"
@@ -61,8 +58,7 @@ def corrupt_modality(obs: Observation, mode: CorruptionMode, rng=None) -> Observ
     """Return a copy of obs with one modality corrupted.
 
     Gaussian corruption draws from rng; zero and freeze ignore it. Zero is
-    idempotent. Freeze returns the vector captured on the mode's first call
-    since begin_episode().
+    idempotent. Freeze returns the vector captured on the mode's first call.
     """
     if mode.modality not in obs.modalities:
         raise ContractError(f"modality {mode.modality!r} not in observation")
@@ -123,8 +119,8 @@ def _scenario_hooks(scenario: ScenarioSpec | None, spec: EnvSpec, seed: int,
             return teleport_target(state, stream(seed, TAG_SCENARIO, ep))
 
         return {"edit": teleport}
-    mode = scenario.corruption
-    mode.begin_episode()
+    c = scenario.corruption
+    mode = CorruptionMode(c.kind, c.modality, c.sigma_c)
     entered = False
 
     def corrupt(obs, state, t):

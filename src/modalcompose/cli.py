@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a manifest or checkpoint")
     common(p)
     p.add_argument("--manifest", required=True, help="manifest or checkpoint path")
-    p.add_argument("--env", help="environment override")
     p.add_argument("--n", type=int, help="evaluation episodes (default [run] eval_n)")
 
     p = sub.add_parser("analyze", help="modality-importance traces")
@@ -175,15 +174,19 @@ def _cmd_compose(args) -> int:
         metas.append(cp.load_checkpoint(args.router).metadata)
         router_rel = os.path.relpath(Path(args.router).resolve(), out_dir)
     else:
-        weights = [float(w) for w in args.weights.split(",")]
-        if len(weights) != len(expert_paths):
-            raise ConfigError(
-                f"{len(weights)} weights for {len(expert_paths)} experts")
+        try:
+            weights = [float(w) for w in args.weights.split(",")]
+        except ValueError:
+            raise ConfigError(f"--weights must be numbers, got {args.weights!r}") from None
     cp.check_compose_compatibility(metas)
     write_manifest(out, env_name=metas[0]["env"], expert_paths=rel,
                    router_path=router_rel, weights=weights,
                    strategy=args.strategy, stats_hash=stats.key())
-    load_manifest(out)   # round-trip sanity before declaring success
+    try:
+        load_manifest(out)   # round-trip check (weights among others) before success
+    except ModalComposeError:
+        out.unlink()
+        raise
     print(f"wrote {out}")
     return 0
 
@@ -191,7 +194,7 @@ def _cmd_compose(args) -> int:
 def _cmd_eval(args) -> int:
     run = _load_cfg(args).run
     n = args.n if args.n is not None else run.eval_n
-    rows = run_eval(args.manifest, n, run.seed, env_name=args.env)
+    rows = run_eval(args.manifest, n, run.seed)
     out = args.out or "metrics.csv"
     write_metrics_csv(out, rows)
     for row in rows:

@@ -44,7 +44,7 @@ class _RowSampler:
         """(B, chunk_dim) action chunks, row r bit for bit act(obs_rows[r], rngs[r])."""
         if not obs_rows or len(obs_rows) != len(rngs):
             raise ContractError(f"{len(rngs)} generators for {len(obs_rows)} observations")
-        a_hat = ddpm_sample(self.score_provider(obs_rows), None, self.sched, rngs,
+        a_hat = ddpm_sample(self.score_provider(obs_rows), self.sched, rngs,
                             self.stats.chunk_dim, sigma_mode=self.sigma_mode)
         return self.stats.denormalize_chunk(a_hat)
 
@@ -112,7 +112,7 @@ class ComposedPolicy(_RowSampler):
         keep = w.any(axis=0).nonzero()[0]
         scores = stacked_scores([self.experts[i] for i in keep], [embs[i] for i in keep])
         wk = nc.row_layout(w.T[keep, :, None])
-        return lambda a_k, _cond, k: np.add.reduce(scores(a_k, k) * wk, axis=0)
+        return lambda a_k, k: np.add.reduce(scores(a_k, k) * wk, axis=0)
 
     def act(self, obs: Observation, rng: np.random.Generator) -> np.ndarray:
         """One denoised, denormalized action chunk for this observation."""
@@ -226,10 +226,8 @@ class _FusionPolicy(_RowSampler):
         rows_at = score_input(self._cond(self.bank.embed(obs_rows)),
                               self.score_spec.output_dim, self.sched.K)
 
-        def score(a_k, _cond, k):
-            return nc.mlp_infer(self.score_params, self.score_spec, rows_at(a_k, k))
-
-        return score
+        return lambda a_k, k: nc.mlp_infer(self.score_params, self.score_spec,
+                                           rows_at(a_k, k))
 
 
 class ConcatPolicy(_FusionPolicy):

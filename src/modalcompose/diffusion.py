@@ -1,13 +1,13 @@
 """DDPM machinery: schedules, forward noising, the eps-MSE loss, sampling.
 
-A score provider is any callable ``(a_k, cond, k) -> eps_hat`` over rows.
-During training a_k is (B, action_dim), cond is (B, cond_dim), k is an int
-array of B step indices, and it returns a (B, action_dim) graph ``Tensor``.
-At sampling time a_k holds the B sampled rows in the layout of
-``numcore.row_layout``, cond is what ``ddpm_sample`` was given (None for the
-policies, whose providers close over their observations), k is an int, and
-it returns an ndarray of a_k's shape. Denoising step indices k run 1..K;
-array index k-1 holds the step-k coefficients.
+A score provider predicts the noise in a_k, over rows, in one of two forms.
+Training: ``(a_k, cond, ks) -> Tensor``, where a_k is (B, action_dim), cond
+is (B, cond_dim), ks is an int array of B step indices, and the result is a
+(B, action_dim) graph ``Tensor``. Sampling: ``(a_k, k) -> ndarray``, where
+a_k holds the B sampled rows in the layout of ``numcore.row_layout``, k is
+an int, and the result has a_k's shape; a policy's provider closes over its
+observations. Denoising step indices k run 1..K; array index k-1 holds the
+step-k coefficients.
 """
 
 from __future__ import annotations
@@ -50,19 +50,17 @@ def make_schedule(K: int = 50, beta_start: float = 1e-4, beta_end: float = 0.02)
     return NoiseSchedule(K, betas, alphas, ab, np.sqrt(ab), np.sqrt(1.0 - ab))
 
 
-def forward_noise(a0: np.ndarray, k, sched: NoiseSchedule, rng: np.random.Generator):
-    """Noise clean actions to step k: a^k = sqrt(ab_k) a0 + sqrt(1-ab_k) eps.
+def forward_noise(a0: np.ndarray, ks: np.ndarray, sched: NoiseSchedule,
+                  rng: np.random.Generator):
+    """Noise action rows to their steps: a^k = sqrt(ab_k) a0 + sqrt(1-ab_k) eps.
 
-    Works on a single vector with int k or a batch (rows) with an int array k.
-    Returns (a_k, eps) with eps drawn from rng.
+    a0 is (B, dim) and ks an int array of B step indices. Returns (a_k, eps)
+    with eps drawn from rng.
     """
-    a0 = np.asarray(a0, dtype=np.float64)
-    karr = np.asarray(k)
-    if karr.size == 0 or karr.min() < 1 or karr.max() > sched.K:
-        raise ContractError(f"denoising index k={k} outside 1..{sched.K}")
+    if ks.min() < 1 or ks.max() > sched.K:
+        raise ContractError(f"denoising indices {ks} outside 1..{sched.K}")
     eps = rng.standard_normal(a0.shape)
-    per_row = (Ellipsis, None) if a0.ndim == 2 else ()
-    return sched.sqrt_ab(k)[per_row] * a0 + sched.sqrt_one_minus_ab(k)[per_row] * eps, eps
+    return sched.sqrt_ab(ks)[:, None] * a0 + sched.sqrt_one_minus_ab(ks)[:, None] * eps, eps
 
 
 def denoise_loss(score, a0: np.ndarray, cond: np.ndarray, sched: NoiseSchedule,
@@ -70,17 +68,13 @@ def denoise_loss(score, a0: np.ndarray, cond: np.ndarray, sched: NoiseSchedule,
     """Mean over the batch of ||eps - eps_hat||^2 with k uniform in 1..K.
 
     ``a0`` and ``cond`` are the batch's action and condition rows; the
-    provider is called once on them and may return a Tensor (training) or
-    ndarray.
+    training provider is called once on them.
     """
     if len(a0) == 0:
         raise ContractError("denoise_loss needs a nonempty batch")
     ks = rng.integers(1, sched.K + 1, size=len(a0))
     a_k, eps = forward_noise(a0, ks, sched, rng)
-    eps_hat = score(a_k, cond, ks)
-    if not isinstance(eps_hat, nc.Tensor):
-        eps_hat = nc.const(eps_hat)
-    return nc.mse_rows(eps_hat, eps)
+    return nc.mse_rows(score(a_k, cond, ks), eps)
 
 
 def fit_denoiser(score, groups, a_rows: np.ndarray, cond_rows: np.ndarray,
@@ -119,60 +113,47 @@ def posterior_sigma(sched: NoiseSchedule, sigma_mode: str = "beta") -> np.ndarra
     raise ConfigError(f"unknown sigma_mode '{sigma_mode}'")
 
 
-def ddpm_sample(
-    score,
-    cond,
-    sched: NoiseSchedule,
-    rngs,
-    dim: int,
-    *,
-    init: np.ndarray | None = None,
-    sigma_mode: str = "beta",
-) -> np.ndarray:
+def ddpm_sample(score, sched: NoiseSchedule, rngs, dim: int, *,
+                sigma_mode: str) -> np.ndarray:
     """Ancestral sampling of B rows from a^K down to a^0, clamped to [-1, 1].
 
     Row r draws its noise from ``rngs[r]`` alone, as one (K, dim) block: the
     initial state, then one vector per step k = K..2, in the order sequential
-    draws would fill it. Given ``init`` rows instead, sampling starts there
-    and injects no noise, so the trajectory is deterministic. The state keeps
-    the layout of ``nc.row_layout``, which the score provider sees and
-    returns; the result is (B, dim). The step constants beta_k /
-    sqrt(1 - ab_k), sqrt(alpha_k) and every sigma_k z are computed for all k
-    at once, by the same elementwise operations as one step at a time. The
-    state is updated in place in a buffer of its own, so a provider must
-    not keep a_k across steps.
+    draws would fill it. The state keeps the layout of ``nc.row_layout``,
+    which the sampling provider ``score(a_k, k)`` sees and returns; the
+    result is (B, dim). The step constants beta_k / sqrt(1 - ab_k),
+    sqrt(alpha_k) and every sigma_k z are computed for all k at once, by the
+    same elementwise operations as one step at a time. The state is updated
+    in place in a buffer of its own, so a provider must not keep a_k across
+    steps.
     """
-    if (init is None) == (rngs is None):
-        raise ContractError("ddpm_sample takes either rngs or init rows")
     table = list(zip((sched.betas / sched.sqrt_one_minus_abs).tolist(),
                      np.sqrt(sched.alphas).tolist()))
-    if init is None:
-        # (K, B, dim) in row layout: noise[j] holds every row's j-th draw
-        noise = nc.row_layout(np.stack([g.standard_normal((sched.K, dim)) for g in rngs],
-                                       axis=1))
-        sigmas = posterior_sigma(sched, sigma_mode)[:0:-1]   # sigma_K .. sigma_2
-        a, sz = noise[0], noise[1:] * sigmas.reshape((-1,) + (1,) * (noise.ndim - 1))
-    else:
-        a, sz = nc.row_layout(np.array(init, dtype=np.float64).reshape(-1, dim)), None
+    # (K, B, dim) in row layout: noise[j] holds every row's j-th draw
+    noise = nc.row_layout(np.stack([g.standard_normal((sched.K, dim)) for g in rngs],
+                                   axis=1))
+    sigmas = posterior_sigma(sched, sigma_mode)[:0:-1]   # sigma_K .. sigma_2
+    a, sz = noise[0], noise[1:] * sigmas.reshape((-1,) + (1,) * (noise.ndim - 1))
     step = np.empty_like(a)
     for k in range(sched.K, 0, -1):
-        eps_hat = score(a, cond, k)
+        eps_hat = score(a, k)
         if eps_hat.shape != a.shape:
             raise ContractError(f"score rows {eps_hat.shape} for sample rows {a.shape}")
         eps_coef, sqrt_alpha = table[k - 1]
         a -= np.multiply(eps_hat, eps_coef, out=step)
         a /= sqrt_alpha
-        if k > 1 and sz is not None:
+        if k > 1:
             a += sz[sched.K - k]
         if not np.isfinite(a).all():
             raise NumericError(f"non-finite sample state at step k={k}")
     return np.clip(a, -1.0, 1.0).reshape(-1, dim)
 
 
-def effective_eps(a_k: np.ndarray, a0: np.ndarray, k: int, sched: NoiseSchedule) -> np.ndarray:
+def effective_eps(a_k: np.ndarray, a0: np.ndarray, k, sched: NoiseSchedule) -> np.ndarray:
     """The noise that forward_noise would have to have drawn to map a0 to a_k.
 
-    Feeding this back into the sampler with injection disabled reproduces a0
-    exactly; used by tests as a perfect-denoiser oracle.
+    As a sampling provider ``(a_k, k)`` it is a perfect denoiser: step k = 1
+    injects no noise, so the sampler lands on a0 whatever state it reached;
+    used by tests as an oracle.
     """
     return (a_k - sched.sqrt_ab(k) * a0) / sched.sqrt_one_minus_ab(k)

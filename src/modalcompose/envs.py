@@ -342,17 +342,14 @@ class Dataset:
             )
         return self._rows_cache["flat"]
 
-    def training_rows(self, modality: str):
-        """(modality rows, robot rows, normalized action chunks) over all steps."""
-        mods, rs, acts = self._flat()
-        if modality not in mods:
-            raise ConfigError(f"modality '{modality}' not in dataset")
-        return mods[modality], rs, acts
-
     def training_cond_rows(self, order) -> tuple[np.ndarray, np.ndarray, list[slice]]:
-        """Action rows, condition rows [modalities in `order`..., robot state],
-        and each block's column slice in the condition rows."""
+        """Normalized action chunks over all steps, condition rows
+        [modalities in `order`..., robot state], and each block's column
+        slice in the condition rows."""
         mods, rs, acts = self._flat()
+        missing = [m for m in order if m not in mods]
+        if missing:
+            raise ConfigError(f"modalities {missing} not in dataset")
         blocks = [mods[m] for m in order] + [rs]
         slices, off = [], 0
         for b in blocks:

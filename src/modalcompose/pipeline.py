@@ -29,8 +29,6 @@ from .runconfig import RunConfig, model_hash
 _ROUTER_LABEL = 1000
 _CONCAT_LABEL = 1001
 _MOE_LABEL = 1002
-_FUSION_TRAINERS = {"concat": (train_concat_policy, _CONCAT_LABEL),
-                    "moe": (train_moe_policy, _MOE_LABEL)}
 
 
 def default_dataset_path(cfg: RunConfig, out_dir: Path) -> Path:
@@ -136,8 +134,9 @@ def run_training(cfg: RunConfig) -> dict[str, Path]:
             cp.save_router(router, stats, sched, path, env_name=cfg.env.name,
                            seed=seed, config_hash=mhash)
             history = router.loss_history
-        else:
-            train, label = _FUSION_TRAINERS[method]
+        else:   # trainers looked up by name here, so a wrapper of the module attribute runs
+            train, label = ((train_concat_policy, _CONCAT_LABEL) if method == "concat"
+                            else (train_moe_policy, _MOE_LABEL))
             policy = train(dataset, cfg, stream(seed, TAG_TRAIN, label))
             cp.save_fusion(policy, path, env_name=cfg.env.name, seed=seed,
                            config_hash=mhash)
@@ -197,6 +196,9 @@ def load_manifest(path) -> tuple[ComposedPolicy, dict]:
             fields[key] = value
     if not fields["expert"]:
         raise FormatError(f"{p}: no expert checkpoints listed")
+    strategy = fields.get("strategy", "soft")
+    if strategy not in STRATEGIES:
+        raise FormatError(f"{p}: unknown strategy {strategy!r}")
     base = p.parent
     loaded = [cp.load_checkpoint(base / e) for e in fields["expert"]]
     metas = [ck.metadata for ck in loaded]
@@ -209,8 +211,7 @@ def load_manifest(path) -> tuple[ComposedPolicy, dict]:
         metas.append(rck.metadata)
         cp.check_compose_compatibility(metas)
         router = cp.router_from_checkpoint(rck)
-        policy = compose_policy(experts, router, fields.get("strategy", "soft"),
-                                sched, stats)
+        policy = compose_policy(experts, router, strategy, sched, stats)
     elif "weights" in fields:
         cp.check_compose_compatibility(metas)
         try:
@@ -219,7 +220,7 @@ def load_manifest(path) -> tuple[ComposedPolicy, dict]:
             raise FormatError(f"{p}: weights must be numbers, got "
                               f"{fields['weights']!r}") from None
         policy = manual_compose(experts, w, sched, stats)
-        policy.strategy = fields.get("strategy", "soft")
+        policy.strategy = strategy
     else:
         raise FormatError(f"{p}: manifest lists neither router nor weights")
     want = fields.get("stats_hash", "")
@@ -278,19 +279,20 @@ def run_eval(target, n: int, seed: int, env_name: str | None = None,
              method: str | None = None) -> list[dict]:
     """Evaluate a policy target over n seeded episodes.
 
-    target: manifest path, checkpoint path, or a policy object (then env_name
-    and method are required). Returns metrics rows. Failures naturally end at
-    T_max steps, matching the timeout convention for mean_steps.
+    target: manifest path or checkpoint path, which names its env and label,
+    or a policy object, which needs env_name and method. Returns metrics
+    rows. Failures naturally end at T_max steps, matching the timeout
+    convention for mean_steps.
     """
     if n <= 0:
         raise ContractError("n must be positive")
     if isinstance(target, (str, Path)):
         policy, label, env = _policy_from_path(target)
+    elif env_name is None or method is None:
+        raise ContractError("policy objects need env_name and method labels")
     else:
-        if env_name is None or method is None:
-            raise ContractError("policy objects need env_name and method labels")
         policy, label, env = target, method, env_name
-    spec = make_env_spec(env_name or env)
+    spec = make_env_spec(env)
     rate, mean_steps = evaluate_policy(policy, spec, seed, n)
     return [{"task": spec.name, "method": label, "success_rate": rate,
              "mean_steps": mean_steps, "param_count": policy.n_params(),

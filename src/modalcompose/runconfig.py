@@ -12,7 +12,15 @@ import hashlib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .diffusion import SIGMA_MODES
 from .errors import ConfigError
+from .router import STRATEGIES
+
+
+def _require(ok: bool, key: str, value, want: str) -> None:
+    """Refuse a section value when the config is built, naming its key."""
+    if not ok:
+        raise ConfigError(f"{key} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -28,6 +36,11 @@ class DiffusionConfig:
     beta_end: float = 0.02
     horizon: int = 1           # actions predicted per control step
     sigma_mode: str = "beta"   # beta | beta_tilde
+
+    def __post_init__(self):
+        _require(self.horizon >= 1, "[diffusion] horizon", self.horizon, ">= 1")
+        _require(self.sigma_mode in SIGMA_MODES, "[diffusion] sigma_mode", self.sigma_mode,
+                 f"one of {SIGMA_MODES}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +66,11 @@ class TrainConfig:
     lr: float = 1e-3
     router_steps: int = 2000
 
+    def __post_init__(self):
+        _require(self.steps >= 0, "[train] steps", self.steps, ">= 0")
+        _require(self.router_steps >= 0, "[train] router_steps", self.router_steps, ">= 0")
+        _require(self.batch >= 1, "[train] batch", self.batch, ">= 1")
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
@@ -73,6 +91,10 @@ class RunSection:
     demos: int = 100
     eval_n: int = 200
     out: str = "runs"
+
+    def __post_init__(self):
+        _require(self.strategy in STRATEGIES, "[run] strategy", self.strategy,
+                 f"one of {STRATEGIES}")
 
 
 @dataclass(frozen=True)

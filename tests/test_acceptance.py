@@ -125,10 +125,10 @@ def test_ac1_composition_identity():
         one_hot = np.zeros(3)
         one_hot[j] = 1.0
         selected = compose.manual_compose(distinct, one_hot, sched, stats)
-        got = selected.score_provider([obs])(a_k[None, :], None, k)[0]
+        got = selected.score_provider([obs])(a_k[None, :], k)[0]
         want = expert_score(distinct[j], a_k, obs, k)
         assert got.tobytes() == want.tobytes()
-        mixed = uniform.score_provider([obs])(a_k[None, :], None, k)[0]
+        mixed = uniform.score_provider([obs])(a_k[None, :], k)[0]
         single = expert_score(clones[0], a_k, obs, k)
         worst = max(worst, float(np.max(np.abs(mixed - single))))
     elapsed = time.time() - t0

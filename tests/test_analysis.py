@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from modalcompose import analysis as an
-from modalcompose.envs import Observation, make_env_spec
+from modalcompose.envs import Observation, env_reset, make_env_spec
 from modalcompose.errors import ConfigError, ContractError
+from modalcompose.rngstream import TAG_EVAL, stream
 from modalcompose.rollout import run_policy_episode
 from modalcompose.runconfig import ProbeConfig
 
@@ -121,8 +122,7 @@ def test_freeze_corruption_holds_first_value(rng):
     later = make_obs(rng)
     again = an.corrupt_modality(later, mode).modalities["tac"]
     assert again.tobytes() == held.tobytes()
-    mode.begin_episode()
-    fresh = an.corrupt_modality(later, mode).modalities["tac"]
+    fresh = an.corrupt_modality(later, an.CorruptionMode("freeze", "tac")).modalities["tac"]
     assert fresh.tobytes() == later.modalities["tac"].tobytes()
 
 
@@ -194,6 +194,27 @@ def test_corruption_onset_gates_first_observation():
         an.robustness_eval(spy, spec, scenario, 1, seed=3)
         first_vis = spy.seen[0].modalities["vis"]
         assert np.array_equal(first_vis, np.zeros(5)) == zero_at_start, onset
+
+
+def test_freeze_state_is_per_episode_however_hooks_are_built():
+    """Hooks built for several episodes before any runs (as lockstep
+    rollouts build them) filter as hooks built one at a time do: under
+    freeze corruption each episode holds its own first vector."""
+    spec = make_env_spec("occluded_reach")
+    scenario = an.ScenarioSpec(kind="corruption",
+                               corruption=an.CorruptionMode("freeze", "vis"))
+    starts = [env_reset(spec, stream(5, TAG_EVAL, ep)) for ep in range(3)]
+
+    def seen(hooks, ep):
+        state, obs = starts[ep]
+        return hooks["obs_filter"](obs, state, 0).modalities["vis"].tobytes()
+
+    one_at_a_time = [seen(an._scenario_hooks(scenario, spec, 5, ep), ep) for ep in range(3)]
+    built = [an._scenario_hooks(scenario, spec, 5, ep) for ep in range(3)]
+    up_front = [seen(built[ep], ep) for ep in range(3)]
+    assert one_at_a_time == [obs.modalities["vis"].tobytes() for _, obs in starts]
+    assert len(set(one_at_a_time)) == 3
+    assert up_front == one_at_a_time
 
 
 def test_unreached_perturbation_step_is_a_no_op():

@@ -117,6 +117,16 @@ def test_expert_training_step_records_two_mlp_forwards(tracer):
     assert calls(tracer, "numcore.mlp_forward") == 2
 
 
+def test_traced_run_training_sees_the_fusion_trainers(tracer, tmp_path):
+    cfg = tiny_cfg(steps=1).with_section("run", methods=("concat", "moe"), demos=1,
+                                         out=str(tmp_path))
+    pl.gen_data(cfg)
+    pl.run_training(cfg)
+    assert calls(tracer, "pipeline.run_training") == 1
+    assert calls(tracer, "compose.train_concat_policy") == 1
+    assert calls(tracer, "compose.train_moe_policy") == 1
+
+
 def test_traced_names_see_training_and_probing(tracer):
     ds = constant_action_dataset([0.1, 0.2])
     xp.train_expert(ds, "vis", tiny_cfg(steps=2), np.random.default_rng(0))

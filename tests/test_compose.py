@@ -46,7 +46,7 @@ def mixed_score(experts, w, a_k, obs, k):
     """The score a fixed-weight composition samples with at (a_k, obs, k)."""
     stats = constant_action_dataset(np.array([0.1, 0.2])).stats()
     policy = cp.manual_compose(experts, w, make_schedule(), stats)
-    return policy.score_provider([obs])(a_k[None, :], None, k)[0]
+    return policy.score_provider([obs])(a_k[None, :], k)[0]
 
 
 def expert_score(ex, a_k, obs, k):
@@ -82,7 +82,7 @@ def test_inter_compose_sums_weighted_scores_in_expert_order(rng, n, rows):
     policy = cp.manual_compose(experts, {2: [0.3, 0.7], 3: [0.2, 0.5, 0.3]}[n],
                                make_schedule(), stats)
     a_k = cp.nc.row_layout(rng.normal(size=(rows, 2)))
-    got = policy.score_provider(obs)(a_k, None, 30)
+    got = policy.score_provider(obs)(a_k, 30)
     want = None
     for ex, wi in zip(experts, policy.fixed_w):
         e = ex.encode_rows(cp._rows(obs, ex.modality), cp._rows(obs))
@@ -129,7 +129,7 @@ def test_composed_policy_samples_with_its_experts_sigma_mode(rng):
     assert policy.sigma_mode == "beta_tilde"
     obs = random_obs(rng)
     want = stats.denormalize_chunk(ddpm_sample(
-        policy.score_provider([obs]), None, sched, [np.random.default_rng(6)], 2,
+        policy.score_provider([obs]), sched, [np.random.default_rng(6)], 2,
         sigma_mode="beta_tilde")[0])
     assert policy.act(obs, np.random.default_rng(6)).tobytes() == want.tobytes()
     with pytest.raises(ContractError, match="sigma_mode"):

@@ -85,6 +85,30 @@ def test_parse_errors_carry_line_numbers():
         rc.parse_config_text("[expert]\n\nnoise_band_split = maybe")
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("diffusion", "sigma_mode", "betta"), ("diffusion", "horizon", 0),
+    ("train", "steps", -1), ("train", "router_steps", -1), ("train", "batch", 0),
+    ("run", "strategy", "bogus")])
+def test_bad_values_are_refused_when_the_config_is_built(section, key, value):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must"):
+        rc.parse_config_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must"):
+        rc.RunConfig().with_section(section, **{key: value})
+
+
+def test_train_with_a_bad_config_exits_1_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    good = f"[run]\ndemos = 1\nout = {out}\n[train]\nsteps = 0\nrouter_steps = 0\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(good)
+    assert cli_dispatch(["gen-data", "--config", str(cfg)]) == 0
+    before = sorted(out.iterdir())
+    cfg.write_text(good.replace("steps = 0\nrouter", "steps = -1\nrouter"))
+    assert cli_dispatch(["train", "--config", str(cfg)]) == 1
+    assert "[train] steps" in capsys.readouterr().err
+    assert sorted(out.iterdir()) == before
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         rc.load_config(tmp_path / "nope.cfg")
@@ -139,6 +163,12 @@ def test_scenario_parse_errors():
 def test_unknown_subcommand_exits_2(capsys):
     assert cli_dispatch(["decompose"]) == 2
     capsys.readouterr()
+
+
+def test_eval_has_no_env_flag(tmp_path, capsys):
+    assert cli_dispatch(["eval", "--manifest", str(tmp_path / "m.mcpf"),
+                         "--env", "phase_reach"]) == 2
+    assert "--env" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):

@@ -48,10 +48,10 @@ def test_schedule_validation():
 
 def test_forward_noise_closed_form(rng):
     s = df.make_schedule()
-    a0 = rng.normal(size=(4,))
+    a0 = rng.normal(size=(1, 4))
     probe = np.random.default_rng(7)
-    a_k, eps = df.forward_noise(a0, 30, s, probe)
-    replay = np.random.default_rng(7).standard_normal(4)
+    a_k, eps = df.forward_noise(a0, np.array([30]), s, probe)
+    replay = np.random.default_rng(7).standard_normal((1, 4))
     assert np.array_equal(eps, replay)
     expect = np.sqrt(s.alpha_bars[29]) * a0 + np.sqrt(1 - s.alpha_bars[29]) * eps
     assert np.allclose(a_k, expect, atol=1e-15)
@@ -70,95 +70,94 @@ def test_forward_noise_batched_per_row_k(rng):
 
 def test_forward_noise_rejects_bad_k(rng):
     s = df.make_schedule()
-    a0 = rng.normal(size=(2,))
-    for bad in (0, 51, np.array([1, 0])):
+    a0 = rng.normal(size=(2, 2))
+    for bad in (np.array([0, 1]), np.array([1, 51]), np.array([1, 0])):
         with pytest.raises(ContractError):
             df.forward_noise(a0, bad, s, rng)
 
 
 def test_effective_eps_inverts_forward(rng):
     s = df.make_schedule()
-    a0 = rng.normal(size=(5,))
-    a_k, eps = df.forward_noise(a0, 17, s, np.random.default_rng(3))
+    a0 = rng.normal(size=(1, 5))
+    a_k, eps = df.forward_noise(a0, np.array([17]), s, np.random.default_rng(3))
     back = df.effective_eps(a_k, a0, 17, s)
     assert np.allclose(back, eps, atol=1e-12)
 
 
-def test_perfect_denoiser_reconstructs_exactly(rng):
-    """With the oracle score and no injected noise the sampler lands on a0.
-
-    This holds for any start point, so run it from several random inits.
-    """
+def test_perfect_denoiser_reconstructs_exactly():
+    """With the oracle score the sampler lands on a0: the last step injects
+    no noise and maps any state to a0. Run it from several noise streams,
+    in both sigma modes."""
     s = df.make_schedule()
     a0 = np.array([0.31, -0.62, 0.05])
 
-    def oracle(a, cond, k):
+    def oracle(a, k):
         return df.effective_eps(a, a0, k, s)
 
-    for trial in range(3):
-        init = rng.normal(size=3) * (trial + 1)
-        out = df.ddpm_sample(oracle, None, s, None, 3, init=init[None, :])
-        assert np.allclose(out[0], a0, atol=1e-10)
+    for mode in df.SIGMA_MODES:
+        for trial in range(3):
+            out = df.ddpm_sample(oracle, s, [np.random.default_rng(trial)], 3,
+                                 sigma_mode=mode)
+            assert np.allclose(out[0], a0, atol=1e-10)
 
 
 def test_sampler_clamps_to_unit_box():
     s = df.make_schedule()
     a0 = np.array([1.7, -2.0])
 
-    def oracle(a, cond, k):
+    def oracle(a, k):
         return df.effective_eps(a, a0, k, s)
 
-    out = df.ddpm_sample(oracle, None, s, None, 2, init=np.zeros((1, 2)))
+    out = df.ddpm_sample(oracle, s, [np.random.default_rng(0)], 2, sigma_mode="beta")
     assert np.allclose(out[0], [1.0, -1.0], atol=1e-10)
 
 
 def test_sampler_deterministic_given_seed():
     s = df.make_schedule()
 
-    def score(a, cond, k):
+    def score(a, k):
         return 0.1 * a
 
-    one = df.ddpm_sample(score, None, s, [np.random.default_rng(9)], 4)
-    two = df.ddpm_sample(score, None, s, [np.random.default_rng(9)], 4)
+    one = df.ddpm_sample(score, s, [np.random.default_rng(9)], 4, sigma_mode="beta")
+    two = df.ddpm_sample(score, s, [np.random.default_rng(9)], 4, sigma_mode="beta")
     assert np.array_equal(one, two)
 
 
 def test_sampler_updates_its_own_state_buffer():
-    """The state is updated in place in a buffer of the sampler's own: the
-    init rows and a score that returns its input are left as they were."""
+    """The state is updated in place in a buffer of the sampler's own, so a
+    score that returns its input still sees each step's state: replaying
+    every row's noise block one step at a time gives the same states and
+    result."""
     s = df.make_schedule(K=5)
-    init = np.array([[0.3, -0.2], [0.1, 0.4]])
-    keep = init.copy()
-    returned = []
+    seeds = (3, 4)
+    seen = []
 
-    def score(a, cond, k):
-        returned.append(a.copy())
+    def score(a, k):
+        seen.append(a.copy())
         return a
 
-    out = df.ddpm_sample(score, None, s, None, 2, init=init)
-    assert np.array_equal(init, keep)
-    a = nc.row_layout(keep.copy())
+    out = df.ddpm_sample(score, s, [np.random.default_rng(r) for r in seeds], 2,
+                         sigma_mode="beta")
+    noise = nc.row_layout(np.stack(
+        [np.random.default_rng(r).standard_normal((5, 2)) for r in seeds], axis=1))
+    a = noise[0]
     for k in range(5, 0, -1):
-        assert np.array_equal(returned[5 - k], a)
+        assert np.array_equal(seen[5 - k], a)
         a = (a - s.betas[k - 1] / np.sqrt(1.0 - s.alpha_bars[k - 1]) * a) / np.sqrt(
             s.alphas[k - 1])
+        if k > 1:
+            a = a + np.sqrt(s.betas[k - 1]) * noise[6 - k]
     assert np.array_equal(out, np.clip(a, -1.0, 1.0).reshape(-1, 2))
-
-
-def test_sampler_requires_rng_or_init():
-    s = df.make_schedule()
-    with pytest.raises(ContractError):
-        df.ddpm_sample(lambda a, c, k: a, None, s, None, 2)
 
 
 def test_sampler_flags_nonfinite_scores():
     s = df.make_schedule()
 
-    def bad(a, cond, k):
+    def bad(a, k):
         return np.full_like(a, np.inf)
 
     with pytest.raises(NumericError):
-        df.ddpm_sample(bad, None, s, None, 2, init=np.zeros((1, 2)))
+        df.ddpm_sample(bad, s, [np.random.default_rng(0)], 2, sigma_mode="beta")
 
 
 def test_posterior_sigma_modes():
@@ -183,7 +182,7 @@ def test_denoise_loss_perfect_score_is_zero(rng):
     def oracle(a_k, cond, ks):
         sab = np.sqrt(s.alpha_bars[ks - 1])[:, None]
         somab = np.sqrt(1 - s.alpha_bars[ks - 1])[:, None]
-        return (a_k - sab * a0) / somab
+        return nc.const((a_k - sab * a0) / somab)
 
     loss = df.denoise_loss(oracle, a0, cond, s, np.random.default_rng(4))
     assert float(loss.data) < 1e-20

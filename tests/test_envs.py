@@ -374,19 +374,20 @@ def test_stats_key_tracks_contents():
 def test_training_rows_shapes_and_normalization():
     spec = envs.make_env_spec("occluded_reach")
     ds = envs.generate_dataset(spec, 2, seed=3)
-    m, rs, acts = ds.training_rows("vis")
+    acts, cond, (m, rs) = ds.training_cond_rows(("vis",))
     n = ds.n_steps
-    assert m.shape == (n, 5) and rs.shape == (n, 2) and acts.shape == (n, 2)
+    assert cond[:, m].shape == (n, 5) and cond[:, rs].shape == (n, 2)
+    assert acts.shape == (n, 2)
     assert np.all(acts >= -1.0 - 1e-12) and np.all(acts <= 1.0 + 1e-12)
     with pytest.raises(ConfigError):
-        ds.training_rows("audio")
+        ds.training_cond_rows(("vis", "audio"))
 
 
 def test_training_rows_horizon_chunks():
     spec = envs.make_env_spec("occluded_reach")
     ds1 = envs.generate_dataset(spec, 2, seed=4, horizon=1)
     ds2 = envs.generate_dataset(spec, 2, seed=4, horizon=2)
-    _, _, acts2 = ds2.training_rows("vis")
+    acts2, _, _ = ds2.training_cond_rows(("vis",))
     rows = sum(ep.length - 1 for ep in ds2.episodes)
     assert acts2.shape == (rows, 4)
     # row t holds [a_t, a_{t+1}] normalized with the same per-step stats

@@ -273,6 +273,25 @@ def test_manifest_rejects_bad_weights(tmp_path, weights, error):
     assert cli_dispatch(["eval", "--manifest", str(man), "--n", "1"]) == 1
 
 
+def test_manifest_refuses_an_unknown_strategy_at_load(tmp_path):
+    _, written = trained_paths(tmp_path, methods=("expert:vis",))
+    man = tmp_path / "bogus.txt"
+    man.write_text(f"env = occluded_reach\nstrategy = bogus\n"
+                   f"expert = {written['expert:vis'].name}\nweights = 1.0\n")
+    with pytest.raises(FormatError, match="strategy"):
+        pl.load_manifest(man)
+
+
+@pytest.mark.parametrize("weights", ["0", "nan", "half", "0.5,0.5"])
+def test_failed_compose_writes_no_manifest(tmp_path, weights, capsys):
+    _, written = trained_paths(tmp_path, methods=("expert:vis",))
+    man = tmp_path / "m.txt"
+    assert cli_dispatch(["compose", "--experts", str(written["expert:vis"]),
+                         "--weights", weights, "--out", str(man)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not man.exists()
+
+
 def test_manifest_validation(tmp_path):
     with pytest.raises(ContractError):
         pl.write_manifest(tmp_path / "m.txt", env_name="e", expert_paths=["x"],

@@ -194,5 +194,5 @@ def test_joint_training_score_matches_inference_with_band_split(rng):
     trained = rt._router_score_graph(router, experts, a_k, cond, ks, slices, True).data
     for r in range(n):
         obs = Observation({"vis": vis[r], "tac": tac[r]}, rs[r])
-        served = policy.score_provider([obs])(a_k[r:r + 1], None, int(ks[r]))[0]
+        served = policy.score_provider([obs])(a_k[r:r + 1], int(ks[r]))[0]
         assert np.max(np.abs(trained[r] - served)) <= 1e-12, r
