@@ -194,10 +194,6 @@ def perturb_importance(policy, spec: EnvSpec, episode_seed: int,
     The seen and the perturbed observations are the rows of one
     ``policy.act_rows`` call, each on its own generator of that stream.
     """
-    if cfg.draws < 1:
-        raise ConfigError(f"[probe] draws must be >= 1, got {cfg.draws}")
-    if not 0.0 < cfg.ema_alpha <= 1.0:
-        raise ConfigError(f"[probe] ema_alpha must be in (0, 1], got {cfg.ema_alpha}")
     dims = spec.modality_dims()
     probed = cfg.modalities if cfg.modalities else tuple(dims)
     for m in probed:

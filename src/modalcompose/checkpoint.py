@@ -20,7 +20,7 @@ from . import numcore as nc
 from .diffusion import SIGMA_MODES, NoiseSchedule, make_schedule
 from .envs import ActionStats, _Reader
 from .errors import ConfigError, ContractError, FormatError, ShapeError
-from .experts import ModalityExpert
+from .experts import Encoder, ModalityExpert
 from .router import Router
 
 MAGIC = b"MCPF"
@@ -208,6 +208,16 @@ def _params_from_tensors(ck: Checkpoint, prefix: str, spec: nc.MlpSpec) -> nc.Pa
     return ps
 
 
+def _encoder_from_checkpoint(ck: Checkpoint, prefix: str, modality: str, modality_dim: int,
+                             spec_meta: dict, robot_dim: int) -> Encoder:
+    """An encoder whose stored modality width is its spec's input width."""
+    spec = _spec_from_meta(spec_meta)
+    if modality_dim != spec.input_dim:
+        raise FormatError(f"modality '{modality}' has width {modality_dim}, its "
+                          f"encoder spec takes {spec.input_dim}")
+    return Encoder(modality, _params_from_tensors(ck, prefix, spec), spec, robot_dim)
+
+
 def common_metadata(kind: str, stats: ActionStats, sched: NoiseSchedule,
                     env_name: str, seed: int, config_hash: str) -> dict:
     return {"kind": kind, "env": env_name, "seed": seed,
@@ -219,16 +229,16 @@ def save_expert(expert: ModalityExpert, stats: ActionStats, sched: NoiseSchedule
                 path, *, env_name: str, seed: int, config_hash: str) -> None:
     meta = common_metadata("expert", stats, sched, env_name, seed, config_hash)
     meta.update({
-        "modality": expert.modality, "modality_dim": expert.modality_dim,
-        "robot_dim": expert.robot_dim, "action_dim": expert.action_dim,
+        "modality": expert.modality, "modality_dim": expert.enc.spec.input_dim,
+        "robot_dim": expert.enc.robot_dim, "action_dim": expert.action_dim,
         "n_steps": expert.n_steps, "noise_band_split": expert.noise_band_split,
-        "encoder_spec": _spec_meta(expert.encoder_spec),
+        "encoder_spec": _spec_meta(expert.enc.spec),
         "sub_specs": [_spec_meta(expert.sub_spec)] * expert.n_sub,
     })
     # written only when not the default, so default checkpoints keep their bytes
     if expert.sigma_mode != "beta":
         meta["sigma_mode"] = expert.sigma_mode
-    tensors = _params_tensors("enc", expert.encoder)
+    tensors = _params_tensors("enc", expert.enc.params)
     for i in range(expert.n_sub):
         tensors.update(_params_tensors(f"sub{i}", nc.unstack_params(expert.subs, i)))
     save_checkpoint(tensors, meta, path)
@@ -238,7 +248,8 @@ def save_expert(expert: ModalityExpert, stats: ActionStats, sched: NoiseSchedule
 def expert_from_checkpoint(ck: Checkpoint) -> tuple[ModalityExpert, ActionStats,
                                                     NoiseSchedule]:
     m = ck.metadata
-    enc_spec = _spec_from_meta(m["encoder_spec"])
+    enc = _encoder_from_checkpoint(ck, "enc", m["modality"], m["modality_dim"],
+                                   m["encoder_spec"], m["robot_dim"])
     sub_specs = m["sub_specs"]
     if not sub_specs or any(sm != sub_specs[0] for sm in sub_specs):
         raise FormatError(f"expert sub-policy specs must be one spec, "
@@ -252,9 +263,7 @@ def expert_from_checkpoint(ck: Checkpoint) -> tuple[ModalityExpert, ActionStats,
     subs = nc.stack_params([_params_from_tensors(ck, f"sub{i}", sub_spec)
                             for i in range(len(sub_specs))])
     expert = ModalityExpert(
-        modality=m["modality"], modality_dim=m["modality_dim"],
-        robot_dim=m["robot_dim"], action_dim=m["action_dim"],
-        encoder=_params_from_tensors(ck, "enc", enc_spec), encoder_spec=enc_spec,
+        enc=enc, action_dim=m["action_dim"],
         subs=subs, sub_spec=sub_spec, n_steps=m["n_steps"],
         noise_band_split=m["noise_band_split"], sigma_mode=sigma_mode,
     )
@@ -281,34 +290,6 @@ def router_from_checkpoint(ck: Checkpoint) -> Router:
                   emb_dims=tuple(m["emb_dims"]))
 
 
-def _bank_meta(bank) -> dict:
-    return {"modality_order": list(bank.modality_order),
-            "modality_dims": list(bank.modality_dims),
-            "robot_dim": bank.robot_dim,
-            "encoder_specs": [_spec_meta(spec) for _, spec in bank.encoders]}
-
-
-def _bank_tensors(bank) -> dict[str, np.ndarray]:
-    out = {}
-    for name, (params, _) in zip(bank.modality_order, bank.encoders):
-        out.update(_params_tensors(f"enc_{name}", params))
-    return out
-
-
-def _bank_from_checkpoint(ck: Checkpoint, m: dict):
-    from .compose import _EncoderBank
-    if not len(m["modality_order"]) == len(m["modality_dims"]) == len(m["encoder_specs"]):
-        raise FormatError("fusion checkpoint modality_order, modality_dims and "
-                          "encoder_specs differ in length")
-    encoders = []
-    for name, sm in zip(m["modality_order"], m["encoder_specs"]):
-        spec = _spec_from_meta(sm)
-        encoders.append((_params_from_tensors(ck, f"enc_{name}", spec), spec))
-    return _EncoderBank(modality_order=tuple(m["modality_order"]),
-                        modality_dims=tuple(m["modality_dims"]),
-                        robot_dim=m["robot_dim"], encoders=encoders)
-
-
 def save_fusion(policy, path, *, env_name: str, seed: int, config_hash: str) -> None:
     """Save a ConcatPolicy or MoEFeaturePolicy checkpoint."""
     from .compose import ConcatPolicy, MoEFeaturePolicy
@@ -320,14 +301,20 @@ def save_fusion(policy, path, *, env_name: str, seed: int, config_hash: str) -> 
         raise ContractError(f"not a fusion policy: {type(policy).__name__}")
     meta = common_metadata(kind, policy.stats, policy.sched, env_name, seed,
                            config_hash)
-    meta.update(_bank_meta(policy.bank))
-    meta["score_spec"] = _spec_meta(policy.score_spec)
-    meta["sigma_mode"] = policy.sigma_mode
-    tensors = _bank_tensors(policy.bank)
+    encs = policy.encoders
+    meta.update({"modality_order": [enc.modality for enc in encs],
+                 "modality_dims": [enc.spec.input_dim for enc in encs],
+                 "robot_dim": encs[0].robot_dim,
+                 "encoder_specs": [_spec_meta(enc.spec) for enc in encs],
+                 "score_spec": _spec_meta(policy.score_spec),
+                 "sigma_mode": policy.sigma_mode})
+    tensors = {}
+    for enc in encs:
+        tensors.update(_params_tensors(f"enc_{enc.modality}", enc.params))
     tensors.update(_params_tensors("score", policy.score_params))
     if kind == "moe":
-        meta["gate_spec"] = _spec_meta(policy.gate_spec)
-        tensors.update(_params_tensors("gate", policy.gate_params))
+        meta["gate_spec"] = _spec_meta(policy.gate.spec)
+        tensors.update(_params_tensors("gate", policy.gate.params))
     save_checkpoint(tensors, meta, path)
 
 
@@ -337,20 +324,23 @@ def fusion_from_checkpoint(ck: Checkpoint):
     m = ck.metadata
     if m["sigma_mode"] not in SIGMA_MODES:
         raise FormatError(f"unknown fusion sigma_mode {m['sigma_mode']!r}")
-    bank = _bank_from_checkpoint(ck, m)
+    if not len(m["modality_order"]) == len(m["modality_dims"]) == len(m["encoder_specs"]):
+        raise FormatError("fusion checkpoint modality_order, modality_dims and "
+                          "encoder_specs differ in length")
+    encoders = [_encoder_from_checkpoint(ck, f"enc_{name}", name, dim, sm, m["robot_dim"])
+                for name, dim, sm in zip(m["modality_order"], m["modality_dims"],
+                                         m["encoder_specs"])]
     score_spec = _spec_from_meta(m["score_spec"])
-    score_params = _params_from_tensors(ck, "score", score_spec)
-    stats = _stats_from_meta(m["stats"])
-    sched = _sched_from_meta(m["schedule"])
+    parts = dict(encoders=encoders, score_params=_params_from_tensors(ck, "score", score_spec),
+                 score_spec=score_spec, sched=_sched_from_meta(m["schedule"]),
+                 stats=_stats_from_meta(m["stats"]), sigma_mode=m["sigma_mode"])
     if m["kind"] == "concat":
-        return ConcatPolicy(bank=bank, score_params=score_params,
-                            score_spec=score_spec, sched=sched, stats=stats,
-                            sigma_mode=m["sigma_mode"])
+        return ConcatPolicy(**parts)
     gate_spec = _spec_from_meta(m["gate_spec"])
-    return MoEFeaturePolicy(bank=bank, gate_params=_params_from_tensors(ck, "gate", gate_spec),
-                            gate_spec=gate_spec, score_params=score_params,
-                            score_spec=score_spec, sched=sched, stats=stats,
-                            sigma_mode=m["sigma_mode"])
+    gate = Router(params=_params_from_tensors(ck, "gate", gate_spec), spec=gate_spec,
+                  modality_order=tuple(m["modality_order"]),
+                  emb_dims=tuple(enc.emb_dim for enc in encoders))
+    return MoEFeaturePolicy(gate=gate, **parts)
 
 
 def check_compose_compatibility(metas: list[dict]) -> None:

@@ -205,6 +205,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     # --seed picks the probe episodes; the dataset (for sigma calibration)
     # stays whatever the config names
     cfg = load_config(args.config) if args.config else RunConfig()
@@ -244,7 +246,10 @@ def _cmd_robust(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sizes = [int(s) for s in args.n.split(",")]
+    try:
+        sizes = [int(s) for s in args.n.split(",")]
+    except ValueError:
+        raise ConfigError(f"--n must be comma-separated integers, got {args.n!r}") from None
     overrides = {"out": args.out} if args.out else {}
     cfg = _load_cfg(args, **overrides)
     rows = pipeline.sweep_dataset_size(cfg, sizes)

@@ -3,8 +3,9 @@
 The composed policy runs one denoising loop whose score is the consensus-
 weighted sum of per-expert scores; weights come from a router or a fixed
 vector and are post-processed by a routing strategy. The baselines fuse at
-the feature level instead: one score network conditioned on concatenated
-embeddings (ConcatPolicy) or on a gated weighted sum of embeddings
+the feature level instead, from the same parts: one ``experts.Encoder`` per
+stream and one score net conditioned on the concatenated embeddings
+(ConcatPolicy) or on their sum weighted by a ``router.Router`` gate
 (MoEFeaturePolicy). Every policy samples B observations at once with
 ``act_rows``, each row bit for bit its own one-row ``act``.
 """
@@ -20,9 +21,9 @@ from . import numcore as nc
 from .diffusion import NoiseSchedule, ddpm_sample, fit_denoiser, make_schedule
 from .envs import ActionStats, Observation
 from .errors import ConfigError, ContractError
-from .experts import (TIMESTEP_DIM, ModalityExpert, score_input, stacked_scores,
-                      timestep_features)
-from .router import Router, apply_strategy, check_weights, softmax
+from .experts import (Encoder, ModalityExpert, init_encoder, score_graph, score_input,
+                      score_net_spec, stacked_scores)
+from .router import Router, apply_strategy, check_weights, gated_sum, init_router
 
 
 def _rows(obs_rows, name: str | None = None) -> np.ndarray:
@@ -127,7 +128,7 @@ def compose_policy(experts: list[ModalityExpert], router: Router, strategy: str,
         raise ContractError(
             f"router order {router.modality_order} != expert order {order}"
         )
-    emb_dims = tuple(ex.emb_dim for ex in experts)
+    emb_dims = tuple(ex.enc.emb_dim for ex in experts)
     if router.emb_dims != emb_dims:
         raise ContractError(f"router embedding dims {router.emb_dims} != expert "
                             f"embedding dims {emb_dims}")
@@ -163,48 +164,13 @@ def single_expert_policy(expert: ModalityExpert, sched: NoiseSchedule,
 # feature-fusion baselines
 
 
-@dataclass
-class _EncoderBank:
-    """Per-modality encoders shared by both baselines."""
-
-    modality_order: tuple[str, ...]
-    modality_dims: tuple[int, ...]
-    robot_dim: int
-    encoders: list[tuple[nc.ParamSet, nc.MlpSpec]]
-
-    def emb_dims(self) -> tuple[int, ...]:
-        return tuple(spec.output_dim + self.robot_dim for _, spec in self.encoders)
-
-    def embed(self, obs_rows) -> list[np.ndarray]:
-        """Each modality's embedding rows: encoder(readings), robot state."""
-        rs = _rows(obs_rows)
-        return [np.concatenate([nc.mlp_infer(params, spec, _rows(obs_rows, name)), rs],
-                               axis=-1)
-                for name, (params, spec) in zip(self.modality_order, self.encoders)]
-
-    def encode_rows_graph(self, cond: np.ndarray, slices: list[slice]) -> list[nc.Tensor]:
-        rs = cond[:, slices[-1]]
-        embs = []
-        for (params, spec), sl in zip(self.encoders, slices[:-1]):
-            code = nc.mlp_forward(params, spec, nc.const(cond[:, sl]))
-            embs.append(nc.concat_cols([code, nc.const(rs)]))
-        return embs
-
-    def n_params(self) -> int:
-        return sum(p.n_params() for p, _ in self.encoders)
-
-    def param_groups(self) -> list[tuple[str, nc.ParamSet]]:
-        return [(f"enc_{name}", p) for name, (p, _) in
-                zip(self.modality_order, self.encoders)]
-
-
 @dataclass(kw_only=True)
 class _FusionPolicy(_RowSampler):
     """What both baselines share: per-modality encoders and one score net
     over [a_k, cond rows, timestep features]. They differ only in how
     ``_cond`` builds cond from the embedding rows."""
 
-    bank: _EncoderBank
+    encoders: list[Encoder]
     score_params: nc.ParamSet
     score_spec: nc.MlpSpec
     sched: NoiseSchedule
@@ -214,16 +180,22 @@ class _FusionPolicy(_RowSampler):
 
     @property
     def modality_order(self) -> tuple[str, ...]:
-        return self.bank.modality_order
+        return tuple(enc.modality for enc in self.encoders)
 
     def n_params(self) -> int:
         return sum(ps.n_params() for _, ps in self.param_groups())
 
     def param_groups(self) -> list[tuple[str, nc.ParamSet]]:
-        return self.bank.param_groups() + [("score", self.score_params)]
+        return ([(f"enc_{enc.modality}", enc.params) for enc in self.encoders]
+                + [("score", self.score_params)])
+
+    def embed(self, obs_rows) -> list[np.ndarray]:
+        """Each encoder's embedding rows of these observations."""
+        rs = _rows(obs_rows)
+        return [enc.rows(_rows(obs_rows, enc.modality), rs) for enc in self.encoders]
 
     def score_provider(self, obs_rows):
-        rows_at = score_input(self._cond(self.bank.embed(obs_rows)),
+        rows_at = score_input(self._cond(self.embed(obs_rows)),
                               self.score_spec.output_dim, self.sched.K)
 
         return lambda a_k, k: nc.mlp_infer(self.score_params, self.score_spec,
@@ -240,57 +212,30 @@ class ConcatPolicy(_FusionPolicy):
 
 @dataclass(kw_only=True)
 class MoEFeaturePolicy(_FusionPolicy):
-    gate_params: nc.ParamSet
-    gate_spec: nc.MlpSpec
+    gate: Router
 
     def param_groups(self) -> list[tuple[str, nc.ParamSet]]:
-        return (self.bank.param_groups()
-                + [("gate", self.gate_params), ("score", self.score_params)])
-
-    def gate_weights(self, embs: list[np.ndarray]) -> np.ndarray:
-        """Gate softmax rows over the modalities, from embedding rows."""
-        return softmax(nc.mlp_infer(self.gate_params, self.gate_spec,
-                                    np.concatenate(embs, axis=-1)))
+        *encs, score = super().param_groups()
+        return encs + [("gate", self.gate.params), score]
 
     def _cond(self, embs: list[np.ndarray]) -> np.ndarray:
-        g = self.gate_weights(embs)
+        g = self.gate.weights_rows(np.concatenate(embs, axis=-1))
         return sum(g[..., i:i + 1] * e for i, e in enumerate(embs))
 
     def act(self, obs: Observation, rng: np.random.Generator) -> np.ndarray:
         return self.act_rows([obs], [rng])[0]
 
 
-def _make_bank(dataset, cfg, rng: np.random.Generator) -> _EncoderBank:
-    ex = cfg.expert
-    encoders = []
-    for dim in dataset.modality_dims.values():
-        spec = nc.MlpSpec(dim, tuple(ex.enc_hidden), ex.enc_out, activation=ex.activation)
-        encoders.append((nc.init_mlp(spec, rng), spec))
-    return _EncoderBank(
-        modality_order=tuple(dataset.modality_dims),
-        modality_dims=tuple(dataset.modality_dims.values()),
-        robot_dim=dataset.robot_dim, encoders=encoders,
-    )
-
-
-def _score_net(dataset, cond_dim: int, cfg, rng: np.random.Generator):
-    """A fusion baseline's score net over [a_k, cond, timestep features]."""
-    spec = nc.MlpSpec(dataset.chunk_dim + cond_dim + TIMESTEP_DIM,
-                      tuple(cfg.expert.sub_hidden), dataset.chunk_dim,
-                      activation=cfg.expert.activation)
-    return nc.init_mlp(spec, rng), spec
-
-
 def _fit_fusion(policy, dataset, cfg, rng: np.random.Generator, cond_graph):
     """Train a fusion baseline end to end; cond_graph(embedding tensors) is
     the graph twin of how its act() builds the condition."""
-    a_rows, cond_rows, slices = dataset.training_cond_rows(policy.bank.modality_order)
+    a_rows, cond_rows, slices = dataset.training_cond_rows(policy.modality_order)
 
     def score(a_k, c, ks):
-        cond = cond_graph(policy.bank.encode_rows_graph(c, slices))
-        feats = timestep_features(ks, policy.sched.K)
-        x = nc.concat_cols([nc.const(a_k), cond, nc.const(feats)])
-        return nc.mlp_forward(policy.score_params, policy.score_spec, x)
+        rs = c[:, slices[-1]]
+        embs = [enc.graph(c[:, sl], rs) for enc, sl in zip(policy.encoders, slices[:-1])]
+        return score_graph(policy.score_params, policy.score_spec, a_k,
+                           cond_graph(embs), ks, policy.sched.K)
 
     policy.loss_history = fit_denoiser(
         score, policy.param_groups(), a_rows, cond_rows, policy.sched,
@@ -300,12 +245,13 @@ def _fit_fusion(policy, dataset, cfg, rng: np.random.Generator, cond_graph):
 
 def train_concat_policy(dataset, cfg, rng: np.random.Generator) -> ConcatPolicy:
     """All-modality baseline: one score net over concatenated embeddings."""
-    bank = _make_bank(dataset, cfg, rng)
-    score_params, score_spec = _score_net(dataset, int(sum(bank.emb_dims())), cfg, rng)
+    encoders = [init_encoder(name, dim, dataset.robot_dim, cfg, rng)
+                for name, dim in dataset.modality_dims.items()]
+    spec = score_net_spec(dataset.chunk_dim, sum(enc.emb_dim for enc in encoders), cfg)
     sched = make_schedule(cfg.diffusion.steps, cfg.diffusion.beta_start,
                           cfg.diffusion.beta_end)
-    policy = ConcatPolicy(bank=bank, score_params=score_params, score_spec=score_spec,
-                          sched=sched, stats=dataset.stats(),
+    policy = ConcatPolicy(encoders=encoders, score_params=nc.init_mlp(spec, rng),
+                          score_spec=spec, sched=sched, stats=dataset.stats(),
                           sigma_mode=cfg.diffusion.sigma_mode)
     return _fit_fusion(policy, dataset, cfg, rng, nc.concat_cols)
 
@@ -313,32 +259,21 @@ def train_concat_policy(dataset, cfg, rng: np.random.Generator) -> ConcatPolicy:
 def train_moe_policy(dataset, cfg, rng: np.random.Generator) -> MoEFeaturePolicy:
     """Feature-level MoE baseline: gated weighted sum of embeddings feeds one
     score net; the gate trains jointly with everything else."""
-    bank = _make_bank(dataset, cfg, rng)
-    emb_dims = bank.emb_dims()
+    encoders = [init_encoder(name, dim, dataset.robot_dim, cfg, rng)
+                for name, dim in dataset.modality_dims.items()]
+    emb_dims = tuple(enc.emb_dim for enc in encoders)
     if len(set(emb_dims)) != 1:
         raise ConfigError(f"feature MoE needs equal embedding dims, got {emb_dims}")
-    n = len(bank.modality_order)
-    gate_spec = nc.MlpSpec(int(sum(emb_dims)), tuple(cfg.router.hidden), n)
-    gate_params = nc.init_mlp(gate_spec, rng)
+    gate = init_router(tuple(dataset.modality_dims), emb_dims, tuple(cfg.router.hidden), rng)
     # Zero the gate's output layer: the gate starts exactly uniform, so the
     # score net first learns on the plain mean of the embeddings and the
     # gate only sharpens once that helps the objective.
-    last = len(gate_spec.layer_dims()) - 1
-    gate_params[f"W{last}"].data[...] = 0.0
-    score_params, score_spec = _score_net(dataset, emb_dims[0], cfg, rng)
+    gate.params[f"W{len(gate.spec.layer_dims()) - 1}"].data[...] = 0.0
+    spec = score_net_spec(dataset.chunk_dim, emb_dims[0], cfg)
     sched = make_schedule(cfg.diffusion.steps, cfg.diffusion.beta_start,
                           cfg.diffusion.beta_end)
-    policy = MoEFeaturePolicy(bank=bank, gate_params=gate_params, gate_spec=gate_spec,
-                              score_params=score_params, score_spec=score_spec,
+    policy = MoEFeaturePolicy(encoders=encoders, gate=gate,
+                              score_params=nc.init_mlp(spec, rng), score_spec=spec,
                               sched=sched, stats=dataset.stats(),
                               sigma_mode=cfg.diffusion.sigma_mode)
-
-    def gated(embs):
-        g = nc.softmax_rows(nc.mlp_forward(gate_params, gate_spec, nc.concat_cols(embs)))
-        cond = None
-        for i, e in enumerate(embs):
-            term = nc.mul(nc.col(g, i), e)
-            cond = term if cond is None else nc.add(cond, term)
-        return cond
-
-    return _fit_fusion(policy, dataset, cfg, rng, gated)
+    return _fit_fusion(policy, dataset, cfg, rng, lambda embs: gated_sum(gate, embs, embs))

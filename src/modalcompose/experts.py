@@ -1,15 +1,16 @@
-"""Per-modality experts: encoder, noise-prediction sub-policies, and their
-within-modality score averaging.
+"""Per-modality experts and the two parts every policy is built from.
 
-Each expert owns one encoder MLP and ``n_sub`` sub-policy MLPs. A sub-policy
-maps [noised_action, embedding, timestep features] to predicted noise; the
-expert's score is the arithmetic mean of its sub-policies (or, with the
-band-split option, the single sub-policy responsible for the current
-denoising band). Embedding = encoder(modality reading) concatenated with
-robot state.
+An ``Encoder`` maps one stream's reading to an embedding, MLP(reading)
+followed by the robot state; experts and both fusion baselines hold it. A
+score net maps rows [noised action, cond, timestep features] to predicted
+noise (``score_input`` builds the rows, ``score_graph`` is its training
+twin); an expert's cond is its own embedding, a baseline's its fused ones.
 
-The score has one numpy form, ``encode_rows`` then ``stacked_scores`` of one
-or more experts (``score_rows`` for one), and one graph form for training,
+Each expert owns one encoder and ``n_sub`` sub-policy score nets. Its score
+is the mean of its sub-policies (or, with the band-split option, the single
+sub-policy responsible for the current denoising band). The score has one
+numpy form, ``encode_rows`` then ``stacked_scores`` of one or more experts
+(``score_rows`` for one), and one graph form for training,
 ``_expert_score_graph``, which the expert and the joint router both use.
 
 Storage: an expert keeps its sub-policies as one stacked ``ParamSet``, one
@@ -95,13 +96,64 @@ def score_input(cond: np.ndarray, action_dim: int, n_steps: int):
 
 
 @dataclass
-class ModalityExpert:
+class Encoder:
+    """One stream's encoder: an embedding is MLP(modality reading) followed
+    by the robot state. Experts and both fusion baselines hold these."""
+
     modality: str
-    modality_dim: int
+    params: nc.ParamSet
+    spec: nc.MlpSpec
     robot_dim: int
+
+    @property
+    def emb_dim(self) -> int:
+        return self.spec.output_dim + self.robot_dim
+
+    def rows(self, m_rows: np.ndarray, rs_rows: np.ndarray) -> np.ndarray:
+        """Embedding rows in the layout given (see ``nc.mlp_infer``)."""
+        if m_rows.shape[-1:] != (self.spec.input_dim,) or rs_rows.shape[-1:] != (self.robot_dim,):
+            raise ShapeError(
+                f"encoder '{self.modality}' expects modality rows of width "
+                f"{self.spec.input_dim} and robot-state rows of width {self.robot_dim}, "
+                f"got {m_rows.shape} and {rs_rows.shape}")
+        code = nc.mlp_infer(self.params, self.spec, m_rows)
+        return np.concatenate([code, rs_rows], axis=-1)
+
+    def graph(self, m_rows: np.ndarray, rs_rows: np.ndarray) -> nc.Tensor:
+        """The training twin of ``rows``: gradients flow into the MLP."""
+        code = nc.mlp_forward(self.params, self.spec, nc.const(m_rows))
+        return nc.concat_cols([code, nc.const(rs_rows)])
+
+
+def init_encoder(modality: str, modality_dim: int, robot_dim: int, cfg,
+                 rng: np.random.Generator) -> Encoder:
+    """Fresh encoder with random weights from cfg's [expert] shapes."""
+    ex = cfg.expert
+    spec = nc.MlpSpec(modality_dim, tuple(ex.enc_hidden), ex.enc_out, activation=ex.activation)
+    return Encoder(modality, nc.init_mlp(spec, rng), spec, robot_dim)
+
+
+def score_net_spec(action_dim: int, cond_dim: int, cfg) -> nc.MlpSpec:
+    """A score net over [a_k, cond, timestep features], from cfg's [expert]
+    shapes: an expert's sub-policy or a fusion baseline's one net."""
+    ex = cfg.expert
+    return nc.MlpSpec(action_dim + cond_dim + TIMESTEP_DIM, tuple(ex.sub_hidden),
+                      action_dim, activation=ex.activation)
+
+
+def score_graph(params: nc.ParamSet, spec: nc.MlpSpec, a_k: np.ndarray, cond: nc.Tensor,
+                ks: np.ndarray, n_steps: int) -> nc.Tensor:
+    """The training twin of ``score_input``: one graph forward of a score
+    net (or stack of them) over rows [a_k, cond, timestep features]."""
+    feats = timestep_features(ks, n_steps)
+    x = nc.concat_cols([nc.const(a_k), cond, nc.const(feats)])
+    return nc.mlp_forward(params, spec, x)
+
+
+@dataclass
+class ModalityExpert:
+    enc: Encoder
     action_dim: int
-    encoder: nc.ParamSet
-    encoder_spec: nc.MlpSpec
     subs: nc.ParamSet          # the stacked sub-policies, see the module docstring
     sub_spec: nc.MlpSpec
     n_steps: int
@@ -120,34 +172,27 @@ class ModalityExpert:
                              f"sub-policies of one spec, {want}, got {got}")
 
     @property
+    def modality(self) -> str:
+        return self.enc.modality
+
+    @property
     def n_sub(self) -> int:
         return self.subs["W0"].shape[0]
 
-    @property
-    def emb_dim(self) -> int:
-        return self.encoder_spec.output_dim + self.robot_dim
-
     def n_params(self) -> int:
-        return self.encoder.n_params() + self.subs.n_params()
+        return self.enc.params.n_params() + self.subs.n_params()
 
     def param_groups(self) -> list[tuple[str, nc.ParamSet]]:
-        return [("enc", self.encoder), ("subs", self.subs)]
+        return [("enc", self.enc.params), ("subs", self.subs)]
 
     def checksum(self) -> str:
-        return self.encoder.checksum() + self.subs.checksum()
+        return self.enc.params.checksum() + self.subs.checksum()
 
     # -- frozen (numpy) paths used by sampling, routing, and analysis --
 
     def encode_rows(self, m_rows: np.ndarray, rs_rows: np.ndarray) -> np.ndarray:
-        """Embedding rows: encoder(modality rows) followed by robot-state rows,
-        in the layout given (see ``nc.mlp_infer``)."""
-        if m_rows.shape[-1:] != (self.modality_dim,) or rs_rows.shape[-1:] != (self.robot_dim,):
-            raise ShapeError(
-                f"expert '{self.modality}' expects modality rows of width "
-                f"{self.modality_dim} and robot-state rows of width {self.robot_dim}, "
-                f"got {m_rows.shape} and {rs_rows.shape}")
-        code = nc.mlp_infer(self.encoder, self.encoder_spec, m_rows)
-        return np.concatenate([code, rs_rows], axis=-1)
+        """This expert's embedding rows, ``enc.rows``."""
+        return self.enc.rows(m_rows, rs_rows)
 
     def score_rows(self, a_rows: np.ndarray, emb_rows: np.ndarray, ks) -> np.ndarray:
         """The one-expert case of ``stacked_scores``; ks is an int or int array."""
@@ -186,22 +231,13 @@ def _band_owner(ks, n_steps: int, n_sub: int):
 def init_expert(modality: str, modality_dim: int, robot_dim: int, action_dim: int,
                 cfg, rng: np.random.Generator) -> ModalityExpert:
     """Fresh expert with random encoder/sub-policy weights from cfg shapes."""
-    ex = cfg.expert
-    if ex.n_sub < 1:
-        raise ConfigError(f"[expert] n_sub must be >= 1, got {ex.n_sub}")
-    enc_spec = nc.MlpSpec(modality_dim, tuple(ex.enc_hidden), ex.enc_out,
-                          activation=ex.activation)
-    encoder = nc.init_mlp(enc_spec, rng)
-    emb_dim = ex.enc_out + robot_dim
-    sub_spec = nc.MlpSpec(action_dim + emb_dim + TIMESTEP_DIM,
-                          tuple(ex.sub_hidden), action_dim,
-                          activation=ex.activation)
-    subs = nc.stack_params([nc.init_mlp(sub_spec, rng) for _ in range(ex.n_sub)])
+    enc = init_encoder(modality, modality_dim, robot_dim, cfg, rng)
+    sub_spec = score_net_spec(action_dim, enc.emb_dim, cfg)
+    subs = nc.stack_params([nc.init_mlp(sub_spec, rng) for _ in range(cfg.expert.n_sub)])
     return ModalityExpert(
-        modality=modality, modality_dim=modality_dim, robot_dim=robot_dim,
-        action_dim=action_dim, encoder=encoder, encoder_spec=enc_spec,
-        subs=subs, sub_spec=sub_spec, n_steps=cfg.diffusion.steps,
-        noise_band_split=ex.noise_band_split, sigma_mode=cfg.diffusion.sigma_mode,
+        enc=enc, action_dim=action_dim, subs=subs, sub_spec=sub_spec,
+        n_steps=cfg.diffusion.steps, noise_band_split=cfg.expert.noise_band_split,
+        sigma_mode=cfg.diffusion.sigma_mode,
     )
 
 
@@ -213,11 +249,8 @@ def _expert_score_graph(expert: ModalityExpert, a_k: np.ndarray, m_rows: np.ndar
     call, reduced as score_rows reduces it, so gradients flow into the
     encoder and every sub-policy active for each row.
     """
-    code = nc.mlp_forward(expert.encoder, expert.encoder_spec, nc.const(m_rows))
-    emb = nc.concat_cols([code, nc.const(rs_rows)])
-    feats = timestep_features(ks, expert.n_steps)
-    x = nc.concat_cols([nc.const(a_k), emb, nc.const(feats)])
-    out = nc.mlp_forward(expert.subs, expert.sub_spec, x)
+    emb = expert.enc.graph(m_rows, rs_rows)
+    out = score_graph(expert.subs, expert.sub_spec, a_k, emb, ks, expert.n_steps)
     if not expert.noise_band_split:
         return nc.reduce_stack(out), emb
     owner = _band_owner(ks, expert.n_steps, expert.n_sub)

@@ -197,7 +197,7 @@ def _tanh_adjoint(z: Array, y: Array, g: Array) -> Array:
 
 
 # activation, and adjoint g times its factor from pre-activation z and output y
-_ACTIVATIONS = {
+ACTIVATIONS = {
     "tanh": (np.tanh, _tanh_adjoint),
     "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda z, y, g: g * (z > 0.0)),
 }
@@ -216,7 +216,7 @@ class MlpSpec:
         dims = (self.input_dim, *self.hidden, self.output_dim)
         if any(d < 1 for d in dims):
             raise ShapeError(f"all MLP dims must be >= 1, got {dims}")
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ShapeError(f"unknown activation '{self.activation}'")
 
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -304,7 +304,7 @@ def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor) -> Tensor:
     if x.data.ndim != 2 or x.data.shape[1] != spec.input_dim:
         raise ShapeError(f"MLP input shape {x.data.shape} does not match "
                          f"input_dim {spec.input_dim}")
-    act, dact = _ACTIVATIONS[spec.activation]
+    act, dact = ACTIVATIONS[spec.activation]
     last = len(spec.hidden)
     Ws = [params[f"W{i}"] for i in range(last + 1)]
     bs = [params[f"b{i}"] for i in range(last + 1)]
@@ -357,7 +357,7 @@ def mlp_infer(params: ParamSet | dict[str, Array], spec: MlpSpec, x: Array) -> A
             row_axes == 2 and x.shape[-2] != 1):
         raise ShapeError(f"MLP input shape {x.shape} does not match input_dim "
                          f"{spec.input_dim} and {n_stack} stack axes")
-    act, _ = _ACTIVATIONS[spec.activation]
+    act, _ = ACTIVATIONS[spec.activation]
     last = len(spec.hidden)
     h = x
     for i in range(last + 1):

@@ -3,7 +3,8 @@ weights over modalities, plus the hard / top-2 / soft weight post-processing.
 
 Weights depend only on the state embeddings, so they are computed once per
 control step and held fixed across that step's denoising loop. Training uses
-soft weights throughout; hard/top-2 are evaluation-time transforms.
+soft weights throughout; hard/top-2 are evaluation-time transforms. The
+feature-level MoE baseline's gate is a Router too, over its own encoders.
 """
 
 from __future__ import annotations
@@ -113,11 +114,16 @@ def _router_score_graph(router: Router, experts: list[ModalityExpert],
             score, emb = nc.const(ex.score_rows(a_k, emb_np, ks)), nc.const(emb_np)
         scores.append(score)
         embs.append(emb)
-    logits = nc.mlp_forward(router.params, router.spec, nc.concat_cols(embs))
-    w = nc.softmax_rows(logits)
+    return gated_sum(router, embs, scores)
+
+
+def gated_sum(gate: Router, embs: list[nc.Tensor], terms: list[nc.Tensor]) -> nc.Tensor:
+    """The graph twin of weighting by ``weights_rows``: softmax(MLP(the
+    concatenated embeddings)) times each term, summed in order."""
+    w = nc.softmax_rows(nc.mlp_forward(gate.params, gate.spec, nc.concat_cols(embs)))
     total = None
-    for i, s in enumerate(scores):
-        term = nc.mul(nc.col(w, i), s)
+    for i, t in enumerate(terms):
+        term = nc.mul(nc.col(w, i), t)
         total = term if total is None else nc.add(total, term)
     return total
 
@@ -138,7 +144,7 @@ def train_router(experts: list[ModalityExpert], dataset, cfg,
         if ex.modality not in dataset.modality_dims:
             raise ContractError(f"dataset lacks modality '{ex.modality}'")
     a_rows, cond_rows, slices = dataset.training_cond_rows(names)
-    router = init_router(tuple(names), tuple(ex.emb_dim for ex in experts),
+    router = init_router(tuple(names), tuple(ex.enc.emb_dim for ex in experts),
                          tuple(cfg.router.hidden), rng)
     sched = make_schedule(cfg.diffusion.steps, cfg.diffusion.beta_start,
                           cfg.diffusion.beta_end)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .diffusion import SIGMA_MODES
 from .errors import ConfigError
+from .numcore import ACTIVATIONS
 from .router import STRATEGIES
 
 
@@ -38,6 +39,9 @@ class DiffusionConfig:
     sigma_mode: str = "beta"   # beta | beta_tilde
 
     def __post_init__(self):
+        _require(self.steps >= 1, "[diffusion] steps", self.steps, ">= 1")
+        _require(0.0 < self.beta_start <= self.beta_end < 1.0, "[diffusion] beta_start",
+                 (self.beta_start, self.beta_end), "in (0, beta_end] with beta_end < 1")
         _require(self.horizon >= 1, "[diffusion] horizon", self.horizon, ">= 1")
         _require(self.sigma_mode in SIGMA_MODES, "[diffusion] sigma_mode", self.sigma_mode,
                  f"one of {SIGMA_MODES}")
@@ -51,6 +55,11 @@ class ExpertConfig:
     sub_hidden: tuple[int, ...] = (64, 64)
     activation: str = "tanh"
     noise_band_split: bool = False
+
+    def __post_init__(self):
+        _require(self.n_sub >= 1, "[expert] n_sub", self.n_sub, ">= 1")
+        _require(self.activation in ACTIVATIONS, "[expert] activation", self.activation,
+                 f"one of {tuple(ACTIVATIONS)}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,7 @@ class TrainConfig:
         _require(self.steps >= 0, "[train] steps", self.steps, ">= 0")
         _require(self.router_steps >= 0, "[train] router_steps", self.router_steps, ">= 0")
         _require(self.batch >= 1, "[train] batch", self.batch, ">= 1")
+        _require(0.0 < self.lr < float("inf"), "[train] lr", self.lr, "finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -78,6 +88,11 @@ class ProbeConfig:
     ema_alpha: float = 0.1
     draws: int = 1             # perturbation draws averaged per (step, modality)
     modalities: tuple[str, ...] = ()   # empty = probe all
+
+    def __post_init__(self):
+        _require(self.draws >= 1, "[probe] draws", self.draws, ">= 1")
+        _require(0.0 < self.ema_alpha <= 1.0, "[probe] ema_alpha", self.ema_alpha,
+                 "in (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,19 @@ def test_traced_names_see_sampling(tracer):
         assert calls(tracer, f"compose.act.{kind}") == 1
 
 
+def test_traced_moe_act_calls_its_gate_as_a_router(tracer):
+    """The MoE gate is a Router, so router.weights_rows counts it once per
+    act(); its encoders are no experts, so experts.encode_rows (and the
+    repeat share read from it) stays a count of expert embeddings."""
+    policy = cp.train_moe_policy(constant_action_dataset([0.1, 0.2]), tiny_cfg(),
+                                 np.random.default_rng(3))
+    _, obs = env_reset(make_env_spec("occluded_reach"), stream(1, TAG_EVAL, 0))
+    policy.act(obs, stream(1, TAG_ACT, 0, 0))
+    assert calls(tracer, "compose.act.moe") == 1
+    assert calls(tracer, "router.weights_rows") == 1
+    assert calls(tracer, "experts.encode_rows") == 0
+
+
 def test_expert_training_step_records_two_mlp_forwards(tracer):
     """One graph forward for the encoder and one for the stacked sub-policies,
     whatever n_sub is."""

@@ -261,7 +261,8 @@ def test_concat_policy_recovers_constant_action():
     policy = cp.train_concat_policy(ds, small_cfg(steps=1500), np.random.default_rng(1))
     assert np.mean(policy.loss_history[-50:]) < np.mean(policy.loss_history[:50])
     assert policy.modality_order == ("vis", "tac")
-    assert policy.n_params() == policy.bank.n_params() + policy.score_params.n_params()
+    assert policy.n_params() == (sum(enc.params.n_params() for enc in policy.encoders)
+                                 + policy.score_params.n_params())
     rng = np.random.default_rng(55)
     obs = random_obs(np.random.default_rng(13))
     mean = np.mean([policy.act(obs, rng) for _ in range(8)], axis=0)
@@ -274,7 +275,8 @@ def test_moe_gate_starts_uniform():
     for trial in range(5):
         r = np.random.default_rng(trial)
         embs = [r.normal(size=(1, 10)) * 4, r.normal(size=(1, 10)) * 4]
-        assert np.array_equal(policy.gate_weights(embs)[0], [0.5, 0.5])
+        g = policy.gate.weights_rows(np.concatenate(embs, axis=-1))[0]
+        assert np.array_equal(g, [0.5, 0.5])
 
 
 def test_moe_policy_recovers_constant_action():
@@ -282,7 +284,7 @@ def test_moe_policy_recovers_constant_action():
     policy = cp.train_moe_policy(ds, small_cfg(steps=1500), np.random.default_rng(3))
     assert np.mean(policy.loss_history[-50:]) < np.mean(policy.loss_history[:50])
     obs = random_obs(np.random.default_rng(14))
-    g = policy.gate_weights(policy.bank.embed([obs]))[0]
+    g = policy.gate.weights_rows(np.concatenate(policy.embed([obs]), axis=-1))[0]
     assert abs(g.sum() - 1.0) < 1e-12
     rng = np.random.default_rng(66)
     mean = np.mean([policy.act(obs, rng) for _ in range(8)], axis=0)

@@ -87,7 +87,11 @@ def test_parse_errors_carry_line_numbers():
 
 @pytest.mark.parametrize("section, key, value", [
     ("diffusion", "sigma_mode", "betta"), ("diffusion", "horizon", 0),
+    ("diffusion", "steps", 0), ("diffusion", "beta_start", 0.5),
+    ("diffusion", "beta_start", 0.0), ("expert", "activation", "gelu"), ("expert", "n_sub", 0),
     ("train", "steps", -1), ("train", "router_steps", -1), ("train", "batch", 0),
+    ("train", "lr", -1.0), ("train", "lr", 0.0), ("train", "lr", float("nan")),
+    ("train", "lr", float("inf")), ("probe", "draws", 0), ("probe", "ema_alpha", 2.0),
     ("run", "strategy", "bogus")])
 def test_bad_values_are_refused_when_the_config_is_built(section, key, value):
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must"):
@@ -184,6 +188,13 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     assert cli_dispatch(["eval", "--manifest", str(tmp_path / "missing.mcpf"),
                          "--n", "1"]) == 1
     capsys.readouterr()
+
+
+def test_sweep_with_a_size_that_is_no_integer_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_dispatch(["sweep", "--n", "25,abc", "--out", str(out)]) == 1
+    assert "error: --n must be comma-separated integers, got '25,abc'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_data_cli_round_trip(tmp_path, capsys):

@@ -181,7 +181,7 @@ def test_stacked_scores_are_each_expert_alone(rng, n_exp, n_sub, band, act):
     for n, ks, row_stacked in cases:
         lay = nc.row_layout if row_stacked else np.asarray
         a = lay(rng.normal(size=(n, 2)))
-        embs = [ex.encode_rows(lay(rng.normal(size=(n, ex.modality_dim))),
+        embs = [ex.encode_rows(lay(rng.normal(size=(n, ex.enc.spec.input_dim))),
                                lay(rng.normal(size=(n, 2)))) for ex in experts]
         got = xp.stacked_scores(experts, embs)(a, ks)
         assert got.shape == (n_exp,) + a.shape
@@ -196,7 +196,7 @@ def test_expert_param_count(rng):
     enc = 5 * 16 + 16 + 16 * 8 + 8
     sub = 28 * 32 + 32 + 32 * 2 + 2
     assert ex.n_params() == enc + 2 * sub
-    assert ex.emb_dim == 10
+    assert ex.enc.emb_dim == 10
 
 
 def test_expert_needs_subpolicies_of_one_spec(rng):
@@ -209,8 +209,7 @@ def test_expert_needs_subpolicies_of_one_spec(rng):
     odd = nc.stack_params([nc.init_mlp(nc.MlpSpec(28, (16,), 2), rng)] * 2)
     for subs in (nc.ParamSet(), empty, odd):
         with pytest.raises(ShapeError):
-            xp.ModalityExpert("vis", 5, 2, 2, ex.encoder, ex.encoder_spec, subs,
-                              ex.sub_spec, 50)
+            xp.ModalityExpert(ex.enc, 2, subs, ex.sub_spec, 50)
 
 
 def test_init_expert_deterministic():

@@ -645,10 +645,10 @@ def test_joint_router_training_updates_the_experts_own_weights(rng):
     cfg = cfg.with_section("train", steps=3, batch=8, router_steps=3)
     ds = constant_action_dataset([0.1, 0.2])
     experts = [xp.train_expert(ds, m, cfg, rng) for m in ("vis", "tac")]
-    copies = [(ex.encoder.copy(), ex.subs.copy()) for ex in experts]
+    copies = [(ex.enc.params.copy(), ex.subs.copy()) for ex in experts]
     train_router(experts, ds, cfg, rng)
     for ex, (enc, subs) in zip(experts, copies):
-        assert ex.encoder.checksum() != enc.checksum()
+        assert ex.enc.params.checksum() != enc.checksum()
         assert ex.subs.checksum() != subs.checksum()
 
 

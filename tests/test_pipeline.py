@@ -138,7 +138,7 @@ def test_joint_run_writes_the_fine_tuned_experts(tmp_path):
         assert loaded.act(obs, stream(4, TAG_ACT, i)).tobytes() == want.tobytes()
     g = np.random.default_rng(0)
     for ex in experts:
-        emb = ex.encode_rows(g.normal(size=(4, ex.modality_dim)), g.normal(size=(4, 2)))
+        emb = ex.encode_rows(g.normal(size=(4, ex.enc.spec.input_dim)), g.normal(size=(4, 2)))
         a, ks = g.normal(size=(4, 2)), np.array([1, 9, 30, 50])
         x = np.concatenate([a, emb, timestep_features(ks, ex.n_steps)], axis=1)
         per_sub = [mlp_infer(unstack_params(ex.subs, j), ex.sub_spec, x)
@@ -232,6 +232,17 @@ def test_analyze_takes_a_checkpoint_as_eval_does(tmp_path):
                              "--n", "1", "--out", str(tmp_path / out)]) == 0
     assert ((tmp_path / "ck" / "trace_ep0.csv").read_bytes()
             == (tmp_path / "man" / "trace_ep0.csv").read_bytes())
+
+
+def test_analyze_refuses_fewer_than_one_trace_and_writes_nothing(tmp_path, capsys):
+    cfg, written = trained_paths(tmp_path, methods=("expert:vis",))
+    conf = tmp_path / "run.cfg"
+    conf.write_text(f"[run]\ndataset = {pl.default_dataset_path(cfg, tmp_path)}\n")
+    out = tmp_path / "traces"
+    assert cli_dispatch(["analyze", "--manifest", str(written["expert:vis"]), "--config",
+                         str(conf), "--n", "-2", "--out", str(out)]) == 1
+    assert "error: --n must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_robust_takes_a_checkpoint_and_labels_manifests_composed(tmp_path):
