@@ -176,6 +176,37 @@ def test_probe_of_a_trained_policy(policies):
             assert np.array_equal(trace.raw[m], np.zeros(trace.steps)) == (scale == 0.0)
 
 
+# sha256 of the raw then the EMA importance of every probed modality, for one
+# probed episode of each policy at draws = 2
+PINNED_PROBES = {
+    "vis":
+        "1c215e2ce9068fb9639c5edcb005f0cbb36341172db99ea0447567dc2d901dc8",
+    "tac":
+        "1475fd5075c5128bf6bf323acdcc1916aa347bf49aaa87f2352c53197a45a3d2",
+    "equal":
+        "2495aeec780d1a54aa565a314bf248f8d04f03355629713cf9f9dc91d3ffdafc",
+    "learned":
+        "43ba26387fdef2cb53056cd0135fd712301bced4e30e7bd39cc0265195050d78",
+    "concat":
+        "bc9a24ac26f9f4f01fdbd7b0ce985b77bef3939afedef9ab86752b5957d57f8f",
+    "moe":
+        "4f444fa7f30467deeea863df97ca15298ac422ecb164534a3555781737677f6c",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_PROBES))
+def test_probe_importance_is_pinned(policies, kind):
+    spec = make_env_spec("occluded_reach")
+    sigmas = {m: np.full(d, 0.1) for m, d in spec.modality_dims().items()}
+    trace = an.perturb_importance(policies[kind], spec, 4, ProbeConfig(draws=2), sigmas,
+                                  episode=1)
+    h = hashlib.sha256()
+    for series in (trace.raw, trace.ema):
+        for m in trace.modalities:
+            h.update(series[m].tobytes())
+    assert h.hexdigest() == PINNED_PROBES[kind]
+
+
 # ---------------------------------------------------------------------------
 # timestep features
 
