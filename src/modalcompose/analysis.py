@@ -8,15 +8,15 @@ drives the environment with a perturbed action.
 Nothing here steps an environment itself: a scenario is a set of hooks on
 ``rollout.run_policy_episode`` (a state edit for repositioning and the
 teleport perturbation, an observation filter for corruption), scored by
-``rollout.evaluate_policy``; the probe drives that loop with a policy that
-samples the seen and the perturbed observations in one ``act_rows`` call.
+``rollout.evaluate_policy``. The probe rolls a plain episode with the policy
+itself, then samples every perturbed view of its recorded observations in one
+``act_rows`` call.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -105,6 +105,15 @@ class ScenarioSpec:
             raise ConfigError("step_star must be >= 0")
 
 
+def _check_scenario(scenario: ScenarioSpec | None, spec: EnvSpec) -> None:
+    """Refuse a scenario the env cannot run, before any episode of it."""
+    if scenario is not None and scenario.kind == "corruption":
+        dims = spec.modality_dims()
+        if scenario.corruption.modality not in dims:
+            raise ConfigError(f"corruption modality {scenario.corruption.modality!r} is "
+                              f"not one of {spec.name}'s modalities {list(dims)}")
+
+
 def _scenario_hooks(scenario: ScenarioSpec | None, spec: EnvSpec, seed: int,
                     ep: int) -> dict:
     """Episode ep's run_policy_episode hooks for a scenario (None: none)."""
@@ -140,6 +149,7 @@ def robustness_eval(policy, spec: EnvSpec, scenario: ScenarioSpec | None,
     Failed episodes run to T_max, so they contribute T_max steps to the mean
     (timeout convention). scenario=None gives the uncorrupted paired baseline.
     """
+    _check_scenario(scenario, spec)
     return evaluate_policy(policy, spec, seed, n_episodes,
                            hooks=lambda ep: _scenario_hooks(scenario, spec, seed, ep))
 
@@ -191,8 +201,8 @@ def perturb_importance(policy, spec: EnvSpec, episode_seed: int,
     used; importance is ||a_pert - a_orig|| / (||a_orig|| + 1e-8), averaged
     over cfg.draws, then EMA-smoothed with cfg.ema_alpha. sigmas are
     per-coordinate scales, conventionally cfg.sigma_scale x training std.
-    The seen and the perturbed observations are the rows of one
-    ``policy.act_rows`` call, each on its own generator of that stream.
+    Every perturbed view of the recorded episode is a row of one
+    ``policy.act_rows`` call, each on its own generator of its step's stream.
     """
     dims = spec.modality_dims()
     probed = cfg.modalities if cfg.modalities else tuple(dims)
@@ -206,31 +216,26 @@ def perturb_importance(policy, spec: EnvSpec, episode_seed: int,
         if s.shape not in ((), (dims[m],)) or not np.all(np.isfinite(s) & (s >= 0.0)):
             raise ContractError(f"sigma for modality {m!r} must be a scalar or of "
                                 f"shape ({dims[m]},), finite and >= 0, got {sigmas[m]!r}")
-    raw = {m: [] for m in probed}
-
-    def act(seen, rng):
-        t = len(raw[probed[0]])   # run_policy_episode acts once per step
-        rows = [seen]
+    rec = run_policy_episode(policy, spec, episode_seed, episode)
+    rows, rngs = [], []
+    for t, seen in enumerate(rec.observations):
         for idx, m in enumerate(probed):
             for d in range(cfg.draws):
                 rows.append(seen.copy())
                 rows[-1].modalities[m] += stream(episode_seed, TAG_PROBE, episode, t, idx,
                                                  d).normal(0.0, 1.0, size=dims[m]) * scales[m]
-        acts = policy.act_rows(rows, [rng] + [stream(episode_seed, TAG_ACT, episode, t)
-                                              for _ in rows[1:]])
-        denom = float(np.linalg.norm(acts[0])) + 1e-8
-        dist = [float(np.linalg.norm(a - acts[0])) / denom for a in acts[1:]]
+                rngs.append(stream(episode_seed, TAG_ACT, episode, t))
+    acts = policy.act_rows(rows, rngs).reshape(rec.steps, len(probed), cfg.draws, -1)
+    raw = {m: np.empty(rec.steps) for m in probed}
+    for t, a in enumerate(rec.actions):
+        denom = float(np.linalg.norm(a)) + 1e-8
         for idx, m in enumerate(probed):
-            raw[m].append(float(np.mean(dist[idx * cfg.draws:(idx + 1) * cfg.draws])))
-        return acts[0]
-
-    rec = run_policy_episode(SimpleNamespace(act=act), spec, episode_seed, episode)
-    raw_arr = {m: np.asarray(v) for m, v in raw.items()}
+            raw[m][t] = np.mean([float(np.linalg.norm(p - a)) / denom for p in acts[t, idx]])
     return ImportanceTrace(
         modalities=tuple(probed),
         sigmas=scales,
-        raw=raw_arr,
-        ema={m: _ema(v, cfg.ema_alpha) for m, v in raw_arr.items()},
+        raw=raw,
+        ema={m: _ema(v, cfg.ema_alpha) for m, v in raw.items()},
         success=rec.success,
         steps=rec.steps,
         in_box=np.asarray(rec.in_box, dtype=bool),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import checkpoint as cp
 from . import pipeline
-from .analysis import (CorruptionMode, ScenarioSpec, perturb_importance,
+from .analysis import (CorruptionMode, ScenarioSpec, _check_scenario, perturb_importance,
                        probe_sigmas, robustness_eval)
 from .envs import make_env_spec
 from .errors import ConfigError, ModalComposeError
@@ -230,6 +230,7 @@ def _cmd_robust(args) -> int:
     method = "composed" if label == "manual" else label   # every manifest's rows say "composed"
     spec = make_env_spec(env)
     scenario = _parse_scenario(args.scenario)
+    _check_scenario(scenario, spec)   # before the baseline's episodes
     seed = _load_cfg(args).run.seed
     rows = []
     for name, sc in (("none", None), (args.scenario, scenario)):

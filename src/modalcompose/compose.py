@@ -20,9 +20,9 @@ import numpy as np
 from . import numcore as nc
 from .diffusion import NoiseSchedule, ddpm_sample, fit_denoiser, make_schedule
 from .envs import ActionStats, Observation
-from .errors import ConfigError, ContractError
-from .experts import (Encoder, ModalityExpert, init_encoder, score_graph, score_input,
-                      score_net_spec, stacked_scores)
+from .errors import ContractError, ShapeError
+from .experts import (Encoder, ModalityExpert, _check_score_spec, init_encoder, score_graph,
+                      score_input, score_net_spec, stacked_scores)
 from .router import Router, apply_strategy, check_weights, gated_sum, init_router
 
 
@@ -178,6 +178,10 @@ class _FusionPolicy(_RowSampler):
     sigma_mode: str = "beta"
     loss_history: list[float] = field(default_factory=list, repr=False)
 
+    def __post_init__(self):
+        _check_score_spec(self.score_spec, self.stats.chunk_dim, self._cond_dim(),
+                          type(self).__name__)
+
     @property
     def modality_order(self) -> tuple[str, ...]:
         return tuple(enc.modality for enc in self.encoders)
@@ -203,6 +207,9 @@ class _FusionPolicy(_RowSampler):
 
 
 class ConcatPolicy(_FusionPolicy):
+    def _cond_dim(self) -> int:
+        return sum(enc.emb_dim for enc in self.encoders)
+
     def _cond(self, embs: list[np.ndarray]) -> np.ndarray:
         return np.concatenate(embs, axis=-1)
 
@@ -213,6 +220,12 @@ class ConcatPolicy(_FusionPolicy):
 @dataclass(kw_only=True)
 class MoEFeaturePolicy(_FusionPolicy):
     gate: Router
+
+    def _cond_dim(self) -> int:
+        dims = tuple(enc.emb_dim for enc in self.encoders)
+        if len(set(dims)) != 1:
+            raise ShapeError(f"feature MoE needs equal embedding dims, got {dims}")
+        return dims[0]
 
     def param_groups(self) -> list[tuple[str, nc.ParamSet]]:
         *encs, score = super().param_groups()
@@ -262,8 +275,6 @@ def train_moe_policy(dataset, cfg, rng: np.random.Generator) -> MoEFeaturePolicy
     encoders = [init_encoder(name, dim, dataset.robot_dim, cfg, rng)
                 for name, dim in dataset.modality_dims.items()]
     emb_dims = tuple(enc.emb_dim for enc in encoders)
-    if len(set(emb_dims)) != 1:
-        raise ConfigError(f"feature MoE needs equal embedding dims, got {emb_dims}")
     gate = init_router(tuple(dataset.modality_dims), emb_dims, tuple(cfg.router.hidden), rng)
     # Zero the gate's output layer: the gate starts exactly uniform, so the
     # score net first learns on the plain mean of the embeddings and the

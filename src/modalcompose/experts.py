@@ -141,6 +141,14 @@ def score_net_spec(action_dim: int, cond_dim: int, cfg) -> nc.MlpSpec:
                       action_dim, activation=ex.activation)
 
 
+def _check_score_spec(spec: nc.MlpSpec, action_dim: int, cond_dim: int, owner: str) -> None:
+    """A score net maps rows [a_k, cond, timestep features] to a_k's width."""
+    fits = (action_dim + cond_dim + TIMESTEP_DIM, action_dim)
+    if (spec.input_dim, spec.output_dim) != fits:
+        raise ShapeError(f"the score net of {owner} maps {spec.input_dim} inputs to "
+                         f"{spec.output_dim}; its parts need {fits[0]} to {fits[1]}")
+
+
 def score_graph(params: nc.ParamSet, spec: nc.MlpSpec, a_k: np.ndarray, cond: nc.Tensor,
                 ks: np.ndarray, n_steps: int) -> nc.Tensor:
     """The training twin of ``score_input``: one graph forward of a score
@@ -170,6 +178,8 @@ class ModalityExpert:
         if n < 1 or got != want:
             raise ShapeError(f"expert '{self.modality}' needs one or more stacked "
                              f"sub-policies of one spec, {want}, got {got}")
+        _check_score_spec(self.sub_spec, self.action_dim, self.enc.emb_dim,
+                          f"expert '{self.modality}'")
 
     @property
     def modality(self) -> str:

@@ -169,6 +169,9 @@ def write_manifest(path, *, env_name: str, expert_paths: list[str],
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_MANIFEST_KEYS = ("env", "strategy", "stats_hash", "expert", "router", "weights")
+
+
 def load_manifest(path) -> tuple[ComposedPolicy, dict]:
     """Rebuild a composed policy from its manifest.
 
@@ -190,12 +193,18 @@ def load_manifest(path) -> tuple[ComposedPolicy, dict]:
         if "=" not in line:
             raise FormatError(f"{p}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _MANIFEST_KEYS:
+            raise FormatError(f"{p}:{lineno}: unknown key {key!r}")
         if key == "expert":
             fields["expert"].append(value)
+        elif key in fields:
+            raise FormatError(f"{p}:{lineno}: repeated key {key!r}")
         else:
             fields[key] = value
     if not fields["expert"]:
         raise FormatError(f"{p}: no expert checkpoints listed")
+    if "router" in fields and "weights" in fields:
+        raise FormatError(f"{p}: manifest lists both router and weights")
     strategy = fields.get("strategy", "soft")
     if strategy not in STRATEGIES:
         raise FormatError(f"{p}: unknown strategy {strategy!r}")
@@ -227,8 +236,11 @@ def load_manifest(path) -> tuple[ComposedPolicy, dict]:
     if want and want != stats.key():
         raise ContractError(
             f"{p}: normalization stats hash mismatch ({want} != {stats.key()})")
-    meta = {"env": fields.get("env", metas[0].get("env")),
-            "strategy": policy.strategy, "metas": metas}
+    env = fields.get("env", metas[0]["env"])
+    if env != metas[0]["env"]:
+        raise FormatError(f"{p}: env {env!r} is not its checkpoints' env "
+                          f"{metas[0]['env']!r}")
+    meta = {"env": env, "strategy": policy.strategy, "metas": metas}
     return policy, meta
 
 

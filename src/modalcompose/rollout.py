@@ -15,9 +15,6 @@ episode:
 - ``obs_filter(obs, state, t) -> Observation`` rewrites the view the policy
   gets (sensor corruption); the environment and the contact flag keep the
   true observation.
-
-The importance probe drives this loop with a policy of its own, which
-samples every perturbed view alongside the seen one.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numcore as nc
 from .diffusion import fit_denoiser, make_schedule
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, ShapeError
 from .experts import ModalityExpert, _expert_score_graph
 
 STRATEGIES = ("soft", "hard", "top2")
@@ -28,6 +28,13 @@ class Router:
     modality_order: tuple[str, ...]
     emb_dims: tuple[int, ...]
     loss_history: list[float] = field(default_factory=list, repr=False)
+
+    def __post_init__(self):
+        if (sum(self.emb_dims) != self.spec.input_dim or not
+                len(self.modality_order) == len(self.emb_dims) == self.spec.output_dim):
+            raise ShapeError(f"router over {self.modality_order} with embedding dims "
+                             f"{self.emb_dims} does not fit its spec "
+                             f"{self.spec.input_dim} -> {self.spec.output_dim}")
 
     def n_params(self) -> int:
         return self.params.n_params()

@@ -170,6 +170,15 @@ def test_robustness_eval_rejects_empty():
         an.robustness_eval(Follower(), spec, None, 0, seed=1)
 
 
+def test_unknown_corruption_modality_is_refused_before_any_step():
+    spec = make_env_spec("occluded_reach")
+    scenario = an.ScenarioSpec(kind="corruption", corruption=an.CorruptionMode("zero", "vsi"))
+    spy = Spy(Follower())
+    with pytest.raises(ConfigError, match="'vsi'"):
+        an.robustness_eval(spy, spec, scenario, 3, seed=1)
+    assert spy.seen == []
+
+
 def test_follower_baseline_and_touch_blackout():
     """The follower solves the task; zeroing touch from the start removes the
     only sensor able to close the final offset, so success drops to zero."""
@@ -320,6 +329,32 @@ def test_probing_never_disturbs_the_episode():
     assert trace.success == record.success
     assert trace.steps == record.steps
     assert trace.positions.tobytes() == np.asarray(record.positions).tobytes()
+
+
+class Counting:
+    """A Follower that counts the calls of each sampling entry."""
+
+    def __init__(self):
+        self.inner = Follower()
+        self.calls = {"act": 0, "act_rows": 0}
+
+    def act(self, obs, rng):
+        self.calls["act"] += 1
+        return self.inner.act(obs, rng)
+
+    def act_rows(self, obs_rows, rngs):
+        self.calls["act_rows"] += 1
+        return self.inner.act_rows(obs_rows, rngs)
+
+
+def test_probe_drives_the_policy_and_samples_every_view_in_one_call():
+    """The episode is a plain rollout of the policy itself (one act per step),
+    and every perturbed view of every step is a row of one act_rows call."""
+    spec = make_env_spec("occluded_reach")
+    policy = Counting()
+    trace = an.perturb_importance(policy, spec, 21, ProbeConfig(draws=2),
+                                  sigmas_for(spec))
+    assert policy.calls == {"act": trace.steps, "act_rows": 1}
 
 
 def test_contact_comes_from_touch_alone():

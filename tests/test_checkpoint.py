@@ -370,6 +370,52 @@ def test_typed_readers_reject_malformed_metadata(tmp_path, kind, i):
         read(ck)
 
 
+def _one_wider(spec_key, prefix, side):
+    """Widen one MLP's input or output by one, in its spec and its tensors
+    alike, so each tensor still fits its own spec."""
+    def edit(ck):
+        spec = ck.metadata[spec_key]
+        spec[f"{side}put_dim"] += 1
+        i = 0 if side == "in" else len(spec["hidden"])
+        W, b = ck.tensors[f"{prefix}/W{i}"], ck.tensors[f"{prefix}/b{i}"]
+        if side == "in":
+            ck.tensors[f"{prefix}/W{i}"] = np.vstack([W, W[-1:]])
+        else:
+            ck.tensors[f"{prefix}/W{i}"] = np.hstack([W, W[:, -1:]])
+            ck.tensors[f"{prefix}/b{i}"] = np.append(b, b[-1])
+    return edit
+
+
+SPECS_THAT_DISAGREE = [
+    ("expert", _one_wider("encoder_spec", "enc", "out")),
+    ("router", lambda ck: _put(["emb_dims"], [10, 11])(ck.metadata)),
+    ("router", _one_wider("router_spec", "router", "out")),
+    ("moe", _one_wider("score_spec", "score", "in")),
+    ("moe", _one_wider("score_spec", "score", "out")),
+    ("moe", _one_wider("gate_spec", "gate", "in")),
+]
+
+
+@pytest.mark.parametrize("kind,edit", SPECS_THAT_DISAGREE)
+def test_typed_readers_check_specs_against_each_other(tmp_path, kind, edit):
+    """Every tensor fits its own spec, but one network's spec does not fit
+    the next one's: refused at load, not at the first act()."""
+    path, read = saved_checkpoints(tmp_path)[kind]
+    ck = cpt.load_checkpoint(path)
+    read(ck)
+    edit(ck)
+    with pytest.raises(FormatError):
+        read(ck)
+    if kind != "router":
+        from modalcompose.cli import cli_dispatch
+
+        bad = tmp_path / "bad.mcpf"
+        cpt.save_checkpoint(ck.tensors, ck.metadata, bad)
+        assert cli_dispatch(["eval", "--manifest", str(bad), "--n", "1",
+                             "--out", str(tmp_path / "m.csv")]) == 1
+        assert not (tmp_path / "m.csv").exists()
+
+
 def test_metadata_must_be_an_object(tmp_path):
     meta = b"[1,2]"
     blob = b"MCPF" + struct.pack("<I", 1) + struct.pack("<I", len(meta)) + meta

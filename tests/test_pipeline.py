@@ -261,6 +261,22 @@ def test_robust_takes_a_checkpoint_and_labels_manifests_composed(tmp_path):
     assert strip(rows["expert:vis"]) == strip(rows["composed"])
 
 
+def test_robust_refuses_an_unknown_corruption_modality_before_the_baseline(
+        tmp_path, capsys, monkeypatch):
+    _, written = trained_paths(tmp_path, methods=("expert:vis",))
+
+    def no_step(*args):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr("modalcompose.rollout.env_step", no_step)
+    out = tmp_path / "r.csv"
+    assert cli_dispatch(["robust", "--manifest", str(written["expert:vis"]), "--n", "20",
+                         "--scenario", "corrupt:zero:vsi", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'vsi'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [("eval",), ("analyze",),
                                      ("robust", "--scenario", "reposition")])
 def test_policy_commands_refuse_a_manifest_that_is_not_utf8(tmp_path, command, capsys):
@@ -290,6 +306,24 @@ def test_manifest_refuses_an_unknown_strategy_at_load(tmp_path):
     man.write_text(f"env = occluded_reach\nstrategy = bogus\n"
                    f"expert = {written['expert:vis'].name}\nweights = 1.0\n")
     with pytest.raises(FormatError, match="strategy"):
+        pl.load_manifest(man)
+
+
+@pytest.mark.parametrize("lines, error", [
+    ("stratgey = hard\nweights = 0.5,0.5", "unknown key 'stratgey'"),
+    ("strategy = hard\nstrategy = soft\nweights = 0.5,0.5", "repeated key 'strategy'"),
+    ("router = {router}\nweights = 0.5,0.5", "both router and weights"),
+    ("env = phase_reach\nweights = 0.5,0.5", "env 'phase_reach' is not"),
+])
+def test_manifest_refuses_lines_it_would_misread(tmp_path, lines, error):
+    """A misspelt or repeated key, a weights line beside a router, and an env
+    other than the checkpoints' are refused at load, not read some other way."""
+    _, written = trained_paths(tmp_path)
+    man = tmp_path / "m.txt"
+    man.write_text(f"expert = {written['expert:vis'].name}\n"
+                   f"expert = {written['expert:tac'].name}\n"
+                   + lines.format(router=written["router"].name) + "\n")
+    with pytest.raises(FormatError, match=error):
         pl.load_manifest(man)
 
 
