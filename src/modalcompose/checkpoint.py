@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,8 +91,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(f"{p}: duplicate tensor name {name!r}")
         (rank,) = r.unpack("<B")
         dims = tuple(r.unpack("<" + "I" * rank)) if rank else ()
-        n = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        payload = r.take(8 * n)
+        payload = r.take(8 * math.prod(dims))   # Python ints: a header cannot wrap it
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(
             np.float64)
     r.expect_end()

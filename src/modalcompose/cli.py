@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, compose, eval, analyze, robust, sweep.
-Exit codes: 0 success, 1 handled error (message on stderr), 2 usage.
+``compose`` builds the policy through ``pipeline.compose_checkpoints``, then
+writes its manifest and reads it back. Exit codes: 0 success, 1 handled
+error (message on stderr), 2 usage.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import checkpoint as cp
 from . import pipeline
 from .analysis import (CorruptionMode, ScenarioSpec, _check_scenario, perturb_importance,
                        probe_sigmas, robustness_eval)
@@ -129,7 +130,7 @@ def _parse_scenario(text: str) -> ScenarioSpec:
 
 
 def _cmd_gen_data(args) -> int:
-    overrides = {"demos": args.n} if args.n else {}
+    overrides = {"demos": args.n} if args.n is not None else {}
     cfg = _load_cfg(args, **overrides)
     out = args.out
     if out and out.endswith(".mcds"):
@@ -161,29 +162,19 @@ def _cmd_compose(args) -> int:
         raise ConfigError("--experts needs at least one checkpoint")
     if (args.weights is None) == (args.router is None):
         raise ConfigError("give exactly one of --weights or --router")
-    out = Path(args.out or "composed.txt")
-    loaded = [cp.load_checkpoint(p) for p in expert_paths]
-    metas = [ck.metadata for ck in loaded]
-    parts = [cp.expert_from_checkpoint(ck) for ck in loaded]
-    stats = parts[0][1]
-    weights = None
-    router_rel = None
-    out_dir = out.parent.resolve()
-    rel = [os.path.relpath(Path(p).resolve(), out_dir) for p in expert_paths]
-    if args.router is not None:
-        metas.append(cp.load_checkpoint(args.router).metadata)
-        router_rel = os.path.relpath(Path(args.router).resolve(), out_dir)
-    else:
-        try:
-            weights = [float(w) for w in args.weights.split(",")]
-        except ValueError:
-            raise ConfigError(f"--weights must be numbers, got {args.weights!r}") from None
-    cp.check_compose_compatibility(metas)
-    write_manifest(out, env_name=metas[0]["env"], expert_paths=rel,
-                   router_path=router_rel, weights=weights,
-                   strategy=args.strategy, stats_hash=stats.key())
     try:
-        load_manifest(out)   # round-trip check (weights among others) before success
+        weights = None if args.weights is None else [float(w) for w in args.weights.split(",")]
+    except ValueError:
+        raise ConfigError(f"--weights must be numbers, got {args.weights!r}") from None
+    policy, metas = pipeline.compose_checkpoints(expert_paths, router=args.router,
+                                                 weights=weights, strategy=args.strategy)
+    out = Path(args.out or "composed.txt")
+    rel = lambda path: os.path.relpath(Path(path).resolve(), out.parent.resolve())
+    write_manifest(out, env_name=metas[0]["env"], expert_paths=[rel(p) for p in expert_paths],
+                   router_path=None if args.router is None else rel(args.router),
+                   weights=weights, strategy=args.strategy, stats_hash=policy.stats.key())
+    try:
+        load_manifest(out)   # read-back check before success
     except ModalComposeError:
         out.unlink()
         raise

@@ -144,8 +144,10 @@ def ddpm_sample(score, sched: NoiseSchedule, rngs, dim: int, *,
         a /= sqrt_alpha
         if k > 1:
             a += sz[sched.K - k]
-        if not np.isfinite(a).all():
-            raise NumericError(f"non-finite sample state at step k={k}")
+    # a NaN or Inf stays non-finite through every later update, so one check
+    # before the clip catches a non-finite score at any step
+    if not np.isfinite(a).all():
+        raise NumericError("non-finite sample state")
     return np.clip(a, -1.0, 1.0).reshape(-1, dim)
 
 

@@ -399,8 +399,13 @@ class Dataset:
         modality_dims: dict[str, int] = {}
         for _ in range(n_mods):
             mname = r.text("modality name")
+            if mname in modality_dims:
+                raise FormatError(f"{path}: repeated modality name {mname!r}")
             modality_dims[mname] = r.u32()
         robot_dim, action_dim, horizon = r.unpack("<III")
+        if horizon < 1 or action_dim < 1:
+            raise FormatError(f"{path}: horizon {horizon} and action_dim {action_dim} "
+                              f"must be >= 1")
         widths = [*modality_dims.values(), robot_dim, action_dim]
         episodes = []
         for _ in range(n_eps):
@@ -427,7 +432,7 @@ class _Reader:
         self.where = where
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
+        if n < 0 or self.pos + n > len(self.raw):
             raise FormatError(f"{self.where}: truncated (wanted {n} bytes at {self.pos})")
         out = self.raw[self.pos:self.pos + n]
         self.pos += n

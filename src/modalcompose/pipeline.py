@@ -3,6 +3,9 @@
 Artifacts land in an output directory: dataset (.mcds), checkpoints (.mcpf),
 loss-history CSVs, composed-policy manifests (.txt), metrics CSVs. Everything
 is a pure function of (config, seed), so reruns are byte-identical.
+Checkpoint files become a composed policy, and are judged fit to compose,
+only in ``compose_checkpoints``: manifests, ``compose``, an expert checkpoint
+(the one-expert composition) and the sweep all load through it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as cp
-from .compose import (ComposedPolicy, compose_policy, manual_compose,
-                      single_expert_policy, train_concat_policy, train_moe_policy)
+from .compose import (ComposedPolicy, compose_policy, manual_compose, train_concat_policy,
+                      train_moe_policy)
 from .diffusion import make_schedule
 from .envs import Dataset, generate_dataset, make_env_spec, run_expert_episode
 from .errors import ConfigError, ContractError, FormatError
@@ -98,7 +101,15 @@ def run_training(cfg: RunConfig) -> dict[str, Path]:
     Experts needed by 'router' are trained on demand even when not listed.
     Returns {method: checkpoint path}.
     """
-    dataset, _ = _load_dataset(cfg)
+    dataset, path = _load_dataset(cfg)
+    spec = make_env_spec(cfg.env.name)
+    have = (dataset.env_name, dataset.horizon, list(dataset.modality_dims.items()),
+            dataset.robot_dim, dataset.action_dim)
+    want = (spec.name, cfg.diffusion.horizon, list(spec.modality_dims().items()),
+            spec.robot_dim, spec.action_dim)
+    if have != want:
+        raise ConfigError(f"dataset {path} holds (env, horizon, modality widths, robot "
+                          f"width, action width) {have}; the config asks for {want}")
     methods = _normalize_methods(cfg, dataset)
     out = ensure_out_dir(cfg)
     seed = cfg.run.seed
@@ -172,6 +183,31 @@ def write_manifest(path, *, env_name: str, expert_paths: list[str],
 _MANIFEST_KEYS = ("env", "strategy", "stats_hash", "expert", "router", "weights")
 
 
+def compose_checkpoints(expert_paths, *, router=None, weights=None,
+                        strategy: str = "soft") -> tuple[ComposedPolicy, list[dict]]:
+    """The one way checkpoint files become a composed policy: read the expert
+    (and router) checkpoints, refuse a set ``check_compose_compatibility``
+    refuses, and weight the experts by the router or by fixed weights.
+    Returns the policy and the checkpoints' metadata, experts first."""
+    if not expert_paths or (router is None) == (weights is None):
+        raise ContractError("compose needs experts and exactly one of router or weights")
+    loaded = [cp.load_checkpoint(path) for path in expert_paths]
+    metas = [ck.metadata for ck in loaded]
+    parts = [cp.expert_from_checkpoint(ck) for ck in loaded]
+    experts = [ex for ex, _, _ in parts]
+    _, stats, sched = parts[0]
+    if router is not None:
+        rck = cp.load_checkpoint(router)
+        metas.append(rck.metadata)
+        cp.check_compose_compatibility(metas)
+        return (compose_policy(experts, cp.router_from_checkpoint(rck), strategy, sched, stats),
+                metas)
+    cp.check_compose_compatibility(metas)
+    policy = manual_compose(experts, weights, sched, stats)
+    policy.strategy = strategy
+    return policy, metas
+
+
 def load_manifest(path) -> tuple[ComposedPolicy, dict]:
     """Rebuild a composed policy from its manifest.
 
@@ -205,43 +241,28 @@ def load_manifest(path) -> tuple[ComposedPolicy, dict]:
         raise FormatError(f"{p}: no expert checkpoints listed")
     if "router" in fields and "weights" in fields:
         raise FormatError(f"{p}: manifest lists both router and weights")
+    if "router" not in fields and "weights" not in fields:
+        raise FormatError(f"{p}: manifest lists neither router nor weights")
     strategy = fields.get("strategy", "soft")
     if strategy not in STRATEGIES:
         raise FormatError(f"{p}: unknown strategy {strategy!r}")
+    try:
+        weights = [float(x) for x in fields["weights"].split(",")] if "weights" in fields else None
+    except ValueError:
+        raise FormatError(f"{p}: weights must be numbers, got {fields['weights']!r}") from None
     base = p.parent
-    loaded = [cp.load_checkpoint(base / e) for e in fields["expert"]]
-    metas = [ck.metadata for ck in loaded]
-    parts = [cp.expert_from_checkpoint(ck) for ck in loaded]
-    experts = [e for e, _, _ in parts]
-    stats = parts[0][1]
-    sched = parts[0][2]
-    if "router" in fields:
-        rck = cp.load_checkpoint(base / fields["router"])
-        metas.append(rck.metadata)
-        cp.check_compose_compatibility(metas)
-        router = cp.router_from_checkpoint(rck)
-        policy = compose_policy(experts, router, strategy, sched, stats)
-    elif "weights" in fields:
-        cp.check_compose_compatibility(metas)
-        try:
-            w = [float(x) for x in fields["weights"].split(",")]
-        except ValueError:
-            raise FormatError(f"{p}: weights must be numbers, got "
-                              f"{fields['weights']!r}") from None
-        policy = manual_compose(experts, w, sched, stats)
-        policy.strategy = strategy
-    else:
-        raise FormatError(f"{p}: manifest lists neither router nor weights")
+    policy, metas = compose_checkpoints(
+        [base / e for e in fields["expert"]], weights=weights, strategy=strategy,
+        router=base / fields["router"] if "router" in fields else None)
     want = fields.get("stats_hash", "")
-    if want and want != stats.key():
-        raise ContractError(
-            f"{p}: normalization stats hash mismatch ({want} != {stats.key()})")
+    if want and want != policy.stats.key():
+        raise ContractError(f"{p}: normalization stats hash mismatch "
+                            f"({want} != {policy.stats.key()})")
     env = fields.get("env", metas[0]["env"])
     if env != metas[0]["env"]:
         raise FormatError(f"{p}: env {env!r} is not its checkpoints' env "
                           f"{metas[0]['env']!r}")
-    meta = {"env": env, "strategy": policy.strategy, "metas": metas}
-    return policy, meta
+    return policy, {"env": env, "strategy": policy.strategy, "metas": metas}
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +296,9 @@ def _policy_from_path(path) -> tuple[object, str, str]:
     if p.read_bytes()[:4] == cp.MAGIC:
         ck = cp.load_checkpoint(p)
         kind = ck.metadata.get("kind")
-        if kind == "expert":
-            expert, stats, sched = cp.expert_from_checkpoint(ck)
-            return (single_expert_policy(expert, sched, stats),
-                    f"expert:{expert.modality}", ck.metadata["env"])
+        if kind == "expert":   # the one-expert composition
+            policy, metas = compose_checkpoints([p], weights=[1.0])
+            return policy, f"expert:{policy.modality_order[0]}", metas[0]["env"]
         if kind in ("concat", "moe"):
             return cp.fusion_from_checkpoint(ck), kind, ck.metadata["env"]
         raise FormatError(f"{p}: cannot evaluate a {kind!r} checkpoint directly")
@@ -372,18 +392,12 @@ def sweep_dataset_size(cfg: RunConfig, sizes: list[int]) -> list[dict]:
                                dataset=str(out / f"sweep_{cfg.env.name}_n{size}"
                                            f"_seed{cfg.run.seed}.mcds"))
         gen_data(sub, sub.run.dataset)
-        dataset = Dataset.read(sub.run.dataset)
-        mods = list(dataset.modality_dims)
+        mods = list(make_env_spec(cfg.env.name).modality_dims())
         sub = sub.with_section(
             "run", methods=tuple(f"expert:{m}" for m in mods) + ("router", "concat"))
         paths = run_training(sub)
-        experts, stats, sched = [], None, None
-        for m in mods:
-            ck = cp.load_checkpoint(paths[f"expert:{m}"])
-            ex, stats, sched = cp.expert_from_checkpoint(ck)
-            experts.append(ex)
-        router = cp.router_from_checkpoint(cp.load_checkpoint(paths["router"]))
-        composed = compose_policy(experts, router, cfg.run.strategy, sched, stats)
+        composed, _ = compose_checkpoints([paths[f"expert:{m}"] for m in mods],
+                                          router=paths["router"], strategy=cfg.run.strategy)
         concat = cp.fusion_from_checkpoint(cp.load_checkpoint(paths["concat"]))
         for label, pol in (("composed", composed), ("concat", concat)):
             row = run_eval(pol, cfg.run.eval_n, cfg.run.seed,

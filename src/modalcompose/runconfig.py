@@ -58,6 +58,10 @@ class ExpertConfig:
 
     def __post_init__(self):
         _require(self.n_sub >= 1, "[expert] n_sub", self.n_sub, ">= 1")
+        _require(self.enc_out >= 1, "[expert] enc_out", self.enc_out, ">= 1")
+        for key in ("enc_hidden", "sub_hidden"):
+            widths = getattr(self, key)
+            _require(all(w >= 1 for w in widths), f"[expert] {key}", widths, "widths >= 1")
         _require(self.activation in ACTIVATIONS, "[expert] activation", self.activation,
                  f"one of {tuple(ACTIVATIONS)}")
 
@@ -66,6 +70,10 @@ class ExpertConfig:
 class RouterConfig:
     hidden: tuple[int, ...] = (64,)
     joint: bool = False        # train router jointly with experts
+
+    def __post_init__(self):
+        _require(all(w >= 1 for w in self.hidden), "[router] hidden", self.hidden,
+                 "widths >= 1")
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,10 @@ class ProbeConfig:
 
     def __post_init__(self):
         _require(self.draws >= 1, "[probe] draws", self.draws, ">= 1")
+        _require(0.0 <= self.sigma_scale < float("inf"), "[probe] sigma_scale",
+                 self.sigma_scale, "finite and >= 0")
+        _require(len(set(self.modalities)) == len(self.modalities), "[probe] modalities",
+                 self.modalities, "distinct")
         _require(0.0 < self.ema_alpha <= 1.0, "[probe] ema_alpha", self.ema_alpha,
                  "in (0, 1]")
 
@@ -110,6 +122,8 @@ class RunSection:
     def __post_init__(self):
         _require(self.strategy in STRATEGIES, "[run] strategy", self.strategy,
                  f"one of {STRATEGIES}")
+        _require(self.demos >= 1, "[run] demos", self.demos, ">= 1")
+        _require(self.eval_n >= 1, "[run] eval_n", self.eval_n, ">= 1")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from modalcompose import experts as xp
 from modalcompose import router as rt
 from modalcompose.compose import train_concat_policy, train_moe_policy
 from modalcompose.diffusion import make_schedule
-from modalcompose.envs import ActionStats, Observation
+from modalcompose.envs import ActionStats, Observation, _Reader
 from modalcompose.errors import ContractError, FormatError
 from modalcompose.runconfig import RunConfig
 from tests.conftest import constant_action_dataset
@@ -144,6 +144,26 @@ def test_load_rejects_undecodable_tensor_name(tmp_path):
     bad.write_bytes(blob)
     with pytest.raises(FormatError, match="tensor name"):
         cpt.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("dims", [(65536,) * 4, (2**32 - 1,) * 4, (2**31, 2**31, 4)])
+def test_load_refuses_tensor_dims_whose_int64_count_wraps(tmp_path, capsys, dims):
+    """The element count is a Python int, so dims whose int64 product wraps
+    to 0 or below read as a truncated file, not as a reshape crash."""
+    from modalcompose.cli import cli_dispatch
+
+    tensor = struct.pack(f"<H1sB{len(dims)}I", 1, b"w", len(dims), *dims)
+    blob = b"MCPF" + struct.pack("<I", 1) + struct.pack("<I", 2) + b"{}"
+    bad = tmp_path / "bad.mcpf"
+    bad.write_bytes(blob + struct.pack("<I", 1) + tensor + struct.pack("<d", 1.0))
+    with pytest.raises(FormatError, match="truncated"):
+        cpt.load_checkpoint(bad)
+    assert cli_dispatch(["eval", "--manifest", str(bad), "--n", "1",
+                         "--out", str(tmp_path / "m.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    with pytest.raises(FormatError):
+        _Reader(b"abc", "raw").take(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,21 @@ def test_compose_policy_order_and_dim_checks(rng):
         cp.compose_policy(experts, router, "soft", sched, wide)
 
 
+@pytest.mark.parametrize("order, emb_dims", [(("tac", "vis"), (10, 10)),
+                                              (("vis", "tac"), (10, 9))])
+def test_composed_policy_built_directly_refuses_a_router_that_does_not_fit(
+        rng, order, emb_dims):
+    """A router over the experts' streams in another order (same widths), or
+    over other embedding widths, would weight the wrong expert or fail at
+    act(); the policy refuses it when it is built, not only through
+    compose_policy."""
+    router = rt.init_router(order, emb_dims, (8,), rng)
+    stats = constant_action_dataset(np.array([0.1, 0.2])).stats()
+    with pytest.raises(ContractError, match="router takes"):
+        cp.ComposedPolicy(experts=fresh_experts(), sched=make_schedule(), stats=stats,
+                          router=router)
+
+
 @pytest.mark.parametrize("key, knobs", [("sub_spec", dict(sub_hidden=(16,))),
                                          ("sub_spec", dict(activation="relu")),
                                          ("n_sub", dict(n_sub=3)),

@@ -92,10 +92,14 @@ def test_parse_errors_carry_line_numbers():
     ("train", "steps", -1), ("train", "router_steps", -1), ("train", "batch", 0),
     ("train", "lr", -1.0), ("train", "lr", 0.0), ("train", "lr", float("nan")),
     ("train", "lr", float("inf")), ("probe", "draws", 0), ("probe", "ema_alpha", 2.0),
-    ("run", "strategy", "bogus")])
+    ("run", "strategy", "bogus"), ("expert", "enc_out", 0), ("expert", "enc_hidden", (0, 64)),
+    ("expert", "sub_hidden", (-3,)), ("router", "hidden", (0,)), ("probe", "sigma_scale", -1.0),
+    ("probe", "sigma_scale", float("nan")), ("probe", "modalities", ("vis", "vis")),
+    ("run", "demos", 0), ("run", "eval_n", -5)])
 def test_bad_values_are_refused_when_the_config_is_built(section, key, value):
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else value
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must"):
-        rc.parse_config_text(f"[{section}]\n{key} = {value}\n")
+        rc.parse_config_text(f"[{section}]\n{key} = {text}\n")
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must"):
         rc.RunConfig().with_section(section, **{key: value})
 
@@ -207,6 +211,13 @@ def test_gen_data_cli_round_trip(tmp_path, capsys):
     ds = Dataset.read(path)
     assert ds.n_episodes == 2
     assert ds.env_name == "occluded_reach"
+
+
+def test_gen_data_cli_refuses_zero_demos(tmp_path, capsys):
+    """--n 0 is refused as [run] demos = 0 is, not read as "no --n"."""
+    assert cli_dispatch(["gen-data", "--n", "0", "--out", str(tmp_path)]) == 1
+    assert "[run] demos must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_gen_data_cli_explicit_file(tmp_path, capsys):

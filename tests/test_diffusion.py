@@ -160,6 +160,20 @@ def test_sampler_flags_nonfinite_scores():
         df.ddpm_sample(bad, s, [np.random.default_rng(0)], 2, sigma_mode="beta")
 
 
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+def test_sampler_flags_a_nonfinite_score_at_one_middle_step(bad_value):
+    """The state is checked once, after the loop: a score that is non-finite
+    at one step only still leaves a non-finite state, and is refused."""
+    s = df.make_schedule()
+
+    def once(a, k):
+        return np.full_like(a, bad_value) if k == 25 else np.zeros_like(a)
+
+    with pytest.raises(NumericError):
+        df.ddpm_sample(once, s, [np.random.default_rng(0), np.random.default_rng(1)], 2,
+                       sigma_mode="beta")
+
+
 def test_posterior_sigma_modes():
     s = df.make_schedule()
     assert np.array_equal(df.posterior_sigma(s, "beta"), np.sqrt(s.betas))

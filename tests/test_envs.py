@@ -1,5 +1,7 @@
 """Environment, demonstrator, and dataset-format tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -316,6 +318,26 @@ def test_dataset_read_rejects_undecodable_names(tmp_path):
         bad.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
         with pytest.raises(FormatError, match=what):
             envs.Dataset.read(bad)
+
+
+@pytest.mark.parametrize("edit, what", [("horizon", "horizon 0"), ("action_dim", "action_dim 0"),
+                                        ("modality", "repeated modality name 'vis'")])
+def test_dataset_read_refuses_header_values_it_cannot_hold(tmp_path, edit, what):
+    """A zero horizon or action width would pass reading and crash training,
+    and a repeated modality name would fold into one stream."""
+    spec = envs.make_env_spec("occluded_reach")
+    path = tmp_path / "d.mcds"
+    envs.generate_dataset(spec, 2, seed=2, path=path)
+    raw = path.read_bytes()
+    tac = raw.index(b"tac")   # the last modality name, then its u32 width
+    at = tac + 3 + 4 + (4 if edit == "action_dim" else 8)   # robot, action, horizon
+    bad = tmp_path / "bad.mcds"
+    if edit == "modality":
+        bad.write_bytes(raw[:tac] + b"vis" + raw[tac + 3:])
+    else:
+        bad.write_bytes(raw[:at] + struct.pack("<I", 0) + raw[at + 4:])
+    with pytest.raises(FormatError, match=what):
+        envs.Dataset.read(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,22 @@ def test_method_validation(tmp_path):
         pl.run_training(alien)
 
 
+@pytest.mark.parametrize("edit", ["horizon", "env"])
+def test_training_refuses_a_dataset_its_config_did_not_make(tmp_path, edit):
+    """A horizon-1 dataset read back under a horizon-4 config (same default
+    path), or an occluded_reach dataset named by a phase_reach config, is
+    refused before any training, and nothing is written."""
+    cfg = tiny_cfg(tmp_path, methods=("concat",))
+    data = pl.gen_data(cfg)
+    if edit == "horizon":
+        cfg = cfg.with_section("diffusion", horizon=4)
+    else:
+        cfg = cfg.with_section("env", name="phase_reach").with_section("run", dataset=str(data))
+    with pytest.raises(ConfigError, match="the config asks for"):
+        pl.run_training(cfg)
+    assert list(tmp_path.iterdir()) == [data]
+
+
 # ---------------------------------------------------------------------------
 # training outputs
 
@@ -171,6 +187,23 @@ def test_manifest_round_trip_with_router(tmp_path):
     assert policy.router is not None
     assert policy.modality_order == ("vis", "tac")
     assert meta["env"] == "occluded_reach"
+
+
+def test_compose_checkpoints_builds_both_kinds_of_composition(tmp_path):
+    """The one loader of composed policies: router or fixed weights, with the
+    strategy it is given, and the metadata of every checkpoint it read."""
+    _, written = trained_paths(tmp_path)
+    experts = [written["expert:vis"], written["expert:tac"]]
+    routed, metas = pl.compose_checkpoints(experts, router=written["router"], strategy="hard")
+    assert routed.router is not None and routed.strategy == "hard"
+    assert [m["kind"] for m in metas] == ["expert", "expert", "router"]
+    fixed, metas = pl.compose_checkpoints(experts, weights=[0.25, 0.75], strategy="top2")
+    assert fixed.router is None and fixed.strategy == "top2"
+    assert np.array_equal(fixed.fixed_w, [0.25, 0.75]) and len(metas) == 2
+    for paths, bad in ((experts, {}), ([], dict(weights=[])),
+                       (experts, dict(router=written["router"], weights=[0.5, 0.5]))):
+        with pytest.raises(ContractError, match="exactly one of router or weights"):
+            pl.compose_checkpoints(paths, **bad)
 
 
 def test_manifest_paths_may_contain_hash(tmp_path):
