@@ -135,8 +135,9 @@ def _scenario_hooks(scenario: ScenarioSpec | None, spec: EnvSpec, seed: int,
     def corrupt(obs, state, t):
         nonlocal entered
         entered = entered or _in_box(spec, state.p)
-        if scenario.onset == "start" or entered:
-            return corrupt_modality(obs, mode, stream(seed, TAG_SCENARIO, ep, t))
+        if scenario.onset == "start" or entered:   # only gaussian noise draws
+            rng = stream(seed, TAG_SCENARIO, ep, t) if mode.kind == "gaussian" else None
+            return corrupt_modality(obs, mode, rng)
         return obs
 
     return {"obs_filter": corrupt}

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
-from .diffusion import SIGMA_MODES, NoiseSchedule, make_schedule
+from .diffusion import NoiseSchedule, make_schedule
 from .envs import ActionStats, _Reader
 from .errors import ConfigError, ContractError, FormatError, ShapeError
 from .experts import Encoder, ModalityExpert
@@ -254,18 +254,13 @@ def expert_from_checkpoint(ck: Checkpoint) -> tuple[ModalityExpert, ActionStats,
     if not sub_specs or any(sm != sub_specs[0] for sm in sub_specs):
         raise FormatError(f"expert sub-policy specs must be one spec, "
                           f"at least once, got {sub_specs}")
-    sigma_mode = m.get("sigma_mode", "beta")
-    if sigma_mode not in SIGMA_MODES:
-        raise FormatError(f"unknown expert sigma_mode {sigma_mode!r}")
-    if m["n_steps"] < 1:
-        raise FormatError(f"expert n_steps must be >= 1, got {m['n_steps']}")
     sub_spec = _spec_from_meta(sub_specs[0])
     subs = nc.stack_params([_params_from_tensors(ck, f"sub{i}", sub_spec)
                             for i in range(len(sub_specs))])
     expert = ModalityExpert(
         enc=enc, action_dim=m["action_dim"],
         subs=subs, sub_spec=sub_spec, n_steps=m["n_steps"],
-        noise_band_split=m["noise_band_split"], sigma_mode=sigma_mode,
+        noise_band_split=m["noise_band_split"], sigma_mode=m.get("sigma_mode", "beta"),
     )
     return expert, _stats_from_meta(m["stats"]), _sched_from_meta(m["schedule"])
 
@@ -322,8 +317,6 @@ def save_fusion(policy, path, *, env_name: str, seed: int, config_hash: str) -> 
 def fusion_from_checkpoint(ck: Checkpoint):
     from .compose import ConcatPolicy, MoEFeaturePolicy
     m = ck.metadata
-    if m["sigma_mode"] not in SIGMA_MODES:
-        raise FormatError(f"unknown fusion sigma_mode {m['sigma_mode']!r}")
     if not len(m["modality_order"]) == len(m["modality_dims"]) == len(m["encoder_specs"]):
         raise FormatError("fusion checkpoint modality_order, modality_dims and "
                           "encoder_specs differ in length")

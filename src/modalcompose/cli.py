@@ -158,10 +158,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_compose(args) -> int:
     expert_paths = [p.strip() for p in args.experts.split(",") if p.strip()]
-    if not expert_paths:
-        raise ConfigError("--experts needs at least one checkpoint")
-    if (args.weights is None) == (args.router is None):
-        raise ConfigError("give exactly one of --weights or --router")
     try:
         weights = None if args.weights is None else [float(w) for w in args.weights.split(",")]
     except ValueError:

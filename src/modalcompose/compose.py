@@ -8,9 +8,9 @@ stream and one score net conditioned on the concatenated embeddings
 (ConcatPolicy) or on their sum weighted by a ``router.Router`` gate
 (MoEFeaturePolicy). Every policy samples B observations at once with
 ``act_rows``, each row bit for bit its own one-row ``act``.
-``ComposedPolicy`` holds every composition check (the router fits its
-experts, the experts stack on its schedule and chunk width), so
-``compose_policy`` only constructs it.
+Every policy checks its settings when built. ``ComposedPolicy`` holds every
+composition check (a known strategy; a fitting router or valid fixed weights;
+experts that stack on its schedule and chunk width) and is frozen.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import numpy as np
 from . import numcore as nc
 from .diffusion import NoiseSchedule, ddpm_sample, fit_denoiser, make_schedule
 from .envs import ActionStats, Observation
-from .errors import ContractError, ShapeError
-from .experts import (Encoder, ModalityExpert, _check_score_spec, init_encoder, score_graph,
+from .errors import ConfigError, ContractError, ShapeError
+from .experts import (Encoder, ModalityExpert, _check_score_net, init_encoder, score_graph,
                       score_input, score_net_spec, stacked_scores)
-from .router import Router, apply_strategy, check_weights, gated_sum, init_router
+from .router import STRATEGIES, Router, apply_strategy, check_weights, gated_sum, init_router
 
 
 def _rows(obs_rows, name: str | None = None) -> np.ndarray:
@@ -57,7 +57,7 @@ class _RowSampler:
         return self.act_rows([obs], [rng])[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComposedPolicy(_RowSampler):
     experts: list[ModalityExpert]
     sched: NoiseSchedule
@@ -67,9 +67,17 @@ class ComposedPolicy(_RowSampler):
     strategy: str = "soft"
 
     def __post_init__(self):
-        """A router weights these experts, in this order, and they sample as
-        one stack, on this schedule and chunk width."""
-        if self.router is not None:
+        """A known strategy over a router that fits these experts or valid fixed
+        weights (kept read-only); the experts stack on this schedule and width."""
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown routing strategy '{self.strategy}'")
+        if (self.router is None) == (self.fixed_w is None):
+            raise ContractError("a composed policy needs exactly one of router or weights")
+        if self.fixed_w is not None:
+            w = check_weights(self.fixed_w, len(self.experts)).copy()
+            w.flags.writeable = False
+            object.__setattr__(self, "fixed_w", w)
+        else:
             have = (self.modality_order, tuple(ex.enc.emb_dim for ex in self.experts))
             want = (self.router.modality_order, self.router.emb_dims)
             if want != have:
@@ -106,12 +114,12 @@ class ComposedPolicy(_RowSampler):
         rs = _rows(obs_rows)
         embs = [ex.encode_rows(_rows(obs_rows, ex.modality), rs) for ex in self.experts]
         if self.router is None:
-            w = [self.fixed_w] * len(obs_rows)
+            w = np.tile(self.fixed_w, (len(obs_rows), 1))
         else:
             w = self.router.weights_rows(np.concatenate(embs, axis=-1)).reshape(len(obs_rows), -1)
-        n = len(self.experts)
-        return np.array([apply_strategy(check_weights(wr, n), self.strategy)
-                         for wr in w]), embs
+        if self.strategy != "soft":   # soft is the identity
+            w = np.array([apply_strategy(wr, self.strategy) for wr in w])
+        return w, embs
 
     def weights_for(self, obs: Observation) -> np.ndarray:
         """Post-strategy consensus weights at this state."""
@@ -140,22 +148,22 @@ def compose_policy(experts: list[ModalityExpert], router: Router, strategy: str,
 
 
 def manual_compose(experts: list[ModalityExpert], fixed_weights, sched: NoiseSchedule,
-                   stats: ActionStats) -> ComposedPolicy:
-    """Fixed-weight composition, e.g. (0.5, 0.5) over independently trained
-    experts; weights are renormalized to sum 1 with a warning if needed."""
+                   stats: ActionStats, strategy: str = "soft") -> ComposedPolicy:
+    """Fixed-weight composition, e.g. (0.5, 0.5), through ``manual_weights``."""
+    return ComposedPolicy(experts=experts, sched=sched, stats=stats,
+                          fixed_w=manual_weights(fixed_weights), strategy=strategy)
+
+
+def manual_weights(fixed_weights) -> np.ndarray:
+    """Fixed weights, renormalized with a warning if only their sum is off."""
     w = np.asarray(fixed_weights, dtype=np.float64)
-    if w.shape != (len(experts),):
-        raise ContractError(f"{len(experts)} experts but weight shape {w.shape}")
-    if not np.all(np.isfinite(w) & (w >= 0.0)):
-        raise ContractError(f"manual weights must be finite and nonnegative, got {w}")
-    s = w.sum()
-    if s <= 0.0:
+    if not w.any():
         raise ContractError("manual weights must not be all zero")
-    if abs(s - 1.0) > 1e-12:
+    s = w.sum()
+    if abs(s - 1.0) > 1e-12 and np.isfinite(s) and np.all(w >= 0.0):
         warnings.warn(f"manual weights sum to {s}; renormalizing")
         w = w / s
-    return ComposedPolicy(experts=experts, sched=sched, stats=stats,
-                          fixed_w=w, strategy="soft")
+    return w
 
 
 def single_expert_policy(expert: ModalityExpert, sched: NoiseSchedule,
@@ -182,8 +190,8 @@ class _FusionPolicy(_RowSampler):
     loss_history: list[float] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        _check_score_spec(self.score_spec, self.stats.chunk_dim, self._cond_dim(),
-                          type(self).__name__)
+        _check_score_net(self.score_spec, self.stats.chunk_dim, self._cond_dim(),
+                         self.sigma_mode, type(self).__name__)
 
     @property
     def modality_order(self) -> tuple[str, ...]:

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numcore as nc
-from .diffusion import fit_denoiser, make_schedule
+from .diffusion import SIGMA_MODES, fit_denoiser, make_schedule
 from .errors import ConfigError, ContractError, ShapeError
 
 TIMESTEP_DIM = 16
@@ -141,8 +141,12 @@ def score_net_spec(action_dim: int, cond_dim: int, cfg) -> nc.MlpSpec:
                       action_dim, activation=ex.activation)
 
 
-def _check_score_spec(spec: nc.MlpSpec, action_dim: int, cond_dim: int, owner: str) -> None:
-    """A score net maps rows [a_k, cond, timestep features] to a_k's width."""
+def _check_score_net(spec: nc.MlpSpec, action_dim: int, cond_dim: int, sigma_mode: str,
+                     owner: str) -> None:
+    """A score net maps rows [a_k, cond, timestep features] to a_k's width and
+    samples with a known reverse-step noise mode."""
+    if sigma_mode not in SIGMA_MODES:
+        raise ConfigError(f"{owner} has sigma_mode {sigma_mode!r}, not one of {SIGMA_MODES}")
     fits = (action_dim + cond_dim + TIMESTEP_DIM, action_dim)
     if (spec.input_dim, spec.output_dim) != fits:
         raise ShapeError(f"the score net of {owner} maps {spec.input_dim} inputs to "
@@ -170,6 +174,8 @@ class ModalityExpert:
     loss_history: list[float] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
+        if self.n_steps < 1:
+            raise ConfigError(f"expert '{self.modality}' needs n_steps >= 1, got {self.n_steps}")
         got = {name: t.shape for name, t in self.subs.items()}
         n = got.get("W0", (0,))[0]
         want = {}
@@ -178,8 +184,8 @@ class ModalityExpert:
         if n < 1 or got != want:
             raise ShapeError(f"expert '{self.modality}' needs one or more stacked "
                              f"sub-policies of one spec, {want}, got {got}")
-        _check_score_spec(self.sub_spec, self.action_dim, self.enc.emb_dim,
-                          f"expert '{self.modality}'")
+        _check_score_net(self.sub_spec, self.action_dim, self.enc.emb_dim, self.sigma_mode,
+                         f"expert '{self.modality}'")
 
     @property
     def modality(self) -> str:

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as cp
-from .compose import (ComposedPolicy, compose_policy, manual_compose, train_concat_policy,
-                      train_moe_policy)
+from .compose import ComposedPolicy, manual_weights, train_concat_policy, train_moe_policy
 from .diffusion import make_schedule
 from .envs import Dataset, generate_dataset, make_env_spec, run_expert_episode
 from .errors import ConfigError, ContractError, FormatError
@@ -183,29 +182,23 @@ def write_manifest(path, *, env_name: str, expert_paths: list[str],
 _MANIFEST_KEYS = ("env", "strategy", "stats_hash", "expert", "router", "weights")
 
 
-def compose_checkpoints(expert_paths, *, router=None, weights=None,
+def compose_checkpoints(experts, *, router=None, weights=None,
                         strategy: str = "soft") -> tuple[ComposedPolicy, list[dict]]:
-    """The one way checkpoint files become a composed policy: read the expert
-    (and router) checkpoints, refuse a set ``check_compose_compatibility``
-    refuses, and weight the experts by the router or by fixed weights.
-    Returns the policy and the checkpoints' metadata, experts first."""
-    if not expert_paths or (router is None) == (weights is None):
+    """The one way checkpoints, as paths or loaded ``Checkpoint``s, become a
+    composed policy: refuse a set ``check_compose_compatibility`` refuses, and
+    weight the experts by the router or by fixed weights. Returns the policy
+    and the checkpoints' metadata, experts first."""
+    if not experts:
         raise ContractError("compose needs experts and exactly one of router or weights")
-    loaded = [cp.load_checkpoint(path) for path in expert_paths]
+    given = list(experts) + ([] if router is None else [router])
+    loaded = [ck if isinstance(ck, cp.Checkpoint) else cp.load_checkpoint(ck) for ck in given]
     metas = [ck.metadata for ck in loaded]
-    parts = [cp.expert_from_checkpoint(ck) for ck in loaded]
-    experts = [ex for ex, _, _ in parts]
-    _, stats, sched = parts[0]
-    if router is not None:
-        rck = cp.load_checkpoint(router)
-        metas.append(rck.metadata)
-        cp.check_compose_compatibility(metas)
-        return (compose_policy(experts, cp.router_from_checkpoint(rck), strategy, sched, stats),
-                metas)
+    parts = [cp.expert_from_checkpoint(ck) for ck in loaded[:len(experts)]]
     cp.check_compose_compatibility(metas)
-    policy = manual_compose(experts, weights, sched, stats)
-    policy.strategy = strategy
-    return policy, metas
+    return ComposedPolicy(
+        experts=[ex for ex, _, _ in parts], stats=parts[0][1], sched=parts[0][2],
+        router=None if router is None else cp.router_from_checkpoint(loaded[-1]),
+        fixed_w=None if weights is None else manual_weights(weights), strategy=strategy), metas
 
 
 def load_manifest(path) -> tuple[ComposedPolicy, dict]:
@@ -293,11 +286,13 @@ def _policy_from_path(path) -> tuple[object, str, str]:
     p = Path(path)
     if not p.exists():
         raise FormatError(f"no such policy file: {p}")
-    if p.read_bytes()[:4] == cp.MAGIC:
+    with open(p, "rb") as fh:
+        magic = fh.read(len(cp.MAGIC))
+    if magic == cp.MAGIC:
         ck = cp.load_checkpoint(p)
         kind = ck.metadata.get("kind")
         if kind == "expert":   # the one-expert composition
-            policy, metas = compose_checkpoints([p], weights=[1.0])
+            policy, metas = compose_checkpoints([ck], weights=[1.0])
             return policy, f"expert:{policy.modality_order[0]}", metas[0]["env"]
         if kind in ("concat", "moe"):
             return cp.fusion_from_checkpoint(ck), kind, ck.metadata["env"]

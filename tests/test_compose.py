@@ -1,5 +1,7 @@
 """Composition-layer tests: weighted score mixing, fixed weights, baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from modalcompose import experts as xp
 from modalcompose import router as rt
 from modalcompose.diffusion import ddpm_sample, make_schedule
 from modalcompose.envs import Observation
-from modalcompose.errors import ContractError
+from modalcompose.errors import ConfigError, ContractError
 from modalcompose.runconfig import RunConfig
 from tests.conftest import constant_action_dataset
 
@@ -111,12 +113,11 @@ def test_inter_compose_requires_matching_modalities(rng):
                       robot_state=rng.normal(size=2))
     with pytest.raises(ContractError):
         mixed_score(experts, np.array([0.5, 0.5]), np.zeros(2), obs, 1)
-    # weights that do not match the experts are refused when scoring
+    # weights that do not match the experts are refused when the policy is built
     policy = cp.manual_compose(experts, [0.5, 0.5], make_schedule(),
                                constant_action_dataset(np.array([0.1, 0.2])).stats())
-    policy.fixed_w = np.array([0.2, 0.3, 0.5])
     with pytest.raises(ContractError):
-        policy.score_provider([random_obs(rng)])
+        dataclasses.replace(policy, fixed_w=np.array([0.2, 0.3, 0.5]))
 
 
 def test_composed_policy_samples_with_its_experts_sigma_mode(rng):
@@ -219,12 +220,66 @@ def test_composed_policy_refuses_other_schedule_or_action_width(rng):
         cp.single_expert_policy(ex, make_schedule(), wide)
 
 
+def _composed(**weighting):
+    return cp.ComposedPolicy(experts=fresh_experts(), sched=make_schedule(),
+                             stats=constant_action_dataset(np.array([0.1, 0.2])).stats(),
+                             **weighting)
+
+
+def _fusion(train):
+    return train(constant_action_dataset(np.array([0.1, 0.2])), small_cfg(),
+                 np.random.default_rng(3))
+
+
+def _router():
+    return rt.init_router(("vis", "tac"), (10, 10), (8,), np.random.default_rng(2))
+
+
+BAD_SETTINGS = {
+    "unknown strategy": (ConfigError, lambda: _composed(fixed_w=[0.5, 0.5], strategy="bogus")),
+    "router and fixed weights": (ContractError,
+                                 lambda: _composed(router=_router(), fixed_w=[0.5, 0.5])),
+    "neither router nor fixed weights": (ContractError, lambda: _composed()),
+    "fixed weights of another length": (ContractError, lambda: _composed(fixed_w=[1.0])),
+    "negative fixed weight": (ContractError, lambda: _composed(fixed_w=[1.5, -0.5])),
+    "NaN fixed weight": (ContractError, lambda: _composed(fixed_w=[np.nan, 1.0])),
+    "fixed weights not summing to 1": (ContractError, lambda: _composed(fixed_w=[0.5, 0.6])),
+    "replaced by an unknown strategy": (ConfigError, lambda: dataclasses.replace(
+        _composed(fixed_w=[0.5, 0.5]), strategy="bogus")),
+    "expert sigma_mode": (ConfigError, lambda: dataclasses.replace(
+        fresh_experts()[0], sigma_mode="bogus")),
+    "expert with no denoising steps": (ConfigError, lambda: dataclasses.replace(
+        fresh_experts()[0], n_steps=0)),
+    "ConcatPolicy sigma_mode": (ConfigError, lambda: dataclasses.replace(
+        _fusion(cp.train_concat_policy), sigma_mode="bogus")),
+    "MoEFeaturePolicy sigma_mode": (ConfigError, lambda: dataclasses.replace(
+        _fusion(cp.train_moe_policy), sigma_mode="bogus")),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SETTINGS)
+def test_bad_settings_are_refused_when_built(case):
+    """A policy or expert checks its own settings in its constructor, so a
+    bad one is refused at once instead of failing at its first act()."""
+    error, build = BAD_SETTINGS[case]
+    with pytest.raises(error):
+        build()
+
+
+def test_composed_policy_cannot_be_changed_after_it_is_built():
+    policy = _composed(fixed_w=np.array([0.5, 0.5]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        policy.strategy = "hard"
+    with pytest.raises(ValueError):
+        policy.fixed_w[0] = 1.0
+
+
 def test_weights_for_applies_strategy(rng):
     experts = fresh_experts()
     sched = make_schedule()
     stats = constant_action_dataset(np.array([0.1, 0.2])).stats()
-    policy = cp.manual_compose(experts, [0.3, 0.7], sched, stats)
-    policy.strategy = "hard"
+    policy = dataclasses.replace(cp.manual_compose(experts, [0.3, 0.7], sched, stats),
+                                 strategy="hard")
     obs = random_obs(rng)
     assert np.array_equal(policy.weights_for(obs), [0.0, 1.0])
     router = rt.init_router(("vis", "tac"), (10, 10), (8,), rng)

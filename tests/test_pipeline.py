@@ -206,6 +206,18 @@ def test_compose_checkpoints_builds_both_kinds_of_composition(tmp_path):
             pl.compose_checkpoints(paths, **bad)
 
 
+@pytest.mark.parametrize("method", ["expert:vis", "concat"])
+def test_eval_of_a_checkpoint_reads_it_once(tmp_path, monkeypatch, method):
+    """eval of a checkpoint reads and parses the file once, also when an
+    expert becomes its one-expert composition."""
+    _, written = trained_paths(tmp_path, methods=(method,))
+    calls = []
+    load = cpt.load_checkpoint
+    monkeypatch.setattr(cpt, "load_checkpoint", lambda path: calls.append(path) or load(path))
+    pl.run_eval(written[method], 1, seed=0)
+    assert calls == [written[method]]
+
+
 def test_manifest_paths_may_contain_hash(tmp_path):
     """Only whole-line comments are stripped, so a '#' in a checkpoint path
     survives the round trip."""
