@@ -162,6 +162,8 @@ def _cmd_compose(args) -> int:
         weights = None if args.weights is None else [float(w) for w in args.weights.split(",")]
     except ValueError:
         raise ConfigError(f"--weights must be numbers, got {args.weights!r}") from None
+    if not expert_paths or (weights is None) == (args.router is None):
+        raise ConfigError("give --experts and exactly one of --weights or --router")
     policy, metas = pipeline.compose_checkpoints(expert_paths, router=args.router,
                                                  weights=weights, strategy=args.strategy)
     out = Path(args.out or "composed.txt")

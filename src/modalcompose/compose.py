@@ -10,7 +10,7 @@ stream and one score net conditioned on the concatenated embeddings
 ``act_rows``, each row bit for bit its own one-row ``act``.
 Every policy checks its settings when built. ``ComposedPolicy`` holds every
 composition check (a known strategy; a fitting router or valid fixed weights;
-experts that stack on its schedule and chunk width) and is frozen.
+experts that stack on its schedule and width) and is frozen, experts included.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class _RowSampler:
 
 @dataclass(frozen=True)
 class ComposedPolicy(_RowSampler):
-    experts: list[ModalityExpert]
+    experts: tuple[ModalityExpert, ...]   # any sequence, kept as a tuple
     sched: NoiseSchedule
     stats: ActionStats
     router: Router | None = None
@@ -69,6 +69,7 @@ class ComposedPolicy(_RowSampler):
     def __post_init__(self):
         """A known strategy over a router that fits these experts or valid fixed
         weights (kept read-only); the experts stack on this schedule and width."""
+        object.__setattr__(self, "experts", tuple(self.experts))
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown routing strategy '{self.strategy}'")
         if (self.router is None) == (self.fixed_w is None):
@@ -148,19 +149,20 @@ def compose_policy(experts: list[ModalityExpert], router: Router, strategy: str,
 
 
 def manual_compose(experts: list[ModalityExpert], fixed_weights, sched: NoiseSchedule,
-                   stats: ActionStats, strategy: str = "soft") -> ComposedPolicy:
+                   stats: ActionStats) -> ComposedPolicy:
     """Fixed-weight composition, e.g. (0.5, 0.5), through ``manual_weights``."""
     return ComposedPolicy(experts=experts, sched=sched, stats=stats,
-                          fixed_w=manual_weights(fixed_weights), strategy=strategy)
+                          fixed_w=manual_weights(fixed_weights, len(experts)))
 
 
-def manual_weights(fixed_weights) -> np.ndarray:
-    """Fixed weights, renormalized with a warning if only their sum is off."""
+def manual_weights(fixed_weights, n: int) -> np.ndarray:
+    """Fixed weights for n experts, renormalized with a warning if their sum is
+    all that is off; ``ComposedPolicy`` refuses any other fault as given."""
     w = np.asarray(fixed_weights, dtype=np.float64)
     if not w.any():
         raise ContractError("manual weights must not be all zero")
     s = w.sum()
-    if abs(s - 1.0) > 1e-12 and np.isfinite(s) and np.all(w >= 0.0):
+    if w.shape == (n,) and np.all(w >= 0.0) and np.isfinite(s) and abs(s - 1.0) > 1e-12:
         warnings.warn(f"manual weights sum to {s}; renormalizing")
         w = w / s
     return w
@@ -212,9 +214,7 @@ class _FusionPolicy(_RowSampler):
     def score_provider(self, obs_rows):
         rows_at = score_input(self._cond(self.embed(obs_rows)),
                               self.score_spec.output_dim, self.sched.K)
-
-        return lambda a_k, k: nc.mlp_infer(self.score_params, self.score_spec,
-                                           rows_at(a_k, k))
+        return lambda a_k, k: nc.mlp_infer(self.score_params, self.score_spec, rows_at(a_k, k))
 
 
 class ConcatPolicy(_FusionPolicy):

@@ -189,16 +189,18 @@ def compose_checkpoints(experts, *, router=None, weights=None,
     weight the experts by the router or by fixed weights. Returns the policy
     and the checkpoints' metadata, experts first."""
     if not experts:
-        raise ContractError("compose needs experts and exactly one of router or weights")
+        raise ContractError("compose needs at least one expert checkpoint")
     given = list(experts) + ([] if router is None else [router])
     loaded = [ck if isinstance(ck, cp.Checkpoint) else cp.load_checkpoint(ck) for ck in given]
     metas = [ck.metadata for ck in loaded]
     parts = [cp.expert_from_checkpoint(ck) for ck in loaded[:len(experts)]]
     cp.check_compose_compatibility(metas)
+    if weights is not None and router is None:   # beside a router, refused as given
+        weights = manual_weights(weights, len(experts))
     return ComposedPolicy(
         experts=[ex for ex, _, _ in parts], stats=parts[0][1], sched=parts[0][2],
         router=None if router is None else cp.router_from_checkpoint(loaded[-1]),
-        fixed_w=None if weights is None else manual_weights(weights), strategy=strategy), metas
+        fixed_w=weights, strategy=strategy), metas
 
 
 def load_manifest(path) -> tuple[ComposedPolicy, dict]:
@@ -279,10 +281,7 @@ class RandomPolicy:
 
 
 def _policy_from_path(path) -> tuple[object, str, str]:
-    """Load a policy from a manifest or checkpoint path.
-
-    Returns (policy, method label, env name).
-    """
+    """(policy, method label, env name) of a manifest or checkpoint path."""
     p = Path(path)
     if not p.exists():
         raise FormatError(f"no such policy file: {p}")

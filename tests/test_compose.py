@@ -150,7 +150,9 @@ def test_manual_compose_renormalizes_with_warning(rng):
     assert np.allclose(policy.fixed_w, [0.25, 0.75], atol=1e-15)
 
 
-def test_manual_compose_validation(rng):
+def test_manual_compose_validation(rng, recwarn):
+    """Bad weights are refused as given: only weights whose sum is all that is
+    off are renormalized, so none of these warns first."""
     experts = fresh_experts()
     sched = make_schedule()
     stats = constant_action_dataset(np.array([0.1, 0.2])).stats()
@@ -161,8 +163,10 @@ def test_manual_compose_validation(rng):
             cp.manual_compose(experts, bad, sched, stats)
     with pytest.raises(ContractError):
         cp.manual_compose(experts, [0.0, 0.0], sched, stats)
-    with pytest.raises(ContractError):
-        cp.manual_compose(experts, [1.0], sched, stats)
+    for bad in ([1.0], [2.0], [1.0, 3.0, 1.0], [1.5, -0.5]):
+        with pytest.raises(ContractError):
+            cp.manual_compose(experts, bad, sched, stats)
+    assert not recwarn.list
 
 
 def test_compose_policy_order_and_dim_checks(rng):
@@ -272,7 +276,10 @@ def test_composed_policy_cannot_be_changed_after_it_is_built():
         policy.strategy = "hard"
     with pytest.raises(ValueError):
         policy.fixed_w[0] = 1.0
-
+    with pytest.raises((TypeError, AttributeError)):   # experts are kept as a tuple
+        policy.experts[0] = policy.experts[1]
+    with pytest.raises(AttributeError):
+        policy.experts.append(policy.experts[0])
 
 def test_weights_for_applies_strategy(rng):
     experts = fresh_experts()

@@ -189,7 +189,7 @@ def test_manifest_round_trip_with_router(tmp_path):
     assert meta["env"] == "occluded_reach"
 
 
-def test_compose_checkpoints_builds_both_kinds_of_composition(tmp_path):
+def test_compose_checkpoints_builds_both_kinds_of_composition(tmp_path, recwarn):
     """The one loader of composed policies: router or fixed weights, with the
     strategy it is given, and the metadata of every checkpoint it read."""
     _, written = trained_paths(tmp_path)
@@ -200,10 +200,12 @@ def test_compose_checkpoints_builds_both_kinds_of_composition(tmp_path):
     fixed, metas = pl.compose_checkpoints(experts, weights=[0.25, 0.75], strategy="top2")
     assert fixed.router is None and fixed.strategy == "top2"
     assert np.array_equal(fixed.fixed_w, [0.25, 0.75]) and len(metas) == 2
-    for paths, bad in ((experts, {}), ([], dict(weights=[])),
-                       (experts, dict(router=written["router"], weights=[0.5, 0.5]))):
+    with pytest.raises(ContractError, match="at least one expert checkpoint"):
+        pl.compose_checkpoints([], weights=[])
+    for bad in ({}, dict(router=written["router"], weights=[1.0, 3.0])):
         with pytest.raises(ContractError, match="exactly one of router or weights"):
-            pl.compose_checkpoints(paths, **bad)
+            pl.compose_checkpoints(experts, **bad)
+    assert not recwarn.list   # weights beside a router are refused as given
 
 
 @pytest.mark.parametrize("method", ["expert:vis", "concat"])
@@ -370,6 +372,19 @@ def test_manifest_refuses_lines_it_would_misread(tmp_path, lines, error):
                    + lines.format(router=written["router"].name) + "\n")
     with pytest.raises(FormatError, match=error):
         pl.load_manifest(man)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--experts", "a.mcpf,b.mcpf"],
+    ["--experts", "a.mcpf,b.mcpf", "--weights", "1,3", "--router", "r.mcpf"],
+    ["--experts", " , ", "--weights", "1"],
+])
+def test_compose_usage_errors_come_before_any_file_is_read(tmp_path, flags, capsys, recwarn):
+    """Neither or both of --weights and --router, or no expert, is refused as
+    a usage error before any checkpoint is read (none of these files exist)."""
+    assert cli_dispatch(["compose", *flags, "--out", str(tmp_path / "m.txt")]) == 1
+    assert "--weights or --router" in capsys.readouterr().err
+    assert not recwarn.list and not (tmp_path / "m.txt").exists()
 
 
 @pytest.mark.parametrize("weights", ["0", "nan", "half", "0.5,0.5"])
