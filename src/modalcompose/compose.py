@@ -24,19 +24,20 @@ from . import numcore as nc
 from .diffusion import NoiseSchedule, ddpm_sample, fit_denoiser, make_schedule
 from .envs import ActionStats, Observation
 from .errors import ConfigError, ContractError, ShapeError
-from .experts import (Encoder, ModalityExpert, _check_score_net, init_encoder, score_graph,
-                      score_input, score_net_spec, stacked_scores)
+from .experts import (Encoder, ModalityExpert, _check_score_net, init_encoder, mixed_score,
+                      score_graph, score_input, score_net_spec, step_inputs)
 from .router import STRATEGIES, Router, apply_strategy, check_weights, gated_sum, init_router
 
 
-def _rows(obs_rows, name: str | None = None) -> np.ndarray:
-    """Every observation's reading of one modality (None: robot state) as
-    sampling rows."""
+def _rows(obs_rows, names) -> list[np.ndarray]:
+    """Every observation's robot state, then its reading of each named
+    modality, as sampling rows."""
     try:
-        vals = [o.robot_state if name is None else o.modalities[name] for o in obs_rows]
-    except KeyError:
-        raise ContractError(f"observation lacks modality '{name}'") from None
-    return nc.row_layout(np.array(vals, dtype=np.float64))
+        cols = [[o.robot_state for o in obs_rows]]
+        cols += [[o.modalities[n] for o in obs_rows] for n in names]
+    except KeyError as e:
+        raise ContractError(f"observation lacks modality '{e.args[0]}'") from None
+    return [nc.row_layout(np.array(c, dtype=np.float64)) for c in cols]
 
 
 class _RowSampler:
@@ -112,14 +113,14 @@ class ComposedPolicy(_RowSampler):
     def _consensus(self, obs_rows) -> tuple[np.ndarray, list[np.ndarray]]:
         """Post-strategy consensus weights, one row per observation, and the
         experts' embedding rows."""
-        rs = _rows(obs_rows)
-        embs = [ex.encode_rows(_rows(obs_rows, ex.modality), rs) for ex in self.experts]
+        rs, *m_rows = _rows(obs_rows, self.modality_order)
+        embs = [ex.encode_rows(m, rs) for ex, m in zip(self.experts, m_rows)]
         if self.router is None:
             w = np.tile(self.fixed_w, (len(obs_rows), 1))
         else:
             w = self.router.weights_rows(np.concatenate(embs, axis=-1)).reshape(len(obs_rows), -1)
         if self.strategy != "soft":   # soft is the identity
-            w = np.array([apply_strategy(wr, self.strategy) for wr in w])
+            w = apply_strategy(w, self.strategy)
         return w, embs
 
     def weights_for(self, obs: Observation) -> np.ndarray:
@@ -128,15 +129,15 @@ class ComposedPolicy(_RowSampler):
 
     def score_provider(self, obs_rows):
         """The consensus score provider over these observations' rows: the
-        weighted sum of the expert scores, one stacked score per step. An
-        expert no row weights is left out, so a one-hot weight reproduces one
-        expert bit for bit; on a row that weights it zero among others, its
-        term is a zero that changes no sum but the sign of an exact zero."""
+        weighted sum of the expert scores, one stacked score per step, bound
+        once (``mixed_score``). An expert no row weights is left out, so a
+        one-hot weight reproduces one expert bit for bit; on a row that
+        weights it zero among others, its term is a zero that changes no sum
+        but the sign of an exact zero."""
         w, embs = self._consensus(obs_rows)
         keep = w.any(axis=0).nonzero()[0]
-        scores = stacked_scores([self.experts[i] for i in keep], [embs[i] for i in keep])
-        wk = nc.row_layout(w.T[keep, :, None])
-        return lambda a_k, k: np.add.reduce(scores(a_k, k) * wk, axis=0)
+        return mixed_score([self.experts[i] for i in keep], [embs[i] for i in keep],
+                           nc.row_layout(w.T[keep, :, None]))
 
     act = _RowSampler.act   # each class's own: the benchmark's tracer wraps it there
 
@@ -208,13 +209,24 @@ class _FusionPolicy(_RowSampler):
 
     def embed(self, obs_rows) -> list[np.ndarray]:
         """Each encoder's embedding rows of these observations."""
-        rs = _rows(obs_rows)
-        return [enc.rows(_rows(obs_rows, enc.modality), rs) for enc in self.encoders]
+        rs, *m_rows = _rows(obs_rows, self.modality_order)
+        return [enc.rows(m, rs) for enc, m in zip(self.encoders, m_rows)]
 
     def score_provider(self, obs_rows):
-        rows_at = score_input(self._cond(self.embed(obs_rows)),
-                              self.score_spec.output_dim, self.sched.K)
-        return lambda a_k, k: nc.mlp_infer(self.score_params, self.score_spec, rows_at(a_k, k))
+        """The score net over these observations' cond rows, bound once: a call
+        writes a_k and step k's features and runs the layer ops, unchecked
+        (``ddpm_sample`` checks its state once)."""
+        spec = self.score_spec
+        buf = score_input(self._cond(self.embed(obs_rows)), spec.output_dim)
+        layers = nc.mlp_layers(self.score_params, spec, buf)
+        a_in, t_in, feats = step_inputs(buf, spec.output_dim, self.sched.K)
+
+        def score(a_k: np.ndarray, k: int) -> np.ndarray:
+            a_in[...] = a_k
+            t_in[...] = feats[k - 1]
+            return nc.mlp_infer(layers, spec, buf)
+
+        return score
 
 
 class ConcatPolicy(_FusionPolicy):

@@ -149,13 +149,3 @@ def ddpm_sample(score, sched: NoiseSchedule, rngs, dim: int, *,
     if not np.isfinite(a).all():
         raise NumericError("non-finite sample state")
     return np.clip(a, -1.0, 1.0).reshape(-1, dim)
-
-
-def effective_eps(a_k: np.ndarray, a0: np.ndarray, k, sched: NoiseSchedule) -> np.ndarray:
-    """The noise that forward_noise would have to have drawn to map a0 to a_k.
-
-    As a sampling provider ``(a_k, k)`` it is a perfect denoiser: step k = 1
-    injects no noise, so the sampler lands on a0 whatever state it reached;
-    used by tests as an oracle.
-    """
-    return (a_k - sched.sqrt_ab(k) * a0) / sched.sqrt_one_minus_ab(k)

@@ -10,8 +10,9 @@ Each expert owns one encoder and ``n_sub`` sub-policy score nets. Its score
 is the mean of its sub-policies (or, with the band-split option, the single
 sub-policy responsible for the current denoising band). The score has one
 numpy form, ``encode_rows`` then ``stacked_scores`` of one or more experts
-(``score_rows`` for one), and one graph form for training,
-``_expert_score_graph``, which the expert and the joint router both use.
+(``score_rows`` for one; ``mixed_score`` is its weighted sum bound once for
+a sampler), and one graph form for training, ``_expert_score_graph``, which
+the expert and the joint router both use.
 
 Storage: an expert keeps its sub-policies as one stacked ``ParamSet``, one
 array per tensor name with the sub-policy on the leading axis (``W_i`` of
@@ -66,7 +67,7 @@ def timestep_features(k, n_steps: int) -> np.ndarray:
     the formula bit for bit. k outside 1..n_steps raises ContractError.
     """
     table = _feature_table(n_steps)
-    # checked at every denoising step: a Python int k costs no numpy call
+    # a Python int k costs no numpy call
     if isinstance(k, int):
         if not 1 <= k <= n_steps:
             raise ContractError(f"denoising index outside 1..{n_steps}: {k}")
@@ -78,21 +79,19 @@ def timestep_features(k, n_steps: int) -> np.ndarray:
     return table[karr - 1]
 
 
-def score_input(cond: np.ndarray, action_dim: int, n_steps: int):
-    """``rows_at(a_k, k)``: one buffer of score-net rows [a_k, cond, timestep
-    features] for one action, cond written once. Each call writes a_k and
-    step k's feature rows (one row for an int k) and returns the buffer."""
+def score_input(cond: np.ndarray, action_dim: int) -> np.ndarray:
+    """One buffer of score-net rows [a_k, cond, timestep features] with cond
+    written once; each call of a scorer writes a_k and step k's features."""
     buf = np.empty(cond.shape[:-1] + (action_dim + cond.shape[-1] + TIMESTEP_DIM,))
     buf[..., action_dim:-TIMESTEP_DIM] = cond
+    return buf
 
-    def rows_at(a_k: np.ndarray, k) -> np.ndarray:
-        if a_k.shape != buf.shape[-a_k.ndim:-1] + (action_dim,):
-            raise ShapeError(f"action rows {a_k.shape} do not fit score rows {buf.shape}")
-        buf[..., :action_dim] = a_k
-        buf[..., -TIMESTEP_DIM:] = timestep_features(k, n_steps)
-        return buf
 
-    return rows_at
+def step_inputs(buf: np.ndarray, action_dim: int, n_steps: int):
+    """What a sampler's scorer writes into ``buf`` at step k: the views
+    ``a_in`` and ``t_in`` of its a_k and feature columns, and the list of
+    feature rows, k = 1..n_steps at index k-1."""
+    return buf[..., :action_dim], buf[..., -TIMESTEP_DIM:], list(_feature_table(n_steps))
 
 
 @dataclass
@@ -215,23 +214,60 @@ class ModalityExpert:
         return stacked_scores([self], [emb_rows])(a_rows, ks)[0]
 
 
+def _stack(experts: list[ModalityExpert], embs: list[np.ndarray]):
+    """E experts' sub-policy stacks (E, n_sub, in, out), copied so later weight
+    edits are seen only by the next call, and an (E, 1, rows..., in) score-net
+    buffer of their embedding rows ``embs``."""
+    subs = {name: np.array([e.subs[name].data for e in experts])
+            for name in experts[0].subs.names()}
+    return subs, score_input(np.array(embs)[:, None], experts[0].action_dim)
+
+
 def stacked_scores(experts: list[ModalityExpert], embs: list[np.ndarray]):
     """``scores(a_k, ks)``: E experts' scores (E, rows..., action_dim) from one
-    ``mlp_infer`` of their stacks (E, n_sub, in, out) over an (E, 1, rows...,
-    in) buffer of their embedding rows ``embs``. They share one sub_spec,
-    n_sub, n_steps and band split. Built per call, so weight edits are seen."""
+    checked ``mlp_infer`` of their stacks over their embedding rows ``embs``;
+    a_k's shape and ks, an int or int array, are checked at every call. They
+    share one sub_spec, n_sub, n_steps and band split."""
     ex, n = experts[0], experts[0].n_sub
-    subs = {name: np.array([e.subs[name].data for e in experts]) for name in ex.subs.names()}
-    rows_at = score_input(np.array(embs)[:, None], ex.action_dim, ex.n_steps)
+    subs, buf = _stack(experts, embs)
 
     def scores(a_k: np.ndarray, ks) -> np.ndarray:
-        out = nc.mlp_infer(subs, ex.sub_spec, rows_at(a_k, ks))
+        if a_k.shape != buf.shape[-a_k.ndim:-1] + (ex.action_dim,):
+            raise ShapeError(f"action rows {a_k.shape} do not fit score rows {buf.shape}")
+        buf[..., :ex.action_dim] = a_k
+        buf[..., -TIMESTEP_DIM:] = timestep_features(ks, ex.n_steps)
+        out = nc.mlp_infer(subs, ex.sub_spec, buf)
         if not ex.noise_band_split:
             return np.add.reduce(out, axis=1) / n
         owner = _band_owner(np.broadcast_to(ks, a_k.shape[:1]), ex.n_steps, n)
         return out[:, owner, np.arange(len(owner))]
 
     return scores
+
+
+def mixed_score(experts: list[ModalityExpert], embs: list[np.ndarray], weights: np.ndarray):
+    """A sampler's score provider ``(a_k, k)``, k an int in 1..n_steps: E
+    experts' scores, as ``stacked_scores`` gives them, weighted by ``weights``
+    (E, rows..., 1) and summed in expert order. Everything but a_k and k is
+    bound once, so a call writes a_k and step k's features, runs the layer
+    ops and mixes: the sub-policies, then the experts, a mix one expert at
+    weight 1 skips as the exact identity it is. Nothing is checked per call;
+    ``ddpm_sample`` checks its state once."""
+    ex = experts[0]
+    n, ad, spec, steps = ex.n_sub, ex.action_dim, ex.sub_spec, ex.n_steps
+    subs, buf = _stack(experts, embs)
+    layers, (a_in, t_in, feats) = nc.mlp_layers(subs, spec, buf), step_inputs(buf, ad, steps)
+    owners = _band_owner(np.arange(1, steps + 1), steps, n).tolist() if ex.noise_band_split else None
+    alone = len(experts) == 1 and bool((weights == 1.0).all())
+
+    def score(a_k: np.ndarray, k: int) -> np.ndarray:
+        a_in[...] = a_k
+        t_in[...] = feats[k - 1]
+        out = nc.mlp_infer(layers, spec, buf)
+        out = np.add.reduce(out, axis=1) / n if owners is None else out[:, owners[k - 1]]
+        return out[0] if alone else np.add.reduce(out * weights, axis=0)
+
+    return score
 
 
 def _band_owner(ks, n_steps: int, n_sub: int):

@@ -9,7 +9,8 @@ but ``const`` leaves takes its first adjoint as a fresh array, then adds the
 rest. Adam keeps all parameters' data and grads in flat buffers.
 
 Everything is float64 and single-threaded; any NaN/Inf raises ``NumericError``
-at the op that produced it instead of propagating. An MLP node checks once per
+at the op that produced it instead of propagating, but for ``mlp_infer`` over
+layers bound by ``mlp_layers``, whose caller checks. An MLP node checks once per
 layer, on the pre-activation, not after each matmul, add and activation.
 """
 
@@ -95,13 +96,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data, (a, b), _op="sub")
-    out._bw = lambda g: (_acc(a, _unbroadcast(g, a.data.shape)),
-                         _acc(b, _unbroadcast(-g, b.data.shape)))
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data, (a, b), _op="mul")
     out._bw = lambda g: (_acc(a, _unbroadcast(g * b.data, a.data.shape)),
@@ -109,23 +103,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * c, (a,), _op="scale")
-    out._bw = lambda g: _acc(a, g * c)
-    return out
-
-
-def sumall(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum(), (a,), _op="sumall")
-    out._bw = lambda g: _acc(a, np.full(a.data.shape, float(g)))
-    return out
-
-
 def mse_rows(a: Tensor, target: Array) -> Tensor:
     """sum((a - target)^2) * c, c = 1 / len(a), as one node, with the bits of
-    ``scale(sumall(mul(d, d)), c)``, d = ``sub(a, const(target))``: the
-    adjoint of a is t + t, t = (g c) d, as mul(d, d) hands d t twice."""
+    the op chain ``scale(sumall(mul(d, d)), c)``, d = ``sub(a, const(target))``
+    (the tests keep sub, scale and sumall as its reference): the adjoint of a
+    is t + t, t = (g c) d, as mul(d, d) hands d t twice."""
     c, d = 1.0 / len(a.data), a.data - target
     out = Tensor((d * d).sum() * c, (a,), _op="mse_rows")
 
@@ -341,15 +323,12 @@ def row_layout(x: Array) -> Array:
     return x if x.shape[-2] == 1 else x[..., None, :]
 
 
-def mlp_infer(params: ParamSet | dict[str, Array], spec: MlpSpec, x: Array) -> Array:
-    """Forward pass of frozen parameters, a ParamSet or a dict of its arrays.
-
-    ``x`` is (B, in) rows for one gemm, or row-stacked (B, 1, in) rows (see
-    ``row_layout``), after one axis per leading stack axis of the weights,
-    ``(*S, in, out)`` with biases ``(*S, 1, out)``, broadcasting against S.
-    Each slice of the result is bit-identical to its net alone on its rows.
-    Layers run in place, ``h = h @ W; h += b; act(h, out=h)``, which gives
-    the bits of ``act(h @ W + b)`` and never writes ``x``."""
+def mlp_layers(params: ParamSet | dict[str, Array], spec: MlpSpec,
+               x: Array) -> tuple[tuple[Array, Array], ...]:
+    """The (W, b) pairs ``mlp_infer`` runs over rows in x's layout, with x's
+    shape checked against them once: the layers of a ParamSet or a dict of
+    its arrays, with an axis for the rows added after the stack axes when
+    the rows are row-stacked."""
     get = (lambda n: params[n].data) if isinstance(params, ParamSet) else params.get
     n_stack = get("W0").ndim - 2
     row_axes = x.ndim - n_stack - 1
@@ -357,18 +336,35 @@ def mlp_infer(params: ParamSet | dict[str, Array], spec: MlpSpec, x: Array) -> A
             row_axes == 2 and x.shape[-2] != 1):
         raise ShapeError(f"MLP input shape {x.shape} does not match input_dim "
                          f"{spec.input_dim} and {n_stack} stack axes")
-    act, _ = ACTIVATIONS[spec.activation]
-    last = len(spec.hidden)
+    layers = [(get(f"W{i}"), get(f"b{i}")) for i in range(len(spec.hidden) + 1)]
+    if row_axes == 2 and n_stack:
+        layers = [(W[..., None, :, :], b[..., None, :, :]) for W, b in layers]
+    return tuple(layers)
+
+
+def mlp_infer(params: ParamSet | dict[str, Array] | tuple, spec: MlpSpec,
+              x: Array) -> Array:
+    """Forward pass of frozen parameters, a ParamSet or a dict of its arrays.
+
+    ``x`` is (B, in) rows for one gemm, or row-stacked (B, 1, in) rows (see
+    ``row_layout``), after one axis per leading stack axis of the weights,
+    ``(*S, in, out)`` with biases ``(*S, 1, out)``, broadcasting against S.
+    Each slice of the result is bit-identical to its net alone on its rows.
+    Layers run in place, ``h = h @ W; h += b; act(h, out=h)``, which gives
+    the bits of ``act(h @ W + b)`` and never writes ``x``. The input shape
+    is checked and the output refused if not finite; ``params`` given as the
+    layers ``mlp_layers`` bound for x's layout run with no check, as a
+    sampler's score net does at every step (its state is checked once)."""
+    bound = type(params) is tuple
+    act = ACTIVATIONS[spec.activation][0]
     h = x
-    for i in range(last + 1):
-        W, b = get(f"W{i}"), get(f"b{i}")
-        if row_axes == 2 and n_stack:
-            W, b = W[..., None, :, :], b[..., None, :, :]
+    for i, (W, b) in enumerate(params if bound else mlp_layers(params, spec, x)):
+        if i:
+            act(h, out=h)
         h = h @ W
         h += b
-        if i < last:
-            act(h, out=h)
-    _check_finite(h, "mlp_infer")
+    if not bound:
+        _check_finite(h, "mlp_infer")
     return h
 
 
@@ -470,28 +466,3 @@ def adam_step(groups: ParamGroups, state: OptimState) -> None:
     upd *= state.lr
     upd /= den
     state.data -= upd
-
-
-def finite_diff_grad(
-    loss_fn: Callable[[], float],
-    groups: ParamGroups,
-    h: float = 1e-6,
-) -> dict[str, Array]:
-    """Central-difference gradient oracle: (f(p+h) - f(p-h)) / 2h per coordinate."""
-    if h <= 0:
-        raise ContractError("finite difference step h must be > 0")
-    grads: dict[str, Array] = {}
-    for label, ps in groups:
-        for name, tensor in ps.items():
-            flat = tensor.data.ravel()
-            g = np.zeros_like(flat)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                f_plus = float(loss_fn())
-                flat[i] = orig - h
-                f_minus = float(loss_fn())
-                flat[i] = orig
-                g[i] = (f_plus - f_minus) / (2.0 * h)
-            grads[f"{label}/{name}"] = g.reshape(tensor.data.shape)
-    return grads

@@ -22,7 +22,7 @@ from .envs import Dataset, generate_dataset, make_env_spec, run_expert_episode
 from .errors import ConfigError, ContractError, FormatError
 from .experts import train_expert
 from .rollout import evaluate_policy
-from .router import STRATEGIES, train_router
+from .router import train_router
 from .rngstream import TAG_EVAL, TAG_TRAIN, stream
 from .runconfig import RunConfig, model_hash
 
@@ -164,17 +164,15 @@ def run_training(cfg: RunConfig) -> dict[str, Path]:
 def write_manifest(path, *, env_name: str, expert_paths: list[str],
                    router_path: str | None = None, weights=None,
                    strategy: str = "soft", stats_hash: str = "") -> None:
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}")
-    if (router_path is None) == (weights is None):
-        raise ContractError("manifest needs exactly one of router or weights")
+    """Write the lines given, for a policy ``compose_checkpoints`` has built
+    from them; ``load_manifest`` refuses any other weighting or strategy."""
     lines = ["# composed-policy manifest", f"env = {env_name}",
              f"strategy = {strategy}", f"stats_hash = {stats_hash}"]
     for p in expert_paths:
         lines.append(f"expert = {p}")
     if router_path is not None:
         lines.append(f"router = {router_path}")
-    else:
+    if weights is not None:
         lines.append("weights = " + ",".join(repr(float(w)) for w in weights))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -238,17 +236,18 @@ def load_manifest(path) -> tuple[ComposedPolicy, dict]:
         raise FormatError(f"{p}: manifest lists both router and weights")
     if "router" not in fields and "weights" not in fields:
         raise FormatError(f"{p}: manifest lists neither router nor weights")
-    strategy = fields.get("strategy", "soft")
-    if strategy not in STRATEGIES:
-        raise FormatError(f"{p}: unknown strategy {strategy!r}")
     try:
         weights = [float(x) for x in fields["weights"].split(",")] if "weights" in fields else None
     except ValueError:
         raise FormatError(f"{p}: weights must be numbers, got {fields['weights']!r}") from None
     base = p.parent
-    policy, metas = compose_checkpoints(
-        [base / e for e in fields["expert"]], weights=weights, strategy=strategy,
-        router=base / fields["router"] if "router" in fields else None)
+    try:   # the policy refuses an unknown strategy, a setting no manifest line may hold
+        policy, metas = compose_checkpoints(
+            [base / e for e in fields["expert"]], weights=weights,
+            strategy=fields.get("strategy", "soft"),
+            router=base / fields["router"] if "router" in fields else None)
+    except ConfigError as exc:
+        raise FormatError(f"{p}: {exc}") from None
     want = fields.get("stats_hash", "")
     if want and want != policy.stats.key():
         raise ContractError(f"{p}: normalization stats hash mismatch "
@@ -352,19 +351,6 @@ def write_metrics_csv(path, rows: list[dict]) -> None:
             w.writerow([row["task"], row["method"],
                         f"{row['success_rate']:.4f}", f"{row['mean_steps']:.2f}",
                         row["param_count"], row["seed"]])
-
-
-def read_metrics_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for raw in reader:
-            rows.append({"task": raw["task"], "method": raw["method"],
-                         "success_rate": float(raw["success_rate"]),
-                         "mean_steps": float(raw["mean_steps"]),
-                         "param_count": int(raw["param_count"]),
-                         "seed": int(raw["seed"])})
-        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -52,16 +52,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def check_weights(w: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Validate a consensus-weight vector: finite, nonnegative, sums to 1
-    (1e-12)."""
+def check_weights(w: np.ndarray, n: int | None = None, *, rows: bool = False) -> np.ndarray:
+    """Validate a consensus-weight vector, or with ``rows`` each row of a
+    (B, N) array: finite, nonnegative, sums to 1 (1e-12)."""
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or (n is not None and w.shape[0] != n):
+    if w.ndim != 1 + rows or (n is not None and w.shape[-1] != n):
         raise ContractError(f"expected {n} weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w) & (w >= 0.0)):
+    if not (np.isfinite(w) & (w >= 0.0)).all():
         raise ContractError(f"consensus weights must be finite and nonnegative, got {w}")
-    if abs(w.sum() - 1.0) > 1e-12:
-        raise ContractError(f"consensus weights sum to {w.sum()!r}, not 1")
+    if (np.abs(w.sum(axis=-1) - 1.0) > 1e-12).any():
+        raise ContractError(f"consensus weights sum to {w.sum(axis=-1)!r}, not 1")
     return w
 
 
@@ -73,7 +73,8 @@ def init_router(modality_order: tuple[str, ...], emb_dims: tuple[int, ...],
 
 
 def apply_strategy(w: np.ndarray, strategy: str) -> np.ndarray:
-    """Post-process consensus weights; soft is the exact identity.
+    """Post-process consensus weights, one vector or rows (B, N) at once,
+    each row as if alone; soft is the exact identity.
 
     hard: one-hot at the argmax (ties broken toward the lowest index).
     top2: keep the two largest (ties toward lower index), renormalize.
@@ -83,20 +84,19 @@ def apply_strategy(w: np.ndarray, strategy: str) -> np.ndarray:
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown routing strategy '{strategy}'")
-    w = check_weights(w)
-    if strategy == "soft":
-        return w
+    shape = np.shape(w)
+    rows = check_weights(np.atleast_2d(w), rows=True)
+    if strategy == "soft" or strategy == "top2" and rows.shape[1] <= 2:
+        return rows.reshape(shape)
     if strategy == "hard":
-        out = np.zeros_like(w)
-        out[int(np.argmax(w))] = 1.0
-        return out
-    if w.shape[0] <= 2 or np.count_nonzero(w) <= 2:
-        return w
-    order = np.argsort(-w, kind="stable")
-    keep = order[:2]
-    out = np.zeros_like(w)
-    out[keep] = w[keep] / w[keep].sum()
-    return out
+        hot = np.arange(rows.shape[1]) == rows.argmax(axis=1)[:, None]
+        return hot.astype(np.float64).reshape(shape)
+    out = np.zeros_like(rows)
+    top = np.argsort(-rows, axis=1, kind="stable")[:, :2]
+    kept = np.take_along_axis(rows, top, axis=1)
+    np.put_along_axis(out, top, kept / kept.sum(axis=1, keepdims=True), axis=1)
+    few = np.count_nonzero(rows, axis=1)[:, None] <= 2
+    return np.where(few, rows, out).reshape(shape)
 
 
 def _router_score_graph(router: Router, experts: list[ModalityExpert],

@@ -28,6 +28,7 @@ from modalcompose.router import Router
 from modalcompose.rngstream import TAG_EVAL, TAG_TRAIN, stream
 from modalcompose.runconfig import RunConfig
 from tests.conftest import constant_action_dataset
+from tests.oracles import finite_diff_grad, scale, sub, sumall
 
 SEEDS = (0, 1, 2)
 EVAL_N = 100
@@ -161,12 +162,12 @@ def test_ac2_gradient_correctness():
         target = rng.normal(size=(4, dout))
 
         def loss_tensor():
-            diff = nc.sub(nc.mlp_forward(ps, spec, nc.const(x)), nc.const(target))
-            return nc.scale(nc.sumall(nc.mul(diff, diff)), 1.0 / x.shape[0])
+            diff = sub(nc.mlp_forward(ps, spec, nc.const(x)), nc.const(target))
+            return scale(sumall(nc.mul(diff, diff)), 1.0 / x.shape[0])
 
         nc.backward(loss_tensor(), [("net", ps)])
         analytic = {f"net/{n}": t.grad.copy() for n, t in ps.items()}
-        numeric = nc.finite_diff_grad(lambda: loss_tensor().data.item(),
+        numeric = finite_diff_grad(lambda: loss_tensor().data.item(),
                                       [("net", ps)])
         for key, a in analytic.items():
             b = numeric[key]

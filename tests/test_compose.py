@@ -10,7 +10,7 @@ from modalcompose import experts as xp
 from modalcompose import router as rt
 from modalcompose.diffusion import ddpm_sample, make_schedule
 from modalcompose.envs import Observation
-from modalcompose.errors import ConfigError, ContractError
+from modalcompose.errors import ConfigError, ContractError, NumericError
 from modalcompose.runconfig import RunConfig
 from tests.conftest import constant_action_dataset
 
@@ -87,7 +87,8 @@ def test_inter_compose_sums_weighted_scores_in_expert_order(rng, n, rows):
     got = policy.score_provider(obs)(a_k, 30)
     want = None
     for ex, wi in zip(experts, policy.fixed_w):
-        e = ex.encode_rows(cp._rows(obs, ex.modality), cp._rows(obs))
+        rs, m = cp._rows(obs, [ex.modality])
+        e = ex.encode_rows(m, rs)
         term = wi * ex.score_rows(a_k, e, 30)
         want = term if want is None else want + term
     assert np.array_equal(got, want)
@@ -280,6 +281,42 @@ def test_composed_policy_cannot_be_changed_after_it_is_built():
         policy.experts[0] = policy.experts[1]
     with pytest.raises(AttributeError):
         policy.experts.append(policy.experts[0])
+
+def _six_kinds():
+    """The six policy kinds, each with the one score net whose bias a test
+    poisons: a sub-policy stack of one expert, or the fusion score net."""
+    experts = fresh_experts()
+    sched, stats = make_schedule(), constant_action_dataset(np.array([0.1, 0.2])).stats()
+    concat, moe = _fusion(cp.train_concat_policy), _fusion(cp.train_moe_policy)
+    return {
+        "vis": (cp.single_expert_policy(experts[0], sched, stats), experts[0].subs),
+        "tac": (cp.single_expert_policy(experts[1], sched, stats), experts[1].subs),
+        "equal": (cp.manual_compose(experts, [0.5, 0.5], sched, stats), experts[1].subs),
+        "learned": (cp.compose_policy(experts, _router(), "soft", sched, stats),
+                    experts[0].subs),
+        "concat": (concat, concat.score_params),
+        "moe": (moe, moe.score_params),
+    }
+
+
+@pytest.mark.parametrize("kind", ["vis", "tac", "equal", "learned", "concat", "moe"])
+@pytest.mark.parametrize("bias, bad", [("b1", np.inf), ("b1", -np.inf), ("b1", np.nan),
+                                       ("b0", np.nan)])
+def test_a_nonfinite_score_net_bias_refuses_the_sample(rng, kind, bias, bad):
+    """The sampler's score nets run unchecked at every step; a non-finite
+    output bias (b1) or a NaN hidden bias (b0) of one sub-policy, or of the
+    fusion score net, still makes act() and act_rows() raise, with no
+    sample returned."""
+    policy, params = _six_kinds()[kind]
+    obs = [random_obs(rng) for _ in range(3)]
+    assert np.isfinite(policy.act(obs[0], np.random.default_rng(0))).all()
+    data = params[bias].data
+    data[(1, 0, 0) if data.ndim == 3 else 0] = bad
+    with pytest.raises(NumericError):
+        policy.act(obs[0], np.random.default_rng(0))
+    with pytest.raises(NumericError):
+        policy.act_rows(obs, [np.random.default_rng(r) for r in range(3)])
+
 
 def test_weights_for_applies_strategy(rng):
     experts = fresh_experts()

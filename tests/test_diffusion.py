@@ -6,6 +6,7 @@ import pytest
 from modalcompose import diffusion as df
 from modalcompose import numcore as nc
 from modalcompose.errors import ConfigError, ContractError, NumericError
+from tests.oracles import effective_eps
 
 # Frozen from an exact-fraction product over the default linear schedule
 # (computed independently of numpy's cumprod).
@@ -80,7 +81,7 @@ def test_effective_eps_inverts_forward(rng):
     s = df.make_schedule()
     a0 = rng.normal(size=(1, 5))
     a_k, eps = df.forward_noise(a0, np.array([17]), s, np.random.default_rng(3))
-    back = df.effective_eps(a_k, a0, 17, s)
+    back = effective_eps(a_k, a0, 17, s)
     assert np.allclose(back, eps, atol=1e-12)
 
 
@@ -92,7 +93,7 @@ def test_perfect_denoiser_reconstructs_exactly():
     a0 = np.array([0.31, -0.62, 0.05])
 
     def oracle(a, k):
-        return df.effective_eps(a, a0, k, s)
+        return effective_eps(a, a0, k, s)
 
     for mode in df.SIGMA_MODES:
         for trial in range(3):
@@ -106,7 +107,7 @@ def test_sampler_clamps_to_unit_box():
     a0 = np.array([1.7, -2.0])
 
     def oracle(a, k):
-        return df.effective_eps(a, a0, k, s)
+        return effective_eps(a, a0, k, s)
 
     out = df.ddpm_sample(oracle, s, [np.random.default_rng(0)], 2, sigma_mode="beta")
     assert np.allclose(out[0], [1.0, -1.0], atol=1e-10)

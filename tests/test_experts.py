@@ -172,7 +172,8 @@ def test_stacked_scores_are_each_expert_alone(rng, n_exp, n_sub, band, act):
     """One stacked mlp_infer call scores E experts, each bit for bit as its
     own score_rows and as its sub-policy nets one at a time, averaged by an
     in-order slice sum: on 64 2-D rows with a k per row, and on B
-    row-stacked rows at one k of either band."""
+    row-stacked rows at one k of either band. On the row-stacked rows the
+    sampler's bound mixed_score gives their weighted sum in expert order."""
     cfg = small_cfg(n_sub=n_sub, band=band).with_section("expert", activation=act)
     experts = [xp.init_expert(m, d, 2, 2, cfg, rng)
                for m, d in (("vis", 5), ("tac", 3), ("aud", 4))[:n_exp]]
@@ -188,6 +189,11 @@ def test_stacked_scores_are_each_expert_alone(rng, n_exp, n_sub, band, act):
         for ex, e, g in zip(experts, embs, got):
             assert np.array_equal(g, ex.score_rows(a, e, ks))
             assert np.array_equal(g, per_sub_oracle(ex, a, e, ks))
+        if row_stacked:
+            w = rng.dirichlet(np.ones(n_exp), size=n).T if n_exp > 1 else np.ones((1, n))
+            w = nc.row_layout(w[:, :, None])
+            mixed = xp.mixed_score(experts, embs, w)(a, ks)
+            assert np.array_equal(mixed, np.add.reduce(got * w, axis=0))
 
 
 def test_expert_param_count(rng):

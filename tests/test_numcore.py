@@ -11,6 +11,7 @@ from modalcompose.errors import ContractError, NumericError, ShapeError
 from modalcompose.router import train_router
 from modalcompose.runconfig import RunConfig
 from tests.conftest import constant_action_dataset
+from tests.oracles import finite_diff_grad, scale, sub, sumall
 
 
 def rel_err(a, b):
@@ -25,7 +26,7 @@ def rel_err(a, b):
 def test_add_mul_broadcast_backward(rng):
     x = nc.Tensor(rng.normal(size=(4, 3)))
     b = nc.Tensor(rng.normal(size=(3,)))
-    y = nc.sumall(nc.mul(nc.add(x, b), nc.add(x, b)))
+    y = sumall(nc.mul(nc.add(x, b), nc.add(x, b)))
     nc.backward(y, [("p", _as_paramset(x=x, b=b))])
     # d/dx sum((x+b)^2) = 2(x+b); d/db sums over the broadcast rows
     expect_x = 2.0 * (x.data + b.data)
@@ -37,7 +38,7 @@ def test_matmul_backward_matches_manual(rng):
     a = nc.Tensor(rng.normal(size=(5, 4)))
     w = nc.Tensor(rng.normal(size=(4, 3)))
     ps = _as_paramset(W0=w, b0=nc.Tensor(np.zeros(3)))
-    y = nc.sumall(nc.mlp_forward(ps, nc.MlpSpec(4, (), 3), a))
+    y = sumall(nc.mlp_forward(ps, nc.MlpSpec(4, (), 3), a))
     nc.backward(y, [("p", ps), ("in", _as_paramset(a=a))])
     ones = np.ones((5, 3))
     assert np.allclose(a.grad, ones @ w.data.T, atol=1e-12)
@@ -56,14 +57,14 @@ def test_tanh_relu_values_and_grads(rng):
     x = nc.Tensor(rng.normal(size=(6, 1)))
     t = nc.mlp_forward(ps, spec, x)
     assert np.allclose(t.data, np.tanh(x.data))
-    nc.backward(nc.sumall(t), [("net", ps), ("p", _as_paramset(x=x))])
+    nc.backward(sumall(t), [("net", ps), ("p", _as_paramset(x=x))])
     assert np.allclose(x.grad, 1.0 - np.tanh(x.data) ** 2, atol=1e-12)
 
     ps, spec = _unit_net("relu")
     x2 = nc.Tensor(np.array([[-2.0], [-0.5], [0.5], [3.0]]))
     r = nc.mlp_forward(ps, spec, x2)
     assert np.allclose(r.data[:, 0], [0.0, 0.0, 0.5, 3.0])
-    nc.backward(nc.sumall(r), [("net", ps), ("p", _as_paramset(x=x2))])
+    nc.backward(sumall(r), [("net", ps), ("p", _as_paramset(x=x2))])
     assert np.allclose(x2.grad[:, 0], [0.0, 0.0, 1.0, 1.0])
 
 
@@ -84,13 +85,13 @@ def test_softmax_backward_vs_finite_difference(rng):
     xt = ps.add("x", x0)
 
     def loss_tensor():
-        return nc.sumall(nc.mul(nc.softmax_rows(xt), nc.const(coeff)))
+        return sumall(nc.mul(nc.softmax_rows(xt), nc.const(coeff)))
 
     loss = loss_tensor()
     nc.backward(loss, [("p", ps)])
     analytic = xt.grad.copy()
 
-    num = nc.finite_diff_grad(lambda: loss_tensor().data.item(), [("p", ps)])
+    num = finite_diff_grad(lambda: loss_tensor().data.item(), [("p", ps)])
     assert rel_err(analytic, num["p/x"]) < 1e-7
 
 
@@ -100,7 +101,7 @@ def test_concat_cols_and_col_roundtrip_grads(rng):
     cat = nc.concat_cols([a, b])
     assert cat.data.shape == (4, 5)
     picked = nc.col(cat, 3)
-    nc.backward(nc.sumall(nc.mul(picked, picked)), [("p", _as_paramset(a=a, b=b))])
+    nc.backward(sumall(nc.mul(picked, picked)), [("p", _as_paramset(a=a, b=b))])
     assert np.allclose(a.grad, 0.0)
     expect = np.zeros((4, 3))
     expect[:, 1] = 2.0 * b.data[:, 1]
@@ -109,7 +110,7 @@ def test_concat_cols_and_col_roundtrip_grads(rng):
 
 def test_grad_accumulates_when_tensor_reused(rng):
     x = nc.Tensor(rng.normal(size=(3,)))
-    y = nc.sumall(nc.add(nc.mul(x, x), nc.mul(x, x)))
+    y = sumall(nc.add(nc.mul(x, x), nc.mul(x, x)))
     nc.backward(y, [("p", _as_paramset(x=x))])
     assert np.allclose(x.grad, 4.0 * x.data, atol=1e-12)
 
@@ -119,15 +120,15 @@ def _shared_adjoint_graphs(x, y, c):
     of ``add``, a node used twice by ``mul``, and ``concat_cols`` parts that
     get views of one g; each also reaches the loss another way."""
     a = nc.mul(x, nc.const(c))
-    b = nc.scale(x, -0.7)
+    b = scale(x, -0.7)
     s = nc.add(a, b)
-    yield nc.sumall(nc.add(nc.mul(s, s), nc.mul(a, b)))
+    yield sumall(nc.add(nc.mul(s, s), nc.mul(a, b)))
     a = nc.mul(x, nc.const(c))
     s = nc.add(a, a)
-    yield nc.sumall(nc.mul(nc.add(s, a), s))
-    p, q = nc.scale(x, 1.3), nc.mul(y, y)
+    yield sumall(nc.mul(nc.add(s, a), s))
+    p, q = scale(x, 1.3), nc.mul(y, y)
     cat = nc.concat_cols([p, q, p])
-    yield nc.sumall(nc.add(nc.mul(cat, nc.concat_cols([q, p, q])), nc.mul(cat, cat)))
+    yield sumall(nc.add(nc.mul(cat, nc.concat_cols([q, p, q])), nc.mul(cat, cat)))
 
 
 @pytest.mark.parametrize("graph", [0, 1, 2])
@@ -143,7 +144,7 @@ def test_shared_adjoints_sum_as_finite_differences(rng, graph):
 
     nc.backward(loss_tensor(), [("p", ps)])
     analytic = {f"p/{n}": t.grad.copy() for n, t in ps.items()}
-    numeric = nc.finite_diff_grad(lambda: loss_tensor().data.item(), [("p", ps)])
+    numeric = finite_diff_grad(lambda: loss_tensor().data.item(), [("p", ps)])
     for key in analytic:
         assert rel_err(analytic[key], numeric[key]) < 1e-7, key
 
@@ -157,7 +158,7 @@ def test_parameters_off_the_graph_keep_exact_zero_grads(rng):
     state = nc.adam_init(groups)
     w0 = w.data.copy()
     for _ in range(2):
-        nc.backward(nc.sumall(nc.mul(x, x)), groups)
+        nc.backward(sumall(nc.mul(x, x)), groups)
         assert np.array_equal(w.grad, np.zeros((2, 2)))
         assert not np.signbit(w.grad).any()
         nc.adam_step(groups, state)
@@ -175,12 +176,12 @@ def test_mse_rows_has_the_bits_of_the_op_chain(rng):
             ps = nc.ParamSet()
             p = ps.add("p", rng.normal(size=(6, 2)) if not results else results[0][2])
             p.data[0, 0], p.data[1, 1] = -0.0, 0.25     # differences -0 and +0
-            pred = nc.scale(p, 1.0) if name == "interior" else p
+            pred = scale(p, 1.0) if name == "interior" else p
             if fused:
                 loss = nc.mse_rows(pred, target)
             else:
-                d = nc.sub(pred, nc.const(target))
-                loss = nc.scale(nc.sumall(nc.mul(d, d)), 1.0 / len(target))
+                d = sub(pred, nc.const(target))
+                loss = scale(sumall(nc.mul(d, d)), 1.0 / len(target))
             nc.backward(loss, [("g", ps)])
             results.append((loss.data.tobytes(), p.grad.tobytes(), p.data.copy()))
         assert results[0][:2] == results[1][:2], name
@@ -268,13 +269,13 @@ def test_mlp_gradcheck_many_random_shapes(rng):
         target = rng.normal(size=(4, dout))
 
         def loss_tensor():
-            diff = nc.sub(nc.mlp_forward(ps, spec, nc.const(x)), nc.const(target))
-            return nc.scale(nc.sumall(nc.mul(diff, diff)), 1.0 / x.shape[0])
+            diff = sub(nc.mlp_forward(ps, spec, nc.const(x)), nc.const(target))
+            return scale(sumall(nc.mul(diff, diff)), 1.0 / x.shape[0])
 
         loss = loss_tensor()
         nc.backward(loss, [("net", ps)])
         analytic = {f"net/{n}": t.grad.copy() for n, t in ps.items()}
-        numeric = nc.finite_diff_grad(lambda: loss_tensor().data.item(),
+        numeric = finite_diff_grad(lambda: loss_tensor().data.item(),
                                       [("net", ps)])
         for key in analytic:
             worst = max(worst, rel_err(analytic[key], numeric[key]))
@@ -338,7 +339,7 @@ def test_stacked_mlp_forward_is_each_net_alone(rng, band):
 
     x = nc.Tensor(x_val)
     out = nc.mlp_forward(stack, spec, x)
-    nc.backward(nc.sumall(nc.mul(nc.reduce_stack(out, masks if band else None),
+    nc.backward(sumall(nc.mul(nc.reduce_stack(out, masks if band else None),
                                  nc.const(adj))), [("s", stack), ("x", _as_paramset(x=x))])
     x_grad = np.zeros_like(x_val)
     for j, net in enumerate(nets):
@@ -347,7 +348,7 @@ def test_stacked_mlp_forward_is_each_net_alone(rng, band):
         assert np.array_equal(out.data[j], oj.data)
         # the slice's share of the adjoint, as the reduction hands it down
         share = adj * masks[j] if band else adj / 3
-        nc.backward(nc.sumall(nc.mul(oj, nc.const(share))),
+        nc.backward(sumall(nc.mul(oj, nc.const(share))),
                     [("n", net), ("x", _as_paramset(x=xj))])
         x_grad += xj.grad
         for name, t in net.items():
@@ -373,11 +374,11 @@ def test_stacked_mlp_gradcheck(rng):
     for m in (None, masks):
         def loss():
             y = nc.reduce_stack(nc.mlp_forward(stack, spec, nc.const(x)), m)
-            return nc.sumall(nc.mul(y, y))
+            return sumall(nc.mul(y, y))
 
         nc.backward(loss(), [("s", stack)])
         analytic = {f"s/{n}": t.grad.copy() for n, t in stack.items()}
-        numeric = nc.finite_diff_grad(lambda: loss().data.item(), [("s", stack)])
+        numeric = finite_diff_grad(lambda: loss().data.item(), [("s", stack)])
         for key in analytic:
             assert rel_err(analytic[key], numeric[key]) < 1e-6, key
 
@@ -435,7 +436,7 @@ def test_mlp_backward_grads_are_pinned(act, n_stack):
     x = nc.Tensor(rng.normal(size=(9, 5)))
     out = nc.mlp_forward(ps, spec, x)
     adj = rng.normal(size=out.shape)
-    nc.backward(nc.sumall(nc.mul(out, nc.const(adj))),
+    nc.backward(sumall(nc.mul(out, nc.const(adj))),
                 [("net", ps), ("in", _as_paramset(x=x))])
     got = {name: hashlib.sha256(t.grad.tobytes()).hexdigest() for name, t in ps.items()}
     got["x"] = hashlib.sha256(x.grad.tobytes()).hexdigest()

@@ -16,6 +16,7 @@ from modalcompose.rngstream import TAG_ACT, TAG_EVAL, TAG_TRAIN, stream
 from modalcompose.rollout import evaluate_policy, run_policy_episode
 from modalcompose.router import train_router
 from modalcompose.runconfig import RunConfig
+from tests.oracles import read_metrics_csv
 
 
 def tiny_cfg(tmp_path, **run_over):
@@ -263,7 +264,7 @@ def test_eval_and_robust_read_the_run_section_of_config(tmp_path, command):
         assert cli_dispatch([*command, "--manifest", str(man), "--out", str(out), *extra]) == 0
         csvs.append(out)
     assert csvs[0].read_bytes() == csvs[1].read_bytes()
-    assert {row["seed"] for row in pl.read_metrics_csv(csvs[2])} == {0}
+    assert {row["seed"] for row in read_metrics_csv(csvs[2])} == {0}
 
 
 def test_analyze_takes_a_checkpoint_as_eval_does(tmp_path):
@@ -302,7 +303,7 @@ def test_robust_takes_a_checkpoint_and_labels_manifests_composed(tmp_path):
         out = tmp_path / f"{target.name}.csv"
         assert cli_dispatch(["robust", "--manifest", str(target), "--n", "2",
                              "--scenario", "teleport@5", "--out", str(out)]) == 0
-        rows[label] = pl.read_metrics_csv(out)
+        rows[label] = read_metrics_csv(out)
         assert [row["method"] for row in rows[label]] == [label, label]
     strip = lambda rs: [{k: v for k, v in row.items() if k != "method"} for row in rs]
     assert strip(rows["expert:vis"]) == strip(rows["composed"])
@@ -398,14 +399,17 @@ def test_failed_compose_writes_no_manifest(tmp_path, weights, capsys):
 
 
 def test_manifest_validation(tmp_path):
-    with pytest.raises(ContractError):
-        pl.write_manifest(tmp_path / "m.txt", env_name="e", expert_paths=["x"],
-                          router_path="r", weights=[1.0])
-    with pytest.raises(ContractError):
-        pl.write_manifest(tmp_path / "m.txt", env_name="e", expert_paths=["x"])
-    with pytest.raises(ConfigError):
-        pl.write_manifest(tmp_path / "m.txt", env_name="e", expert_paths=["x"],
-                          weights=[1.0], strategy="fuzzy")
+    """write_manifest writes the lines it is given, for a policy already built
+    from them; a manifest no policy could be built from is refused at load."""
+    _, written = trained_paths(tmp_path, methods=("expert:vis",))
+    for weighting, error in ((dict(router_path="r", weights=[1.0]), "both router and weights"),
+                             ({}, "neither router nor weights"),
+                             (dict(weights=[1.0], strategy="fuzzy"), "strategy 'fuzzy'")):
+        man = tmp_path / "m.txt"
+        pl.write_manifest(man, env_name="occluded_reach",
+                          expert_paths=[written["expert:vis"].name], **weighting)
+        with pytest.raises(FormatError, match=error):
+            pl.load_manifest(man)
     with pytest.raises(FormatError):
         pl.load_manifest(tmp_path / "missing.txt")
 
@@ -481,7 +485,7 @@ def test_metrics_csv_round_trip(tmp_path):
     pl.write_metrics_csv(path, rows)
     header = path.read_text().splitlines()[0]
     assert header == "task,method,success_rate,mean_steps,param_count,seed"
-    back = pl.read_metrics_csv(path)
+    back = read_metrics_csv(path)
     assert back == rows
 
 

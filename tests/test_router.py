@@ -83,6 +83,42 @@ def test_strategies_idempotent_bitwise(rng):
         assert twice.tobytes() == once.tobytes(), strategy
 
 
+def strategy_one_row(w, strategy):
+    """apply_strategy as it was written for one vector at a time: the
+    reference the row-wise version must match bit for bit."""
+    if strategy == "soft":
+        return w
+    out = np.zeros_like(w)
+    if strategy == "hard":
+        out[int(np.argmax(w))] = 1.0
+        return out
+    if w.shape[0] <= 2 or np.count_nonzero(w) <= 2:
+        return w
+    keep = np.argsort(-w, kind="stable")[:2]
+    out[keep] = w[keep] / w[keep].sum()
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_strategies_over_rows_equal_one_row_at_a_time(rng, n):
+    """Rows with ties, one-hot rows, rows with two nonzero weights and
+    random rows, all in one call, each bit for bit as alone."""
+    raw = rng.random((6, n))
+    ties = {2: [[0.5, 0.5]],
+            3: [[0.4, 0.4, 0.2], [0.5, 0.25, 0.25], [0.5, 0.0, 0.5]],
+            4: [[0.3, 0.3, 0.2, 0.2], [0.25, 0.25, 0.25, 0.25], [0.0, 0.5, 0.0, 0.5]]}[n]
+    w = np.vstack([raw / raw.sum(axis=1, keepdims=True), np.eye(n), ties])
+    for strategy in rt.STRATEGIES:
+        got = rt.apply_strategy(w, strategy)
+        assert got.shape == w.shape
+        for r, row in enumerate(w):
+            want = strategy_one_row(row, strategy)
+            assert got[r].tobytes() == want.tobytes(), (strategy, row)
+            assert rt.apply_strategy(row, strategy).tobytes() == want.tobytes()
+    with pytest.raises(ContractError):
+        rt.apply_strategy(np.vstack([w[0], [0.6] * n]), "hard")
+
+
 def test_strategy_and_weight_validation():
     w = np.array([0.5, 0.5])
     with pytest.raises(ConfigError):
