@@ -20,7 +20,7 @@ import numpy as np
 from . import numcore as nc
 from .diffusion import NoiseSchedule, make_schedule
 from .envs import ActionStats, _Reader
-from .errors import ConfigError, ContractError, FormatError, ShapeError
+from .errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
 from .experts import Encoder, ModalityExpert
 from .router import Router
 
@@ -137,8 +137,8 @@ def _check_schema(value, schema, where: str) -> None:
 
 def _typed_reader(*kinds: str):
     """Check a reader's metadata against its kind's schema, and turn any value
-    it still cannot build from into a FormatError: a malformed checkpoint
-    never crashes the caller."""
+    it still cannot build from (a non-finite weight included) into a
+    FormatError: a malformed checkpoint never crashes the caller."""
 
     def wrap(read):
         @functools.wraps(read)
@@ -149,8 +149,8 @@ def _typed_reader(*kinds: str):
             _check_schema(ck.metadata, _SCHEMAS[kind], f"{kind} metadata")
             try:
                 return read(ck)
-            except (ConfigError, ContractError, ShapeError) as exc:
-                raise FormatError(f"{kind} metadata: {exc}") from None
+            except (ConfigError, ContractError, NumericError, ShapeError) as exc:
+                raise FormatError(f"{kind} checkpoint: {exc}") from None
 
         return reader
 
@@ -173,12 +173,12 @@ def _stats_meta(stats: ActionStats) -> dict:
 
 
 def _stats_from_meta(m: dict) -> ActionStats:
-    if not (len(m["act_min"]) == len(m["act_max"]) == m["action_dim"] >= 1
-            and m["horizon"] >= 1):
+    """Finite action bounds, act_min <= act_max, one per action coordinate."""
+    lo, hi = (np.asarray(m[key], dtype=np.float64) for key in ("act_min", "act_max"))
+    if not (len(lo) == len(hi) == m["action_dim"] >= 1 and m["horizon"] >= 1
+            and np.isfinite([lo, hi]).all() and (lo <= hi).all()):
         raise FormatError(f"inconsistent action stats {m}")
-    return ActionStats(act_min=np.asarray(m["act_min"], dtype=np.float64),
-                       act_max=np.asarray(m["act_max"], dtype=np.float64),
-                       action_dim=m["action_dim"], horizon=m["horizon"])
+    return ActionStats(act_min=lo, act_max=hi, action_dim=m["action_dim"], horizon=m["horizon"])
 
 
 def _sched_meta(sched: NoiseSchedule) -> dict:

@@ -24,8 +24,8 @@ from . import numcore as nc
 from .diffusion import NoiseSchedule, ddpm_sample, fit_denoiser, make_schedule
 from .envs import ActionStats, Observation
 from .errors import ConfigError, ContractError, ShapeError
-from .experts import (Encoder, ModalityExpert, _check_score_net, init_encoder, mixed_score,
-                      score_graph, score_input, score_net_spec, step_inputs)
+from .experts import (Encoder, ModalityExpert, _check_score_net, bind_score, init_encoder,
+                      mixed_score, score_graph, score_net_spec)
 from .router import STRATEGIES, Router, apply_strategy, check_weights, gated_sum, init_router
 
 
@@ -213,20 +213,10 @@ class _FusionPolicy(_RowSampler):
         return [enc.rows(m, rs) for enc, m in zip(self.encoders, m_rows)]
 
     def score_provider(self, obs_rows):
-        """The score net over these observations' cond rows, bound once: a call
-        writes a_k and step k's features and runs the layer ops, unchecked
-        (``ddpm_sample`` checks its state once)."""
-        spec = self.score_spec
-        buf = score_input(self._cond(self.embed(obs_rows)), spec.output_dim)
-        layers = nc.mlp_layers(self.score_params, spec, buf)
-        a_in, t_in, feats = step_inputs(buf, spec.output_dim, self.sched.K)
-
-        def score(a_k: np.ndarray, k: int) -> np.ndarray:
-            a_in[...] = a_k
-            t_in[...] = feats[k - 1]
-            return nc.mlp_infer(layers, spec, buf)
-
-        return score
+        """The score net bound once to these observations' cond rows
+        (``bind_score``); ``ddpm_sample`` checks its state once."""
+        return bind_score(self.score_params, self.score_spec,
+                          self._cond(self.embed(obs_rows)), self.sched.K)
 
 
 class ConcatPolicy(_FusionPolicy):

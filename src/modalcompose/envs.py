@@ -417,6 +417,8 @@ class Dataset:
         act_min = r.f64(action_dim)
         act_max = r.f64(action_dim)
         r.expect_end()
+        if (act_min > act_max).any():
+            raise FormatError(f"{path}: action minimum {act_min} above maximum {act_max}")
         return cls(env_name=env_name, modality_dims=modality_dims,
                    robot_dim=robot_dim, action_dim=action_dim, horizon=horizon,
                    episodes=episodes, act_min=act_min, act_max=act_max)
@@ -456,7 +458,11 @@ class _Reader:
             raise FormatError(f"{self.where}: bad {what}: {exc}") from None
 
     def f64(self, n: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * n), dtype="<f8").copy()
+        """n float64 values, all finite: a NaN or Inf is a FormatError."""
+        out = np.frombuffer(self.take(8 * n), dtype="<f8").copy()
+        if not np.isfinite(out).all():
+            raise FormatError(f"{self.where}: non-finite value before byte {self.pos}")
+        return out
 
     def expect_end(self) -> None:
         if self.pos != len(self.raw):

@@ -79,19 +79,27 @@ def timestep_features(k, n_steps: int) -> np.ndarray:
     return table[karr - 1]
 
 
-def score_input(cond: np.ndarray, action_dim: int) -> np.ndarray:
-    """One buffer of score-net rows [a_k, cond, timestep features] with cond
-    written once; each call of a scorer writes a_k and step k's features."""
-    buf = np.empty(cond.shape[:-1] + (action_dim + cond.shape[-1] + TIMESTEP_DIM,))
-    buf[..., action_dim:-TIMESTEP_DIM] = cond
-    return buf
+def bind_score(params, spec: nc.MlpSpec, cond: np.ndarray, n_steps: int):
+    """A score net, or a stack of them (a ``ParamSet`` or a dict of stacked
+    arrays), bound to its cond rows in their layout: one buffer of rows
+    [a_k, cond, timestep features] with cond written once, and the layers
+    ``nc.mlp_layers`` fits to its rows. ``score(a_k, k)`` writes a_k and step
+    k's feature rows (k an int in 1..n_steps, or an int array, one per row)
+    and runs the bound layers. It checks nothing: ``ddpm_sample`` checks its
+    state once, ``score_rows`` every call."""
+    ad = spec.output_dim
+    buf = np.empty(cond.shape[:-1] + (ad + cond.shape[-1] + TIMESTEP_DIM,))
+    buf[..., ad:-TIMESTEP_DIM] = cond
+    layers = nc.mlp_layers(params, spec, buf)
+    a_in, t_in, table = buf[..., :ad], buf[..., -TIMESTEP_DIM:], _feature_table(n_steps)
+    rows = list(table)   # a sampler's int k indexes a list at no numpy cost
 
+    def score(a_k: np.ndarray, k) -> np.ndarray:
+        a_in[...] = a_k
+        t_in[...] = rows[k - 1] if type(k) is int else table[k - 1]
+        return nc.mlp_infer(layers, spec, buf)
 
-def step_inputs(buf: np.ndarray, action_dim: int, n_steps: int):
-    """What a sampler's scorer writes into ``buf`` at step k: the views
-    ``a_in`` and ``t_in`` of its a_k and feature columns, and the list of
-    feature rows, k = 1..n_steps at index k-1."""
-    return buf[..., :action_dim], buf[..., -TIMESTEP_DIM:], list(_feature_table(n_steps))
+    return score
 
 
 @dataclass
@@ -210,64 +218,47 @@ class ModalityExpert:
         return self.enc.rows(m_rows, rs_rows)
 
     def score_rows(self, a_rows: np.ndarray, emb_rows: np.ndarray, ks) -> np.ndarray:
-        """The one-expert case of ``stacked_scores``; ks is an int or int array."""
-        return stacked_scores([self], [emb_rows])(a_rows, ks)[0]
-
-
-def _stack(experts: list[ModalityExpert], embs: list[np.ndarray]):
-    """E experts' sub-policy stacks (E, n_sub, in, out), copied so later weight
-    edits are seen only by the next call, and an (E, 1, rows..., in) score-net
-    buffer of their embedding rows ``embs``."""
-    subs = {name: np.array([e.subs[name].data for e in experts])
-            for name in experts[0].subs.names()}
-    return subs, score_input(np.array(embs)[:, None], experts[0].action_dim)
-
-
-def stacked_scores(experts: list[ModalityExpert], embs: list[np.ndarray]):
-    """``scores(a_k, ks)``: E experts' scores (E, rows..., action_dim) from one
-    checked ``mlp_infer`` of their stacks over their embedding rows ``embs``;
-    a_k's shape and ks, an int or int array, are checked at every call. They
-    share one sub_spec, n_sub, n_steps and band split."""
-    ex, n = experts[0], experts[0].n_sub
-    subs, buf = _stack(experts, embs)
-
-    def scores(a_k: np.ndarray, ks) -> np.ndarray:
-        if a_k.shape != buf.shape[-a_k.ndim:-1] + (ex.action_dim,):
-            raise ShapeError(f"action rows {a_k.shape} do not fit score rows {buf.shape}")
-        buf[..., :ex.action_dim] = a_k
-        buf[..., -TIMESTEP_DIM:] = timestep_features(ks, ex.n_steps)
-        out = nc.mlp_infer(subs, ex.sub_spec, buf)
-        if not ex.noise_band_split:
-            return np.add.reduce(out, axis=1) / n
-        owner = _band_owner(np.broadcast_to(ks, a_k.shape[:1]), ex.n_steps, n)
-        return out[:, owner, np.arange(len(owner))]
-
-    return scores
+        """This expert's score on rows [a_k, embedding, timestep features]: its
+        sub-policies' ``bind_score`` outputs averaged in order, or each row's
+        band owner's. Checked: a_k must fit the rows, ks (an int or int array)
+        lie in 1..n_steps, and the output be finite."""
+        cond = emb_rows[None]   # the sub-policy stack axis
+        if a_rows.shape != cond.shape[-a_rows.ndim:-1] + (self.action_dim,):
+            raise ShapeError(f"action rows {a_rows.shape} do not fit score rows "
+                             f"{cond.shape[:-1]}")
+        timestep_features(ks, self.n_steps)   # refuses k outside 1..n_steps
+        out = bind_score(self.subs, self.sub_spec, cond, self.n_steps)(a_rows, ks)
+        nc.check_finite(out, "mlp_infer")
+        if not self.noise_band_split:
+            return np.add.reduce(out, axis=0) / self.n_sub
+        owner = _band_owner(np.broadcast_to(ks, a_rows.shape[:1]), self.n_steps, self.n_sub)
+        return out[owner, np.arange(len(owner))]
 
 
 def mixed_score(experts: list[ModalityExpert], embs: list[np.ndarray], weights: np.ndarray):
     """A sampler's score provider ``(a_k, k)``, k an int in 1..n_steps: E
-    experts' scores, as ``stacked_scores`` gives them, weighted by ``weights``
-    (E, rows..., 1) and summed in expert order. Everything but a_k and k is
-    bound once, so a call writes a_k and step k's features, runs the layer
-    ops and mixes: the sub-policies, then the experts, a mix one expert at
-    weight 1 skips as the exact identity it is. Nothing is checked per call;
-    ``ddpm_sample`` checks its state once."""
+    experts' scores, as ``score_rows`` gives them, weighted by ``weights``
+    (E, rows..., 1) and summed in expert order. Their sub-policy stacks,
+    copied into one (E, n_sub, in, out) stack so a later weight edit is seen
+    only by the next binding, are bound once to their embedding rows
+    ``embs`` (``bind_score``): a call runs the layer ops and mixes, the
+    sub-policies, then the experts, a mix one expert at weight 1 skips as the
+    exact identity it is. Nothing is checked per call; ``ddpm_sample`` checks
+    its state once. The experts share one sub_spec, n_sub, n_steps and band
+    split."""
     ex = experts[0]
-    n, ad, spec, steps = ex.n_sub, ex.action_dim, ex.sub_spec, ex.n_steps
-    subs, buf = _stack(experts, embs)
-    layers, (a_in, t_in, feats) = nc.mlp_layers(subs, spec, buf), step_inputs(buf, ad, steps)
+    n, steps = ex.n_sub, ex.n_steps
+    subs = {name: np.array([e.subs[name].data for e in experts]) for name in ex.subs.names()}
+    score = bind_score(subs, ex.sub_spec, np.array(embs)[:, None], steps)
     owners = _band_owner(np.arange(1, steps + 1), steps, n).tolist() if ex.noise_band_split else None
     alone = len(experts) == 1 and bool((weights == 1.0).all())
 
-    def score(a_k: np.ndarray, k: int) -> np.ndarray:
-        a_in[...] = a_k
-        t_in[...] = feats[k - 1]
-        out = nc.mlp_infer(layers, spec, buf)
+    def mix(a_k: np.ndarray, k: int) -> np.ndarray:
+        out = score(a_k, k)
         out = np.add.reduce(out, axis=1) / n if owners is None else out[:, owners[k - 1]]
         return out[0] if alone else np.add.reduce(out * weights, axis=0)
 
-    return score
+    return mix
 
 
 def _band_owner(ks, n_steps: int, n_sub: int):

@@ -27,7 +27,7 @@ from .errors import ContractError, NumericError, ShapeError
 Array = np.ndarray
 
 
-def _check_finite(data: Array, op: str) -> None:
+def check_finite(data: Array, op: str) -> None:
     if not np.isfinite(data).all():
         raise NumericError(f"non-finite value produced by op '{op}'")
 
@@ -39,7 +39,7 @@ class Tensor:
 
     def __init__(self, data, _parents=(), _bw=None, _op="leaf"):
         arr = np.asarray(data, dtype=np.float64)
-        _check_finite(arr, _op)
+        check_finite(arr, _op)
         self.data = arr
         self.grad: Array | None = None
         self._parents: tuple[Tensor, ...] = _parents
@@ -298,7 +298,7 @@ def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor) -> Tensor:
             raise ShapeError(f"MLP layer {i}: input {h.shape} does not fit W {w.shape}")
         zs.append(h @ w + bs[i].data)
         if i < last:
-            _check_finite(zs[-1], f"mlp layer {i}")
+            check_finite(zs[-1], f"mlp layer {i}")
             hs.append(act(zs[-1]))
     out = Tensor(zs[-1], (x, *Ws, *bs), _op=f"mlp layer {last}")
 
@@ -364,7 +364,7 @@ def mlp_infer(params: ParamSet | dict[str, Array] | tuple, spec: MlpSpec,
         h = h @ W
         h += b
     if not bound:
-        _check_finite(h, "mlp_infer")
+        check_finite(h, "mlp_infer")
     return h
 
 

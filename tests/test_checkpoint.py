@@ -436,6 +436,52 @@ def test_typed_readers_check_specs_against_each_other(tmp_path, kind, edit):
         assert not (tmp_path / "m.csv").exists()
 
 
+def _saved(tmp_path, kind):
+    """A saved expert or concat checkpoint, its one weight tensor a test edits,
+    and its typed reader."""
+    if kind == "expert":
+        return saved_expert_checkpoint(tmp_path)[1], "sub1/b0", cpt.expert_from_checkpoint
+    path = tmp_path / "concat.mcpf"
+    policy = train_concat_policy(constant_action_dataset(np.array([0.2, -0.2])),
+                                 small_cfg(), np.random.default_rng(4))
+    cpt.save_fusion(policy, path, env_name="occluded_reach", seed=1, config_hash="h")
+    return path, "score/W0", cpt.fusion_from_checkpoint
+
+
+@pytest.mark.parametrize("kind", ["expert", "concat"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_nonfinite_weight_is_a_format_error(tmp_path, capsys, kind, bad):
+    """One NaN or Inf weight makes the typed reader raise FormatError, and
+    eval report the file as malformed, not as a numeric fault."""
+    from modalcompose.cli import cli_dispatch
+
+    path, name, read = _saved(tmp_path, kind)
+    ck = cpt.load_checkpoint(path)
+    ck.tensors[name].flat[0] = bad
+    with pytest.raises(FormatError, match="non-finite"):
+        read(ck)
+    cpt.save_checkpoint(ck.tensors, ck.metadata, path)
+    assert cli_dispatch(["eval", "--manifest", str(path), "--n", "1",
+                         "--out", str(tmp_path / "m.csv")]) == 1
+    assert f"{kind} checkpoint: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["expert", "concat"])
+@pytest.mark.parametrize("key, value", [("act_min", [float("nan"), 0.0]),
+                                        ("act_max", [1.0, float("inf")]),
+                                        ("act_min", [2.0, 0.0])])
+def test_nonfinite_or_inverted_action_stats_are_a_format_error(tmp_path, kind, key, value):
+    """Stats that load would make act() return NaN (or denormalize backwards):
+    a NaN or Inf bound, or act_min above act_max, is refused on reading. The
+    metadata's JSON carries NaN and Infinity as Python's json writes them."""
+    path, _, read = _saved(tmp_path, kind)
+    ck = cpt.load_checkpoint(path)
+    ck.metadata["stats"][key] = value
+    cpt.save_checkpoint(ck.tensors, ck.metadata, path)
+    with pytest.raises(FormatError, match="action stats"):
+        read(cpt.load_checkpoint(path))
+
+
 def test_metadata_must_be_an_object(tmp_path):
     meta = b"[1,2]"
     blob = b"MCPF" + struct.pack("<I", 1) + struct.pack("<I", len(meta)) + meta

@@ -7,6 +7,7 @@ import pytest
 
 from modalcompose import compose as cp
 from modalcompose import experts as xp
+from modalcompose import numcore as nc
 from modalcompose import router as rt
 from modalcompose.diffusion import ddpm_sample, make_schedule
 from modalcompose.envs import Observation
@@ -316,6 +317,23 @@ def test_a_nonfinite_score_net_bias_refuses_the_sample(rng, kind, bias, bad):
         policy.act(obs[0], np.random.default_rng(0))
     with pytest.raises(NumericError):
         policy.act_rows(obs, [np.random.default_rng(r) for r in range(3)])
+
+
+@pytest.mark.parametrize("train", [cp.train_concat_policy, cp.train_moe_policy])
+@pytest.mark.parametrize("B", [1, 3])
+def test_fusion_score_provider_is_a_checked_call_of_its_score_net(rng, train, B):
+    """A baseline's bound provider equals a checked mlp_infer of its score net
+    over rows [a_k, cond, timestep_features(k)], bit for bit, at every k."""
+    policy = _fusion(train)
+    obs = [random_obs(rng) for _ in range(B)]
+    cond = policy._cond(policy.embed(obs))
+    score = policy.score_provider(obs)
+    for k in (50, 7):
+        a_k = nc.row_layout(rng.normal(size=(B, 2)))
+        feats = np.broadcast_to(xp.timestep_features(k, 50), cond.shape[:-1] + (16,))
+        rows = np.concatenate([a_k, cond, feats], axis=-1)
+        want = nc.mlp_infer(policy.score_params, policy.score_spec, rows)
+        assert np.array_equal(score(a_k, k), want)
 
 
 def test_weights_for_applies_strategy(rng):

@@ -340,6 +340,25 @@ def test_dataset_read_refuses_header_values_it_cannot_hold(tmp_path, edit, what)
         envs.Dataset.read(bad)
 
 
+@pytest.mark.parametrize("edit, what", [("action", "non-finite"), ("act_max", "non-finite"),
+                                        ("inverted", "action minimum")])
+def test_dataset_read_refuses_nonfinite_rows_and_inverted_stats(tmp_path, edit, what):
+    """A NaN action row or an Inf action bound would train on NaN, and a
+    minimum above the maximum would denormalize backwards."""
+    spec = envs.make_env_spec("occluded_reach")
+    ds = envs.generate_dataset(spec, 2, seed=2)
+    if edit == "action":
+        ds.episodes[1].actions[3, 0] = np.nan
+    elif edit == "act_max":
+        ds.act_max = np.array([ds.act_max[0], np.inf])
+    else:
+        ds.act_min, ds.act_max = ds.act_max, ds.act_min
+    path = tmp_path / "bad.mcds"
+    ds.write(path)
+    with pytest.raises(FormatError, match=what):
+        envs.Dataset.read(path)
+
+
 # ---------------------------------------------------------------------------
 # normalization
 

@@ -165,35 +165,40 @@ def per_sub_oracle(ex, a, e, ks):
 
 
 @pytest.mark.parametrize("act", ["tanh", "relu"])
-@pytest.mark.parametrize("band", [False, True])
+@pytest.mark.parametrize("row_stacked", [False, True])
 @pytest.mark.parametrize("n_sub", [1, 2, 3, 5])
 @pytest.mark.parametrize("n_exp", [1, 2, 3])
-def test_stacked_scores_are_each_expert_alone(rng, n_exp, n_sub, band, act):
-    """One stacked mlp_infer call scores E experts, each bit for bit as its
-    own score_rows and as its sub-policy nets one at a time, averaged by an
-    in-order slice sum: on 64 2-D rows with a k per row, and on B
-    row-stacked rows at one k of either band. On the row-stacked rows the
-    sampler's bound mixed_score gives their weighted sum in expert order."""
-    cfg = small_cfg(n_sub=n_sub, band=band).with_section("expert", activation=act)
+def test_stacked_scores_are_each_expert_alone(rng, n_exp, n_sub, row_stacked, act):
+    """Each expert's checked score_rows is its sub-policy nets one at a time,
+    averaged by an in-order slice sum, bit for bit; the sampler's bound
+    mixed_score, one stacked call over E experts, gives each of them alone
+    under a one-hot weight and their weighted sum in expert order. On 2-D
+    rows (64 of them, with a k per row or one k) or on B row-stacked rows at
+    one k of either half of the schedule."""
+    cfg = small_cfg(n_sub=n_sub).with_section("expert", activation=act)
     experts = [xp.init_expert(m, d, 2, 2, cfg, rng)
                for m, d in (("vis", 5), ("tac", 3), ("aud", 4))[:n_exp]]
-    cases = [(64, rng.integers(1, 51, size=64), False)]
-    cases += [(b, k, True) for b in (1, 3, 7) for k in (50, 25)]
-    for n, ks, row_stacked in cases:
-        lay = nc.row_layout if row_stacked else np.asarray
+    lay = nc.row_layout if row_stacked else np.asarray
+    cases = [(b, k) for b in ((1, 3, 7) if row_stacked else (64,)) for k in (50, 25)]
+    if not row_stacked:
+        cases.append((64, rng.integers(1, 51, size=64)))
+    for n, ks in cases:
         a = lay(rng.normal(size=(n, 2)))
         embs = [ex.encode_rows(lay(rng.normal(size=(n, ex.enc.spec.input_dim))),
                                lay(rng.normal(size=(n, 2)))) for ex in experts]
-        got = xp.stacked_scores(experts, embs)(a, ks)
-        assert got.shape == (n_exp,) + a.shape
-        for ex, e, g in zip(experts, embs, got):
-            assert np.array_equal(g, ex.score_rows(a, e, ks))
-            assert np.array_equal(g, per_sub_oracle(ex, a, e, ks))
-        if row_stacked:
-            w = rng.dirichlet(np.ones(n_exp), size=n).T if n_exp > 1 else np.ones((1, n))
-            w = nc.row_layout(w[:, :, None])
-            mixed = xp.mixed_score(experts, embs, w)(a, ks)
-            assert np.array_equal(mixed, np.add.reduce(got * w, axis=0))
+        alone = np.array([ex.score_rows(a, e, ks) for ex, e in zip(experts, embs)])
+        assert alone.shape == (n_exp,) + a.shape
+        for ex, e, got in zip(experts, embs, alone):
+            assert np.array_equal(got, per_sub_oracle(ex, a, e, ks))
+        if not isinstance(ks, int):
+            continue
+        for i in range(n_exp):
+            hot = lay(np.eye(n_exp)[i][:, None, None] * np.ones((n_exp, n, 1)))
+            assert np.array_equal(xp.mixed_score(experts, embs, hot)(a, ks), alone[i])
+        w = rng.dirichlet(np.ones(n_exp), size=n).T if n_exp > 1 else np.ones((1, n))
+        w = lay(w[:, :, None])
+        mixed = xp.mixed_score(experts, embs, w)(a, ks)
+        assert np.array_equal(mixed, np.add.reduce(alone * w, axis=0))
 
 
 def test_expert_param_count(rng):
