@@ -231,7 +231,7 @@ def save_expert(expert: ModalityExpert, stats: ActionStats, sched: NoiseSchedule
     meta.update({
         "modality": expert.modality, "modality_dim": expert.enc.spec.input_dim,
         "robot_dim": expert.enc.robot_dim, "action_dim": expert.action_dim,
-        "n_steps": expert.n_steps, "noise_band_split": expert.noise_band_split,
+        "n_steps": expert.n_steps, "noise_band_split": False,   # a retired option
         "encoder_spec": _spec_meta(expert.enc.spec),
         "sub_specs": [_spec_meta(expert.sub_spec)] * expert.n_sub,
     })
@@ -248,6 +248,8 @@ def save_expert(expert: ModalityExpert, stats: ActionStats, sched: NoiseSchedule
 def expert_from_checkpoint(ck: Checkpoint) -> tuple[ModalityExpert, ActionStats,
                                                     NoiseSchedule]:
     m = ck.metadata
+    if m["noise_band_split"]:
+        raise FormatError("expert checkpoint uses noise band split, which was retired")
     enc = _encoder_from_checkpoint(ck, "enc", m["modality"], m["modality_dim"],
                                    m["encoder_spec"], m["robot_dim"])
     sub_specs = m["sub_specs"]
@@ -260,7 +262,7 @@ def expert_from_checkpoint(ck: Checkpoint) -> tuple[ModalityExpert, ActionStats,
     expert = ModalityExpert(
         enc=enc, action_dim=m["action_dim"],
         subs=subs, sub_spec=sub_spec, n_steps=m["n_steps"],
-        noise_band_split=m["noise_band_split"], sigma_mode=m.get("sigma_mode", "beta"),
+        sigma_mode=m.get("sigma_mode", "beta"),
     )
     return expert, _stats_from_meta(m["stats"]), _sched_from_meta(m["schedule"])
 

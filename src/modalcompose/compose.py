@@ -7,7 +7,9 @@ the feature level instead, from the same parts: one ``experts.Encoder`` per
 stream and one score net conditioned on the concatenated embeddings
 (ConcatPolicy) or on their sum weighted by a ``router.Router`` gate
 (MoEFeaturePolicy). Every policy samples B observations at once with
-``act_rows``, each row bit for bit its own one-row ``act``.
+``act_rows``, each row bit for bit its own one-row ``act``, over a score
+bound once per call through ``experts.bind_score`` (``mixed_score`` for the
+composed policy).
 Every policy checks its settings when built. ``ComposedPolicy`` holds every
 composition check (a known strategy; a fitting router or valid fixed weights;
 experts that stack on its schedule and width) and is frozen, experts included.
@@ -85,7 +87,7 @@ class ComposedPolicy(_RowSampler):
             if want != have:
                 raise ContractError(f"router takes (modality order, embedding dims) "
                                     f"{want}, the experts give {have}")
-        for key in ("sigma_mode", "sub_spec", "n_sub", "noise_band_split"):
+        for key in ("sigma_mode", "sub_spec", "n_sub"):
             vals = [getattr(ex, key) for ex in self.experts]
             if any(v != vals[0] for v in vals):
                 raise ContractError(f"experts differ in {key}: {vals}")

@@ -3,27 +3,23 @@
 An ``Encoder`` maps one stream's reading to an embedding, MLP(reading)
 followed by the robot state; experts and both fusion baselines hold it. A
 score net maps rows [noised action, cond, timestep features] to predicted
-noise (``score_input`` builds the rows, ``score_graph`` is its training
-twin); an expert's cond is its own embedding, a baseline's its fused ones.
+noise; an expert's cond is its own embedding, a baseline's its fused ones.
+Every numpy scoring path binds its score net, or a stack of them, through
+``bind_score``: ``score_rows`` (one expert, checked), ``mixed_score`` (a
+composed policy's weighted experts) and the baselines' ``score_provider``.
+``score_graph`` is its training twin.
 
-Each expert owns one encoder and ``n_sub`` sub-policy score nets. Its score
-is the mean of its sub-policies (or, with the band-split option, the single
-sub-policy responsible for the current denoising band). The score has one
-numpy form, ``encode_rows`` then ``stacked_scores`` of one or more experts
-(``score_rows`` for one; ``mixed_score`` is its weighted sum bound once for
-a sampler), and one graph form for training, ``_expert_score_graph``, which
-the expert and the joint router both use.
-
-Storage: an expert keeps its sub-policies as one stacked ``ParamSet``, one
-array per tensor name with the sub-policy on the leading axis (``W_i`` of
-shape (n_sub, in, out), ``b_i`` of shape (n_sub, 1, out)), and one spec they
-share. Training, Adam, joint router fine-tuning, checkpoints and inference
-all use that one form. ``stacked_scores`` scores every sub-policy of E
-experts with one ``mlp_infer`` call, ``_expert_score_graph`` one expert's with
-one ``mlp_forward`` call; each slice is bit-identical to that sub-policy's own
-call, and both average the slices in sub-policy order (``np.add.reduce``
-adds them in order: the action axis after them is longer than 1), dividing
-the sum by ``n_sub``, or take each row's band owner.
+Each expert owns one encoder and ``n_sub`` sub-policy score nets, and its
+score is their mean. It keeps them as one stacked ``ParamSet``, one array per
+tensor name with the sub-policy on the leading axis (``W_i`` of shape
+(n_sub, in, out), ``b_i`` of shape (n_sub, 1, out)), and one spec they share.
+Training, Adam, joint router fine-tuning, checkpoints and inference all use
+that one form. One ``mlp_infer`` call scores every sub-policy (of E experts,
+in ``mixed_score``), one ``mlp_forward`` call in ``_expert_score_graph``,
+which the expert and the joint router train through; each slice is
+bit-identical to that sub-policy's own call, and both average the slices in
+sub-policy order (``np.add.reduce`` adds them in order: the action axis after
+them is longer than 1), dividing the sum by ``n_sub``.
 """
 
 from __future__ import annotations
@@ -162,7 +158,7 @@ def _check_score_net(spec: nc.MlpSpec, action_dim: int, cond_dim: int, sigma_mod
 
 def score_graph(params: nc.ParamSet, spec: nc.MlpSpec, a_k: np.ndarray, cond: nc.Tensor,
                 ks: np.ndarray, n_steps: int) -> nc.Tensor:
-    """The training twin of ``score_input``: one graph forward of a score
+    """The training twin of ``bind_score``: one graph forward of a score
     net (or stack of them) over rows [a_k, cond, timestep features]."""
     feats = timestep_features(ks, n_steps)
     x = nc.concat_cols([nc.const(a_k), cond, nc.const(feats)])
@@ -176,7 +172,6 @@ class ModalityExpert:
     subs: nc.ParamSet          # the stacked sub-policies, see the module docstring
     sub_spec: nc.MlpSpec
     n_steps: int
-    noise_band_split: bool = False
     sigma_mode: str = "beta"
     loss_history: list[float] = field(default_factory=list, repr=False)
 
@@ -219,9 +214,9 @@ class ModalityExpert:
 
     def score_rows(self, a_rows: np.ndarray, emb_rows: np.ndarray, ks) -> np.ndarray:
         """This expert's score on rows [a_k, embedding, timestep features]: its
-        sub-policies' ``bind_score`` outputs averaged in order, or each row's
-        band owner's. Checked: a_k must fit the rows, ks (an int or int array)
-        lie in 1..n_steps, and the output be finite."""
+        sub-policies' ``bind_score`` outputs averaged in order. Checked: a_k
+        must fit the rows, ks (an int or int array) lie in 1..n_steps, and the
+        output be finite."""
         cond = emb_rows[None]   # the sub-policy stack axis
         if a_rows.shape != cond.shape[-a_rows.ndim:-1] + (self.action_dim,):
             raise ShapeError(f"action rows {a_rows.shape} do not fit score rows "
@@ -229,10 +224,7 @@ class ModalityExpert:
         timestep_features(ks, self.n_steps)   # refuses k outside 1..n_steps
         out = bind_score(self.subs, self.sub_spec, cond, self.n_steps)(a_rows, ks)
         nc.check_finite(out, "mlp_infer")
-        if not self.noise_band_split:
-            return np.add.reduce(out, axis=0) / self.n_sub
-        owner = _band_owner(np.broadcast_to(ks, a_rows.shape[:1]), self.n_steps, self.n_sub)
-        return out[owner, np.arange(len(owner))]
+        return np.add.reduce(out, axis=0) / self.n_sub
 
 
 def mixed_score(experts: list[ModalityExpert], embs: list[np.ndarray], weights: np.ndarray):
@@ -244,31 +236,17 @@ def mixed_score(experts: list[ModalityExpert], embs: list[np.ndarray], weights: 
     ``embs`` (``bind_score``): a call runs the layer ops and mixes, the
     sub-policies, then the experts, a mix one expert at weight 1 skips as the
     exact identity it is. Nothing is checked per call; ``ddpm_sample`` checks
-    its state once. The experts share one sub_spec, n_sub, n_steps and band
-    split."""
+    its state once. The experts share one sub_spec, n_sub and n_steps."""
     ex = experts[0]
-    n, steps = ex.n_sub, ex.n_steps
     subs = {name: np.array([e.subs[name].data for e in experts]) for name in ex.subs.names()}
-    score = bind_score(subs, ex.sub_spec, np.array(embs)[:, None], steps)
-    owners = _band_owner(np.arange(1, steps + 1), steps, n).tolist() if ex.noise_band_split else None
-    alone = len(experts) == 1 and bool((weights == 1.0).all())
+    score = bind_score(subs, ex.sub_spec, np.array(embs)[:, None], ex.n_steps)
+    n, alone = ex.n_sub, len(experts) == 1 and bool((weights == 1.0).all())
 
     def mix(a_k: np.ndarray, k: int) -> np.ndarray:
-        out = score(a_k, k)
-        out = np.add.reduce(out, axis=1) / n if owners is None else out[:, owners[k - 1]]
+        out = np.add.reduce(score(a_k, k), axis=1) / n
         return out[0] if alone else np.add.reduce(out * weights, axis=0)
 
     return mix
-
-
-def _band_owner(ks, n_steps: int, n_sub: int):
-    """The sub-policy whose denoising band holds each k.
-
-    Band 0 owns the coarse half k > n_steps/2, the last band owns the rest;
-    with more than two subs the range splits evenly, highest k first.
-    """
-    edges = np.linspace(0, n_steps, n_sub + 1)
-    return n_sub - np.searchsorted(edges, ks, side="left")
 
 
 def init_expert(modality: str, modality_dim: int, robot_dim: int, action_dim: int,
@@ -279,8 +257,7 @@ def init_expert(modality: str, modality_dim: int, robot_dim: int, action_dim: in
     subs = nc.stack_params([nc.init_mlp(sub_spec, rng) for _ in range(cfg.expert.n_sub)])
     return ModalityExpert(
         enc=enc, action_dim=action_dim, subs=subs, sub_spec=sub_spec,
-        n_steps=cfg.diffusion.steps, noise_band_split=cfg.expert.noise_band_split,
-        sigma_mode=cfg.diffusion.sigma_mode,
+        n_steps=cfg.diffusion.steps, sigma_mode=cfg.diffusion.sigma_mode,
     )
 
 
@@ -289,16 +266,12 @@ def _expert_score_graph(expert: ModalityExpert, a_k: np.ndarray, m_rows: np.ndar
     """Training-time (score, embedding): graph-recorded encoder + sub-policies.
 
     The graph twin of encode_rows then score_rows: one stacked mlp_forward
-    call, reduced as score_rows reduces it, so gradients flow into the
-    encoder and every sub-policy active for each row.
+    call, averaged as score_rows averages it, so gradients flow into the
+    encoder and every sub-policy.
     """
     emb = expert.enc.graph(m_rows, rs_rows)
     out = score_graph(expert.subs, expert.sub_spec, a_k, emb, ks, expert.n_steps)
-    if not expert.noise_band_split:
-        return nc.reduce_stack(out), emb
-    owner = _band_owner(ks, expert.n_steps, expert.n_sub)
-    masks = owner == np.arange(expert.n_sub)[:, None]
-    return nc.reduce_stack(out, masks[..., None].astype(np.float64)), emb
+    return nc.reduce_stack(out), emb
 
 
 def train_expert(dataset, modality: str, cfg, rng: np.random.Generator) -> ModalityExpert:

@@ -119,16 +119,12 @@ def mse_rows(a: Tensor, target: Array) -> Tensor:
     return out
 
 
-def reduce_stack(a: Tensor, masks: Array | None = None) -> Tensor:
-    """Reduce the leading (stack) axis of S slices in slice order: their sum
-    divided by S, or with ``masks`` (S, B, 1) the sum of the mask-weighted
-    slices."""
+def reduce_stack(a: Tensor) -> Tensor:
+    """The mean of the leading (stack) axis of S slices: their sum in slice
+    order, divided by S."""
     n = a.data.shape[0]
-    terms = a.data if masks is None else a.data * masks
-    total = np.add.reduce(terms, axis=0)
-    out = Tensor(total / n if masks is None else total, (a,), _op="reduce_stack")
-    out._bw = lambda g: _acc(a, np.broadcast_to(g / n, a.data.shape) if masks is None
-                             else g * masks)
+    out = Tensor(np.add.reduce(a.data, axis=0) / n, (a,), _op="reduce_stack")
+    out._bw = lambda g: _acc(a, np.broadcast_to(g / n, a.data.shape))
     return out
 
 

@@ -3,7 +3,9 @@ weights over modalities, plus the hard / top-2 / soft weight post-processing.
 
 Weights depend only on the state embeddings, so they are computed once per
 control step and held fixed across that step's denoising loop. Training uses
-soft weights throughout; hard/top-2 are evaluation-time transforms. The
+soft weights throughout; hard/top-2 are evaluation-time transforms. A router
+trained apart from its experts reads their scores from ``score_rows``, which
+binds each expert's sub-policies through ``experts.bind_score``. The
 feature-level MoE baseline's gate is a Router too, over its own encoders.
 """
 
@@ -106,8 +108,7 @@ def _router_score_graph(router: Router, experts: list[ModalityExpert],
 
     Expert scores enter as constants unless ``joint`` is set, in which case
     they come from the experts' own training graph, so their encoders and
-    sub-policies receive gradients and the band split applies as at
-    inference.
+    sub-policies receive gradients.
     """
     rs = cond[:, slices[-1]]
     embs = []

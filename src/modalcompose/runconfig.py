@@ -54,7 +54,7 @@ class ExpertConfig:
     enc_out: int = 32
     sub_hidden: tuple[int, ...] = (64, 64)
     activation: str = "tanh"
-    noise_band_split: bool = False
+    noise_band_split: bool = False   # retired; kept false so config hashes keep their bytes
 
     def __post_init__(self):
         _require(self.n_sub >= 1, "[expert] n_sub", self.n_sub, ">= 1")
@@ -64,6 +64,8 @@ class ExpertConfig:
             _require(all(w >= 1 for w in widths), f"[expert] {key}", widths, "widths >= 1")
         _require(self.activation in ACTIVATIONS, "[expert] activation", self.activation,
                  f"one of {tuple(ACTIVATIONS)}")
+        _require(not self.noise_band_split, "[expert] noise_band_split", self.noise_band_split,
+                 "false (band split was retired)")
 
 
 @dataclass(frozen=True)

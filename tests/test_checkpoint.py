@@ -367,7 +367,8 @@ BAD_METADATA = {
                _put(["encoder_spec", "hidden"], ["16"]), _put(["stats"], None),
                _put(["stats", "act_min"], [0.0]), _put(["schedule", "steps"], "fifty"),
                _put(["noise_band_split"], "no"), _put(["robot_dim"], True),
-               _put(["encoder_spec", "input_dim"], -5), _put(["modality_dim"], 99)],
+               _put(["encoder_spec", "input_dim"], -5), _put(["modality_dim"], 99),
+               _put(["noise_band_split"], True)],   # band split was retired
     "router": [_drop("router_spec"), _put(["router_spec", "output_dim"], "fifty"),
                _put(["emb_dims"], "fifty"), _put(["modality_order"], [1, 2]),
                _put(["router_spec", "activation"], "relu6")],

@@ -202,11 +202,10 @@ def test_composed_policy_built_directly_refuses_a_router_that_does_not_fit(
 
 @pytest.mark.parametrize("key, knobs", [("sub_spec", dict(sub_hidden=(16,))),
                                          ("sub_spec", dict(activation="relu")),
-                                         ("n_sub", dict(n_sub=3)),
-                                         ("noise_band_split", dict(noise_band_split=True))])
+                                         ("n_sub", dict(n_sub=3))])
 def test_composed_policy_refuses_experts_that_do_not_stack(rng, key, knobs):
     """Every expert's sub-policies score as one stack, so they share one
-    spec, n_sub and band split."""
+    spec and n_sub."""
     cfg = small_cfg().with_section("expert", **knobs)
     odd = xp.init_expert("tac", 3, 2, 2, cfg, rng)
     stats = constant_action_dataset(np.array([0.1, 0.2])).stats()

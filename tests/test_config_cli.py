@@ -31,7 +31,8 @@ def test_documented_defaults():
 def test_parse_and_serialize_round_trip():
     cfg = rc.RunConfig()
     cfg = cfg.with_section("train", steps=123, lr=5e-4)
-    cfg = cfg.with_section("expert", enc_hidden=(8, 4), noise_band_split=True)
+    cfg = cfg.with_section("expert", enc_hidden=(8, 4))
+    cfg = cfg.with_section("router", joint=True)
     cfg = cfg.with_section("env", name="phase_reach")
     cfg = cfg.with_section("probe", modalities=("wpa", "wpb"))
     back = rc.parse_config_text(rc.config_text(cfg))
@@ -56,8 +57,9 @@ def test_parse_value_forms():
 steps = 42          # comment after value
 lr = 2.5e-4
 
+[router]
+joint = yes
 [expert]
-noise_band_split = yes
 enc_hidden = 16,8
 [env]
 modalities =
@@ -65,7 +67,7 @@ modalities =
     cfg = rc.parse_config_text(text)
     assert cfg.train.steps == 42
     assert cfg.train.lr == 2.5e-4
-    assert cfg.expert.noise_band_split is True
+    assert cfg.router.joint is True
     assert cfg.expert.enc_hidden == (16, 8)
     assert cfg.env.modalities == ()
 
@@ -82,7 +84,7 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ConfigError, match="line 2"):
         rc.parse_config_text("[train]\nsteps 3")
     with pytest.raises(ConfigError, match="line 3"):
-        rc.parse_config_text("[expert]\n\nnoise_band_split = maybe")
+        rc.parse_config_text("[router]\n\njoint = maybe")
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -95,7 +97,7 @@ def test_parse_errors_carry_line_numbers():
     ("run", "strategy", "bogus"), ("expert", "enc_out", 0), ("expert", "enc_hidden", (0, 64)),
     ("expert", "sub_hidden", (-3,)), ("router", "hidden", (0,)), ("probe", "sigma_scale", -1.0),
     ("probe", "sigma_scale", float("nan")), ("probe", "modalities", ("vis", "vis")),
-    ("run", "demos", 0), ("run", "eval_n", -5)])
+    ("run", "demos", 0), ("run", "eval_n", -5), ("expert", "noise_band_split", True)])
 def test_bad_values_are_refused_when_the_config_is_built(section, key, value):
     text = ",".join(map(str, value)) if isinstance(value, tuple) else value
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must"):

@@ -12,10 +12,10 @@ from modalcompose.runconfig import RunConfig
 from tests.conftest import constant_action_dataset
 
 
-def small_cfg(steps=0, n_sub=2, band=False):
+def small_cfg(steps=0, n_sub=2):
     cfg = RunConfig()
     cfg = cfg.with_section("expert", enc_hidden=(16,), enc_out=8,
-                           sub_hidden=(32,), n_sub=n_sub, noise_band_split=band)
+                           sub_hidden=(32,), n_sub=n_sub)
     return cfg.with_section("train", steps=steps, batch=16, lr=1e-3)
 
 
@@ -53,8 +53,8 @@ def test_timestep_features_manual_formula():
 # wiring, encode, intra composition
 
 
-def make_expert(rng, n_sub=2, band=False):
-    cfg = small_cfg(n_sub=n_sub, band=band)
+def make_expert(rng, n_sub=2):
+    cfg = small_cfg(n_sub=n_sub)
     return xp.init_expert("vis", 5, 2, 2, cfg, rng)
 
 
@@ -64,7 +64,7 @@ def encode(ex, m, rs):
 
 def sub_eps(ex, j, a_k, e, k):
     """Sub-policy j's noise prediction for one row, from a copy of its stack
-    slice: the oracle score_rows averages (or, with band split, selects)."""
+    slice: the oracle score_rows averages."""
     x = np.concatenate([a_k, e[0], xp.timestep_features(k, ex.n_steps)])
     return nc.mlp_infer(nc.unstack_params(ex.subs, j), ex.sub_spec, x[None, :])[0]
 
@@ -110,17 +110,6 @@ def test_subpolicy_eps_validates_k_and_dims(rng):
         score(ex, np.zeros(3), e, 1)
 
 
-def test_band_split_routes_by_denoising_half(rng):
-    ex = make_expert(rng, band=True)
-    e = encode(ex, rng.normal(size=5), rng.normal(size=2))
-    a_k = rng.normal(size=2)
-    # sub 0 owns the coarse half (k > 25), sub 1 the fine half (k <= 25)
-    for k, owner in ((50, 0), (26, 0), (25, 1), (1, 1)):
-        got = score(ex, a_k, e, k)
-        want = sub_eps(ex, owner, a_k, e, k)
-        assert np.array_equal(got, want), f"k={k}"
-
-
 def test_score_rows_matches_single_calls(rng):
     ex = make_expert(rng)
     m = rng.normal(size=(4, 5))
@@ -134,12 +123,13 @@ def test_score_rows_matches_single_calls(rng):
         assert np.allclose(batched[r], single, atol=1e-12)
 
 
-@pytest.mark.parametrize("band", [False, True])
+@pytest.mark.parametrize("relu", [False, True])
 @pytest.mark.parametrize("n_sub", [1, 2, 3])
-def test_training_graph_scores_as_score_rows(rng, n_sub, band):
+def test_training_graph_scores_as_score_rows(rng, n_sub, relu):
     """Training and inference compute the same function: the graph's score
-    equals score_rows on the same 2-D rows bit for bit, every band owned."""
-    ex = make_expert(rng, n_sub=n_sub, band=band)
+    equals score_rows on the same 2-D rows bit for bit, tanh or relu."""
+    cfg = small_cfg(n_sub=n_sub).with_section("expert", activation="relu" if relu else "tanh")
+    ex = xp.init_expert("vis", 5, 2, 2, cfg, rng)
     m, rs, a = rng.normal(size=(64, 5)), rng.normal(size=(64, 2)), rng.normal(size=(64, 2))
     ks = rng.integers(1, ex.n_steps + 1, size=64)
     graph, emb = xp._expert_score_graph(ex, a, m, rs, ks)
@@ -149,15 +139,12 @@ def test_training_graph_scores_as_score_rows(rng, n_sub, band):
 
 def per_sub_oracle(ex, a, e, ks):
     """score_rows written out: each sub-policy net alone on concatenated
-    [a, e, features] rows, averaged in order or taken from the band owner."""
+    [a, e, features] rows, averaged in order."""
     n = a.shape[0]
     feats = xp.timestep_features(np.broadcast_to(ks, (n,)), ex.n_steps)
     x = np.concatenate([a, e, feats.reshape(a.shape[:-1] + (-1,))], axis=-1)
     outs = [nc.mlp_infer(nc.unstack_params(ex.subs, j), ex.sub_spec, x)
             for j in range(ex.n_sub)]
-    if ex.noise_band_split:
-        owner = xp._band_owner(np.broadcast_to(ks, (n,)), ex.n_steps, ex.n_sub)
-        return np.array([outs[o][r] for r, o in enumerate(owner)])
     total = outs[0]
     for o in outs[1:]:
         total = total + o

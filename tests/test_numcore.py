@@ -326,29 +326,27 @@ def test_mlp_infer_stack_axes_slices_and_untouched_input(rng, hidden, act):
             nc.mlp_infer(params, spec, rng.normal(size=(5, 3)))
 
 
-@pytest.mark.parametrize("band", [False, True])
-def test_stacked_mlp_forward_is_each_net_alone(rng, band):
+@pytest.mark.parametrize("relu", [False, True])
+def test_stacked_mlp_forward_is_each_net_alone(rng, relu):
     """Every slice of the stacked forward, and every net's gradients, equal
-    the separate 2-D graph bit for bit; the shared input's adjoint is their
-    sum in net order."""
-    spec = nc.MlpSpec(5, (7, 6), 3)
+    the separate 2-D graph bit for bit, tanh or relu; the shared input's
+    adjoint is their sum in net order."""
+    spec = nc.MlpSpec(5, (7, 6), 3, activation="relu" if relu else "tanh")
     nets = stacked_nets(rng, spec, 3)
     stack = nc.stack_params(nets)
     x_val, adj = rng.normal(size=(9, 5)), rng.normal(size=(9, 3))
-    masks = (rng.integers(0, 3, size=9) == np.arange(3)[:, None])[..., None] * 1.0
 
     x = nc.Tensor(x_val)
     out = nc.mlp_forward(stack, spec, x)
-    nc.backward(sumall(nc.mul(nc.reduce_stack(out, masks if band else None),
-                                 nc.const(adj))), [("s", stack), ("x", _as_paramset(x=x))])
+    nc.backward(sumall(nc.mul(nc.reduce_stack(out), nc.const(adj))),
+                [("s", stack), ("x", _as_paramset(x=x))])
     x_grad = np.zeros_like(x_val)
     for j, net in enumerate(nets):
         xj = nc.Tensor(x_val)
         oj = nc.mlp_forward(net, spec, xj)
         assert np.array_equal(out.data[j], oj.data)
         # the slice's share of the adjoint, as the reduction hands it down
-        share = adj * masks[j] if band else adj / 3
-        nc.backward(sumall(nc.mul(oj, nc.const(share))),
+        nc.backward(sumall(nc.mul(oj, nc.const(adj / 3))),
                     [("n", net), ("x", _as_paramset(x=xj))])
         x_grad += xj.grad
         for name, t in net.items():
@@ -356,31 +354,26 @@ def test_stacked_mlp_forward_is_each_net_alone(rng, band):
     assert np.array_equal(x.grad, x_grad)
 
 
-def test_reduce_stack_mean_and_masked_sum(rng):
+def test_reduce_stack_is_the_mean_in_slice_order(rng):
     a = rng.normal(size=(3, 4, 2))
     mean = nc.reduce_stack(nc.const(a)).data
     assert np.array_equal(mean, (a[0] + a[1] + a[2]) / 3)
-    masks = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0],
-                      [0.0, 0.0, 1.0, 0.0]])[..., None]
-    picked = nc.reduce_stack(nc.const(a), masks).data
-    assert np.array_equal(picked, a[[0, 1, 2, 0], np.arange(4)])
 
 
 def test_stacked_mlp_gradcheck(rng):
     spec = nc.MlpSpec(3, (4,), 2)
     stack = nc.stack_params(stacked_nets(rng, spec, 3))
     x = rng.normal(size=(5, 3))
-    masks = (np.arange(5) % 3 == np.arange(3)[:, None])[..., None] * 1.0
-    for m in (None, masks):
-        def loss():
-            y = nc.reduce_stack(nc.mlp_forward(stack, spec, nc.const(x)), m)
-            return sumall(nc.mul(y, y))
 
-        nc.backward(loss(), [("s", stack)])
-        analytic = {f"s/{n}": t.grad.copy() for n, t in stack.items()}
-        numeric = finite_diff_grad(lambda: loss().data.item(), [("s", stack)])
-        for key in analytic:
-            assert rel_err(analytic[key], numeric[key]) < 1e-6, key
+    def loss():
+        y = nc.reduce_stack(nc.mlp_forward(stack, spec, nc.const(x)))
+        return sumall(nc.mul(y, y))
+
+    nc.backward(loss(), [("s", stack)])
+    analytic = {f"s/{n}": t.grad.copy() for n, t in stack.items()}
+    numeric = finite_diff_grad(lambda: loss().data.item(), [("s", stack)])
+    for key in analytic:
+        assert rel_err(analytic[key], numeric[key]) < 1e-6, key
 
 
 # sha256 of each gradient after one backward through mlp_forward, recorded

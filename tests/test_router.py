@@ -212,10 +212,10 @@ def test_train_router_reproducible(const_dataset):
     assert runs[0] == runs[1]
 
 
-def test_joint_training_score_matches_inference_with_band_split(rng):
+def test_joint_training_score_matches_inference_with_three_sub_policies(rng):
     """The joint-mode training score is the composed policy's sampling score,
-    band split included."""
-    cfg = small_cfg(joint=True).with_section("expert", noise_band_split=True)
+    for experts of three sub-policies each."""
+    cfg = small_cfg(joint=True).with_section("expert", n_sub=3)
     experts = [xp.init_expert("vis", 5, 2, 2, cfg, rng),
                xp.init_expert("tac", 3, 2, 2, cfg, rng)]
     router = rt.init_router(("vis", "tac"), (10, 10), (8,), rng)

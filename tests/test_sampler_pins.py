@@ -3,8 +3,9 @@
 The action hashes were recorded with one sub-policy MLP call per sub-policy
 and one noise draw per denoising step; stacked scoring, the feature tables, the
 per-sample step constants and the block noise draw must reproduce them bit
-for bit. Sampling B rows in one act_rows call must reproduce B act() calls
-bit for bit too.
+for bit. ``sub3``, an expert of three sub-policies, was recorded later, with
+stacked scoring, in place of the retired band-split expert. Sampling B rows
+in one act_rows call must reproduce B act() calls bit for bit too.
 """
 
 import dataclasses
@@ -40,8 +41,8 @@ PINNED = {
         "6409a91fa8877da542229920044d52a1152cf10b86ae2a743148af034785065c",
     "moe":
         "b935a4afb8748c6e68da23889b4eb78ffe306b6a67bdb60565fe21085eb08c06",
-    "band":
-        "3bd39650611c46777e593c7faa6d2a576fd85efdc3491ff1dc06d827239f738e",
+    "sub3":
+        "0ac4514cc8f072b07a9df167c8022bf03e27251966b892384804c615d3fa2e4e",
     "concat_beta_tilde":
         "5036066275571f67b3c9baaac68e14b70673e8fa2180a6f7829715cd6ebc2b48",
 }
@@ -65,8 +66,7 @@ def policies():
     vis = xp.train_expert(ds, "vis", cfg, stream(11, TAG_TRAIN, 1))
     tac = xp.train_expert(ds, "tac", cfg, stream(11, TAG_TRAIN, 2))
     router = train_router([vis, tac], ds, cfg, stream(11, TAG_TRAIN, 3))
-    band_cfg = pin_cfg(n_sub=3, noise_band_split=True)
-    band = xp.train_expert(ds, "vis", band_cfg, stream(11, TAG_TRAIN, 4))
+    sub3 = xp.train_expert(ds, "vis", pin_cfg(n_sub=3), stream(11, TAG_TRAIN, 4))
     tilde_cfg = cfg.with_section("diffusion", sigma_mode="beta_tilde")
     return {
         "vis": cp.single_expert_policy(vis, sched, stats),
@@ -75,7 +75,7 @@ def policies():
         "learned": cp.compose_policy([vis, tac], router, "soft", sched, stats),
         "concat": cp.train_concat_policy(ds, cfg, stream(11, TAG_TRAIN, 5)),
         "moe": cp.train_moe_policy(ds, cfg, stream(11, TAG_TRAIN, 6)),
-        "band": cp.single_expert_policy(band, sched, stats),
+        "sub3": cp.single_expert_policy(sub3, sched, stats),
         "concat_beta_tilde": cp.train_concat_policy(ds, tilde_cfg,
                                                     stream(11, TAG_TRAIN, 7)),
     }
