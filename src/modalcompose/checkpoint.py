@@ -231,7 +231,7 @@ def save_expert(expert: ModalityExpert, stats: ActionStats, sched: NoiseSchedule
     meta.update({
         "modality": expert.modality, "modality_dim": expert.enc.spec.input_dim,
         "robot_dim": expert.enc.robot_dim, "action_dim": expert.action_dim,
-        "n_steps": expert.n_steps, "noise_band_split": False,   # a retired option
+        "n_steps": expert.n_steps, "noise_band_split": False,   # retired; kept for the bytes
         "encoder_spec": _spec_meta(expert.enc.spec),
         "sub_specs": [_spec_meta(expert.sub_spec)] * expert.n_sub,
     })

@@ -88,11 +88,10 @@ def bind_score(params, spec: nc.MlpSpec, cond: np.ndarray, n_steps: int):
     buf[..., ad:-TIMESTEP_DIM] = cond
     layers = nc.mlp_layers(params, spec, buf)
     a_in, t_in, table = buf[..., :ad], buf[..., -TIMESTEP_DIM:], _feature_table(n_steps)
-    rows = list(table)   # a sampler's int k indexes a list at no numpy cost
 
     def score(a_k: np.ndarray, k) -> np.ndarray:
         a_in[...] = a_k
-        t_in[...] = rows[k - 1] if type(k) is int else table[k - 1]
+        t_in[...] = table[k - 1]
         return nc.mlp_infer(layers, spec, buf)
 
     return score
