@@ -239,7 +239,8 @@ def mixed_score(experts: list[ModalityExpert], embs: list[np.ndarray], weights: 
     ex = experts[0]
     subs = {name: np.array([e.subs[name].data for e in experts]) for name in ex.subs.names()}
     score = bind_score(subs, ex.sub_spec, np.array(embs)[:, None], ex.n_steps)
-    n, alone = ex.n_sub, len(experts) == 1 and bool((weights == 1.0).all())
+    n = ex.n_sub
+    alone = len(experts) == 1 and bool((weights == 1.0).all())
 
     def mix(a_k: np.ndarray, k: int) -> np.ndarray:
         out = np.add.reduce(score(a_k, k), axis=1) / n
