@@ -14,6 +14,7 @@ from modalcompose.cli import cli_dispatch
 
 CONFIG = """\
 [expert]
+n_sub = 1
 enc_hidden = 8
 enc_out = 4
 sub_hidden = 16
@@ -32,21 +33,21 @@ out = {out}
 
 PINNED = {
     "eval_expert.csv":
-        "348cc8dfd85419d90e60022a5dc2afc797c6a661cc443f5d52bd7221ac9ee534",
+        "9500f30aa2a575273d9774b8a3108135213b9245cd2826af85a81021d7ef221d",
     "eval_hard.csv":
-        "8b37e93b9fadb70a3b249cd9389b9b5e1647293d691c1b0d85b93ba488eaeff7",
+        "fbe6915fe0c5351ab202354768b3ab924f5be55e06d8619f5c86be8066b2d858",
     "eval_router.csv":
-        "82404a5bac40f19d15f605bcafde4bf7aa32d9bce2da7deddf4dbe84997d13e4",
+        "7e8985fb39d0ca5a16c16ffce3f3468f9370d0cfe994c48e7633bfbbc73bbffb",
     "hard.txt":
         "480a79b7da288e8395ee88736d2960f1fd84756c960629265d36235bbdb584a8",
     "robust_expert.csv":
-        "736e0c945c6c75b11ec41701182718544a68da426019a1ff608a645176f2dd20",
+        "533b0ea45a1d2b182d991f72c797ff1365ffe01dcc006d489b43154d0a377303",
     "robust_router.csv":
-        "820ee2a55236ade2c237ebb9194571804a68b559d72be45f85e7f2861344185d",
+        "97b90e89e62051ebba1a8510dc96886360ca17bc3b50e2672a1470c07de8603d",
     "router.txt":
         "a874d070878d24daefa893cea4b765c446f63c5c5f2fe7ad279b9e514d85f1a2",
     "sweep/sweep_metrics_seed3.csv":
-        "c64e6faef05f3c700e1f2c51a577d3b5b85538c8ad46db5737ea4118bbe7bf54",
+        "a04a3460869924f1dd36da86bbb7ff81ef11a17f16a821a08d67bd45381774bb",
 }
 
 

@@ -3,7 +3,9 @@
 The action hashes were recorded with one sub-policy MLP call per sub-policy
 and one noise draw per denoising step; stacked scoring, the feature tables, the
 per-sample step constants and the block noise draw must reproduce them bit
-for bit. ``sub3``, an expert of three sub-policies, was recorded later, with
+for bit. The expert-based pins (``vis``, ``tac``, ``equal``, ``learned`` and
+their probes) were re-recorded with one score net per expert when the
+averaged sub-policy stack was retired. ``sub3``, an expert of three sub-policies, was recorded later, with
 stacked scoring, in place of the retired band-split expert. Sampling B rows
 in one act_rows call must reproduce B act() calls bit for bit too.
 """
@@ -30,13 +32,13 @@ from modalcompose.runconfig import ProbeConfig, RunConfig
 # action streams of `act_digest`
 PINNED = {
     "vis":
-        "6248d6c2959a41f5ca9c61f335255704cda09884bfeb5d06037246f650352112",
+        "b0a01d37f6a9a653fbfa865c95f10d9d7910c3541213fb1a208c0baea0787b1b",
     "tac":
-        "6893df72c0879ff00a4854dcf5254275120ab0532c7f1855e4e1b17f1b40cfd2",
+        "a1055564fd46dc01028c09ec719dcf1830641980af31726346cb3a9cea094aba",
     "equal":
-        "e08d46d828b2a727f1695c2715e3e50a6d186449704fab5931fe9ec087ec8cf9",
+        "a50ee41eebc632429973b8119e210c6b30b6fade6500ade363cc34f309dad7b0",
     "learned":
-        "5c3707de202e2bf6347432aab694cb07a42fcf6206c2eb6aff173b3aafeada59",
+        "895aed6328fa5eadbbfef48da6846aaceb632d6bf77dbccbd0c1b1dd59ce9295",
     "concat":
         "6409a91fa8877da542229920044d52a1152cf10b86ae2a743148af034785065c",
     "moe":
@@ -51,7 +53,7 @@ PINNED = {
 def pin_cfg(**expert):
     cfg = RunConfig()
     cfg = cfg.with_section("expert", enc_hidden=(16,), enc_out=8, sub_hidden=(32,),
-                           **expert)
+                           **{"n_sub": 1, **expert})
     cfg = cfg.with_section("router", hidden=(8,))
     return cfg.with_section("train", steps=40, batch=16, lr=2e-3, router_steps=20)
 
@@ -180,13 +182,13 @@ def test_probe_of_a_trained_policy(policies):
 # probed episode of each policy at draws = 2
 PINNED_PROBES = {
     "vis":
-        "1c215e2ce9068fb9639c5edcb005f0cbb36341172db99ea0447567dc2d901dc8",
+        "3f5f22ee44811ae36741bd5b5d90584b9d5efe7c672345e94adfdc1c0b5b4113",
     "tac":
-        "1475fd5075c5128bf6bf323acdcc1916aa347bf49aaa87f2352c53197a45a3d2",
+        "852772d4b25b0e04fd26ffd55d22c74734ae805e7d18baf2bd664155489eb4f4",
     "equal":
-        "2495aeec780d1a54aa565a314bf248f8d04f03355629713cf9f9dc91d3ffdafc",
+        "8138f4ddc0e7026f5e712a4c0942d76244b6a5bd8d49ed8f1cfd7e33f51fac3f",
     "learned":
-        "43ba26387fdef2cb53056cd0135fd712301bced4e30e7bd39cc0265195050d78",
+        "0e3440ae7946ceb6ff912edcda3ce07eb53270f3c49c85d32d42c9a3fd864104",
     "concat":
         "bc9a24ac26f9f4f01fdbd7b0ce985b77bef3939afedef9ab86752b5957d57f8f",
     "moe":
