@@ -233,14 +233,13 @@ def save_expert(expert: ModalityExpert, stats: ActionStats, sched: NoiseSchedule
         "robot_dim": expert.enc.robot_dim, "action_dim": expert.action_dim,
         "n_steps": expert.n_steps, "noise_band_split": False,   # retired; kept for the bytes
         "encoder_spec": _spec_meta(expert.enc.spec),
-        "sub_specs": [_spec_meta(expert.sub_spec)] * expert.n_sub,
+        "sub_specs": [_spec_meta(expert.score_spec)],   # one net; kept as a list for the bytes
     })
     # written only when not the default, so default checkpoints keep their bytes
     if expert.sigma_mode != "beta":
         meta["sigma_mode"] = expert.sigma_mode
-    tensors = _params_tensors("enc", expert.enc.params)
-    for i in range(expert.n_sub):
-        tensors.update(_params_tensors(f"sub{i}", nc.unstack_params(expert.subs, i)))
+    tensors = {**_params_tensors("enc", expert.enc.params),
+               **_params_tensors("sub0", expert.score_params)}
     save_checkpoint(tensors, meta, path)
 
 
@@ -252,17 +251,14 @@ def expert_from_checkpoint(ck: Checkpoint) -> tuple[ModalityExpert, ActionStats,
         raise FormatError("expert checkpoint uses noise band split, which was retired")
     enc = _encoder_from_checkpoint(ck, "enc", m["modality"], m["modality_dim"],
                                    m["encoder_spec"], m["robot_dim"])
-    sub_specs = m["sub_specs"]
-    if not sub_specs or any(sm != sub_specs[0] for sm in sub_specs):
-        raise FormatError(f"expert sub-policy specs must be one spec, "
-                          f"at least once, got {sub_specs}")
-    sub_spec = _spec_from_meta(sub_specs[0])
-    subs = nc.stack_params([_params_from_tensors(ck, f"sub{i}", sub_spec)
-                            for i in range(len(sub_specs))])
+    if len(m["sub_specs"]) != 1:
+        raise FormatError(f"expert checkpoint holds {len(m['sub_specs'])} score nets; "
+                          f"the averaged sub-policy stack was retired, an expert has one")
+    spec = _spec_from_meta(m["sub_specs"][0])
     expert = ModalityExpert(
         enc=enc, action_dim=m["action_dim"],
-        subs=subs, sub_spec=sub_spec, n_steps=m["n_steps"],
-        sigma_mode=m.get("sigma_mode", "beta"),
+        score_params=_params_from_tensors(ck, "sub0", spec), score_spec=spec,
+        n_steps=m["n_steps"], sigma_mode=m.get("sigma_mode", "beta"),
     )
     return expert, _stats_from_meta(m["stats"]), _sched_from_meta(m["schedule"])
 

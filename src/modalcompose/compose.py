@@ -87,7 +87,7 @@ class ComposedPolicy(_RowSampler):
             if want != have:
                 raise ContractError(f"router takes (modality order, embedding dims) "
                                     f"{want}, the experts give {have}")
-        for key in ("sigma_mode", "sub_spec", "n_sub"):
+        for key in ("sigma_mode", "score_spec"):
             vals = [getattr(ex, key) for ex in self.experts]
             if any(v != vals[0] for v in vals):
                 raise ContractError(f"experts differ in {key}: {vals}")

@@ -9,17 +9,13 @@ Every numpy scoring path binds its score net, or a stack of them, through
 composed policy's weighted experts) and the baselines' ``score_provider``.
 ``score_graph`` is its training twin.
 
-Each expert owns one encoder and ``n_sub`` sub-policy score nets, and its
-score is their mean. It keeps them as one stacked ``ParamSet``, one array per
-tensor name with the sub-policy on the leading axis (``W_i`` of shape
-(n_sub, in, out), ``b_i`` of shape (n_sub, 1, out)), and one spec they share.
-Training, Adam, joint router fine-tuning, checkpoints and inference all use
-that one form. One ``mlp_infer`` call scores every sub-policy (of E experts,
-in ``mixed_score``), one ``mlp_forward`` call in ``_expert_score_graph``,
-which the expert and the joint router train through; each slice is
-bit-identical to that sub-policy's own call, and both average the slices in
-sub-policy order (``np.add.reduce`` adds them in order: the action axis after
-them is longer than 1), dividing the sum by ``n_sub``.
+Each expert owns one encoder and one score net, ``score_params`` under
+``score_spec``, shaped as ``init_mlp`` makes it; the paper factorizes the
+policy into one diffusion model per stream and nothing within one. Training,
+Adam, joint router fine-tuning, checkpoints and ``score_rows`` use that one
+net. ``mixed_score`` copies E experts' nets into one stack, weights of shape
+(E, in, out), and scores them all with one ``mlp_infer`` call per step; each
+slice is bit-identical to that expert's own call.
 """
 
 from __future__ import annotations
@@ -137,7 +133,7 @@ def init_encoder(modality: str, modality_dim: int, robot_dim: int, cfg,
 
 def score_net_spec(action_dim: int, cond_dim: int, cfg) -> nc.MlpSpec:
     """A score net over [a_k, cond, timestep features], from cfg's [expert]
-    shapes: an expert's sub-policy or a fusion baseline's one net."""
+    shapes: an expert's or a fusion baseline's one net."""
     ex = cfg.expert
     return nc.MlpSpec(action_dim + cond_dim + TIMESTEP_DIM, tuple(ex.sub_hidden),
                       action_dim, activation=ex.activation)
@@ -158,7 +154,7 @@ def _check_score_net(spec: nc.MlpSpec, action_dim: int, cond_dim: int, sigma_mod
 def score_graph(params: nc.ParamSet, spec: nc.MlpSpec, a_k: np.ndarray, cond: nc.Tensor,
                 ks: np.ndarray, n_steps: int) -> nc.Tensor:
     """The training twin of ``bind_score``: one graph forward of a score
-    net (or stack of them) over rows [a_k, cond, timestep features]."""
+    net over rows [a_k, cond, timestep features]."""
     feats = timestep_features(ks, n_steps)
     x = nc.concat_cols([nc.const(a_k), cond, nc.const(feats)])
     return nc.mlp_forward(params, spec, x)
@@ -168,8 +164,8 @@ def score_graph(params: nc.ParamSet, spec: nc.MlpSpec, a_k: np.ndarray, cond: nc
 class ModalityExpert:
     enc: Encoder
     action_dim: int
-    subs: nc.ParamSet          # the stacked sub-policies, see the module docstring
-    sub_spec: nc.MlpSpec
+    score_params: nc.ParamSet
+    score_spec: nc.MlpSpec
     n_steps: int
     sigma_mode: str = "beta"
     loss_history: list[float] = field(default_factory=list, repr=False)
@@ -177,33 +173,28 @@ class ModalityExpert:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ConfigError(f"expert '{self.modality}' needs n_steps >= 1, got {self.n_steps}")
-        got = {name: t.shape for name, t in self.subs.items()}
-        n = got.get("W0", (0,))[0]
+        got = {name: t.shape for name, t in self.score_params.items()}
         want = {}
-        for i, (fan_in, fan_out) in enumerate(self.sub_spec.layer_dims()):
-            want.update({f"W{i}": (n, fan_in, fan_out), f"b{i}": (n, 1, fan_out)})
-        if n < 1 or got != want:
-            raise ShapeError(f"expert '{self.modality}' needs one or more stacked "
-                             f"sub-policies of one spec, {want}, got {got}")
-        _check_score_net(self.sub_spec, self.action_dim, self.enc.emb_dim, self.sigma_mode,
+        for i, (fan_in, fan_out) in enumerate(self.score_spec.layer_dims()):
+            want.update({f"W{i}": (fan_in, fan_out), f"b{i}": (fan_out,)})
+        if got != want:
+            raise ShapeError(f"expert '{self.modality}' needs a score net of its spec, "
+                             f"{want}, got {got}")
+        _check_score_net(self.score_spec, self.action_dim, self.enc.emb_dim, self.sigma_mode,
                          f"expert '{self.modality}'")
 
     @property
     def modality(self) -> str:
         return self.enc.modality
 
-    @property
-    def n_sub(self) -> int:
-        return self.subs["W0"].shape[0]
-
     def n_params(self) -> int:
-        return self.enc.params.n_params() + self.subs.n_params()
+        return self.enc.params.n_params() + self.score_params.n_params()
 
     def param_groups(self) -> list[tuple[str, nc.ParamSet]]:
-        return [("enc", self.enc.params), ("subs", self.subs)]
+        return [("enc", self.enc.params), ("score", self.score_params)]
 
     def checksum(self) -> str:
-        return self.enc.params.checksum() + self.subs.checksum()
+        return self.enc.params.checksum() + self.score_params.checksum()
 
     # -- frozen (numpy) paths used by sampling, routing, and analysis --
 
@@ -212,38 +203,35 @@ class ModalityExpert:
         return self.enc.rows(m_rows, rs_rows)
 
     def score_rows(self, a_rows: np.ndarray, emb_rows: np.ndarray, ks) -> np.ndarray:
-        """This expert's score on rows [a_k, embedding, timestep features]: its
-        sub-policies' ``bind_score`` outputs averaged in order. Checked: a_k
-        must fit the rows, ks (an int or int array) lie in 1..n_steps, and the
-        output be finite."""
-        cond = emb_rows[None]   # the sub-policy stack axis
-        if a_rows.shape != cond.shape[-a_rows.ndim:-1] + (self.action_dim,):
+        """This expert's score on rows [a_k, embedding, timestep features],
+        its net's ``bind_score`` output. Checked: a_k must fit the rows, ks (an
+        int or int array) lie in 1..n_steps, and the output be finite."""
+        if a_rows.shape != emb_rows.shape[:-1] + (self.action_dim,):
             raise ShapeError(f"action rows {a_rows.shape} do not fit score rows "
-                             f"{cond.shape[:-1]}")
+                             f"{emb_rows.shape[:-1]}")
         timestep_features(ks, self.n_steps)   # refuses k outside 1..n_steps
-        out = bind_score(self.subs, self.sub_spec, cond, self.n_steps)(a_rows, ks)
+        out = bind_score(self.score_params, self.score_spec, emb_rows, self.n_steps)(a_rows, ks)
         nc.check_finite(out, "mlp_infer")
-        return np.add.reduce(out, axis=0) / self.n_sub
+        return out
 
 
 def mixed_score(experts: list[ModalityExpert], embs: list[np.ndarray], weights: np.ndarray):
     """A sampler's score provider ``(a_k, k)``, k an int in 1..n_steps: E
     experts' scores, as ``score_rows`` gives them, weighted by ``weights``
-    (E, rows..., 1) and summed in expert order. Their sub-policy stacks,
-    copied into one (E, n_sub, in, out) stack so a later weight edit is seen
-    only by the next binding, are bound once to their embedding rows
-    ``embs`` (``bind_score``): a call runs the layer ops and mixes, the
-    sub-policies, then the experts, a mix one expert at weight 1 skips as the
-    exact identity it is. Nothing is checked per call; ``ddpm_sample`` checks
-    its state once. The experts share one sub_spec, n_sub and n_steps."""
+    (E, rows..., 1) and summed in expert order. Their nets, copied into one
+    (E, in, out) stack so a later weight edit is seen only by the next
+    binding, are bound once to their embedding rows ``embs`` (``bind_score``):
+    a call runs the layer ops and the mix, which one expert at weight 1 skips
+    as the exact identity it is. Nothing is checked per call; ``ddpm_sample``
+    checks its state once. The experts share one score_spec and n_steps."""
     ex = experts[0]
-    subs = {name: np.array([e.subs[name].data for e in experts]) for name in ex.subs.names()}
-    score = bind_score(subs, ex.sub_spec, np.array(embs)[:, None], ex.n_steps)
-    n = ex.n_sub
+    params = {name: np.array([np.atleast_2d(e.score_params[name].data) for e in experts])
+              for name in ex.score_params.names()}   # biases (E, 1, out)
+    score = bind_score(params, ex.score_spec, np.array(embs), ex.n_steps)
     alone = len(experts) == 1 and bool((weights == 1.0).all())
 
     def mix(a_k: np.ndarray, k: int) -> np.ndarray:
-        out = np.add.reduce(score(a_k, k), axis=1) / n
+        out = score(a_k, k)
         return out[0] if alone else np.add.reduce(out * weights, axis=0)
 
     return mix
@@ -251,33 +239,28 @@ def mixed_score(experts: list[ModalityExpert], embs: list[np.ndarray], weights: 
 
 def init_expert(modality: str, modality_dim: int, robot_dim: int, action_dim: int,
                 cfg, rng: np.random.Generator) -> ModalityExpert:
-    """Fresh expert with random encoder/sub-policy weights from cfg shapes."""
+    """Fresh expert with random encoder and score-net weights from cfg shapes."""
     enc = init_encoder(modality, modality_dim, robot_dim, cfg, rng)
-    sub_spec = score_net_spec(action_dim, enc.emb_dim, cfg)
-    subs = nc.stack_params([nc.init_mlp(sub_spec, rng) for _ in range(cfg.expert.n_sub)])
+    spec = score_net_spec(action_dim, enc.emb_dim, cfg)
     return ModalityExpert(
-        enc=enc, action_dim=action_dim, subs=subs, sub_spec=sub_spec,
+        enc=enc, action_dim=action_dim, score_params=nc.init_mlp(spec, rng), score_spec=spec,
         n_steps=cfg.diffusion.steps, sigma_mode=cfg.diffusion.sigma_mode,
     )
 
 
 def _expert_score_graph(expert: ModalityExpert, a_k: np.ndarray, m_rows: np.ndarray,
                         rs_rows: np.ndarray, ks: np.ndarray) -> tuple[nc.Tensor, nc.Tensor]:
-    """Training-time (score, embedding): graph-recorded encoder + sub-policies.
-
-    The graph twin of encode_rows then score_rows: one stacked mlp_forward
-    call, averaged as score_rows averages it, so gradients flow into the
-    encoder and every sub-policy.
-    """
+    """Training-time (score, embedding): the graph twin of encode_rows then
+    score_rows, so gradients flow into the encoder and the score net."""
     emb = expert.enc.graph(m_rows, rs_rows)
-    out = score_graph(expert.subs, expert.sub_spec, a_k, emb, ks, expert.n_steps)
-    return nc.reduce_stack(out), emb
+    return score_graph(expert.score_params, expert.score_spec, a_k, emb, ks,
+                       expert.n_steps), emb
 
 
 def train_expert(dataset, modality: str, cfg, rng: np.random.Generator) -> ModalityExpert:
     """Fit one modality's expert on the dataset by the eps-MSE objective.
 
-    The encoder and all sub-policies train jointly; only the named modality's
+    The encoder and the score net train jointly; only the named modality's
     stream and the robot state are ever read. Deterministic given rng.
     """
     if modality not in dataset.modality_dims:

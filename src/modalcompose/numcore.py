@@ -119,15 +119,6 @@ def mse_rows(a: Tensor, target: Array) -> Tensor:
     return out
 
 
-def reduce_stack(a: Tensor) -> Tensor:
-    """The mean of the leading (stack) axis of S slices: their sum in slice
-    order, divided by S."""
-    n = a.data.shape[0]
-    out = Tensor(np.add.reduce(a.data, axis=0) / n, (a,), _op="reduce_stack")
-    out._bw = lambda g: _acc(a, np.broadcast_to(g / n, a.data.shape))
-    return out
-
-
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     datas = [p.data for p in parts]
     out = Tensor(np.concatenate(datas, axis=1), tuple(parts), _op="concat")
@@ -251,29 +242,9 @@ def init_mlp(spec: MlpSpec, rng: np.random.Generator) -> ParamSet:
     return ps
 
 
-def stack_params(nets: Sequence[ParamSet]) -> ParamSet:
-    """Nets of one spec as one stacked set for ``mlp_forward`` and
-    ``mlp_infer``: weights (S, in, out) and biases (S, 1, out), in net order."""
-    ps = ParamSet()
-    for name in nets[0].names():
-        data = np.stack([net[name].data for net in nets])
-        ps.add(name, data[:, None] if name.startswith("b") else data)
-    return ps
-
-
-def unstack_params(stack: ParamSet, s: int) -> ParamSet:
-    """A copy of net s of a stacked set, shaped as ``init_mlp`` makes it."""
-    ps = ParamSet()
-    for name, t in stack.items():
-        ps.add(name, (t.data[s, 0] if name.startswith("b") else t.data[s]).copy())
-    return ps
-
-
 def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor) -> Tensor:
-    """Recorded forward pass as one graph node; input shape (batch,
-    input_dim). ``params`` may hold S nets stacked as in ``mlp_infer``: the
-    output is then (S, batch, output_dim), slice s bit-identical to net s
-    alone, and so are the gradients each net receives.
+    """Recorded forward pass of one net as one graph node; input shape
+    (batch, input_dim), weights as ``init_mlp`` makes them.
 
     Each layer checks its pre-activation ``h @ W + b`` for NaN/Inf. The
     backward takes the separate ops' adjoint steps in their order, last layer
@@ -287,12 +258,10 @@ def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor) -> Tensor:
     Ws = [params[f"W{i}"] for i in range(last + 1)]
     bs = [params[f"b{i}"] for i in range(last + 1)]
     hs, zs = [x.data], []     # each layer's input and pre-activation
-    for i, W in enumerate(Ws):
-        h, w = hs[-1], W.data
-        if (h.ndim not in (2, w.ndim) or w.ndim not in (2, 3) or h.shape[-1] != w.shape[-2]
-                or h.ndim == 3 and h.shape[0] != w.shape[0]):
-            raise ShapeError(f"MLP layer {i}: input {h.shape} does not fit W {w.shape}")
-        zs.append(h @ w + bs[i].data)
+    for i, (W, dims) in enumerate(zip(Ws, spec.layer_dims())):
+        if W.data.shape != dims:
+            raise ShapeError(f"MLP layer {i}: W {W.data.shape} does not fit {dims}")
+        zs.append(hs[-1] @ W.data + bs[i].data)
         if i < last:
             check_finite(zs[-1], f"mlp layer {i}")
             hs.append(act(zs[-1]))
@@ -303,9 +272,9 @@ def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor) -> Tensor:
             if i < last:
                 g = dact(zs[i], hs[i + 1], g)
             _acc(bs[i], _unbroadcast(g, bs[i].data.shape))
-            _acc(Ws[i], hs[i].swapaxes(-1, -2) @ g)
+            _acc(Ws[i], hs[i].T @ g)
             if i or type(x) is not _Const:
-                g = _unbroadcast(g @ Ws[i].data.swapaxes(-1, -2), hs[i].shape)
+                g = g @ Ws[i].data.T
         _acc(x, g)
 
     out._bw = bw

@@ -18,12 +18,12 @@ import numpy as np
 from . import checkpoint as cp
 from .compose import ComposedPolicy, manual_weights, train_concat_policy, train_moe_policy
 from .diffusion import make_schedule
-from .envs import Dataset, generate_dataset, make_env_spec, run_expert_episode
+from .envs import Dataset, generate_dataset, make_env_spec
 from .errors import ConfigError, ContractError, FormatError
 from .experts import train_expert
 from .rollout import evaluate_policy
 from .router import train_router
-from .rngstream import TAG_EVAL, TAG_TRAIN, stream
+from .rngstream import TAG_TRAIN, stream
 from .runconfig import RunConfig, model_hash
 
 # fixed training-stream labels; expert i uses 1 + i, shared routers/baselines
@@ -322,21 +322,6 @@ def run_eval(target, n: int, seed: int, env_name: str | None = None,
     return [{"task": spec.name, "method": label, "success_rate": rate,
              "mean_steps": mean_steps, "param_count": policy.n_params(),
              "seed": seed}]
-
-
-def eval_scripted(env_name: str, n: int, seed: int) -> list[dict]:
-    """Oracle upper-bound row: the scripted expert driving its own episodes."""
-    if n <= 0:
-        raise ContractError("n must be positive")
-    spec = make_env_spec(env_name)
-    wins = 0
-    steps = []
-    for ep in range(n):
-        episode, success = run_expert_episode(spec, stream(seed, TAG_EVAL, ep))
-        wins += success
-        steps.append(len(episode.actions))
-    return [{"task": env_name, "method": "scripted", "success_rate": wins / n,
-             "mean_steps": float(np.mean(steps)), "param_count": 0, "seed": seed}]
 
 
 METRICS_COLUMNS = ("task", "method", "success_rate", "mean_steps",

@@ -49,7 +49,7 @@ class DiffusionConfig:
 
 @dataclass(frozen=True)
 class ExpertConfig:
-    n_sub: int = 2
+    n_sub: int = 1             # retired; kept 1 so config hashes keep their bytes
     enc_hidden: tuple[int, ...] = (64, 64)
     enc_out: int = 32
     sub_hidden: tuple[int, ...] = (64, 64)
@@ -57,7 +57,8 @@ class ExpertConfig:
     noise_band_split: bool = False   # retired; kept false so config hashes keep their bytes
 
     def __post_init__(self):
-        _require(self.n_sub >= 1, "[expert] n_sub", self.n_sub, ">= 1")
+        _require(self.n_sub == 1, "[expert] n_sub", self.n_sub,
+                 "1 (the averaged sub-policy stack was retired)")
         _require(self.enc_out >= 1, "[expert] enc_out", self.enc_out, ">= 1")
         for key in ("enc_hidden", "sub_hidden"):
             widths = getattr(self, key)

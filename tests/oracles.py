@@ -4,8 +4,9 @@
 ``modalcompose.numcore``: the eps-MSE op chain whose bits ``numcore.mse_rows``
 reproduces as one node, and the small losses the gradient tests build.
 ``finite_diff_grad`` is the gradient oracle, ``effective_eps`` a perfect
-denoiser for the sampler tests, and ``read_metrics_csv`` reads back the rows
-``pipeline.write_metrics_csv`` writes.
+denoiser for the sampler tests, ``read_metrics_csv`` reads back the rows
+``pipeline.write_metrics_csv`` writes, and ``eval_scripted`` is the scripted
+demonstrator's metrics row, the ceiling the evaluation tests compare against.
 """
 
 import csv
@@ -13,8 +14,10 @@ from typing import Callable
 
 import numpy as np
 
+from modalcompose.envs import make_env_spec, run_expert_episode
 from modalcompose.errors import ContractError
 from modalcompose.numcore import Array, ParamGroups, Tensor, _acc, _unbroadcast
+from modalcompose.rngstream import TAG_EVAL, stream
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -82,3 +85,18 @@ def read_metrics_csv(path) -> list[dict]:
                          "param_count": int(raw["param_count"]),
                          "seed": int(raw["seed"])})
         return rows
+
+
+def eval_scripted(env_name: str, n: int, seed: int) -> list[dict]:
+    """Oracle upper-bound row: the scripted expert driving its own episodes."""
+    if n <= 0:
+        raise ContractError("n must be positive")
+    spec = make_env_spec(env_name)
+    wins = 0
+    steps = []
+    for ep in range(n):
+        episode, success = run_expert_episode(spec, stream(seed, TAG_EVAL, ep))
+        wins += success
+        steps.append(len(episode.actions))
+    return [{"task": env_name, "method": "scripted", "success_rate": wins / n,
+             "mean_steps": float(np.mean(steps)), "param_count": 0, "seed": seed}]

@@ -123,8 +123,7 @@ def test_traced_moe_act_calls_its_gate_as_a_router(tracer):
 
 
 def test_expert_training_step_records_two_mlp_forwards(tracer):
-    """One graph forward for the encoder and one for the stacked sub-policies,
-    whatever n_sub is."""
+    """One graph forward for the encoder and one for the score net."""
     ds = constant_action_dataset([0.1, 0.2])
     xp.train_expert(ds, "vis", tiny_cfg(steps=1), np.random.default_rng(0))
     assert calls(tracer, "numcore.mlp_forward") == 2

@@ -182,7 +182,7 @@ def test_expert_round_trip(tmp_path, rng):
     assert ck.metadata["config_hash"] == "abc123"
     back, stats2, sched2 = cpt.expert_from_checkpoint(ck)
     assert back.checksum() == expert.checksum()
-    assert back.modality == "vis" and back.n_sub == expert.n_sub
+    assert back.modality == "vis" and back.score_spec == expert.score_spec
     assert stats2.key() == stats.key()
     assert sched2.K == sched.K and np.allclose(sched2.betas, sched.betas)
     e = back.encode_rows(rng.normal(size=(1, 5)), rng.normal(size=(1, 2)))
@@ -244,7 +244,7 @@ def test_missing_tensor_detected(tmp_path, rng):
     cpt.save_expert(expert, demo_stats(), make_schedule(), path,
                     env_name="occluded_reach", seed=0, config_hash="h")
     ck = cpt.load_checkpoint(path)
-    del ck.tensors["sub1/W0"]
+    del ck.tensors["sub0/W0"]
     with pytest.raises(FormatError):
         cpt.expert_from_checkpoint(ck)
 
@@ -258,19 +258,20 @@ def saved_expert_checkpoint(tmp_path, cfg=None):
 
 
 def test_malformed_expert_shapes_rejected(tmp_path):
-    """A tensor whose shape is not its spec's, and sub-policy specs that
-    differ or are missing, are format errors, not crashes at the first score."""
+    """A tensor whose shape is not its spec's, a score-net spec its tensors
+    do not fit, and a missing score-net spec are format errors, not crashes
+    at the first score."""
     _, path = saved_expert_checkpoint(tmp_path)
     ck = cpt.load_checkpoint(path)
-    ck.tensors["sub1/W1"] = ck.tensors["sub1/W1"][:, :1]
-    with pytest.raises(FormatError, match="sub1/W1"):
+    ck.tensors["sub0/W1"] = ck.tensors["sub0/W1"][:, :1]
+    with pytest.raises(FormatError, match="sub0/W1"):
         cpt.expert_from_checkpoint(ck)
     ck = cpt.load_checkpoint(path)
     ck.tensors["enc/b0"] = np.zeros(3)
     with pytest.raises(FormatError, match="enc/b0"):
         cpt.expert_from_checkpoint(ck)
     ck = cpt.load_checkpoint(path)
-    ck.metadata["sub_specs"][1]["hidden"] = [16]
+    ck.metadata["sub_specs"][0]["hidden"] = [16]
     with pytest.raises(FormatError):
         cpt.expert_from_checkpoint(ck)
     ck = cpt.load_checkpoint(path)
@@ -361,6 +362,13 @@ def _put(path, value):
     return edit
 
 
+def _twice(key):
+    """Two score-net specs, as an expert of two sub-policies was saved."""
+    def edit(m):
+        m[key] = m[key] * 2
+    return edit
+
+
 BAD_METADATA = {
     "expert": [_drop("sub_specs"), _put(["n_steps"], "fifty"), _put(["n_steps"], 0),
                _drop("modality"), _put(["sub_specs"], "one"), _put(["sub_specs"], [3]),
@@ -368,7 +376,8 @@ BAD_METADATA = {
                _put(["stats", "act_min"], [0.0]), _put(["schedule", "steps"], "fifty"),
                _put(["noise_band_split"], "no"), _put(["robot_dim"], True),
                _put(["encoder_spec", "input_dim"], -5), _put(["modality_dim"], 99),
-               _put(["noise_band_split"], True)],   # band split was retired
+               _put(["noise_band_split"], True),    # band split was retired
+               _twice("sub_specs")],                # so was the averaged sub-policy stack
     "router": [_drop("router_spec"), _put(["router_spec", "output_dim"], "fifty"),
                _put(["emb_dims"], "fifty"), _put(["modality_order"], [1, 2]),
                _put(["router_spec", "activation"], "relu6")],
@@ -441,7 +450,7 @@ def _saved(tmp_path, kind):
     """A saved expert or concat checkpoint, its one weight tensor a test edits,
     and its typed reader."""
     if kind == "expert":
-        return saved_expert_checkpoint(tmp_path)[1], "sub1/b0", cpt.expert_from_checkpoint
+        return saved_expert_checkpoint(tmp_path)[1], "sub0/b0", cpt.expert_from_checkpoint
     path = tmp_path / "concat.mcpf"
     policy = train_concat_policy(constant_action_dataset(np.array([0.2, -0.2])),
                                  small_cfg(), np.random.default_rng(4))

@@ -14,7 +14,6 @@ from modalcompose.cli import cli_dispatch
 
 CONFIG = """\
 [expert]
-n_sub = 1
 enc_hidden = 8
 enc_out = 4
 sub_hidden = 16

@@ -200,12 +200,10 @@ def test_composed_policy_built_directly_refuses_a_router_that_does_not_fit(
                           router=router)
 
 
-@pytest.mark.parametrize("key, knobs", [("sub_spec", dict(sub_hidden=(16,))),
-                                         ("sub_spec", dict(activation="relu")),
-                                         ("n_sub", dict(n_sub=3))])
+@pytest.mark.parametrize("key, knobs", [("score_spec", dict(sub_hidden=(16,))),
+                                         ("score_spec", dict(activation="relu"))])
 def test_composed_policy_refuses_experts_that_do_not_stack(rng, key, knobs):
-    """Every expert's sub-policies score as one stack, so they share one
-    spec and n_sub."""
+    """Every expert's score net scores in one stack, so they share one spec."""
     cfg = small_cfg().with_section("expert", **knobs)
     odd = xp.init_expert("tac", 3, 2, 2, cfg, rng)
     stats = constant_action_dataset(np.array([0.1, 0.2])).stats()
@@ -284,16 +282,17 @@ def test_composed_policy_cannot_be_changed_after_it_is_built():
 
 def _six_kinds():
     """The six policy kinds, each with the one score net whose bias a test
-    poisons: a sub-policy stack of one expert, or the fusion score net."""
+    poisons: one expert's, or the fusion baseline's."""
     experts = fresh_experts()
     sched, stats = make_schedule(), constant_action_dataset(np.array([0.1, 0.2])).stats()
     concat, moe = _fusion(cp.train_concat_policy), _fusion(cp.train_moe_policy)
     return {
-        "vis": (cp.single_expert_policy(experts[0], sched, stats), experts[0].subs),
-        "tac": (cp.single_expert_policy(experts[1], sched, stats), experts[1].subs),
-        "equal": (cp.manual_compose(experts, [0.5, 0.5], sched, stats), experts[1].subs),
+        "vis": (cp.single_expert_policy(experts[0], sched, stats), experts[0].score_params),
+        "tac": (cp.single_expert_policy(experts[1], sched, stats), experts[1].score_params),
+        "equal": (cp.manual_compose(experts, [0.5, 0.5], sched, stats),
+                  experts[1].score_params),
         "learned": (cp.compose_policy(experts, _router(), "soft", sched, stats),
-                    experts[0].subs),
+                    experts[0].score_params),
         "concat": (concat, concat.score_params),
         "moe": (moe, moe.score_params),
     }
@@ -304,14 +303,14 @@ def _six_kinds():
                                        ("b0", np.nan)])
 def test_a_nonfinite_score_net_bias_refuses_the_sample(rng, kind, bias, bad):
     """The sampler's score nets run unchecked at every step; a non-finite
-    output bias (b1) or a NaN hidden bias (b0) of one sub-policy, or of the
-    fusion score net, still makes act() and act_rows() raise, with no
+    output bias (b1) or a NaN hidden bias (b0) of one expert's score net, or
+    of the fusion score net, still makes act() and act_rows() raise, with no
     sample returned."""
     policy, params = _six_kinds()[kind]
     obs = [random_obs(rng) for _ in range(3)]
     assert np.isfinite(policy.act(obs[0], np.random.default_rng(0))).all()
     data = params[bias].data
-    data[(1, 0, 0) if data.ndim == 3 else 0] = bad
+    data[0] = bad
     with pytest.raises(NumericError):
         policy.act(obs[0], np.random.default_rng(0))
     with pytest.raises(NumericError):

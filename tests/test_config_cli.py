@@ -22,7 +22,7 @@ def test_documented_defaults():
     assert cfg.diffusion.steps == 50
     assert cfg.diffusion.beta_start == 1e-4
     assert cfg.diffusion.beta_end == 0.02
-    assert cfg.expert.n_sub == 2
+    assert cfg.expert.n_sub == 1
     assert cfg.run.eval_n == 200
     assert cfg.probe.sigma_scale == 0.1
     assert cfg.probe.ema_alpha == 0.1
@@ -97,7 +97,8 @@ def test_parse_errors_carry_line_numbers():
     ("run", "strategy", "bogus"), ("expert", "enc_out", 0), ("expert", "enc_hidden", (0, 64)),
     ("expert", "sub_hidden", (-3,)), ("router", "hidden", (0,)), ("probe", "sigma_scale", -1.0),
     ("probe", "sigma_scale", float("nan")), ("probe", "modalities", ("vis", "vis")),
-    ("run", "demos", 0), ("run", "eval_n", -5), ("expert", "noise_band_split", True)])
+    ("run", "demos", 0), ("run", "eval_n", -5), ("expert", "noise_band_split", True),
+    ("expert", "n_sub", 2)])
 def test_bad_values_are_refused_when_the_config_is_built(section, key, value):
     text = ",".join(map(str, value)) if isinstance(value, tuple) else value
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must"):

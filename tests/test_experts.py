@@ -1,4 +1,4 @@
-"""Per-modality expert tests: features, intra-modality averaging, training."""
+"""Per-modality expert tests: features, scoring, training."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,10 @@ from modalcompose.runconfig import RunConfig
 from tests.conftest import constant_action_dataset
 
 
-def small_cfg(steps=0, n_sub=2):
+def small_cfg(steps=0, depth=1):
+    """Small shapes; the score net has ``depth`` hidden layers of 32."""
     cfg = RunConfig()
-    cfg = cfg.with_section("expert", enc_hidden=(16,), enc_out=8,
-                           sub_hidden=(32,), n_sub=n_sub)
+    cfg = cfg.with_section("expert", enc_hidden=(16,), enc_out=8, sub_hidden=(32,) * depth)
     return cfg.with_section("train", steps=steps, batch=16, lr=1e-3)
 
 
@@ -50,23 +50,15 @@ def test_timestep_features_manual_formula():
 
 
 # ---------------------------------------------------------------------------
-# wiring, encode, intra composition
+# wiring, encode, scoring
 
 
-def make_expert(rng, n_sub=2):
-    cfg = small_cfg(n_sub=n_sub)
-    return xp.init_expert("vis", 5, 2, 2, cfg, rng)
+def make_expert(rng):
+    return xp.init_expert("vis", 5, 2, 2, small_cfg(), rng)
 
 
 def encode(ex, m, rs):
     return ex.encode_rows(m[None, :], rs[None, :])
-
-
-def sub_eps(ex, j, a_k, e, k):
-    """Sub-policy j's noise prediction for one row, from a copy of its stack
-    slice: the oracle score_rows averages."""
-    x = np.concatenate([a_k, e[0], xp.timestep_features(k, ex.n_steps)])
-    return nc.mlp_infer(nc.unstack_params(ex.subs, j), ex.sub_spec, x[None, :])[0]
 
 
 def score(ex, a_k, e, k):
@@ -91,15 +83,7 @@ def test_encode_appends_robot_state_verbatim(rng):
     assert np.array_equal(e[0, -2:], rs)
 
 
-def test_intra_compose_is_mean_of_subpolicies(rng):
-    ex = make_expert(rng, n_sub=3)
-    e = encode(ex, rng.normal(size=5), rng.normal(size=2))
-    a_k = rng.normal(size=2)
-    per_sub = [sub_eps(ex, j, a_k, e, 20) for j in range(ex.n_sub)]
-    assert np.allclose(score(ex, a_k, e, 20), np.mean(per_sub, axis=0), atol=1e-15)
-
-
-def test_subpolicy_eps_validates_k_and_dims(rng):
+def test_score_rows_validates_k_and_dims(rng):
     ex = make_expert(rng)
     e = encode(ex, rng.normal(size=5), rng.normal(size=2))
     with pytest.raises(ContractError):
@@ -124,11 +108,12 @@ def test_score_rows_matches_single_calls(rng):
 
 
 @pytest.mark.parametrize("relu", [False, True])
-@pytest.mark.parametrize("n_sub", [1, 2, 3])
-def test_training_graph_scores_as_score_rows(rng, n_sub, relu):
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_training_graph_scores_as_score_rows(rng, depth, relu):
     """Training and inference compute the same function: the graph's score
-    equals score_rows on the same 2-D rows bit for bit, tanh or relu."""
-    cfg = small_cfg(n_sub=n_sub).with_section("expert", activation="relu" if relu else "tanh")
+    equals score_rows on the same 2-D rows bit for bit, tanh or relu, with a
+    score net of 1 to 3 hidden layers."""
+    cfg = small_cfg(depth=depth).with_section("expert", activation="relu" if relu else "tanh")
     ex = xp.init_expert("vis", 5, 2, 2, cfg, rng)
     m, rs, a = rng.normal(size=(64, 5)), rng.normal(size=(64, 2)), rng.normal(size=(64, 2))
     ks = rng.integers(1, ex.n_steps + 1, size=64)
@@ -137,32 +122,27 @@ def test_training_graph_scores_as_score_rows(rng, n_sub, relu):
     assert np.array_equal(graph.data, ex.score_rows(a, emb.data, ks))
 
 
-def per_sub_oracle(ex, a, e, ks):
-    """score_rows written out: each sub-policy net alone on concatenated
-    [a, e, features] rows, averaged in order."""
+def net_oracle(ex, a, e, ks):
+    """score_rows written out: the expert's net on concatenated
+    [a, e, features] rows."""
     n = a.shape[0]
     feats = xp.timestep_features(np.broadcast_to(ks, (n,)), ex.n_steps)
     x = np.concatenate([a, e, feats.reshape(a.shape[:-1] + (-1,))], axis=-1)
-    outs = [nc.mlp_infer(nc.unstack_params(ex.subs, j), ex.sub_spec, x)
-            for j in range(ex.n_sub)]
-    total = outs[0]
-    for o in outs[1:]:
-        total = total + o
-    return total / ex.n_sub
+    return nc.mlp_infer(ex.score_params, ex.score_spec, x)
 
 
 @pytest.mark.parametrize("act", ["tanh", "relu"])
 @pytest.mark.parametrize("row_stacked", [False, True])
-@pytest.mark.parametrize("n_sub", [1, 2, 3, 5])
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
 @pytest.mark.parametrize("n_exp", [1, 2, 3])
-def test_stacked_scores_are_each_expert_alone(rng, n_exp, n_sub, row_stacked, act):
-    """Each expert's checked score_rows is its sub-policy nets one at a time,
-    averaged by an in-order slice sum, bit for bit; the sampler's bound
-    mixed_score, one stacked call over E experts, gives each of them alone
-    under a one-hot weight and their weighted sum in expert order. On 2-D
-    rows (64 of them, with a k per row or one k) or on B row-stacked rows at
-    one k of either half of the schedule."""
-    cfg = small_cfg(n_sub=n_sub).with_section("expert", activation=act)
+def test_stacked_scores_are_each_expert_alone(rng, n_exp, depth, row_stacked, act):
+    """Each expert's checked score_rows is its net alone, bit for bit; the
+    sampler's bound mixed_score, one stacked call over E experts, gives each
+    of them alone under a one-hot weight and their weighted sum in expert
+    order. On 2-D rows (64 of them, with a k per row or one k) or on B
+    row-stacked rows at one k of either half of the schedule, with score
+    nets of ``depth`` hidden layers."""
+    cfg = small_cfg(depth=depth).with_section("expert", activation=act)
     experts = [xp.init_expert(m, d, 2, 2, cfg, rng)
                for m, d in (("vis", 5), ("tac", 3), ("aud", 4))[:n_exp]]
     lay = nc.row_layout if row_stacked else np.asarray
@@ -176,7 +156,7 @@ def test_stacked_scores_are_each_expert_alone(rng, n_exp, n_sub, row_stacked, ac
         alone = np.array([ex.score_rows(a, e, ks) for ex, e in zip(experts, embs)])
         assert alone.shape == (n_exp,) + a.shape
         for ex, e, got in zip(experts, embs, alone):
-            assert np.array_equal(got, per_sub_oracle(ex, a, e, ks))
+            assert np.array_equal(got, net_oracle(ex, a, e, ks))
         if not isinstance(ks, int):
             continue
         for i in range(n_exp):
@@ -190,24 +170,24 @@ def test_stacked_scores_are_each_expert_alone(rng, n_exp, n_sub, row_stacked, ac
 
 def test_expert_param_count(rng):
     ex = make_expert(rng)
-    # encoder 5->16->8 plus two sub nets (2+10+16)->32->2
+    # encoder 5->16->8 plus the score net (2+10+16)->32->2
     enc = 5 * 16 + 16 + 16 * 8 + 8
-    sub = 28 * 32 + 32 + 32 * 2 + 2
-    assert ex.n_params() == enc + 2 * sub
+    score = 28 * 32 + 32 + 32 * 2 + 2
+    assert ex.n_params() == enc + score
     assert ex.enc.emb_dim == 10
 
 
-def test_expert_needs_subpolicies_of_one_spec(rng):
-    with pytest.raises(ConfigError):
-        make_expert(rng, n_sub=0)
+def test_expert_needs_a_score_net_of_its_spec(rng):
+    """No net, a one-net stack (an old sub-policy stack's shapes) and a net
+    of another spec are shape errors when the expert is built."""
     ex = make_expert(rng)
-    empty = nc.ParamSet()
-    for name, t in ex.subs.items():
-        empty.add(name, t.data[:0])
-    odd = nc.stack_params([nc.init_mlp(nc.MlpSpec(28, (16,), 2), rng)] * 2)
-    for subs in (nc.ParamSet(), empty, odd):
+    one_stack = nc.ParamSet()
+    for name, t in ex.score_params.items():
+        one_stack.add(name, t.data[None])
+    odd = nc.init_mlp(nc.MlpSpec(28, (16,), 2), rng)
+    for params in (nc.ParamSet(), one_stack, odd):
         with pytest.raises(ShapeError):
-            xp.ModalityExpert(ex.enc, 2, subs, ex.sub_spec, 50)
+            xp.ModalityExpert(ex.enc, 2, params, ex.score_spec, 50)
 
 
 def test_init_expert_deterministic():

@@ -290,6 +290,16 @@ def stacked_nets(rng, spec, n):
     return nets
 
 
+def stack(nets):
+    """Nets of one spec as the dict of stacked arrays ``mlp_infer`` takes:
+    weights (S, in, out) and biases (S, 1, out), in net order."""
+    out = {}
+    for name in nets[0].names():
+        data = np.stack([net[name].data for net in nets])
+        out[name] = data[:, None] if name[0] == "b" else data
+    return out
+
+
 @pytest.mark.parametrize("act", ["tanh", "relu"])
 @pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
 def test_mlp_infer_stack_axes_slices_and_untouched_input(rng, hidden, act):
@@ -299,8 +309,8 @@ def test_mlp_infer_stack_axes_slices_and_untouched_input(rng, hidden, act):
     layer. The input is never written, although the layers run in place."""
     spec = nc.MlpSpec(3, hidden, 2, activation=act)
     nets = stacked_nets(rng, spec, 6)
-    flat = nc.stack_params(nets)
-    two = {name: t.data.reshape((2, 3) + t.data.shape[1:]) for name, t in flat.items()}
+    flat = stack(nets)
+    two = {name: a.reshape((2, 3) + a.shape[1:]) for name, a in flat.items()}
     fn = {"tanh": np.tanh, "relu": lambda z: np.maximum(z, 0.0)}[act]
     for x in (rng.normal(size=(5, 3)), nc.row_layout(rng.normal(size=(5, 3))),
               rng.normal(size=(1, 3))):
@@ -326,56 +336,6 @@ def test_mlp_infer_stack_axes_slices_and_untouched_input(rng, hidden, act):
             nc.mlp_infer(params, spec, rng.normal(size=(5, 3)))
 
 
-@pytest.mark.parametrize("relu", [False, True])
-def test_stacked_mlp_forward_is_each_net_alone(rng, relu):
-    """Every slice of the stacked forward, and every net's gradients, equal
-    the separate 2-D graph bit for bit, tanh or relu; the shared input's
-    adjoint is their sum in net order."""
-    spec = nc.MlpSpec(5, (7, 6), 3, activation="relu" if relu else "tanh")
-    nets = stacked_nets(rng, spec, 3)
-    stack = nc.stack_params(nets)
-    x_val, adj = rng.normal(size=(9, 5)), rng.normal(size=(9, 3))
-
-    x = nc.Tensor(x_val)
-    out = nc.mlp_forward(stack, spec, x)
-    nc.backward(sumall(nc.mul(nc.reduce_stack(out), nc.const(adj))),
-                [("s", stack), ("x", _as_paramset(x=x))])
-    x_grad = np.zeros_like(x_val)
-    for j, net in enumerate(nets):
-        xj = nc.Tensor(x_val)
-        oj = nc.mlp_forward(net, spec, xj)
-        assert np.array_equal(out.data[j], oj.data)
-        # the slice's share of the adjoint, as the reduction hands it down
-        nc.backward(sumall(nc.mul(oj, nc.const(adj / 3))),
-                    [("n", net), ("x", _as_paramset(x=xj))])
-        x_grad += xj.grad
-        for name, t in net.items():
-            assert np.array_equal(stack[name].grad[j].reshape(t.shape), t.grad)
-    assert np.array_equal(x.grad, x_grad)
-
-
-def test_reduce_stack_is_the_mean_in_slice_order(rng):
-    a = rng.normal(size=(3, 4, 2))
-    mean = nc.reduce_stack(nc.const(a)).data
-    assert np.array_equal(mean, (a[0] + a[1] + a[2]) / 3)
-
-
-def test_stacked_mlp_gradcheck(rng):
-    spec = nc.MlpSpec(3, (4,), 2)
-    stack = nc.stack_params(stacked_nets(rng, spec, 3))
-    x = rng.normal(size=(5, 3))
-
-    def loss():
-        y = nc.reduce_stack(nc.mlp_forward(stack, spec, nc.const(x)))
-        return sumall(nc.mul(y, y))
-
-    nc.backward(loss(), [("s", stack)])
-    analytic = {f"s/{n}": t.grad.copy() for n, t in stack.items()}
-    numeric = finite_diff_grad(lambda: loss().data.item(), [("s", stack)])
-    for key in analytic:
-        assert rel_err(analytic[key], numeric[key]) < 1e-6, key
-
-
 # sha256 of each gradient after one backward through mlp_forward, recorded
 # with one graph node per matmul, bias add and activation
 GRAD_PINS = {
@@ -388,15 +348,6 @@ GRAD_PINS = {
         "b2": "7c4dc430bf5667bb4e09591e87cd66405f8983b6bd7a02010959e079a6a3147c",
         "x": "5680d4c277282a62e0a96491501ad6346e117b412145bac5aef3fd0867daa366",
     },
-    ("tanh", 3): {
-        "W0": "e677ab7a780ad754793af922bb1f777160a21cd264aa879f9aba36b00fb7aa70",
-        "b0": "9c28c9d99cb9986375b3812a9cb16c7cbc96723ec0f8a221a5612f91f4fae529",
-        "W1": "bc1de30b2d85479c0c298d9d913de774382fbb2b745818d6e3bd3b4241e3ccea",
-        "b1": "4e95d96f360aae828e9ef098293c6328b96b17a381ffafbe7e15654b43e3217c",
-        "W2": "3d110dd4a3beaa80d552a436f3b5c5f82c7cada23001df15f14b088f92a5b7be",
-        "b2": "cd1b7e3271f953fa46049421d274d6941ac3ee6dd7ff44f27f743320b90be37a",
-        "x": "6c5aacc7d42aab779291114f827bb1f26c06115c9ff14b36463f0d6b38117710",
-    },
     ("relu", 0): {
         "W0": "56bb5dd5d8fc5c90a054d8173a27d558f7777c62b4c3073935247e96fff4a90f",
         "b0": "d693e17093ac7f1643aad8e620894a7226b4b398b1d425450a8f00026588a9f2",
@@ -406,26 +357,16 @@ GRAD_PINS = {
         "b2": "7c4dc430bf5667bb4e09591e87cd66405f8983b6bd7a02010959e079a6a3147c",
         "x": "d2d771a22e62e5e4b2548ceefb7b4e5641141c5918f07f4143cc2cf06c8dac61",
     },
-    ("relu", 3): {
-        "W0": "fca0eb75f4c488c61579fdcb105419151ccbb80d9e8c95e22759bdb80a29e343",
-        "b0": "d4ce604d860959c475c2688c4ac74363e08e76de1757c52f7ba498e720f35457",
-        "W1": "c505fee41fa231afc04e6e3ddc68f1318d1ce334b9ac356d9057e18a4a319cb2",
-        "b1": "6dcf10c249b0e81a7f2d2631af05e34345ea4c743c7519c9045576b3fa7f182a",
-        "W2": "2a1bbff0b4d396de4105b9c9e3ce2b01c5c66bd5b4d4f9915aa1d344d764e807",
-        "b2": "cd1b7e3271f953fa46049421d274d6941ac3ee6dd7ff44f27f743320b90be37a",
-        "x": "f971ba6b26abcaf373bdede31ff8a8a75b43d37e80e341a021ad26bba787f0a4",
-    },
 }
 
 
 @pytest.mark.parametrize("act,n_stack", sorted(GRAD_PINS))
 def test_mlp_backward_grads_are_pinned(act, n_stack):
-    """Parameter and input gradients of 2-D (n_stack 0) and 3-stacked nets,
-    bit for bit, with the input on the graph."""
+    """Parameter and input gradients of one 2-D net (no stack axis, the only
+    form ``mlp_forward`` takes), bit for bit, with the input on the graph."""
     rng = np.random.default_rng(2024)
     spec = nc.MlpSpec(5, (7, 6), 3, activation=act)
-    nets = stacked_nets(rng, spec, max(n_stack, 1))
-    ps = nc.stack_params(nets) if n_stack else nets[0]
+    ps = stacked_nets(rng, spec, 1)[0]
     x = nc.Tensor(rng.normal(size=(9, 5)))
     out = nc.mlp_forward(ps, spec, x)
     adj = rng.normal(size=out.shape)
@@ -437,30 +378,20 @@ def test_mlp_backward_grads_are_pinned(act, n_stack):
 
 
 def test_stacked_matmul_shape_errors(rng):
-    w = nc.Tensor(rng.normal(size=(2, 3, 4)))
-    stacked = _as_paramset(W0=w, b0=nc.Tensor(np.zeros((2, 1, 4))))
-    spec = nc.MlpSpec(3, (), 4)
-    for a in (rng.normal(size=(5, 2)), rng.normal(size=(3, 5, 3)),
-              rng.normal(size=(5,)), rng.normal(size=(1, 2, 5, 3))):
-        with pytest.raises(ShapeError):
-            nc.mlp_forward(stacked, spec, nc.Tensor(a))
-    # a stacked hidden layer feeding a 2-D or differently stacked one
-    for w1 in (rng.normal(size=(4, 1)), rng.normal(size=(3, 4, 1))):
-        ps = _as_paramset(W0=w, b0=nc.Tensor(np.zeros((2, 1, 4))), W1=nc.Tensor(w1),
-                          b1=nc.Tensor(np.zeros(1)))
-        with pytest.raises(ShapeError):
-            nc.mlp_forward(ps, nc.MlpSpec(3, (4,), 1), nc.Tensor(rng.normal(size=(5, 3))))
-
-
-def test_stack_and_unstack_round_trip(rng):
-    nets = stacked_nets(rng, nc.MlpSpec(3, (4,), 2), 2)
-    stack = nc.stack_params(nets)
-    assert stack["W0"].shape == (2, 3, 4) and stack["b1"].shape == (2, 1, 2)
-    for j, net in enumerate(nets):
-        back = nc.unstack_params(stack, j)
-        assert back.checksum() == net.checksum()
-        back["W0"].data[...] = 0.0      # a copy, not a view of the stack
-    assert np.array_equal(stack["W0"].data[0], nets[0]["W0"].data)
+    """``mlp_forward`` trains one net: stacked weights, or a layer that does
+    not fit its spec, are shape errors, whatever the input."""
+    spec = nc.MlpSpec(3, (4,), 1)
+    stacked = stack(stacked_nets(rng, spec, 2))
+    for name in ("W0", "W1"):
+        ps = nc.init_mlp(spec, rng)
+        ps[name].data = stacked[name]
+        for a in (rng.normal(size=(5, 3)), rng.normal(size=(2, 5, 3))):
+            with pytest.raises(ShapeError):
+                nc.mlp_forward(ps, spec, nc.Tensor(a))
+    ps = nc.init_mlp(spec, rng)
+    ps["W1"].data = rng.normal(size=(3, 1))   # narrower than the hidden layer
+    with pytest.raises(ShapeError):
+        nc.mlp_forward(ps, spec, nc.Tensor(rng.normal(size=(5, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +508,8 @@ def test_in_place_weight_edit_is_seen_by_scoring_and_the_next_adam_step(rng):
     a, ks = rng.normal(size=(5, 2)), rng.integers(1, 51, size=5)
     emb = ex.encode_rows(rng.normal(size=(5, 5)), rng.normal(size=(5, 2)))
     before = ex.score_rows(a, emb, ks)
-    ex.subs["W0"].data[1, 2, 3] += 0.5
-    fresh = xp.ModalityExpert(**{**vars(ex), "subs": ex.subs.copy()})
+    ex.score_params["W0"].data[2, 3] += 0.5
+    fresh = xp.ModalityExpert(**{**vars(ex), "score_params": ex.score_params.copy()})
     assert not np.array_equal(ex.score_rows(a, emb, ks), before)
     assert np.array_equal(ex.score_rows(a, emb, ks), fresh.score_rows(a, emb, ks))
 
@@ -592,11 +523,11 @@ def test_in_place_weight_edit_is_seen_by_scoring_and_the_next_adam_step(rng):
                 t.grad = rng.normal(size=t.shape) if step != 1 else t.grad
                 grads[f"{g}/{n}"] = t.grad.copy()
         if step == 1:     # grads left in place in the flat buffer, edited there
-            ex.subs["b1"].grad[0, 0, 1] = 3.0
-            grads["subs/b1"][0, 0, 1] = 3.0
+            ex.score_params["b1"].grad[1] = 3.0
+            grads["score/b1"][1] = 3.0
         if step == 2:
-            ex.subs["W0"].data[0, 1, 1] -= 0.25
-            weights["subs/W0"][0, 1, 1] -= 0.25
+            ex.score_params["W0"].data[1, 1] -= 0.25
+            weights["score/W0"][1, 1] -= 0.25
         nc.adam_step(groups, state)
         ref.step(weights, grads)
         for g, ps in groups:
@@ -639,11 +570,11 @@ def test_joint_router_training_updates_the_experts_own_weights(rng):
     cfg = cfg.with_section("train", steps=3, batch=8, router_steps=3)
     ds = constant_action_dataset([0.1, 0.2])
     experts = [xp.train_expert(ds, m, cfg, rng) for m in ("vis", "tac")]
-    copies = [(ex.enc.params.copy(), ex.subs.copy()) for ex in experts]
+    copies = [(ex.enc.params.copy(), ex.score_params.copy()) for ex in experts]
     train_router(experts, ds, cfg, rng)
-    for ex, (enc, subs) in zip(experts, copies):
+    for ex, (enc, score) in zip(experts, copies):
         assert ex.enc.params.checksum() != enc.checksum()
-        assert ex.subs.checksum() != subs.checksum()
+        assert ex.score_params.checksum() != score.checksum()
 
 
 def test_paramset_checksum_tracks_values(rng):

@@ -10,13 +10,13 @@ from modalcompose.compose import compose_policy
 from modalcompose.diffusion import make_schedule
 from modalcompose.envs import Dataset, env_reset, make_env_spec
 from modalcompose.experts import timestep_features, train_expert
-from modalcompose.numcore import mlp_infer, unstack_params
+from modalcompose.numcore import mlp_infer
 from modalcompose.errors import ConfigError, ContractError, FormatError
 from modalcompose.rngstream import TAG_ACT, TAG_EVAL, TAG_TRAIN, stream
 from modalcompose.rollout import evaluate_policy, run_policy_episode
 from modalcompose.router import train_router
 from modalcompose.runconfig import RunConfig
-from tests.oracles import read_metrics_csv
+from tests.oracles import eval_scripted, read_metrics_csv
 
 
 def tiny_cfg(tmp_path, **run_over):
@@ -129,8 +129,8 @@ def test_rerun_is_byte_identical(tmp_path):
 
 def test_joint_run_writes_the_fine_tuned_experts(tmp_path):
     """A joint run's saved experts and router compose into the policy it
-    trained in memory, bit for bit, and the experts' stacked sub-policies
-    saw every Adam update of the joint training."""
+    trained in memory, bit for bit, and each expert's checked score_rows is
+    its fine-tuned score net's plain ``mlp_infer``."""
     cfg = tiny_cfg(tmp_path, methods=("expert:vis", "expert:tac", "router"))
     cfg = cfg.with_section("router", joint=True)
     pl.gen_data(cfg)
@@ -158,9 +158,8 @@ def test_joint_run_writes_the_fine_tuned_experts(tmp_path):
         emb = ex.encode_rows(g.normal(size=(4, ex.enc.spec.input_dim)), g.normal(size=(4, 2)))
         a, ks = g.normal(size=(4, 2)), np.array([1, 9, 30, 50])
         x = np.concatenate([a, emb, timestep_features(ks, ex.n_steps)], axis=1)
-        per_sub = [mlp_infer(unstack_params(ex.subs, j), ex.sub_spec, x)
-                   for j in range(ex.n_sub)]
-        assert np.array_equal(ex.score_rows(a, emb, ks), (per_sub[0] + per_sub[1]) / 2)
+        assert np.array_equal(ex.score_rows(a, emb, ks),
+                              mlp_infer(ex.score_params, ex.score_spec, x))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +455,7 @@ def test_run_eval_validation(tmp_path):
 
 
 def test_scripted_oracle_beats_random_floor():
-    scripted = pl.eval_scripted("occluded_reach", 40, seed=7)[0]
+    scripted = eval_scripted("occluded_reach", 40, seed=7)[0]
     assert scripted["method"] == "scripted"
     assert scripted["success_rate"] >= 0.95
     random_row = pl.run_eval(pl.RandomPolicy(2), 40, seed=7,

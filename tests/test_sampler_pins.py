@@ -1,13 +1,12 @@
 """Sampler pins and invariants of the scoring path.
 
-The action hashes were recorded with one sub-policy MLP call per sub-policy
-and one noise draw per denoising step; stacked scoring, the feature tables, the
-per-sample step constants and the block noise draw must reproduce them bit
-for bit. The expert-based pins (``vis``, ``tac``, ``equal``, ``learned`` and
-their probes) were re-recorded with one score net per expert when the
-averaged sub-policy stack was retired. ``sub3``, an expert of three sub-policies, was recorded later, with
-stacked scoring, in place of the retired band-split expert. Sampling B rows
-in one act_rows call must reproduce B act() calls bit for bit too.
+The action hashes were recorded with one MLP call per score net and one noise
+draw per denoising step; stacked scoring, the feature tables, the per-sample
+step constants and the block noise draw must reproduce them bit for bit. The
+expert-based pins (``vis``, ``tac``, ``equal``, ``learned`` and their probes)
+were re-recorded with one score net per expert when the averaged sub-policy
+stack was retired. Sampling B rows in one act_rows call must reproduce B
+act() calls bit for bit too.
 """
 
 import dataclasses
@@ -43,8 +42,6 @@ PINNED = {
         "6409a91fa8877da542229920044d52a1152cf10b86ae2a743148af034785065c",
     "moe":
         "b935a4afb8748c6e68da23889b4eb78ffe306b6a67bdb60565fe21085eb08c06",
-    "sub3":
-        "0ac4514cc8f072b07a9df167c8022bf03e27251966b892384804c615d3fa2e4e",
     "concat_beta_tilde":
         "5036066275571f67b3c9baaac68e14b70673e8fa2180a6f7829715cd6ebc2b48",
 }
@@ -53,7 +50,7 @@ PINNED = {
 def pin_cfg(**expert):
     cfg = RunConfig()
     cfg = cfg.with_section("expert", enc_hidden=(16,), enc_out=8, sub_hidden=(32,),
-                           **{"n_sub": 1, **expert})
+                           **expert)
     cfg = cfg.with_section("router", hidden=(8,))
     return cfg.with_section("train", steps=40, batch=16, lr=2e-3, router_steps=20)
 
@@ -68,7 +65,6 @@ def policies():
     vis = xp.train_expert(ds, "vis", cfg, stream(11, TAG_TRAIN, 1))
     tac = xp.train_expert(ds, "tac", cfg, stream(11, TAG_TRAIN, 2))
     router = train_router([vis, tac], ds, cfg, stream(11, TAG_TRAIN, 3))
-    sub3 = xp.train_expert(ds, "vis", pin_cfg(n_sub=3), stream(11, TAG_TRAIN, 4))
     tilde_cfg = cfg.with_section("diffusion", sigma_mode="beta_tilde")
     return {
         "vis": cp.single_expert_policy(vis, sched, stats),
@@ -77,7 +73,6 @@ def policies():
         "learned": cp.compose_policy([vis, tac], router, "soft", sched, stats),
         "concat": cp.train_concat_policy(ds, cfg, stream(11, TAG_TRAIN, 5)),
         "moe": cp.train_moe_policy(ds, cfg, stream(11, TAG_TRAIN, 6)),
-        "sub3": cp.single_expert_policy(sub3, sched, stats),
         "concat_beta_tilde": cp.train_concat_policy(ds, tilde_cfg,
                                                     stream(11, TAG_TRAIN, 7)),
     }
@@ -244,32 +239,30 @@ def test_feature_index_outside_range_raises(K):
 
 
 # ---------------------------------------------------------------------------
-# the stacked sub-policies
+# an expert's one score net
 
 
-def fresh_expert(n_sub=3):
-    cfg = pin_cfg(n_sub=n_sub).with_section("train", steps=0)
+def fresh_expert():
+    cfg = pin_cfg().with_section("train", steps=0)
     return xp.init_expert("vis", 5, 2, 2, cfg, np.random.default_rng(8))
 
 
-def test_in_place_edit_of_one_subpolicy_is_seen(rng):
+def test_in_place_edit_of_the_score_net_is_seen(rng):
     ex = fresh_expert()
     emb = ex.encode_rows(rng.normal(size=(3, 5)), rng.normal(size=(3, 2)))
     a = rng.normal(size=(3, 2))
     before = ex.score_rows(a, emb, 17)
-    ex.subs["W0"].data[1] = 0.0
+    ex.score_params["W0"].data[1] = 0.0
     after = ex.score_rows(a, emb, 17)
     assert not np.array_equal(before, after)
     x = np.concatenate([a, emb, xp.timestep_features(np.full(3, 17), ex.n_steps)],
                        axis=1)
-    per_sub = [nc.mlp_infer(nc.unstack_params(ex.subs, j), ex.sub_spec, x)
-               for j in range(ex.n_sub)]
-    assert np.array_equal(after, (per_sub[0] + per_sub[1] + per_sub[2]) / 3)
+    assert np.array_equal(after, nc.mlp_infer(ex.score_params, ex.score_spec, x))
 
 
-def test_nonfinite_output_of_one_subpolicy_raises(rng):
+def test_nonfinite_output_of_the_score_net_raises(rng):
     ex = fresh_expert()
     emb = ex.encode_rows(rng.normal(size=(1, 5)), rng.normal(size=(1, 2)))
-    ex.subs["b1"].data[2, 0, 0] = np.inf
+    ex.score_params["b1"].data[0] = np.inf
     with pytest.raises(NumericError, match="mlp_infer"):
         ex.score_rows(rng.normal(size=(1, 2)), emb, 3)

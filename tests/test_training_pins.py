@@ -109,7 +109,6 @@ PINNED = {
 
 def pin_config(name, out):
     cfg = RunConfig().with_section("train", steps=30, router_steps=15)
-    cfg = cfg.with_section("expert", n_sub=1)
     if name == "joint":
         cfg = cfg.with_section("router", joint=True)
     elif name == "phase":

@@ -12,10 +12,12 @@ tree (30 demos of ``occluded_reach``, 60 steps per method, router 30, model
 seed 0, default shapes) and loaded by both trees into the six policy kinds
 of the benchmark. Before timing, every kind's act_rows at B = 1, 7 and 64
 must be byte-identical between the trees. Then, per kind and batch size,
-each pair times both trees on the same calls (40 act() calls at B = 1, 10
-act_rows calls at B = 64), the side that runs first alternating by pair. The
-JSON gives medians and quartiles in ms per call, the change's median over
-the parent's, and in how many pairs the change was faster.
+each pair times both trees on the same calls (20 act() calls at B = 1, 10
+act_rows calls at B = 64) three times, interleaved, the side that runs
+first alternating by pair; a side's timing in the pair is the least of its
+three, so one burst of other load moves one run, not the pair. The JSON
+gives medians and quartiles of those timings in ms per call, the change's
+median over the parent's, and in how many pairs the change was faster.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 KINDS = ("vis", "tac", "equal", "learned", "concat", "moe")
-ROWS = ((1, 40), (64, 10))   # (batch size, calls per timing)
+ROWS = ((1, 20), (64, 10))   # (batch size, calls per timing)
+REPS = 3                     # interleaved timings per side and pair; the least is kept
 
 
 def load_tree(pkg: str, model: dict):
@@ -105,8 +108,12 @@ def main(argv=None) -> int:
                 times = {"parent": [], "change": []}
                 for pair in range(args.pairs):
                     sides = [("parent", parent), ("change", change)][::1 if pair % 2 == 0 else -1]
-                    for label, tree in sides:
-                        times[label].append(1e3 * timed(tree, kind, rows, calls)[0])
+                    runs = {"parent": [], "change": []}
+                    for _ in range(REPS):
+                        for label, tree in sides:
+                            runs[label].append(timed(tree, kind, rows, calls)[0])
+                    for label, ts in runs.items():
+                        times[label].append(1e3 * min(ts))
                 q = {k: np.percentile(v, [25, 50, 75]) for k, v in times.items()}
                 wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
                 key = f"{kind} {'act()' if rows == 1 else 'act_rows'} B={rows}"
