@@ -92,8 +92,11 @@ def load_checkpoint(path) -> Checkpoint:
         (rank,) = r.unpack("<B")
         dims = tuple(r.unpack("<" + "I" * rank)) if rank else ()
         payload = r.take(8 * math.prod(dims))   # Python ints: a header cannot wrap it
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(
-            np.float64)
+        try:   # numpy refuses more axes than it supports, even of size 0 or 1
+            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(
+                np.float64)
+        except ValueError as exc:
+            raise FormatError(f"{p}: tensor {name!r}: {exc}") from None
     r.expect_end()
     return Checkpoint(metadata=metadata, tensors=tensors)
 
@@ -187,7 +190,10 @@ def _sched_meta(sched: NoiseSchedule) -> dict:
 
 
 def _sched_from_meta(m: dict) -> NoiseSchedule:
-    return make_schedule(m["steps"], m["beta_start"], m["beta_end"])
+    """A checkpoint's schedule, in the sigma_mode its metadata names (or beta)."""
+    sm = m["schedule"]
+    return make_schedule(sm["steps"], sm["beta_start"], sm["beta_end"],
+                         m.get("sigma_mode", "beta"))
 
 
 def _params_tensors(prefix: str, params: nc.ParamSet) -> dict[str, np.ndarray]:
@@ -236,8 +242,8 @@ def save_expert(expert: ModalityExpert, stats: ActionStats, sched: NoiseSchedule
         "sub_specs": [_spec_meta(expert.score_spec)],   # one net; kept as a list for the bytes
     })
     # written only when not the default, so default checkpoints keep their bytes
-    if expert.sigma_mode != "beta":
-        meta["sigma_mode"] = expert.sigma_mode
+    if sched.sigma_mode != "beta":
+        meta["sigma_mode"] = sched.sigma_mode
     tensors = {**_params_tensors("enc", expert.enc.params),
                **_params_tensors("sub0", expert.score_params)}
     save_checkpoint(tensors, meta, path)
@@ -258,9 +264,9 @@ def expert_from_checkpoint(ck: Checkpoint) -> tuple[ModalityExpert, ActionStats,
     expert = ModalityExpert(
         enc=enc, action_dim=m["action_dim"],
         score_params=_params_from_tensors(ck, "sub0", spec), score_spec=spec,
-        n_steps=m["n_steps"], sigma_mode=m.get("sigma_mode", "beta"),
+        n_steps=m["n_steps"],
     )
-    return expert, _stats_from_meta(m["stats"]), _sched_from_meta(m["schedule"])
+    return expert, _stats_from_meta(m["stats"]), _sched_from_meta(m)
 
 
 def save_router(router: Router, stats: ActionStats, sched: NoiseSchedule,
@@ -300,7 +306,7 @@ def save_fusion(policy, path, *, env_name: str, seed: int, config_hash: str) -> 
                  "robot_dim": encs[0].robot_dim,
                  "encoder_specs": [_spec_meta(enc.spec) for enc in encs],
                  "score_spec": _spec_meta(policy.score_spec),
-                 "sigma_mode": policy.sigma_mode})
+                 "sigma_mode": policy.sched.sigma_mode})
     tensors = {}
     for enc in encs:
         tensors.update(_params_tensors(f"enc_{enc.modality}", enc.params))
@@ -323,8 +329,8 @@ def fusion_from_checkpoint(ck: Checkpoint):
                                          m["encoder_specs"])]
     score_spec = _spec_from_meta(m["score_spec"])
     parts = dict(encoders=encoders, score_params=_params_from_tensors(ck, "score", score_spec),
-                 score_spec=score_spec, sched=_sched_from_meta(m["schedule"]),
-                 stats=_stats_from_meta(m["stats"]), sigma_mode=m["sigma_mode"])
+                 score_spec=score_spec, sched=_sched_from_meta(m),
+                 stats=_stats_from_meta(m["stats"]))
     if m["kind"] == "concat":
         return ConcatPolicy(**parts)
     gate_spec = _spec_from_meta(m["gate_spec"])

@@ -9,7 +9,8 @@ stream and one score net conditioned on the concatenated embeddings
 (MoEFeaturePolicy). Every policy samples B observations at once with
 ``act_rows``, each row bit for bit its own one-row ``act``, over a score
 bound once per call through ``experts.bind_score`` (``mixed_score`` for the
-composed policy).
+composed policy); its ``sched`` holds the whole reverse step, its noise
+scale included.
 Every policy checks its settings when built. ``ComposedPolicy`` holds every
 composition check (a known strategy; a fitting router or valid fixed weights;
 experts that stack on its schedule and width) and is frozen, experts included.
@@ -52,7 +53,7 @@ class _RowSampler:
         if not obs_rows or len(obs_rows) != len(rngs):
             raise ContractError(f"{len(rngs)} generators for {len(obs_rows)} observations")
         a_hat = ddpm_sample(self.score_provider(obs_rows), self.sched, rngs,
-                            self.stats.chunk_dim, sigma_mode=self.sigma_mode)
+                            self.stats.chunk_dim)
         return self.stats.denormalize_chunk(a_hat)
 
     def act(self, obs: Observation, rng: np.random.Generator) -> np.ndarray:
@@ -87,20 +88,14 @@ class ComposedPolicy(_RowSampler):
             if want != have:
                 raise ContractError(f"router takes (modality order, embedding dims) "
                                     f"{want}, the experts give {have}")
-        for key in ("sigma_mode", "score_spec"):
-            vals = [getattr(ex, key) for ex in self.experts]
-            if any(v != vals[0] for v in vals):
-                raise ContractError(f"experts differ in {key}: {vals}")
+        specs = [ex.score_spec for ex in self.experts]
+        if any(spec != specs[0] for spec in specs):
+            raise ContractError(f"experts differ in score_spec: {specs}")
         want = (self.sched.K, self.stats.chunk_dim)
         for ex in self.experts:
             if (ex.n_steps, ex.action_dim) != want:
                 raise ContractError(f"expert '{ex.modality}' has (denoising steps, action "
                                     f"dim) {(ex.n_steps, ex.action_dim)}, not {want}")
-
-    @property
-    def sigma_mode(self) -> str:
-        """The experts' reverse-step noise mode, which they all share."""
-        return self.experts[0].sigma_mode
 
     @property
     def modality_order(self) -> tuple[str, ...]:
@@ -191,12 +186,11 @@ class _FusionPolicy(_RowSampler):
     score_spec: nc.MlpSpec
     sched: NoiseSchedule
     stats: ActionStats
-    sigma_mode: str = "beta"
     loss_history: list[float] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         _check_score_net(self.score_spec, self.stats.chunk_dim, self._cond_dim(),
-                         self.sigma_mode, type(self).__name__)
+                         type(self).__name__)
 
     @property
     def modality_order(self) -> tuple[str, ...]:
@@ -275,10 +269,9 @@ def train_concat_policy(dataset, cfg, rng: np.random.Generator) -> ConcatPolicy:
                 for name, dim in dataset.modality_dims.items()]
     spec = score_net_spec(dataset.chunk_dim, sum(enc.emb_dim for enc in encoders), cfg)
     sched = make_schedule(cfg.diffusion.steps, cfg.diffusion.beta_start,
-                          cfg.diffusion.beta_end)
+                          cfg.diffusion.beta_end, cfg.diffusion.sigma_mode)
     policy = ConcatPolicy(encoders=encoders, score_params=nc.init_mlp(spec, rng),
-                          score_spec=spec, sched=sched, stats=dataset.stats(),
-                          sigma_mode=cfg.diffusion.sigma_mode)
+                          score_spec=spec, sched=sched, stats=dataset.stats())
     return _fit_fusion(policy, dataset, cfg, rng, nc.concat_cols)
 
 
@@ -295,9 +288,8 @@ def train_moe_policy(dataset, cfg, rng: np.random.Generator) -> MoEFeaturePolicy
     gate.params[f"W{len(gate.spec.layer_dims()) - 1}"].data[...] = 0.0
     spec = score_net_spec(dataset.chunk_dim, emb_dims[0], cfg)
     sched = make_schedule(cfg.diffusion.steps, cfg.diffusion.beta_start,
-                          cfg.diffusion.beta_end)
+                          cfg.diffusion.beta_end, cfg.diffusion.sigma_mode)
     policy = MoEFeaturePolicy(encoders=encoders, gate=gate,
                               score_params=nc.init_mlp(spec, rng), score_spec=spec,
-                              sched=sched, stats=dataset.stats(),
-                              sigma_mode=cfg.diffusion.sigma_mode)
+                              sched=sched, stats=dataset.stats())
     return _fit_fusion(policy, dataset, cfg, rng, lambda embs: gated_sum(gate, embs, embs))

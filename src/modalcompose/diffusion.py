@@ -7,7 +7,8 @@ is (B, cond_dim), ks is an int array of B step indices, and the result is a
 a_k holds the B sampled rows in the layout of ``numcore.row_layout``, k is
 an int, and the result has a_k's shape; a policy's provider closes over its
 observations. Denoising step indices k run 1..K; array index k-1 holds the
-step-k coefficients.
+step-k coefficients, which ``make_schedule`` tables once for the whole
+reverse step, sigma_k included; ``ddpm_sample`` only reads them.
 """
 
 from __future__ import annotations
@@ -20,14 +21,21 @@ from . import numcore as nc
 from .errors import ConfigError, ContractError, NumericError
 
 
+SIGMA_MODES = ("beta", "beta_tilde")
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     K: int
     betas: np.ndarray        # (K,) beta_k at index k-1
     alphas: np.ndarray       # 1 - beta
     alpha_bars: np.ndarray   # cumprod of alphas
-    sqrt_abs: np.ndarray     # sqrt(alpha_bars), tabled once
+    sqrt_abs: np.ndarray     # sqrt(alpha_bars)
     sqrt_one_minus_abs: np.ndarray
+    sigma_mode: str          # one of SIGMA_MODES: which sigma_k the reverse step adds
+    sigmas: np.ndarray       # sigma_k: sqrt(beta_k), or sqrt(beta~_k) under beta_tilde
+    eps_coefs: np.ndarray    # beta_k / sqrt(1 - ab_k)
+    sqrt_alphas: np.ndarray  # sqrt(alpha_k)
 
     def sqrt_ab(self, k) -> np.ndarray | float:
         return self.sqrt_abs[np.asarray(k) - 1]
@@ -36,18 +44,27 @@ class NoiseSchedule:
         return self.sqrt_one_minus_abs[np.asarray(k) - 1]
 
 
-def make_schedule(K: int = 50, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
-    """Linear beta schedule over k = 1..K with exact cumulative products."""
+def make_schedule(K: int = 50, beta_start: float = 1e-4, beta_end: float = 0.02,
+                  sigma_mode: str = "beta") -> NoiseSchedule:
+    """Linear beta schedule over k = 1..K with exact cumulative products, and its
+    reverse step: sigma_k = sqrt(beta_k) ("beta") or sqrt(beta~_k) ("beta_tilde")."""
     if K < 1:
         raise ConfigError(f"schedule needs K >= 1, got {K}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ConfigError(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
+    if sigma_mode not in SIGMA_MODES:
+        raise ConfigError(f"unknown sigma_mode {sigma_mode!r}, not one of {SIGMA_MODES}")
     betas = np.linspace(beta_start, beta_end, K)
     alphas = 1.0 - betas
     ab = np.cumprod(alphas)
-    return NoiseSchedule(K, betas, alphas, ab, np.sqrt(ab), np.sqrt(1.0 - ab))
+    sqrt_one_minus_abs = np.sqrt(1.0 - ab)
+    # beta~_k = (1 - ab_{k-1}) / (1 - ab_k) * beta_k, with ab_0 = 1
+    tilde = (1.0 - np.concatenate([[1.0], ab[:-1]])) / (1.0 - ab) * betas
+    sigmas = np.sqrt(betas if sigma_mode == "beta" else tilde)
+    return NoiseSchedule(K, betas, alphas, ab, np.sqrt(ab), sqrt_one_minus_abs, sigma_mode,
+                         sigmas, betas / sqrt_one_minus_abs, np.sqrt(alphas))
 
 
 def forward_noise(a0: np.ndarray, ks: np.ndarray, sched: NoiseSchedule,
@@ -99,47 +116,30 @@ def fit_denoiser(score, groups, a_rows: np.ndarray, cond_rows: np.ndarray,
     return history
 
 
-SIGMA_MODES = ("beta", "beta_tilde")
-
-
-def posterior_sigma(sched: NoiseSchedule, sigma_mode: str = "beta") -> np.ndarray:
-    """Reverse-step noise scale sigma_k at index k-1."""
-    if sigma_mode == "beta":
-        return np.sqrt(sched.betas)
-    if sigma_mode == "beta_tilde":
-        # beta~_k = (1 - ab_{k-1}) / (1 - ab_k) * beta_k, with ab_0 = 1
-        ab_prev = np.concatenate([[1.0], sched.alpha_bars[:-1]])
-        return np.sqrt((1.0 - ab_prev) / (1.0 - sched.alpha_bars) * sched.betas)
-    raise ConfigError(f"unknown sigma_mode '{sigma_mode}'")
-
-
-def ddpm_sample(score, sched: NoiseSchedule, rngs, dim: int, *,
-                sigma_mode: str) -> np.ndarray:
+def ddpm_sample(score, sched: NoiseSchedule, rngs, dim: int) -> np.ndarray:
     """Ancestral sampling of B rows from a^K down to a^0, clamped to [-1, 1].
 
     Row r draws its noise from ``rngs[r]`` alone, as one (K, dim) block: the
     initial state, then one vector per step k = K..2, in the order sequential
     draws would fill it. The state keeps the layout of ``nc.row_layout``,
     which the sampling provider ``score(a_k, k)`` sees and returns; the
-    result is (B, dim). The step constants beta_k / sqrt(1 - ab_k),
-    sqrt(alpha_k) and every sigma_k z are computed for all k at once, by the
-    same elementwise operations as one step at a time. The state is updated
-    in place in a buffer of its own, so a provider must not keep a_k across
-    steps.
+    result is (B, dim). The step constants and sigma_k come from the
+    schedule's tables, and every sigma_k z is computed for all k at once, by
+    the same elementwise operations as one step at a time. The state is
+    updated in place in a buffer of its own, so a provider must not keep a_k
+    across steps.
     """
-    table = list(zip((sched.betas / sched.sqrt_one_minus_abs).tolist(),
-                     np.sqrt(sched.alphas).tolist()))
     # (K, B, dim) in row layout: noise[j] holds every row's j-th draw
     noise = nc.row_layout(np.stack([g.standard_normal((sched.K, dim)) for g in rngs],
                                    axis=1))
-    sigmas = posterior_sigma(sched, sigma_mode)[:0:-1]   # sigma_K .. sigma_2
+    sigmas = sched.sigmas[:0:-1]   # sigma_K .. sigma_2
     a, sz = noise[0], noise[1:] * sigmas.reshape((-1,) + (1,) * (noise.ndim - 1))
     step = np.empty_like(a)
-    for k in range(sched.K, 0, -1):
+    for k, eps_coef, sqrt_alpha in zip(range(sched.K, 0, -1), sched.eps_coefs[::-1].tolist(),
+                                       sched.sqrt_alphas[::-1].tolist()):
         eps_hat = score(a, k)
         if eps_hat.shape != a.shape:
             raise ContractError(f"score rows {eps_hat.shape} for sample rows {a.shape}")
-        eps_coef, sqrt_alpha = table[k - 1]
         a -= np.multiply(eps_hat, eps_coef, out=step)
         a /= sqrt_alpha
         if k > 1:

@@ -15,7 +15,8 @@ policy into one diffusion model per stream and nothing within one. Training,
 Adam, joint router fine-tuning, checkpoints and ``score_rows`` use that one
 net. ``mixed_score`` copies E experts' nets into one stack, weights of shape
 (E, in, out), and scores them all with one ``mlp_infer`` call per step; each
-slice is bit-identical to that expert's own call.
+slice is bit-identical to that expert's own call, and a lone expert at
+weight 1 is bound alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numcore as nc
-from .diffusion import SIGMA_MODES, fit_denoiser, make_schedule
+from .diffusion import fit_denoiser, make_schedule
 from .errors import ConfigError, ContractError, ShapeError
 
 TIMESTEP_DIM = 16
@@ -139,12 +140,8 @@ def score_net_spec(action_dim: int, cond_dim: int, cfg) -> nc.MlpSpec:
                       action_dim, activation=ex.activation)
 
 
-def _check_score_net(spec: nc.MlpSpec, action_dim: int, cond_dim: int, sigma_mode: str,
-                     owner: str) -> None:
-    """A score net maps rows [a_k, cond, timestep features] to a_k's width and
-    samples with a known reverse-step noise mode."""
-    if sigma_mode not in SIGMA_MODES:
-        raise ConfigError(f"{owner} has sigma_mode {sigma_mode!r}, not one of {SIGMA_MODES}")
+def _check_score_net(spec: nc.MlpSpec, action_dim: int, cond_dim: int, owner: str) -> None:
+    """A score net maps rows [a_k, cond, timestep features] to a_k's width."""
     fits = (action_dim + cond_dim + TIMESTEP_DIM, action_dim)
     if (spec.input_dim, spec.output_dim) != fits:
         raise ShapeError(f"the score net of {owner} maps {spec.input_dim} inputs to "
@@ -167,7 +164,6 @@ class ModalityExpert:
     score_params: nc.ParamSet
     score_spec: nc.MlpSpec
     n_steps: int
-    sigma_mode: str = "beta"
     loss_history: list[float] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
@@ -180,7 +176,7 @@ class ModalityExpert:
         if got != want:
             raise ShapeError(f"expert '{self.modality}' needs a score net of its spec, "
                              f"{want}, got {got}")
-        _check_score_net(self.score_spec, self.action_dim, self.enc.emb_dim, self.sigma_mode,
+        _check_score_net(self.score_spec, self.action_dim, self.enc.emb_dim,
                          f"expert '{self.modality}'")
 
     @property
@@ -221,20 +217,19 @@ def mixed_score(experts: list[ModalityExpert], embs: list[np.ndarray], weights: 
     (E, rows..., 1) and summed in expert order. Their nets, copied into one
     (E, in, out) stack so a later weight edit is seen only by the next
     binding, are bound once to their embedding rows ``embs`` (``bind_score``):
-    a call runs the layer ops and the mix, which one expert at weight 1 skips
-    as the exact identity it is. Nothing is checked per call; ``ddpm_sample``
-    checks its state once. The experts share one score_spec and n_steps."""
+    a call runs the layer ops and the mix. One expert at weight 1, whose mix
+    is the exact identity, is its own net bound to ``embs[0]``, uncopied.
+    Nothing is checked per call; ``ddpm_sample`` checks its state once. The
+    experts share one score_spec and n_steps."""
     ex = experts[0]
+    if len(experts) == 1 and bool((weights == 1.0).all()):
+        # biases as (1, out) views: a one-row add of equal shapes skips numpy's broadcast
+        alone = {name: np.atleast_2d(t.data) for name, t in ex.score_params.items()}
+        return bind_score(alone, ex.score_spec, embs[0], ex.n_steps)
     params = {name: np.array([np.atleast_2d(e.score_params[name].data) for e in experts])
               for name in ex.score_params.names()}   # biases (E, 1, out)
     score = bind_score(params, ex.score_spec, np.array(embs), ex.n_steps)
-    alone = len(experts) == 1 and bool((weights == 1.0).all())
-
-    def mix(a_k: np.ndarray, k: int) -> np.ndarray:
-        out = score(a_k, k)
-        return out[0] if alone else np.add.reduce(out * weights, axis=0)
-
-    return mix
+    return lambda a_k, k: np.add.reduce(score(a_k, k) * weights, axis=0)
 
 
 def init_expert(modality: str, modality_dim: int, robot_dim: int, action_dim: int,
@@ -244,7 +239,7 @@ def init_expert(modality: str, modality_dim: int, robot_dim: int, action_dim: in
     spec = score_net_spec(action_dim, enc.emb_dim, cfg)
     return ModalityExpert(
         enc=enc, action_dim=action_dim, score_params=nc.init_mlp(spec, rng), score_spec=spec,
-        n_steps=cfg.diffusion.steps, sigma_mode=cfg.diffusion.sigma_mode,
+        n_steps=cfg.diffusion.steps,
     )
 
 

@@ -114,7 +114,7 @@ def run_training(cfg: RunConfig) -> dict[str, Path]:
     seed = cfg.run.seed
     mhash = model_hash(cfg)
     sched = make_schedule(cfg.diffusion.steps, cfg.diffusion.beta_start,
-                          cfg.diffusion.beta_end)
+                          cfg.diffusion.beta_end, cfg.diffusion.sigma_mode)
     stats = dataset.stats()
     mods = list(dataset.modality_dims)
 

@@ -250,9 +250,11 @@ def test_missing_tensor_detected(tmp_path, rng):
 
 
 def saved_expert_checkpoint(tmp_path, cfg=None):
-    expert = xp.init_expert("vis", 5, 2, 2, cfg or small_cfg(), np.random.default_rng(1))
+    cfg = cfg or small_cfg()
+    expert = xp.init_expert("vis", 5, 2, 2, cfg, np.random.default_rng(1))
     path = tmp_path / "e.mcpf"
-    cpt.save_expert(expert, demo_stats(), make_schedule(), path,
+    cpt.save_expert(expert, demo_stats(), make_schedule(sigma_mode=cfg.diffusion.sigma_mode),
+                    path,
                     env_name="occluded_reach", seed=0, config_hash="h")
     return expert, path
 
@@ -281,19 +283,20 @@ def test_malformed_expert_shapes_rejected(tmp_path):
 
 
 def test_sigma_mode_round_trip(tmp_path):
-    """beta_tilde is written and read back; the default writes no key, so
-    default checkpoints keep their bytes, and a missing key reads as beta."""
-    expert, path = saved_expert_checkpoint(tmp_path)
-    assert expert.sigma_mode == "beta"
+    """A beta_tilde schedule's mode is written and read back into the
+    schedule the reader returns; the default writes no key, so default
+    checkpoints keep their bytes, and a missing key reads as beta."""
+    _, path = saved_expert_checkpoint(tmp_path)
     ck = cpt.load_checkpoint(path)
     assert "sigma_mode" not in ck.metadata
-    assert cpt.expert_from_checkpoint(ck)[0].sigma_mode == "beta"
+    assert cpt.expert_from_checkpoint(ck)[2].sigma_mode == "beta"
     tilde = small_cfg().with_section("diffusion", sigma_mode="beta_tilde")
-    expert, path = saved_expert_checkpoint(tmp_path, tilde)
-    assert expert.sigma_mode == "beta_tilde"
+    _, path = saved_expert_checkpoint(tmp_path, tilde)
     ck = cpt.load_checkpoint(path)
     assert ck.metadata["sigma_mode"] == "beta_tilde"
-    assert cpt.expert_from_checkpoint(ck)[0].sigma_mode == "beta_tilde"
+    sched = cpt.expert_from_checkpoint(ck)[2]
+    assert sched.sigma_mode == "beta_tilde"
+    assert np.array_equal(sched.sigmas, make_schedule(sigma_mode="beta_tilde").sigmas)
     ck.metadata["sigma_mode"] = "cosine"
     with pytest.raises(FormatError):
         cpt.expert_from_checkpoint(ck)
@@ -490,6 +493,19 @@ def test_nonfinite_or_inverted_action_stats_are_a_format_error(tmp_path, kind, k
     cpt.save_checkpoint(ck.tensors, ck.metadata, path)
     with pytest.raises(FormatError, match="action stats"):
         read(cpt.load_checkpoint(path))
+
+
+def test_a_tensor_of_more_axes_than_numpy_takes_is_a_format_error(tmp_path):
+    """A rank byte above numpy's axis limit, over dims whose product fits the
+    payload, is refused as malformed, not left to numpy's ValueError."""
+    meta = b"{}"
+    blob = b"MCPF" + struct.pack("<I", 1) + struct.pack("<I", len(meta)) + meta
+    blob += struct.pack("<I", 1) + struct.pack("<H", 1) + b"w" + struct.pack("<B", 65)
+    blob += struct.pack("<65I", *[1] * 65) + struct.pack("<d", 0.5)
+    bad = tmp_path / "rank65.mcpf"
+    bad.write_bytes(blob)
+    with pytest.raises(FormatError, match="'w'"):
+        cpt.load_checkpoint(bad)
 
 
 def test_metadata_must_be_an_object(tmp_path):

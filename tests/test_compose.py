@@ -9,10 +9,12 @@ from modalcompose import compose as cp
 from modalcompose import experts as xp
 from modalcompose import numcore as nc
 from modalcompose import router as rt
+from modalcompose.checkpoint import save_expert
 from modalcompose.diffusion import ddpm_sample, make_schedule
 from modalcompose.envs import Observation
 from modalcompose.errors import ConfigError, ContractError, NumericError
-from modalcompose.runconfig import RunConfig
+from modalcompose.pipeline import compose_checkpoints
+from modalcompose.runconfig import RunConfig, model_hash
 from tests.conftest import constant_action_dataset
 
 
@@ -122,21 +124,31 @@ def test_inter_compose_requires_matching_modalities(rng):
         dataclasses.replace(policy, fixed_w=np.array([0.2, 0.3, 0.5]))
 
 
-def test_composed_policy_samples_with_its_experts_sigma_mode(rng):
-    cfg = small_cfg().with_section("diffusion", sigma_mode="beta_tilde")
-    g = np.random.default_rng(4)
-    tilde = [xp.init_expert(m, d, 2, 2, cfg, g) for m, d in (("vis", 5), ("tac", 3))]
+def test_composed_policy_samples_with_its_experts_sigma_mode(rng, tmp_path):
+    """Experts saved by a beta_tilde run compose into a policy that samples
+    with its schedule's sigma_k. A beta expert beside them is refused on the
+    config hash, since sigma_mode is a [diffusion] key."""
     stats = constant_action_dataset(np.array([0.1, 0.2])).stats()
-    sched = make_schedule()
-    policy = cp.manual_compose(tilde, [0.5, 0.5], sched, stats)
-    assert policy.sigma_mode == "beta_tilde"
+    paths = {}
+    for mode in ("beta", "beta_tilde"):
+        cfg = small_cfg().with_section("diffusion", sigma_mode=mode)
+        g = np.random.default_rng(4)
+        for m, d in (("vis", 5), ("tac", 3)):
+            paths[mode, m] = tmp_path / f"{m}-{mode}.mcpf"
+            save_expert(xp.init_expert(m, d, 2, 2, cfg, g), stats,
+                        make_schedule(sigma_mode=mode), paths[mode, m],
+                        env_name="occluded_reach", seed=0, config_hash=model_hash(cfg))
+    policy, _ = compose_checkpoints([paths["beta_tilde", "vis"], paths["beta_tilde", "tac"]],
+                                    weights=[0.5, 0.5])
+    assert policy.sched.sigma_mode == "beta_tilde"
     obs = random_obs(rng)
     want = stats.denormalize_chunk(ddpm_sample(
-        policy.score_provider([obs]), sched, [np.random.default_rng(6)], 2,
-        sigma_mode="beta_tilde")[0])
+        policy.score_provider([obs]), make_schedule(sigma_mode="beta_tilde"),
+        [np.random.default_rng(6)], 2)[0])
     assert policy.act(obs, np.random.default_rng(6)).tobytes() == want.tobytes()
-    with pytest.raises(ContractError, match="sigma_mode"):
-        cp.manual_compose([tilde[0], fresh_experts()[1]], [0.5, 0.5], sched, stats)
+    with pytest.raises(ContractError, match="config_hash"):
+        compose_checkpoints([paths["beta_tilde", "vis"], paths["beta", "tac"]],
+                            weights=[0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +261,8 @@ BAD_SETTINGS = {
     "fixed weights not summing to 1": (ContractError, lambda: _composed(fixed_w=[0.5, 0.6])),
     "replaced by an unknown strategy": (ConfigError, lambda: dataclasses.replace(
         _composed(fixed_w=[0.5, 0.5]), strategy="bogus")),
-    "expert sigma_mode": (ConfigError, lambda: dataclasses.replace(
-        fresh_experts()[0], sigma_mode="bogus")),
     "expert with no denoising steps": (ConfigError, lambda: dataclasses.replace(
         fresh_experts()[0], n_steps=0)),
-    "ConcatPolicy sigma_mode": (ConfigError, lambda: dataclasses.replace(
-        _fusion(cp.train_concat_policy), sigma_mode="bogus")),
-    "MoEFeaturePolicy sigma_mode": (ConfigError, lambda: dataclasses.replace(
-        _fusion(cp.train_moe_policy), sigma_mode="bogus")),
 }
 
 

@@ -89,16 +89,15 @@ def test_perfect_denoiser_reconstructs_exactly():
     """With the oracle score the sampler lands on a0: the last step injects
     no noise and maps any state to a0. Run it from several noise streams,
     in both sigma modes."""
-    s = df.make_schedule()
     a0 = np.array([0.31, -0.62, 0.05])
-
-    def oracle(a, k):
-        return effective_eps(a, a0, k, s)
-
     for mode in df.SIGMA_MODES:
+        s = df.make_schedule(sigma_mode=mode)
+
+        def oracle(a, k):
+            return effective_eps(a, a0, k, s)
+
         for trial in range(3):
-            out = df.ddpm_sample(oracle, s, [np.random.default_rng(trial)], 3,
-                                 sigma_mode=mode)
+            out = df.ddpm_sample(oracle, s, [np.random.default_rng(trial)], 3)
             assert np.allclose(out[0], a0, atol=1e-10)
 
 
@@ -109,7 +108,7 @@ def test_sampler_clamps_to_unit_box():
     def oracle(a, k):
         return effective_eps(a, a0, k, s)
 
-    out = df.ddpm_sample(oracle, s, [np.random.default_rng(0)], 2, sigma_mode="beta")
+    out = df.ddpm_sample(oracle, s, [np.random.default_rng(0)], 2)
     assert np.allclose(out[0], [1.0, -1.0], atol=1e-10)
 
 
@@ -119,8 +118,8 @@ def test_sampler_deterministic_given_seed():
     def score(a, k):
         return 0.1 * a
 
-    one = df.ddpm_sample(score, s, [np.random.default_rng(9)], 4, sigma_mode="beta")
-    two = df.ddpm_sample(score, s, [np.random.default_rng(9)], 4, sigma_mode="beta")
+    one = df.ddpm_sample(score, s, [np.random.default_rng(9)], 4)
+    two = df.ddpm_sample(score, s, [np.random.default_rng(9)], 4)
     assert np.array_equal(one, two)
 
 
@@ -137,8 +136,7 @@ def test_sampler_updates_its_own_state_buffer():
         seen.append(a.copy())
         return a
 
-    out = df.ddpm_sample(score, s, [np.random.default_rng(r) for r in seeds], 2,
-                         sigma_mode="beta")
+    out = df.ddpm_sample(score, s, [np.random.default_rng(r) for r in seeds], 2)
     noise = nc.row_layout(np.stack(
         [np.random.default_rng(r).standard_normal((5, 2)) for r in seeds], axis=1))
     a = noise[0]
@@ -158,7 +156,7 @@ def test_sampler_flags_nonfinite_scores():
         return np.full_like(a, np.inf)
 
     with pytest.raises(NumericError):
-        df.ddpm_sample(bad, s, [np.random.default_rng(0)], 2, sigma_mode="beta")
+        df.ddpm_sample(bad, s, [np.random.default_rng(0)], 2)
 
 
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
@@ -171,14 +169,16 @@ def test_sampler_flags_a_nonfinite_score_at_one_middle_step(bad_value):
         return np.full_like(a, bad_value) if k == 25 else np.zeros_like(a)
 
     with pytest.raises(NumericError):
-        df.ddpm_sample(once, s, [np.random.default_rng(0), np.random.default_rng(1)], 2,
-                       sigma_mode="beta")
+        df.ddpm_sample(once, s, [np.random.default_rng(0), np.random.default_rng(1)], 2)
 
 
 def test_posterior_sigma_modes():
+    """The schedule tables sigma_k of its mode: sqrt(beta_k), or the
+    posterior's sqrt(beta~_k); an unknown mode is refused."""
     s = df.make_schedule()
-    assert np.array_equal(df.posterior_sigma(s, "beta"), np.sqrt(s.betas))
-    tilde = df.posterior_sigma(s, "beta_tilde")
+    assert s.sigma_mode == "beta"
+    assert np.array_equal(s.sigmas, np.sqrt(s.betas))
+    tilde = df.make_schedule(sigma_mode="beta_tilde").sigmas
     assert tilde[0] == 0.0
     # independent elementwise recomputation
     for k in range(2, s.K + 1):
@@ -187,7 +187,7 @@ def test_posterior_sigma_modes():
         assert abs(tilde[i] - expect) < 1e-15
     assert np.all(tilde <= np.sqrt(s.betas) + 1e-15)
     with pytest.raises(ConfigError):
-        df.posterior_sigma(s, "ddim")
+        df.make_schedule(sigma_mode="ddim")
 
 
 def test_denoise_loss_perfect_score_is_zero(rng):

@@ -7,11 +7,13 @@ Usage, from the repository root:
 PARENT_SRC and CHANGE_SRC are two ``src`` directories (say, of a ``git
 archive`` of the parent commit and of the working tree). Each tree's package
 is copied under its own name into a scratch directory, so both load in one
-process and see the same machine. A model is trained once with the parent's
-tree (30 demos of ``occluded_reach``, 60 steps per method, router 30, model
-seed 0, default shapes) and loaded by both trees into the six policy kinds
-of the benchmark. Before timing, every kind's act_rows at B = 1, 7 and 64
-must be byte-identical between the trees. Then, per kind and batch size,
+process and see the same machine. Each tree trains the same config (30 demos
+of ``occluded_reach``, 60 steps per method, router 30, model seed 0, default
+shapes) into its own directory and loads its own checkpoints into the six
+policy kinds of the benchmark. When the two trees' checkpoints are
+byte-identical, every kind's act_rows at B = 1, 7 and 64 must be too before
+timing; when they differ, the JSON says so and that check is skipped, since
+the trees then sample different models. Then, per kind and batch size,
 each pair times both trees on the same calls (20 act() calls at B = 1, 10
 act_rows calls at B = 64) three times, interleaved, the side that runs
 first alternating by pair; a side's timing in the pair is the least of its
@@ -39,6 +41,17 @@ import numpy as np
 KINDS = ("vis", "tac", "equal", "learned", "concat", "moe")
 ROWS = ((1, 20), (64, 10))   # (batch size, calls per timing)
 REPS = 3                     # interleaved timings per side and pair; the least is kept
+
+
+def train_tree(pkg: str, out: str) -> dict:
+    """Train the A/B model with one tree into ``out``; {method: checkpoint path}."""
+    pl = importlib.import_module(pkg + ".pipeline")
+    runconfig = importlib.import_module(pkg + ".runconfig")
+    cfg = (runconfig.RunConfig()
+           .with_section("run", seed=0, demos=30, out=out)
+           .with_section("train", steps=60, router_steps=30, lr=2e-3))
+    pl.gen_data(cfg)
+    return pl.run_training(cfg)
 
 
 def load_tree(pkg: str, model: dict):
@@ -86,15 +99,15 @@ def main(argv=None) -> int:
             shutil.copytree(os.path.join(src, "modalcompose"), os.path.join(scratch, name))
         sys.path.insert(0, scratch)
         sys.dont_write_bytecode = True
-        pl = importlib.import_module("mc_parent.pipeline")
-        runconfig = importlib.import_module("mc_parent.runconfig")
-        cfg = (runconfig.RunConfig()
-               .with_section("run", seed=0, demos=30, out=os.path.join(scratch, "model"))
-               .with_section("train", steps=60, router_steps=30, lr=2e-3))
-        pl.gen_data(cfg)
-        model = pl.run_training(cfg)
-        parent, change = load_tree("mc_parent", model), load_tree("mc_change", model)
-        for kind in KINDS:
+        parent_model, change_model = (train_tree(pkg, os.path.join(scratch, pkg))
+                                      for pkg in ("mc_parent", "mc_change"))
+        same_model = parent_model.keys() == change_model.keys() and all(
+            parent_model[key].read_bytes() == path.read_bytes()
+            for key, path in change_model.items())
+        if not same_model:
+            print("the trees' checkpoints differ: the byte pre-check is skipped", flush=True)
+        parent, change = load_tree("mc_parent", parent_model), load_tree("mc_change", change_model)
+        for kind in KINDS if same_model else ():
             for rows in (1, 7, 64):
                 a, b = timed(parent, kind, rows, 1)[1], timed(change, kind, rows, 1)[1]
                 if a.tobytes() != b.tobytes():
@@ -102,7 +115,8 @@ def main(argv=None) -> int:
         paragraphs = __doc__.split("\n\n")
         result = {"command": paragraphs[2].strip(), "method": " ".join(paragraphs[3].split()),
                   "numpy": np.__version__, "python": sys.version.split()[0],
-                  "blas": _blas_line(), "pairs": args.pairs, "ms_per_call": {}}
+                  "blas": _blas_line(), "checkpoints_identical": same_model,
+                  "pairs": args.pairs, "ms_per_call": {}}
         for rows, calls in ROWS:
             for kind in KINDS:
                 times = {"parent": [], "change": []}
