@@ -260,6 +260,9 @@ def expert_from_checkpoint(ck: Checkpoint) -> tuple[ModalityExpert, ActionStats,
     if len(m["sub_specs"]) != 1:
         raise FormatError(f"expert checkpoint holds {len(m['sub_specs'])} score nets; "
                           f"the averaged sub-policy stack was retired, an expert has one")
+    if m["n_steps"] != m["schedule"]["steps"]:
+        raise FormatError(f"expert checkpoint samples {m['n_steps']} steps on a schedule of "
+                          f"{m['schedule']['steps']}")
     spec = _spec_from_meta(m["sub_specs"][0])
     expert = ModalityExpert(
         enc=enc, action_dim=m["action_dim"],

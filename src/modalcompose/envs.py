@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -172,7 +173,9 @@ def env_step(state: EnvState, action: np.ndarray) -> tuple[EnvState, Observation
     if spec.name == "phase_reach":
         success = success and visited1
     done = success or t >= spec.t_max
-    new = replace(state, p=p, t=t, done=done, success=success, visited1=visited1)
+    # built directly: dataclasses.replace takes about twice as long
+    new = EnvState(spec, p, state.q, t, done, success, state.q_vis, state.w1, visited1,
+                   state.noise_key)
     return new, observe(new), done, success
 
 
@@ -256,17 +259,20 @@ class ActionStats:
     def chunk_dim(self) -> int:
         return self.action_dim * self.horizon
 
+    @cached_property
     def _span_ok(self):
+        """The span, 1 where degenerate, and the mask of nondegenerate
+        coordinates, computed on first use, not on every call."""
         span = self.act_max - self.act_min
         ok = span > 1e-12
         return np.where(ok, span, 1.0), ok
 
     def normalize(self, a: np.ndarray) -> np.ndarray:
-        span, ok = self._span_ok()
+        span, ok = self._span_ok
         return np.where(ok, 2.0 * (a - self.act_min) / span - 1.0, a - self.act_min)
 
     def denormalize(self, a: np.ndarray) -> np.ndarray:
-        span, ok = self._span_ok()
+        span, ok = self._span_ok
         return np.where(ok, self.act_min + (a + 1.0) * span / 2.0, self.act_min + a)
 
     def normalize_chunk(self, chunk: np.ndarray) -> np.ndarray:

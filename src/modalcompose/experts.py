@@ -219,17 +219,20 @@ def mixed_score(experts: list[ModalityExpert], embs: list[np.ndarray], weights: 
     binding, are bound once to their embedding rows ``embs`` (``bind_score``):
     a call runs the layer ops and the mix. One expert at weight 1, whose mix
     is the exact identity, is its own net bound to ``embs[0]``, uncopied.
-    Nothing is checked per call; ``ddpm_sample`` checks its state once. The
-    experts share one score_spec and n_steps."""
+    The weights are broadcast to the scores' shape once, so the per-step
+    multiply has operands of equal shape (see ``numcore``). Nothing is checked
+    per call; ``ddpm_sample`` checks its state once. The experts share one
+    score_spec and n_steps."""
     ex = experts[0]
     if len(experts) == 1 and bool((weights == 1.0).all()):
-        # biases as (1, out) views: a one-row add of equal shapes skips numpy's broadcast
-        alone = {name: np.atleast_2d(t.data) for name, t in ex.score_params.items()}
-        return bind_score(alone, ex.score_spec, embs[0], ex.n_steps)
-    params = {name: np.array([np.atleast_2d(e.score_params[name].data) for e in experts])
-              for name in ex.score_params.names()}   # biases (E, 1, out)
+        return bind_score(ex.score_params, ex.score_spec, embs[0], ex.n_steps)
+    params = {}
+    for name in ex.score_params.names():
+        stack = np.array([e.score_params[name].data for e in experts])
+        params[name] = stack[:, None] if stack.ndim == 2 else stack   # biases (E, 1, out)
     score = bind_score(params, ex.score_spec, np.array(embs), ex.n_steps)
-    return lambda a_k, k: np.add.reduce(score(a_k, k) * weights, axis=0)
+    w = np.ascontiguousarray(np.broadcast_to(weights, weights.shape[:-1] + (ex.action_dim,)))
+    return lambda a_k, k: np.add.reduce(score(a_k, k) * w, axis=0)
 
 
 def init_expert(modality: str, modality_dim: int, robot_dim: int, action_dim: int,

@@ -12,6 +12,12 @@ Everything is float64 and single-threaded; any NaN/Inf raises ``NumericError``
 at the op that produced it instead of propagating, but for ``mlp_infer`` over
 layers bound by ``mlp_layers``, whose caller checks. An MLP node checks once per
 layer, on the pre-activation, not after each matmul, add and activation.
+
+Inference keeps one rule on the one-row path a sampler runs 50 times per
+action: elementwise operands have equal shapes. On a 64-wide row numpy takes
+about twice as long over a broadcast add as over an equal-shape one, for the
+same bits, so ``mlp_layers`` binds biases as (1, out) views of their (out,)
+arrays.
 """
 
 from __future__ import annotations
@@ -293,7 +299,9 @@ def mlp_layers(params: ParamSet | dict[str, Array], spec: MlpSpec,
     """The (W, b) pairs ``mlp_infer`` runs over rows in x's layout, with x's
     shape checked against them once: the layers of a ParamSet or a dict of
     its arrays, with an axis for the rows added after the stack axes when
-    the rows are row-stacked."""
+    the rows are row-stacked. A net without stack axes gets its biases as
+    (1, out) views, the shape of one row's activations (see the module
+    docstring)."""
     get = (lambda n: params[n].data) if isinstance(params, ParamSet) else params.get
     n_stack = get("W0").ndim - 2
     row_axes = x.ndim - n_stack - 1
@@ -302,7 +310,9 @@ def mlp_layers(params: ParamSet | dict[str, Array], spec: MlpSpec,
         raise ShapeError(f"MLP input shape {x.shape} does not match input_dim "
                          f"{spec.input_dim} and {n_stack} stack axes")
     layers = [(get(f"W{i}"), get(f"b{i}")) for i in range(len(spec.hidden) + 1)]
-    if row_axes == 2 and n_stack:
+    if not n_stack:
+        layers = [(W, b[None]) for W, b in layers]
+    elif row_axes == 2:
         layers = [(W[..., None, :, :], b[..., None, :, :]) for W, b in layers]
     return tuple(layers)
 

@@ -5,11 +5,17 @@ a SplitMix64 mix of integer labels, e.g. ``stream(seed, episode, TAG_ACT, t)``.
 Because the key is a pure function of the labels, any draw can be replayed
 in isolation (needed for importance probing) and runs are reproducible
 regardless of execution order or parallelism.
+
+A stream is ``Generator(Philox(key=mix64(*labels)))``: key words [mix64, 0],
+counter 0. Philox gets that key as its seed sequence (``_Key``), because
+``Philox(key=...)`` first seeds itself from OS entropy and then overwrites
+it, which doubles the cost of a stream; a control step makes two.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 MASK64 = (1 << 64) - 1
 
@@ -41,6 +47,17 @@ def mix64(*labels: int) -> int:
     return state
 
 
+class _Key(ISeedSequence):
+    """One Philox key as a seed sequence: the two uint64 words Philox asks for
+    are [key, 0], which it sets as its key, with counter 0."""
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return np.array([self.key, 0], dtype=np.uint64)
+
+
 def stream(*labels: int) -> np.random.Generator:
     """A fresh Philox-backed generator keyed by the given labels."""
-    return np.random.Generator(np.random.Philox(key=mix64(*labels)))
+    return np.random.Generator(np.random.Philox(_Key(mix64(*labels))))

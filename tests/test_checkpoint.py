@@ -380,7 +380,8 @@ BAD_METADATA = {
                _put(["noise_band_split"], "no"), _put(["robot_dim"], True),
                _put(["encoder_spec", "input_dim"], -5), _put(["modality_dim"], 99),
                _put(["noise_band_split"], True),    # band split was retired
-               _twice("sub_specs")],                # so was the averaged sub-policy stack
+               _twice("sub_specs"),                 # so was the averaged sub-policy stack
+               _put(["n_steps"], 49)],              # steps its schedule does not have
     "router": [_drop("router_spec"), _put(["router_spec", "output_dim"], "fifty"),
                _put(["emb_dims"], "fifty"), _put(["modality_order"], [1, 2]),
                _put(["router_spec", "activation"], "relu6")],

@@ -1,8 +1,8 @@
-"""In-process A/B of the sampler: per-kind act() at B = 1 and act_rows at B = 64.
+"""In-process A/B of the sampler: per-kind act() at B = 1, act_rows at B = 64 and episodes.
 
 Usage, from the repository root:
 
-    python3 tools/sampler_ab.py PARENT_SRC CHANGE_SRC --pairs 10 --out BENCH_sampler.json
+    python3 tools/sampler_ab.py PARENT_SRC CHANGE_SRC --pairs 10 --out BENCH_rollout.json
 
 PARENT_SRC and CHANGE_SRC are two ``src`` directories (say, of a ``git
 archive`` of the parent commit and of the working tree). Each tree's package
@@ -11,15 +11,20 @@ process and see the same machine. Each tree trains the same config (30 demos
 of ``occluded_reach``, 60 steps per method, router 30, model seed 0, default
 shapes) into its own directory and loads its own checkpoints into the six
 policy kinds of the benchmark. When the two trees' checkpoints are
-byte-identical, every kind's act_rows at B = 1, 7 and 64 must be too before
-timing; when they differ, the JSON says so and that check is skipped, since
-the trees then sample different models. Then, per kind and batch size,
-each pair times both trees on the same calls (20 act() calls at B = 1, 10
-act_rows calls at B = 64) three times, interleaved, the side that runs
-first alternating by pair; a side's timing in the pair is the least of its
-three, so one burst of other load moves one run, not the pair. The JSON
-gives medians and quartiles of those timings in ms per call, the change's
-median over the parent's, and in how many pairs the change was faster.
+byte-identical, every kind's act_rows at B = 1, 7 and 64, and the actions
+of a whole episode, must be too before timing; when they differ, the JSON
+says so and that check is skipped, since the trees then sample different
+models. Then, per kind and batch size, each pair times both trees on the
+same calls (20 act() calls at B = 1, 10 act_rows calls at B = 64) three
+times, interleaved, the side that runs first alternating by pair; a side's
+timing in the pair is the least of its three, so one burst of other load
+moves one run, not the pair. The third case times whole episodes of
+``rollout.run_policy_episode`` (eval seed 5, episodes 0-3 in every pair),
+the sides interleaved by episode, the side that runs first alternating by
+pair; a side's rate in the pair is its control steps over its time. The
+JSON gives medians and quartiles of the timings in ms per call and of the
+rates in control steps per second, the change's median over the parent's,
+and in how many pairs the change was faster.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import numpy as np
 KINDS = ("vis", "tac", "equal", "learned", "concat", "moe")
 ROWS = ((1, 20), (64, 10))   # (batch size, calls per timing)
 REPS = 3                     # interleaved timings per side and pair; the least is kept
+EVAL_SEED, EPISODES = 5, 4   # the episodes each side rolls per pair, interleaved
 
 
 def train_tree(pkg: str, out: str) -> dict:
@@ -56,6 +62,7 @@ def train_tree(pkg: str, out: str) -> dict:
 
 def load_tree(pkg: str, model: dict):
     cpt = importlib.import_module(pkg + ".checkpoint")
+    rollout = importlib.import_module(pkg + ".rollout")
     compose = importlib.import_module(pkg + ".compose")
     envs = importlib.import_module(pkg + ".envs")
     rs = importlib.import_module(pkg + ".rngstream")
@@ -73,12 +80,13 @@ def load_tree(pkg: str, model: dict):
         "moe": cpt.fusion_from_checkpoint(load("moe")),
     }
     spec = envs.make_env_spec("occluded_reach")
-    obs = [envs.env_reset(spec, rs.stream(5, rs.TAG_EVAL, ep))[1] for ep in range(64)]
-    return policies, obs, rs
+    obs = [envs.env_reset(spec, rs.stream(EVAL_SEED, rs.TAG_EVAL, ep))[1] for ep in range(64)]
+    episode = lambda kind, ep: rollout.run_policy_episode(policies[kind], spec, EVAL_SEED, ep)
+    return policies, obs, rs, episode
 
 
 def timed(tree, kind: str, rows: int, calls: int):
-    policies, obs, rs = tree
+    policies, obs, rs, _ = tree
     policy = policies[kind]
     t0 = time.perf_counter()
     for i in range(calls):
@@ -112,11 +120,15 @@ def main(argv=None) -> int:
                 a, b = timed(parent, kind, rows, 1)[1], timed(change, kind, rows, 1)[1]
                 if a.tobytes() != b.tobytes():
                     raise SystemExit(f"{kind} at B = {rows}: the trees sample different bytes")
+            a, b = (b"".join(x.tobytes() for x in tree[3](kind, 0).actions)
+                    for tree in (parent, change))
+            if a != b:
+                raise SystemExit(f"{kind}: the trees' episodes act in different bytes")
         paragraphs = __doc__.split("\n\n")
         result = {"command": paragraphs[2].strip(), "method": " ".join(paragraphs[3].split()),
                   "numpy": np.__version__, "python": sys.version.split()[0],
                   "blas": _blas_line(), "checkpoints_identical": same_model,
-                  "pairs": args.pairs, "ms_per_call": {}}
+                  "pairs": args.pairs, "ms_per_call": {}, "episode_steps_per_s": {}}
         for rows, calls in ROWS:
             for kind in KINDS:
                 times = {"parent": [], "change": []}
@@ -128,17 +140,23 @@ def main(argv=None) -> int:
                             runs[label].append(timed(tree, kind, rows, calls)[0])
                     for label, ts in runs.items():
                         times[label].append(1e3 * min(ts))
-                q = {k: np.percentile(v, [25, 50, 75]) for k, v in times.items()}
-                wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
                 key = f"{kind} {'act()' if rows == 1 else 'act_rows'} B={rows}"
-                result["ms_per_call"][key] = {
-                    "parent_median": round(float(q["parent"][1]), 4),
-                    "parent_quartiles": [round(float(x), 4) for x in q["parent"][::2]],
-                    "change_median": round(float(q["change"][1]), 4),
-                    "change_quartiles": [round(float(x), 4) for x in q["change"][::2]],
-                    "ratio": round(float(q["change"][1] / q["parent"][1]), 3),
-                    "change_faster_pairs": f"{wins}/{args.pairs}"}
+                result["ms_per_call"][key] = _summary(times, lower_is_faster=True)
                 print(key, result["ms_per_call"][key], flush=True)
+        for kind in KINDS:
+            rates = {"parent": [], "change": []}
+            for pair in range(args.pairs):
+                sides = [("parent", parent), ("change", change)][::1 if pair % 2 == 0 else -1]
+                spent, steps = {"parent": 0.0, "change": 0.0}, {"parent": 0, "change": 0}
+                for ep in range(EPISODES):
+                    for label, tree in sides:
+                        t0 = time.perf_counter()
+                        steps[label] += tree[3](kind, ep).steps
+                        spent[label] += time.perf_counter() - t0
+                for label in rates:
+                    rates[label].append(steps[label] / spent[label])
+            result["episode_steps_per_s"][kind] = _summary(rates, lower_is_faster=False)
+            print(kind, "episodes", result["episode_steps_per_s"][kind], flush=True)
         if args.out:
             with open(args.out, "w") as fh:
                 json.dump(result, fh, indent=1)
@@ -146,6 +164,20 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return 0
+
+
+def _summary(values: dict, *, lower_is_faster: bool) -> dict:
+    """Medians and quartiles of each side's per-pair values, the change's
+    median over the parent's, and in how many pairs the change was faster."""
+    q = {k: np.percentile(v, [25, 50, 75]) for k, v in values.items()}
+    wins = sum(c < p if lower_is_faster else c > p
+               for p, c in zip(values["parent"], values["change"]))
+    return {"parent_median": round(float(q["parent"][1]), 4),
+            "parent_quartiles": [round(float(x), 4) for x in q["parent"][::2]],
+            "change_median": round(float(q["change"][1]), 4),
+            "change_quartiles": [round(float(x), 4) for x in q["change"][::2]],
+            "ratio": round(float(q["change"][1] / q["parent"][1]), 3),
+            "change_faster_pairs": f"{wins}/{len(values['parent'])}"}
 
 
 def _blas_line() -> str:
