@@ -1,5 +1,6 @@
 """Training pins: the sha256 of every checkpoint and loss CSV that
-``run_training`` writes on a tiny dataset.
+``run_training`` writes on a tiny dataset, and of every checkpoint's
+content (its tensors and its metadata but ``config_hash``).
 
 They cover the default method set, joint router fine-tuning, relu hidden
 layers in the experts and the fusion baselines, and phase_reach. The hashes
@@ -9,9 +10,11 @@ sub-policy stack was retired; training must reproduce them bit for bit.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from modalcompose import checkpoint as cpt
 from modalcompose import pipeline as pl
 from modalcompose.runconfig import RunConfig
 
@@ -118,11 +121,98 @@ def pin_config(name, out):
     return cfg.with_section("run", demos=2, seed=3, out=str(out))
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """run_training's outputs for a pin config, trained once per module:
+    {file name: path}, the dataset left out."""
+    runs = {}
+
+    def outputs(name):
+        if name not in runs:
+            out = tmp_path_factory.mktemp(name)
+            cfg = pin_config(name, out)
+            data = pl.gen_data(cfg)
+            pl.run_training(cfg)
+            runs[name] = {p.name: p for p in sorted(out.iterdir()) if p != data}
+        return runs[name]
+
+    return outputs
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_training_outputs_are_pinned(tmp_path, name):
-    cfg = pin_config(name, tmp_path)
-    data = pl.gen_data(cfg)
-    pl.run_training(cfg)
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(tmp_path.iterdir()) if p != data}
+def test_training_outputs_are_pinned(trained, name):
+    got = {f: hashlib.sha256(p.read_bytes()).hexdigest() for f, p in trained(name).items()}
     assert got == PINNED[name]
+
+
+def content_digest(path) -> str:
+    """sha256 of a checkpoint's metadata, less its provenance-only
+    config_hash, as canonical JSON, then of each tensor's name, shape and
+    float64 LE bytes in file order."""
+    ck = cpt.load_checkpoint(path)
+    meta = {k: v for k, v in ck.metadata.items() if k != "config_hash"}
+    h = hashlib.sha256(json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())
+    for name, t in ck.tensors.items():
+        h.update(f"{name}{t.shape}".encode() + t.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+# Each checkpoint's content: every tensor and every metadata field but
+# config_hash. Recorded with the file pins above; a change to how configs
+# are hashed re-records those, never these.
+CONTENT_PINNED = {
+    "default": {
+        "concat_seed3.mcpf":
+            "1a08456ee4c623fb5c2eafb8588f796a820a553b9046c6d9731822d0499059f8",
+        "expert-tac_seed3.mcpf":
+            "4d87e35218cb36e5b64f59661dd050cb52cbe5518f8e2d7c0a5c005a091a9ec5",
+        "expert-vis_seed3.mcpf":
+            "41ec71f9ec682ba1ad7b326a8c855be23c3c3978b703fd22f0fe524ece55c2cb",
+        "moe_seed3.mcpf":
+            "595e48557c9ff49e3f1aa94203b101a4c3f3944f71824110d729f32357a1bd50",
+        "router_seed3.mcpf":
+            "e48db6241be82553e54ad8d3475317fa92ce886b4f440cd6f3e352ea7a664f5f",
+    },
+    "joint": {
+        "concat_seed3.mcpf":
+            "1a08456ee4c623fb5c2eafb8588f796a820a553b9046c6d9731822d0499059f8",
+        "expert-tac_seed3.mcpf":
+            "a226c4aec61132035a56a8b7c4cff8a40da5eebf855e535ef35aad2ea388c2e8",
+        "expert-vis_seed3.mcpf":
+            "fdedf8e2b743f963e51ef1c5eb0d2e1e7a2b83060c3d7fba1bba1ca35b165e0f",
+        "moe_seed3.mcpf":
+            "595e48557c9ff49e3f1aa94203b101a4c3f3944f71824110d729f32357a1bd50",
+        "router_seed3.mcpf":
+            "0f1b3576aff2561f06dee1e3517e75f4a68b969e5dbb6c3b69e9ec3b197d84dd",
+    },
+    "phase": {
+        "concat_seed3.mcpf":
+            "75f8fefaf0d66604f1ee734671de8144f2d947c8d968ddeba85df24ed89457a6",
+        "expert-wpa_seed3.mcpf":
+            "84f097b31c4a078606103a7c1197d4b75af04f58b7456c7d3ec300a72738cd5d",
+        "expert-wpb_seed3.mcpf":
+            "60fd5cb045a3fb080bf3d70fb437a555900e156fb87d402b2062e7134dfbfa77",
+        "moe_seed3.mcpf":
+            "efb96bbb1ef9659254c4933dfddbd105391c0572b84dda8bdf0e0dfa15a5cce3",
+        "router_seed3.mcpf":
+            "15e8cbdb3c8a377d9f205a0877e7ea31dc8e3c6225bf6a2307cc25b95462ed0f",
+    },
+    "relu": {
+        "concat_seed3.mcpf":
+            "799d6a2fecbf295291b06c6341868a884b1b77b55b36d8cafb42098543091056",
+        "expert-tac_seed3.mcpf":
+            "cbfb4224ac3b518efb2d65e9919d35f2e227d5f70e152f04cd01c799397133b2",
+        "expert-vis_seed3.mcpf":
+            "f4381ebe940d68673436de36adb0aac002a5db196f6cf5cb15a3d03077bf9d6c",
+        "moe_seed3.mcpf":
+            "d12b8384e8e4e8dfd9ff1d0d9d41e088bdda86c8c8f48a134706ff5db03bc616",
+        "router_seed3.mcpf":
+            "959456cc3ceb7aa9d033d43e5d5db39c50d5ecabe0e665f61b266bda138469c0",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_checkpoint_contents_are_pinned(trained, name):
+    got = {f: content_digest(p) for f, p in trained(name).items() if f.endswith(".mcpf")}
+    assert got == CONTENT_PINNED[name]
