@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numcore as nc
 from .diffusion import NoiseSchedule, make_schedule
-from .envs import ActionStats, _Reader
+from .envs import ActionStats, _Reader, read_file
 from .errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
 from .experts import Encoder, ModalityExpert
 from .router import Router
@@ -67,28 +67,25 @@ def save_checkpoint(tensors: dict[str, np.ndarray], metadata: dict, path) -> Non
 
 
 def load_checkpoint(path) -> Checkpoint:
-    p = Path(path)
-    if not p.exists():
-        raise FormatError(f"checkpoint not found: {p}")
-    r = _Reader(p.read_bytes(), str(p))
+    r = _Reader(read_file(path, "checkpoint"), str(path))
     if r.take(4) != MAGIC:
-        raise FormatError(f"{p}: bad magic, not a checkpoint file")
+        raise FormatError(f"{path}: bad magic, not a checkpoint file")
     (version,) = r.unpack("<I")
     if version != VERSION:
-        raise FormatError(f"{p}: unsupported checkpoint version {version}")
+        raise FormatError(f"{path}: unsupported checkpoint version {version}")
     (mlen,) = r.unpack("<I")
     try:
         metadata = json.loads(r.take(mlen).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{p}: bad metadata block: {exc}") from None
+        raise FormatError(f"{path}: bad metadata block: {exc}") from None
     if not isinstance(metadata, dict):
-        raise FormatError(f"{p}: metadata is not a JSON object")
+        raise FormatError(f"{path}: metadata is not a JSON object")
     (count,) = r.unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         name = r.text("tensor name")
         if name in tensors:
-            raise FormatError(f"{p}: duplicate tensor name {name!r}")
+            raise FormatError(f"{path}: duplicate tensor name {name!r}")
         (rank,) = r.unpack("<B")
         dims = tuple(r.unpack("<" + "I" * rank)) if rank else ()
         payload = r.take(8 * math.prod(dims))   # Python ints: a header cannot wrap it
@@ -96,7 +93,7 @@ def load_checkpoint(path) -> Checkpoint:
             tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(
                 np.float64)
         except ValueError as exc:
-            raise FormatError(f"{p}: tensor {name!r}: {exc}") from None
+            raise FormatError(f"{path}: tensor {name!r}: {exc}") from None
     r.expect_end()
     return Checkpoint(metadata=metadata, tensors=tensors)
 
@@ -344,14 +341,19 @@ def fusion_from_checkpoint(ck: Checkpoint):
 
 
 def check_compose_compatibility(metas: list[dict]) -> None:
-    """Experts/router being composed must share config hash, schedule,
-    normalization stats, action dim, horizon, and environment."""
+    """Checkpoints composed into one policy must agree on what it computes:
+    env, action stats, noise schedule, and the experts' sigma_mode (absent
+    is beta; a router samples nothing and names none). Their config hashes
+    only record their runs, so runs that differ elsewhere compose."""
     if not metas:
         raise ContractError("nothing to check")
-    ref = metas[0]
-    for m in metas[1:]:
-        for key in ("config_hash", "schedule", "stats", "env"):
-            if m.get(key) != ref.get(key):
-                raise ContractError(
-                    f"incompatible checkpoints: {key} differs "
-                    f"({m.get(key)!r} vs {ref.get(key)!r})")
+    seen: dict = {}
+    for m in metas:
+        facts = {key: m.get(key) for key in ("env", "stats", "schedule")}
+        if m.get("kind") != "router":
+            facts["sigma_mode"] = m.get("sigma_mode", "beta")
+        for key, value in facts.items():
+            want = seen.setdefault(key, value)
+            if value != want:
+                raise ContractError(f"incompatible checkpoints: {key} differs "
+                                    f"({value!r} vs {want!r})")

@@ -271,10 +271,7 @@ def cli_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ModalComposeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ModalComposeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -392,8 +392,7 @@ class Dataset:
 
     @classmethod
     def read(cls, path: str | Path) -> "Dataset":
-        raw = Path(path).read_bytes()
-        r = _Reader(raw, str(path))
+        r = _Reader(read_file(path, "dataset"), str(path))
         if r.take(4) != b"MCDS":
             raise FormatError(f"{path}: bad magic, not a dataset file")
         version = r.u32()
@@ -428,6 +427,14 @@ class Dataset:
         return cls(env_name=env_name, modality_dims=modality_dims,
                    robot_dim=robot_dim, action_dim=action_dim, horizon=horizon,
                    episodes=episodes, act_min=act_min, act_max=act_max)
+
+
+def read_file(path, what: str) -> bytes:
+    """A file's bytes; a path that is no readable file is a FormatError."""
+    try:
+        return Path(path).read_bytes()
+    except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
+        raise FormatError(f"cannot read {what}: {exc}") from None
 
 
 class _Reader:

@@ -136,7 +136,7 @@ def score_net_spec(action_dim: int, cond_dim: int, cfg) -> nc.MlpSpec:
     """A score net over [a_k, cond, timestep features], from cfg's [expert]
     shapes: an expert's or a fusion baseline's one net."""
     ex = cfg.expert
-    return nc.MlpSpec(action_dim + cond_dim + TIMESTEP_DIM, tuple(ex.sub_hidden),
+    return nc.MlpSpec(action_dim + cond_dim + TIMESTEP_DIM, tuple(ex.score_hidden),
                       action_dim, activation=ex.activation)
 
 

@@ -5,7 +5,8 @@ loss-history CSVs, composed-policy manifests (.txt), metrics CSVs. Everything
 is a pure function of (config, seed), so reruns are byte-identical.
 Checkpoint files become a composed policy, and are judged fit to compose,
 only in ``compose_checkpoints``: manifests, ``compose``, an expert checkpoint
-(the one-expert composition) and the sweep all load through it.
+(the one-expert composition) and the sweep all load through it, by the
+facts they hold, not by the runs that made them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import checkpoint as cp
 from .compose import ComposedPolicy, manual_weights, train_concat_policy, train_moe_policy
 from .diffusion import make_schedule
-from .envs import Dataset, generate_dataset, make_env_spec
+from .envs import Dataset, generate_dataset, make_env_spec, read_file
 from .errors import ConfigError, ContractError, FormatError
 from .experts import train_expert
 from .rollout import evaluate_policy
@@ -205,13 +206,11 @@ def load_manifest(path) -> tuple[ComposedPolicy, dict]:
     """Rebuild a composed policy from its manifest.
 
     Checkpoint paths are resolved relative to the manifest's directory and
-    cross-checked for compatibility (config hash, schedule, stats, env).
+    cross-checked for compatibility (env, stats, schedule, sigma_mode).
     """
     p = Path(path)
-    if not p.exists():
-        raise FormatError(f"manifest not found: {p}")
     try:
-        text = p.read_bytes().decode("utf-8")
+        text = read_file(p, "manifest").decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError(f"{p}: a manifest is UTF-8 text") from None
     fields = {"expert": []}
@@ -281,21 +280,16 @@ class RandomPolicy:
 
 def _policy_from_path(path) -> tuple[object, str, str]:
     """(policy, method label, env name) of a manifest or checkpoint path."""
-    p = Path(path)
-    if not p.exists():
-        raise FormatError(f"no such policy file: {p}")
-    with open(p, "rb") as fh:
-        magic = fh.read(len(cp.MAGIC))
-    if magic == cp.MAGIC:
-        ck = cp.load_checkpoint(p)
+    if read_file(path, "policy file").startswith(cp.MAGIC):
+        ck = cp.load_checkpoint(path)
         kind = ck.metadata.get("kind")
         if kind == "expert":   # the one-expert composition
             policy, metas = compose_checkpoints([ck], weights=[1.0])
             return policy, f"expert:{policy.modality_order[0]}", metas[0]["env"]
         if kind in ("concat", "moe"):
             return cp.fusion_from_checkpoint(ck), kind, ck.metadata["env"]
-        raise FormatError(f"{p}: cannot evaluate a {kind!r} checkpoint directly")
-    policy, meta = load_manifest(p)
+        raise FormatError(f"{path}: cannot evaluate a {kind!r} checkpoint directly")
+    policy, meta = load_manifest(path)
     label = "composed" if policy.router is not None else "manual"
     return policy, label, meta["env"]
 

@@ -2,13 +2,15 @@
 stable hashing so checkpoints can record exactly what produced them.
 
 File format: lines of ``key = value`` grouped under ``[section]`` headers.
-Blank lines and ``#`` comments are ignored. Unknown sections or keys are hard
-errors so experiment typos fail loudly instead of silently using defaults.
+Blank lines are ignored; a ``#`` that begins a line or follows whitespace
+starts a comment. Unknown sections or keys are hard errors so experiment
+typos fail loudly instead of silently using defaults.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -49,24 +51,18 @@ class DiffusionConfig:
 
 @dataclass(frozen=True)
 class ExpertConfig:
-    n_sub: int = 1             # retired; kept 1 so config hashes keep their bytes
     enc_hidden: tuple[int, ...] = (64, 64)
     enc_out: int = 32
-    sub_hidden: tuple[int, ...] = (64, 64)
+    score_hidden: tuple[int, ...] = (64, 64)   # every score net's hidden widths
     activation: str = "tanh"
-    noise_band_split: bool = False   # retired; kept false so config hashes keep their bytes
 
     def __post_init__(self):
-        _require(self.n_sub == 1, "[expert] n_sub", self.n_sub,
-                 "1 (the averaged sub-policy stack was retired)")
         _require(self.enc_out >= 1, "[expert] enc_out", self.enc_out, ">= 1")
-        for key in ("enc_hidden", "sub_hidden"):
+        for key in ("enc_hidden", "score_hidden"):
             widths = getattr(self, key)
             _require(all(w >= 1 for w in widths), f"[expert] {key}", widths, "widths >= 1")
         _require(self.activation in ACTIVATIONS, "[expert] activation", self.activation,
                  f"one of {tuple(ACTIVATIONS)}")
-        _require(not self.noise_band_split, "[expert] noise_band_split", self.noise_band_split,
-                 "false (band split was retired)")
 
 
 @dataclass(frozen=True)
@@ -173,12 +169,16 @@ def _parse_value(raw: str, template, where: str):
     return raw
 
 
+# a comment starts at a '#' that begins a line or follows whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     cfg = base or RunConfig()
     section = None
     sec_updates: dict[str, dict] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.split(line, 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -213,10 +213,11 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
 
 
 def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(), base)
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or a NUL in the path
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    return parse_config_text(text, base)
 
 
 def _section_lines(cfg: RunConfig, name: str) -> list[str]:
@@ -245,14 +246,10 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(config_text(cfg).encode("utf-8")).hexdigest()[:16]
 
 
-_MODEL_SECTIONS = ("env", "diffusion", "expert", "router", "train")
-
-
 def model_hash(cfg: RunConfig) -> str:
-    """Hash of the sections that determine trained-model compatibility.
-
-    Excludes [probe] and [run], so checkpoints trained under different seeds,
-    output paths, or probe settings still compose.
-    """
-    text = "\n".join(line for name in _MODEL_SECTIONS for line in _section_lines(cfg, name))
+    """Each checkpoint's ``config_hash``, over every section but [probe] and
+    [run]: a record of the run that trained it, which composing does not
+    compare."""
+    text = "\n".join(line for name in ("env", "diffusion", "expert", "router", "train")
+                     for line in _section_lines(cfg, name))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

@@ -98,7 +98,7 @@ def mean_rate(suite, name):
 def test_ac1_composition_identity():
     t0 = time.time()
     cfg = RunConfig().with_section("expert", enc_hidden=(16,), enc_out=8,
-                                   sub_hidden=(32,))
+                                   score_hidden=(32,))
     rng = np.random.default_rng(11)
     names, dims = ("vis", "tac", "aud"), (5, 3, 4)
     distinct = [xp.init_expert(m, d, 2, 2, cfg, rng)
@@ -188,7 +188,7 @@ def test_ac3_diffusion_recovery():
     target = np.array([0.3, -0.4])
     ds = constant_action_dataset(target, n_rows=256)
     cfg = (RunConfig()
-           .with_section("expert", enc_hidden=(32,), enc_out=16, sub_hidden=(64,))
+           .with_section("expert", enc_hidden=(32,), enc_out=16, score_hidden=(64,))
            .with_section("train", steps=4000, batch=64, lr=1e-3))
     expert = xp.train_expert(ds, "vis", cfg, stream(77, TAG_TRAIN, 1))
     policy = compose.single_expert_policy(expert, make_schedule(), ds.stats())

@@ -54,7 +54,7 @@ def tracer():
 
 
 def tiny_cfg(steps=0):
-    cfg = RunConfig().with_section("expert", enc_hidden=(8,), enc_out=4, sub_hidden=(8,))
+    cfg = RunConfig().with_section("expert", enc_hidden=(8,), enc_out=4, score_hidden=(8,))
     cfg = cfg.with_section("router", hidden=(4,))
     return cfg.with_section("train", steps=steps, batch=8, router_steps=steps)
 

@@ -19,7 +19,7 @@ from tests.conftest import constant_action_dataset
 
 def small_cfg():
     cfg = RunConfig()
-    cfg = cfg.with_section("expert", enc_hidden=(16,), enc_out=8, sub_hidden=(32,))
+    cfg = cfg.with_section("expert", enc_hidden=(16,), enc_out=8, score_hidden=(32,))
     cfg = cfg.with_section("router", hidden=(8,))
     return cfg.with_section("train", steps=0, batch=16, router_steps=0)
 
@@ -314,19 +314,33 @@ def meta_with(**over):
 
 
 def test_compatibility_accepts_matching():
+    """Facts that agree compose, whatever runs made the checkpoints: the config
+    hash is provenance only, an absent sigma_mode is beta, and a router, which
+    samples nothing, names none beside beta_tilde experts."""
     cpt.check_compose_compatibility([meta_with(), meta_with(), meta_with()])
+    cpt.check_compose_compatibility([meta_with(), meta_with(config_hash="other")])
+    cpt.check_compose_compatibility([meta_with(), meta_with(sigma_mode="beta")])
+    tilde = meta_with(sigma_mode="beta_tilde")
+    router = meta_with(kind="router")
+    cpt.check_compose_compatibility([tilde, tilde, router])
+    cpt.check_compose_compatibility([router, tilde])
 
 
 def test_compatibility_rejects_each_divergence():
-    for bad in (
-        meta_with(config_hash="other"),
-        meta_with(env="phase_reach"),
-        meta_with(schedule={"steps": 10, "beta_start": 1e-4, "beta_end": 0.02}),
-        meta_with(stats=cpt._stats_meta(
-            ActionStats(np.zeros(2), np.ones(2), 2, 1))),
+    """A divergence in any fact that decides what the composed policy computes
+    is refused, naming the fact."""
+    for fact, bad in (
+        ("env", meta_with(env="phase_reach")),
+        ("schedule", meta_with(schedule={"steps": 10, "beta_start": 1e-4, "beta_end": 0.02})),
+        ("stats", meta_with(stats=cpt._stats_meta(
+            ActionStats(np.zeros(2), np.ones(2), 2, 1)))),
+        ("sigma_mode", meta_with(sigma_mode="beta_tilde")),
     ):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=f"{fact} differs"):
             cpt.check_compose_compatibility([meta_with(), bad])
+    with pytest.raises(ContractError, match="sigma_mode differs"):
+        cpt.check_compose_compatibility([meta_with(kind="router"), meta_with(),
+                                         meta_with(sigma_mode="beta_tilde")])
     with pytest.raises(ContractError):
         cpt.check_compose_compatibility([])
 

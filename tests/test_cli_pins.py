@@ -16,7 +16,7 @@ CONFIG = """\
 [expert]
 enc_hidden = 8
 enc_out = 4
-sub_hidden = 16
+score_hidden = 16
 [router]
 hidden = 8
 [train]

@@ -20,7 +20,7 @@ from tests.conftest import constant_action_dataset
 
 def small_cfg(steps=0):
     cfg = RunConfig()
-    cfg = cfg.with_section("expert", enc_hidden=(16,), enc_out=8, sub_hidden=(32,))
+    cfg = cfg.with_section("expert", enc_hidden=(16,), enc_out=8, score_hidden=(32,))
     cfg = cfg.with_section("router", hidden=(8,))
     return cfg.with_section("train", steps=steps, batch=32, lr=2e-3,
                             router_steps=0)
@@ -126,8 +126,8 @@ def test_inter_compose_requires_matching_modalities(rng):
 
 def test_composed_policy_samples_with_its_experts_sigma_mode(rng, tmp_path):
     """Experts saved by a beta_tilde run compose into a policy that samples
-    with its schedule's sigma_k. A beta expert beside them is refused on the
-    config hash, since sigma_mode is a [diffusion] key."""
+    with its schedule's sigma_k. A beta expert beside them is refused on its
+    sigma_mode, which decides the reverse step's noise."""
     stats = constant_action_dataset(np.array([0.1, 0.2])).stats()
     paths = {}
     for mode in ("beta", "beta_tilde"):
@@ -146,7 +146,7 @@ def test_composed_policy_samples_with_its_experts_sigma_mode(rng, tmp_path):
         policy.score_provider([obs]), make_schedule(sigma_mode="beta_tilde"),
         [np.random.default_rng(6)], 2)[0])
     assert policy.act(obs, np.random.default_rng(6)).tobytes() == want.tobytes()
-    with pytest.raises(ContractError, match="config_hash"):
+    with pytest.raises(ContractError, match="sigma_mode differs"):
         compose_checkpoints([paths["beta_tilde", "vis"], paths["beta", "tac"]],
                             weights=[0.5, 0.5])
 
@@ -212,7 +212,7 @@ def test_composed_policy_built_directly_refuses_a_router_that_does_not_fit(
                           router=router)
 
 
-@pytest.mark.parametrize("key, knobs", [("score_spec", dict(sub_hidden=(16,))),
+@pytest.mark.parametrize("key, knobs", [("score_spec", dict(score_hidden=(16,))),
                                          ("score_spec", dict(activation="relu"))])
 def test_composed_policy_refuses_experts_that_do_not_stack(rng, key, knobs):
     """Every expert's score net scores in one stack, so they share one spec."""

@@ -22,7 +22,7 @@ def test_documented_defaults():
     assert cfg.diffusion.steps == 50
     assert cfg.diffusion.beta_start == 1e-4
     assert cfg.diffusion.beta_end == 0.02
-    assert cfg.expert.n_sub == 1
+    assert cfg.expert.score_hidden == (64, 64)
     assert cfg.run.eval_n == 200
     assert cfg.probe.sigma_scale == 0.1
     assert cfg.probe.ema_alpha == 0.1
@@ -90,21 +90,41 @@ def test_parse_errors_carry_line_numbers():
 @pytest.mark.parametrize("section, key, value", [
     ("diffusion", "sigma_mode", "betta"), ("diffusion", "horizon", 0),
     ("diffusion", "steps", 0), ("diffusion", "beta_start", 0.5),
-    ("diffusion", "beta_start", 0.0), ("expert", "activation", "gelu"), ("expert", "n_sub", 0),
+    ("diffusion", "beta_start", 0.0), ("expert", "activation", "gelu"), ("run", "strategy", ""),
     ("train", "steps", -1), ("train", "router_steps", -1), ("train", "batch", 0),
     ("train", "lr", -1.0), ("train", "lr", 0.0), ("train", "lr", float("nan")),
     ("train", "lr", float("inf")), ("probe", "draws", 0), ("probe", "ema_alpha", 2.0),
     ("run", "strategy", "bogus"), ("expert", "enc_out", 0), ("expert", "enc_hidden", (0, 64)),
-    ("expert", "sub_hidden", (-3,)), ("router", "hidden", (0,)), ("probe", "sigma_scale", -1.0),
+    ("expert", "score_hidden", (-3,)), ("router", "hidden", (0,)), ("probe", "sigma_scale", -1.0),
     ("probe", "sigma_scale", float("nan")), ("probe", "modalities", ("vis", "vis")),
-    ("run", "demos", 0), ("run", "eval_n", -5), ("expert", "noise_band_split", True),
-    ("expert", "n_sub", 2)])
+    ("run", "demos", 0), ("run", "eval_n", -5)])
 def test_bad_values_are_refused_when_the_config_is_built(section, key, value):
     text = ",".join(map(str, value)) if isinstance(value, tuple) else value
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must"):
         rc.parse_config_text(f"[{section}]\n{key} = {text}\n")
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must"):
         rc.RunConfig().with_section(section, **{key: value})
+
+
+@pytest.mark.parametrize("key, value", [("n_sub", "1"), ("noise_band_split", "false"),
+                                        ("sub_hidden", "64,64")])
+def test_retired_expert_keys_are_unknown(key, value):
+    """The averaged sub-policy stack and band split were retired, and the score
+    nets' widths are score_hidden: their old keys are typos now."""
+    with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[expert\\]"):
+        rc.parse_config_text(f"[expert]\n{key} = {value}\n")
+    assert rc.parse_config_text("[expert]\nscore_hidden = 8\n").expert.score_hidden == (8,)
+
+
+@pytest.mark.parametrize("line, key, value", [
+    ("out = runs#1", "out", "runs#1"), ("out = runs/#a  # a comment", "out", "runs/#a"),
+    ("out = runs\t# a comment", "out", "runs"),
+    ("dataset = data/#a.mcds", "dataset", "data/#a.mcds"), ("# out = elsewhere", "out", "runs")])
+def test_a_hash_starts_a_comment_only_after_whitespace(line, key, value):
+    """A '#' inside a value is part of it; one at the start of a line or after
+    whitespace starts a comment."""
+    cfg = rc.parse_config_text(f"[run]  # the run\n{line}\n")
+    assert getattr(cfg.run, key) == value
 
 
 def test_train_with_a_bad_config_exits_1_and_writes_nothing(tmp_path, capsys):
@@ -123,6 +143,18 @@ def test_train_with_a_bad_config_exits_1_and_writes_nothing(tmp_path, capsys):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         rc.load_config(tmp_path / "nope.cfg")
+
+
+def test_a_config_that_cannot_be_read_is_a_config_error(tmp_path, capsys):
+    """A directory or a file that is not UTF-8 is refused with ConfigError,
+    and the CLI reports it instead of crashing."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"[run]\nout = \xff\n")
+    for path in (tmp_path, bad):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            rc.load_config(path)
+    assert cli_dispatch(["gen-data", "--config", str(bad)]) == 1
+    assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_config_hash_tracks_all_sections():

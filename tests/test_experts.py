@@ -15,7 +15,7 @@ from tests.conftest import constant_action_dataset
 def small_cfg(steps=0, depth=1):
     """Small shapes; the score net has ``depth`` hidden layers of 32."""
     cfg = RunConfig()
-    cfg = cfg.with_section("expert", enc_hidden=(16,), enc_out=8, sub_hidden=(32,) * depth)
+    cfg = cfg.with_section("expert", enc_hidden=(16,), enc_out=8, score_hidden=(32,) * depth)
     return cfg.with_section("train", steps=steps, batch=16, lr=1e-3)
 
 

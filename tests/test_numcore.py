@@ -502,7 +502,7 @@ class _RefAdam:
 
 
 def test_in_place_weight_edit_is_seen_by_scoring_and_the_next_adam_step(rng):
-    cfg = RunConfig().with_section("expert", enc_hidden=(8,), enc_out=4, sub_hidden=(8,))
+    cfg = RunConfig().with_section("expert", enc_hidden=(8,), enc_out=4, score_hidden=(8,))
     cfg = cfg.with_section("train", steps=2, batch=8)
     ex = xp.train_expert(constant_action_dataset([0.1, 0.2]), "vis", cfg, rng)
     a, ks = rng.normal(size=(5, 2)), rng.integers(1, 51, size=5)
@@ -565,7 +565,7 @@ def test_paramset_trained_by_two_optimizers_in_turn_keeps_one_copy(rng):
 
 
 def test_joint_router_training_updates_the_experts_own_weights(rng):
-    cfg = RunConfig().with_section("expert", enc_hidden=(8,), enc_out=4, sub_hidden=(8,))
+    cfg = RunConfig().with_section("expert", enc_hidden=(8,), enc_out=4, score_hidden=(8,))
     cfg = cfg.with_section("router", hidden=(4,), joint=True)
     cfg = cfg.with_section("train", steps=3, batch=8, router_steps=3)
     ds = constant_action_dataset([0.1, 0.2])

@@ -1,12 +1,14 @@
 """Orchestration tests: training pipeline, manifests, evaluation, sweeps."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from modalcompose import checkpoint as cpt
 from modalcompose import pipeline as pl
 from modalcompose.cli import cli_dispatch
-from modalcompose.compose import compose_policy
+from modalcompose.compose import compose_policy, manual_compose
 from modalcompose.diffusion import make_schedule
 from modalcompose.envs import Dataset, env_reset, make_env_spec
 from modalcompose.experts import timestep_features, train_expert
@@ -21,7 +23,7 @@ from tests.oracles import eval_scripted, read_metrics_csv
 
 def tiny_cfg(tmp_path, **run_over):
     cfg = RunConfig()
-    cfg = cfg.with_section("expert", enc_hidden=(8,), enc_out=4, sub_hidden=(16,))
+    cfg = cfg.with_section("expert", enc_hidden=(8,), enc_out=4, score_hidden=(16,))
     cfg = cfg.with_section("router", hidden=(8,))
     cfg = cfg.with_section("train", steps=30, batch=8, lr=1e-3, router_steps=15)
     run = dict(demos=2, eval_n=4, out=str(tmp_path), seed=3)
@@ -425,19 +427,85 @@ def test_manifest_stats_hash_mismatch(tmp_path):
 
 
 def test_manifest_rejects_incompatible_checkpoints(tmp_path):
+    """An expert of a run that differs only in [train] steps composes: its
+    checkpoint records another config hash, but no fact the policy computes
+    with differs. One of a run with another [diffusion] steps is refused,
+    naming the schedule."""
     cfg, written = trained_paths(tmp_path, methods=("expert:vis",))
-    other = tiny_cfg(tmp_path / "other", methods=("expert:tac",))
-    other = other.with_section("train", steps=31)
-    pl.gen_data(other)
-    written2 = pl.run_training(other)
-    import shutil
-    shutil.copy(written2["expert:tac"], tmp_path / "alien.mcpf")
-    man = tmp_path / "mixed.txt"
+    for name, section, knob in (("steps", "train", dict(steps=31)),
+                                ("schedule", "diffusion", dict(steps=20))):
+        other = tiny_cfg(tmp_path / name, methods=("expert:tac",))
+        pl.gen_data(other)
+        alien = pl.run_training(other.with_section(section, **knob))["expert:tac"]
+        man = tmp_path / f"{name}.txt"
+        pl.write_manifest(man, env_name="occluded_reach",
+                          expert_paths=[written["expert:vis"].name, str(alien)],
+                          weights=[0.5, 0.5])
+        if name == "steps":
+            assert pl.load_manifest(man)[0].modality_order == ("vis", "tac")
+        else:
+            with pytest.raises(ContractError, match="schedule differs"):
+                pl.load_manifest(man)
+
+
+@pytest.mark.parametrize("section, knob", [("router", dict(hidden=(4,))),
+                                           ("train", dict(steps=31))])
+def test_experts_of_runs_that_differ_off_their_facts_compose(tmp_path, section, knob):
+    """A vis expert and the tac expert of a run that differs only in [router]
+    hidden or [train] steps compose through a manifest, acting bit for bit as
+    manual_compose of the same experts trained in memory."""
+    cfgs = [tiny_cfg(tmp_path / "a", methods=("expert:vis",)),
+            tiny_cfg(tmp_path / "b", methods=("expert:tac",)).with_section(section, **knob)]
+    paths, experts = [], []
+    for i, (cfg, mod) in enumerate(zip(cfgs, ("vis", "tac"))):
+        pl.gen_data(cfg)
+        paths.append(str(pl.run_training(cfg)[f"expert:{mod}"]))
+        ds = Dataset.read(pl.default_dataset_path(cfg, Path(cfg.run.out)))
+        experts.append(train_expert(ds, mod, cfg, stream(cfg.run.seed, TAG_TRAIN, 1 + i)))
+    assert cpt.load_checkpoint(paths[0]).metadata["config_hash"] != \
+        cpt.load_checkpoint(paths[1]).metadata["config_hash"]
+    man = tmp_path / "cross.txt"
+    pl.write_manifest(man, env_name="occluded_reach", expert_paths=paths, weights=[0.5, 0.5])
+    loaded, _ = pl.load_manifest(man)
+    in_memory = manual_compose(experts, [0.5, 0.5], make_schedule(), ds.stats())
+    spec = make_env_spec("occluded_reach")
+    for i in range(3):
+        _, obs = env_reset(spec, stream(4, TAG_EVAL, i))
+        want = in_memory.act(obs, stream(4, TAG_ACT, i))
+        assert loaded.act(obs, stream(4, TAG_ACT, i)).tobytes() == want.tobytes()
+
+
+def test_a_beta_tilde_run_composes_with_its_own_router(tmp_path):
+    """The router names no sigma_mode, so it composes beside its run's
+    beta_tilde experts, and the policy samples in their mode."""
+    cfg = tiny_cfg(tmp_path).with_section("diffusion", sigma_mode="beta_tilde")
+    pl.gen_data(cfg)
+    written = pl.run_training(cfg)
+    man = tmp_path / "tilde.txt"
     pl.write_manifest(man, env_name="occluded_reach",
-                      expert_paths=[written["expert:vis"].name, "alien.mcpf"],
-                      weights=[0.5, 0.5])
-    with pytest.raises(ContractError):
+                      expert_paths=[written["expert:vis"].name, written["expert:tac"].name],
+                      router_path=written["router"].name)
+    policy, _ = pl.load_manifest(man)
+    assert policy.router is not None and policy.sched.sigma_mode == "beta_tilde"
+
+
+@pytest.mark.parametrize("name", ["", "x" * 300], ids=["directory", "long_name"])
+def test_readers_refuse_a_path_they_cannot_read_as_a_file(tmp_path, name, capsys):
+    """A directory ('' names the run directory itself) or a name longer than
+    the OS takes is a FormatError from every reader, never an OSError: as the
+    path given, and as a manifest's expert line."""
+    path = tmp_path / name
+    readers = (cpt.load_checkpoint, pl.load_manifest, Dataset.read,
+               lambda p: pl.run_eval(p, 1, seed=0))
+    for read in readers:
+        with pytest.raises(FormatError, match="cannot read"):
+            read(path)
+    man = tmp_path / "m.txt"
+    man.write_text(f"expert = {name}\nweights = 1\n")
+    with pytest.raises(FormatError, match="cannot read checkpoint"):
         pl.load_manifest(man)
+    assert cli_dispatch(["eval", "--manifest", str(man), "--n", "1"]) == 1
+    assert "cannot read checkpoint" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

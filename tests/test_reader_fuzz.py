@@ -1,16 +1,21 @@
 """Corrupted files: every typed checkpoint reader, and ``Dataset.read``,
 either reads a truncated or byte-flipped file or refuses it with
-FormatError, never another exception."""
+FormatError, never another exception. Arbitrary manifests load or are
+refused with FormatError or ContractError."""
 
 import numpy as np
 import pytest
 
 from modalcompose import checkpoint as cpt
+from modalcompose import experts as xp
+from modalcompose import pipeline as pl
+from modalcompose import router as rt
 from modalcompose.compose import train_concat_policy, train_moe_policy
+from modalcompose.diffusion import make_schedule
 from modalcompose.envs import Dataset, generate_dataset, make_env_spec
-from modalcompose.errors import FormatError
+from modalcompose.errors import ContractError, FormatError
 from tests.conftest import constant_action_dataset
-from tests.test_checkpoint import saved_expert_checkpoint, small_cfg
+from tests.test_checkpoint import demo_stats, saved_expert_checkpoint, small_cfg
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -88,4 +93,72 @@ def test_corrupted_datasets_read_or_raise_format_error(dataset_bytes, data, trun
     try:
         Dataset.read(path)
     except FormatError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def manifest_path(tmp_path_factory):
+    """The path of a manifest beside a vis and a tac expert and a router over
+    them, which compose."""
+    d = tmp_path_factory.mktemp("fuzz_manifest")
+    ids = dict(env_name="occluded_reach", seed=0, config_hash="h")
+    experts = [xp.init_expert(mod, dim, 2, 2, small_cfg(), np.random.default_rng(seed))
+               for mod, dim, seed in (("vis", 5, 1), ("tac", 3, 2))]
+    for ex in experts:
+        cpt.save_expert(ex, demo_stats(), make_schedule(), d / f"{ex.modality}.mcpf", **ids)
+    router = rt.init_router(("vis", "tac"), tuple(ex.enc.emb_dim for ex in experts), (8,),
+                            np.random.default_rng(3))
+    cpt.save_router(router, demo_stats(), make_schedule(), d / "router.mcpf", **ids)
+    return d / "m.txt"
+
+
+def _rarely(rare, usual):
+    """rare in about one case of four, else usual."""
+    return st.tuples(st.booleans(), st.booleans()).flatmap(
+        lambda flips: rare if all(flips) else usual)
+
+
+def _values(*likely: str):
+    """A manifest value: arbitrary text at times, else one of the likely ones."""
+    return _rarely(st.text(max_size=20), st.sampled_from(likely))
+
+
+_VALUES = {"expert": _values("vis.mcpf", "tac.mcpf", ""),
+           "router": _values("router.mcpf", "vis.mcpf", ""),
+           "env": _values("occluded_reach", "phase_reach"),
+           "strategy": _values("soft", "hard", "top2"), "stats_hash": _values(""),
+           "weights": _values("0.5,0.5", "1", "1,3", "0,0", "nan,1", "inf,0", "-1,2")}
+_WEIGHTINGS = _rarely(st.sampled_from([(), ("router", "weights")]),
+                      st.sampled_from([("router",), ("weights",)]))
+# at times a tail of raw bytes or of arbitrary text
+_TAIL = _rarely(st.one_of(st.binary(max_size=16), st.text(max_size=20).map(str.encode)),
+                st.just(b""))
+
+
+@st.composite
+def _manifests(draw) -> bytes:
+    """Up to three expert lines, mostly exactly one of router and weights, and
+    each other key at most once, in any order, each value drawn from its
+    key's _VALUES; then a _TAIL."""
+    lines = [("expert", draw(_VALUES["expert"])) for _ in range(draw(st.integers(0, 3)))]
+    weighting = draw(_WEIGHTINGS)
+    lines += [(key, draw(_VALUES[key])) for key in pl._MANIFEST_KEYS
+              if key in weighting or key in ("env", "strategy", "stats_hash")
+              and draw(st.booleans())]
+    text = "".join(f"{key} = {value}\n" for key, value in draw(st.permutations(lines)))
+    return text.encode() + draw(_TAIL)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")   # renormalized weights
+@settings(max_examples=200, database=None, deadline=None)
+@given(blob=_manifests())
+def test_manifests_load_or_raise_format_or_contract_error(manifest_path, blob):
+    """A manifest over the six keys with arbitrary values, at times with a
+    tail of raw bytes or arbitrary text, beside two experts and a router
+    that compose, either loads or is refused with FormatError or
+    ContractError."""
+    manifest_path.write_bytes(blob)
+    try:
+        pl.load_manifest(manifest_path)
+    except (FormatError, ContractError):
         pass

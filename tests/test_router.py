@@ -15,7 +15,7 @@ from tests.conftest import constant_action_dataset
 
 def small_cfg(router_steps=0, joint=False):
     cfg = RunConfig()
-    cfg = cfg.with_section("expert", enc_hidden=(16,), enc_out=8, sub_hidden=(32,))
+    cfg = cfg.with_section("expert", enc_hidden=(16,), enc_out=8, score_hidden=(32,))
     cfg = cfg.with_section("router", hidden=(8,), joint=joint)
     return cfg.with_section("train", steps=0, batch=16, lr=1e-3,
                             router_steps=router_steps)

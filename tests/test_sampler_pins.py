@@ -49,7 +49,7 @@ PINNED = {
 
 def pin_cfg(**expert):
     cfg = RunConfig()
-    cfg = cfg.with_section("expert", enc_hidden=(16,), enc_out=8, sub_hidden=(32,),
+    cfg = cfg.with_section("expert", enc_hidden=(16,), enc_out=8, score_hidden=(32,),
                            **expert)
     cfg = cfg.with_section("router", hidden=(8,))
     return cfg.with_section("train", steps=40, batch=16, lr=2e-3, router_steps=20)

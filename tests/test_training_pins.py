@@ -3,10 +3,12 @@
 content (its tensors and its metadata but ``config_hash``).
 
 They cover the default method set, joint router fine-tuning, relu hidden
-layers in the experts and the fusion baselines, and phase_reach. The hashes
-were recorded with one graph forward per sub-policy, then re-recorded with
-one score net per expert (``[expert] n_sub = 1``) when the averaged
-sub-policy stack was retired; training must reproduce them bit for bit.
+layers in the experts and the fusion baselines, and phase_reach. The file
+hashes were recorded with one graph forward per sub-policy, re-recorded with
+one score net per expert when the averaged sub-policy stack was retired, and
+the checkpoints' again when the retired [expert] keys left the config, which
+changed only each checkpoint's config_hash string: the content pins held.
+Training must reproduce them bit for bit.
 """
 
 import hashlib
@@ -21,11 +23,11 @@ from modalcompose.runconfig import RunConfig
 PINNED = {
     "default": {
         "concat_seed3.mcpf":
-            "2619a6012f434f7cb5fd78cf06dff92305e4d88c16fe2f45137bf9cde0e1cd7e",
+            "5f57f682b6ed21a98ccf8c056bf25f3bcf165714c33a4af7bd4de29673c665ba",
         "expert-tac_seed3.mcpf":
-            "3b1729380bc672559fe050ce248b2fb2bc3a4aade04c26ef1674b271af3fd29a",
+            "3f1a0087bfd4609cd4b2029f5a8a41d347af295bbfc664f0d544daeb61639009",
         "expert-vis_seed3.mcpf":
-            "9d72510aa174b2634b37f0fe3e8245bcd27af1b00ee87d9332386f320bf1b243",
+            "c687a7349a0cbf93bdfe3fe2299e14999f886f000698c9fbeecb9bc69300996b",
         "loss_concat_seed3.csv":
             "b4cc692b659c3f15dd84ffbbb6757e06289fbb995cb3abeba3ef9873b8c7915e",
         "loss_expert-tac_seed3.csv":
@@ -37,17 +39,17 @@ PINNED = {
         "loss_router_seed3.csv":
             "fbff853fe689531753f00f94570961c21ddfb594307a982a445488b8feaf54dd",
         "moe_seed3.mcpf":
-            "4a5a4d72f9866cce82c4a289b70c82e1c07495c78775c0dd556019ac61bb4cc3",
+            "998c6e425dab9932b90424915cff291088e5a825668105c17cd13d8a615a9bdf",
         "router_seed3.mcpf":
-            "f3cdd35e138bb6395e353e829f5865b241bb59d9b8e44f55a77404c02e1ed169",
+            "395009ba4b53cbac4e87e68435406acf00b7caf9ae35d0c226b46bbd6a3f0f51",
     },
     "joint": {
         "concat_seed3.mcpf":
-            "08d4cb4a5f150b64519c0c7808af2b8def5254b7928bb8c93c0d5727e024656c",
+            "c5b5cee08a54cf35e7a3635bea8c1f51d79b9f035cb52a30ee4e486b42eda347",
         "expert-tac_seed3.mcpf":
-            "4712572001f2fb3f7573078a341db13e9773d72339129fd15c2099fc5a15a304",
+            "d21c3665096174eb94d6f14fb4057883adb7c781adae115dbf81cd0d4149f583",
         "expert-vis_seed3.mcpf":
-            "106bd1cbe029d2ccc4f1e24c8e8e42da1ba03e43c37eac7a68bbde032a5b773a",
+            "959137c73c04f7b49640ccd82259adec30466c40bc9612133ad5f8fb63f990b0",
         "loss_concat_seed3.csv":
             "b4cc692b659c3f15dd84ffbbb6757e06289fbb995cb3abeba3ef9873b8c7915e",
         "loss_expert-tac_seed3.csv":
@@ -59,17 +61,17 @@ PINNED = {
         "loss_router_seed3.csv":
             "cdb50195427a9b9d060ac5ab29ecc46214de226d1c14adc8fd2052ae379ae63f",
         "moe_seed3.mcpf":
-            "bb14136e92fb240b7449940ddb4fba2de7dcbf9a379a0c7fb1d68aaee1541255",
+            "af5d3e1b32d14ae98034443ecffb92c6ab5ca9c79af613ff931b4312618e710f",
         "router_seed3.mcpf":
-            "55ad03c18dd269830bc4b214e1d992a96ae13ec9684126b37f9a87fc24eb4266",
+            "cf0e60d148cd002d3d4cbdcb5402a4bccc0495abee7c00a54ddb3612e0c84396",
     },
     "phase": {
         "concat_seed3.mcpf":
-            "d863fef93bf3c3d3e752e8176a9dd9119d9aa0f8d6c596b5f46f2064d7a58b7d",
+            "36575889aee9d9142fe72d936a2301dfb68335f41253a019dd8ed0bc06293ce9",
         "expert-wpa_seed3.mcpf":
-            "10c8a3e5e257cad3387a6f5e99ea57fd69802ec11c2c2f1612a445db22596022",
+            "896b5b1b51f03be86badb96102530c6ae9b495a99c6de2231c715749753f8885",
         "expert-wpb_seed3.mcpf":
-            "dd3173845f8338fe40d27cedc8fd763bc15ee21f92e521f5a429445d10f09c72",
+            "b54556116ca73180ab60b0c7ee87dfa84d5bb04d12a234fb7b0e88c6634dfdf7",
         "loss_concat_seed3.csv":
             "ac465df4788b5d46dfbff35413f75ad916931fb1e48f11543c712df333660d9e",
         "loss_expert-wpa_seed3.csv":
@@ -81,17 +83,17 @@ PINNED = {
         "loss_router_seed3.csv":
             "e4197c188aa01f6f72803406e7cc13233ee452c6864c5ae4df1128b49b9f7056",
         "moe_seed3.mcpf":
-            "c0c3424a20ffad7597c2e9222d3dab18dd2fc674f743a799a02285f1470a20a1",
+            "9bde91e6ba6c3ad72b305d8603758177b688aad1f4167b14776f7ddb11c38906",
         "router_seed3.mcpf":
-            "99729f04169951609aa19b370b04f2fad9be38df471f43e1feec626690502d59",
+            "eaf4dc085fd08305c032ce88d868e29ad3e2a08b33c7c7eb36abb0c3bfa28bb6",
     },
     "relu": {
         "concat_seed3.mcpf":
-            "25e05c4c5d9fa869f53b7260fadc984829667e897b15f7e09b66b800e4084f28",
+            "6005bd0df202fe01935d60d1c049dcdcb1d425b1aa4f484390f2b943ac0b8eef",
         "expert-tac_seed3.mcpf":
-            "c2448e0c3934e4234fc2a0eedf13874e0e2b6c68828424d80b6993b7f58de164",
+            "aaaf3be387a5d7a5ae8bbd9bbf5a3ff1e31bf6aff5010b83790bb6290bd16880",
         "expert-vis_seed3.mcpf":
-            "8204ab8c67e357556bc0feb470dfd3e081d4f7d64e41f821c29f289699f67125",
+            "ac81a91f1e149390cdb8d5fcb03433a177c4b279a04cff351b355e26ec485174",
         "loss_concat_seed3.csv":
             "276b15d5fc1b46ba0d14d9542e992da70b00ab8e4e31f9539000b7bd2a2592c1",
         "loss_expert-tac_seed3.csv":
@@ -103,9 +105,9 @@ PINNED = {
         "loss_router_seed3.csv":
             "38dca827d740140e4b65b38efd4fe8fd742d871f78833300c792605b5bc80f60",
         "moe_seed3.mcpf":
-            "8a7821244c4b933144afd95cf9691ca2e1ad9f2d78c2560c5e46c93cd67babc1",
+            "5c8affdbf3061d7f0a5d506825ed553d16956343549161e48adf32afab7fb8a5",
         "router_seed3.mcpf":
-            "8e49f25c0510b81dfb9bb2c7f630f841399ccb81b8028711aeeb75a685470abb",
+            "1fc2441a0dd801fa1534e7c8ac93d5dc0957bc94e8356ca942ef1e32afe1953a",
     },
 }
 
