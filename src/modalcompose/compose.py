@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .diffusion import NoiseSchedule, ddpm_sample, fit_denoiser, make_schedule
+from .diffusion import NoiseSchedule, ddpm_sample, fit_denoiser
 from .envs import ActionStats, Observation
 from .errors import ConfigError, ContractError, ShapeError
 from .experts import (Encoder, ModalityExpert, _check_score_net, bind_score, init_encoder,
@@ -246,20 +246,22 @@ class MoEFeaturePolicy(_FusionPolicy):
     act = _RowSampler.act   # each class's own: the benchmark's tracer wraps it there
 
 
-def _fit_fusion(policy, dataset, cfg, rng: np.random.Generator, cond_graph):
-    """Train a fusion baseline end to end; cond_graph(embedding tensors) is
-    the graph twin of how its act() builds the condition."""
-    a_rows, cond_rows, slices = dataset.training_cond_rows(policy.modality_order)
+def _fit_fusion(cls, dataset, cfg, rng: np.random.Generator, encoders: list[Encoder],
+                cond_dim: int, cond_graph, **gate):
+    """Build a fusion baseline over these encoders with a fresh score net of
+    cond_dim wide conditions, and train it end to end; cond_graph(embedding
+    tensors) is the graph twin of how its act() builds the condition."""
+    spec = score_net_spec(dataset.chunk_dim, cond_dim, cfg)
+    policy = cls(encoders=encoders, score_params=nc.init_mlp(spec, rng), score_spec=spec,
+                 sched=cfg.diffusion.schedule(), stats=dataset.stats(), **gate)
+    a_rows, blocks = dataset.training_rows(policy.modality_order)
 
-    def score(a_k, c, ks):
-        rs = c[:, slices[-1]]
-        embs = [enc.graph(c[:, sl], rs) for enc, sl in zip(policy.encoders, slices[:-1])]
-        return score_graph(policy.score_params, policy.score_spec, a_k,
-                           cond_graph(embs), ks, policy.sched.K)
+    def score(a_k, b, ks):
+        *m_blocks, rs = b
+        embs = [enc.graph(m_rows, rs) for enc, m_rows in zip(encoders, m_blocks)]
+        return score_graph(policy.score_params, spec, a_k, cond_graph(embs), ks, policy.sched.K)
 
-    policy.loss_history = fit_denoiser(
-        score, policy.param_groups(), a_rows, cond_rows, policy.sched,
-        steps=cfg.train.steps, batch=cfg.train.batch, lr=cfg.train.lr, rng=rng)
+    policy.loss_history = fit_denoiser(score, policy.param_groups(), a_rows, blocks, cfg, rng)
     return policy
 
 
@@ -267,12 +269,8 @@ def train_concat_policy(dataset, cfg, rng: np.random.Generator) -> ConcatPolicy:
     """All-modality baseline: one score net over concatenated embeddings."""
     encoders = [init_encoder(name, dim, dataset.robot_dim, cfg, rng)
                 for name, dim in dataset.modality_dims.items()]
-    spec = score_net_spec(dataset.chunk_dim, sum(enc.emb_dim for enc in encoders), cfg)
-    sched = make_schedule(cfg.diffusion.steps, cfg.diffusion.beta_start,
-                          cfg.diffusion.beta_end, cfg.diffusion.sigma_mode)
-    policy = ConcatPolicy(encoders=encoders, score_params=nc.init_mlp(spec, rng),
-                          score_spec=spec, sched=sched, stats=dataset.stats())
-    return _fit_fusion(policy, dataset, cfg, rng, nc.concat_cols)
+    return _fit_fusion(ConcatPolicy, dataset, cfg, rng, encoders,
+                       sum(enc.emb_dim for enc in encoders), nc.concat_cols)
 
 
 def train_moe_policy(dataset, cfg, rng: np.random.Generator) -> MoEFeaturePolicy:
@@ -286,10 +284,5 @@ def train_moe_policy(dataset, cfg, rng: np.random.Generator) -> MoEFeaturePolicy
     # score net first learns on the plain mean of the embeddings and the
     # gate only sharpens once that helps the objective.
     gate.params[f"W{len(gate.spec.layer_dims()) - 1}"].data[...] = 0.0
-    spec = score_net_spec(dataset.chunk_dim, emb_dims[0], cfg)
-    sched = make_schedule(cfg.diffusion.steps, cfg.diffusion.beta_start,
-                          cfg.diffusion.beta_end, cfg.diffusion.sigma_mode)
-    policy = MoEFeaturePolicy(encoders=encoders, gate=gate,
-                              score_params=nc.init_mlp(spec, rng), score_spec=spec,
-                              sched=sched, stats=dataset.stats())
-    return _fit_fusion(policy, dataset, cfg, rng, lambda embs: gated_sum(gate, embs, embs))
+    return _fit_fusion(MoEFeaturePolicy, dataset, cfg, rng, encoders, emb_dims[0],
+                       lambda embs: gated_sum(gate, embs, embs), gate=gate)

@@ -1,13 +1,15 @@
 """DDPM machinery: schedules, forward noising, the eps-MSE loss, sampling.
 
 A score provider predicts the noise in a_k, over rows, in one of two forms.
-Training: ``(a_k, cond, ks) -> Tensor``, where a_k is (B, action_dim), cond
-is (B, cond_dim), ks is an int array of B step indices, and the result is a
-(B, action_dim) graph ``Tensor``. Sampling: ``(a_k, k) -> ndarray``, where
-a_k holds the B sampled rows in the layout of ``numcore.row_layout``, k is
-an int, and the result has a_k's shape; a policy's provider closes over its
-observations. Denoising step indices k run 1..K; array index k-1 holds the
-step-k coefficients, which ``make_schedule`` tables once for the whole
+Training: ``(a_k, blocks, ks) -> Tensor``, where a_k is (B, action_dim),
+blocks is the batch's list of (B, width) condition row blocks, ks is an int
+array of B step indices, and the result is a (B, action_dim) graph
+``Tensor``; ``fit_denoiser``, the one training loop, takes its schedule,
+batch, lr and steps from the run config. Sampling: ``(a_k, k) -> ndarray``,
+where a_k holds the B sampled rows in the layout of ``numcore.row_layout``,
+k is an int, and the result has a_k's shape; a policy's provider closes over
+its observations. Denoising step indices k run 1..K; array index k-1 holds
+the step-k coefficients, which ``make_schedule`` tables once for the whole
 reverse step, sigma_k included; ``ddpm_sample`` only reads them.
 """
 
@@ -22,6 +24,7 @@ from .errors import ConfigError, ContractError, NumericError
 
 
 SIGMA_MODES = ("beta", "beta_tilde")
+MAX_STEPS = 10_000   # the largest K, 200x the default: a larger one is refused, not tabled
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,8 @@ def make_schedule(K: int = 50, beta_start: float = 1e-4, beta_end: float = 0.02,
                   sigma_mode: str = "beta") -> NoiseSchedule:
     """Linear beta schedule over k = 1..K with exact cumulative products, and its
     reverse step: sigma_k = sqrt(beta_k) ("beta") or sqrt(beta~_k) ("beta_tilde")."""
-    if K < 1:
-        raise ConfigError(f"schedule needs K >= 1, got {K}")
+    if not 1 <= K <= MAX_STEPS:
+        raise ConfigError(f"schedule needs 1 <= K <= {MAX_STEPS}, got {K}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ConfigError(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
@@ -80,36 +83,37 @@ def forward_noise(a0: np.ndarray, ks: np.ndarray, sched: NoiseSchedule,
     return sched.sqrt_ab(ks)[:, None] * a0 + sched.sqrt_one_minus_ab(ks)[:, None] * eps, eps
 
 
-def denoise_loss(score, a0: np.ndarray, cond: np.ndarray, sched: NoiseSchedule,
+def denoise_loss(score, a0: np.ndarray, blocks: list[np.ndarray], sched: NoiseSchedule,
                  rng: np.random.Generator) -> nc.Tensor:
     """Mean over the batch of ||eps - eps_hat||^2 with k uniform in 1..K.
 
-    ``a0`` and ``cond`` are the batch's action and condition rows; the
-    training provider is called once on them.
+    ``a0`` and ``blocks`` are the batch's action rows and condition row
+    blocks; the training provider is called once on them.
     """
     if len(a0) == 0:
         raise ContractError("denoise_loss needs a nonempty batch")
     ks = rng.integers(1, sched.K + 1, size=len(a0))
     a_k, eps = forward_noise(a0, ks, sched, rng)
-    return nc.mse_rows(score(a_k, cond, ks), eps)
+    return nc.mse_rows(score(a_k, blocks, ks), eps)
 
 
-def fit_denoiser(score, groups, a_rows: np.ndarray, cond_rows: np.ndarray,
-                 sched: NoiseSchedule, *, steps: int, batch: int, lr: float,
-                 rng: np.random.Generator) -> list[float]:
-    """Minibatch Adam on denoise_loss; returns the per-step loss history.
-
-    ``score`` must record a graph through every ParamSet in ``groups``;
-    anything else it touches stays frozen.
+def fit_denoiser(score, groups, a_rows: np.ndarray, blocks: list[np.ndarray], cfg,
+                 rng: np.random.Generator, steps: int | None = None) -> list[float]:
+    """Minibatch Adam on denoise_loss with the run config's schedule, batch
+    and lr, for its [train] steps unless ``steps`` is given; returns the
+    per-step loss history. Each batch takes the same rows of ``a_rows`` and
+    of every block. ``score`` must record a graph through every ParamSet in
+    ``groups``; anything else it touches stays frozen.
     """
-    if a_rows.shape[0] != cond_rows.shape[0] or a_rows.shape[0] == 0:
-        raise ContractError("training rows empty or misaligned")
-    opt = nc.adam_init(groups, lr=lr)
-    history = []
     n = a_rows.shape[0]
-    for _ in range(steps):
-        idx = rng.integers(0, n, size=batch)
-        loss = denoise_loss(score, a_rows[idx], cond_rows[idx], sched, rng)
+    if n == 0 or any(b.shape[0] != n for b in blocks):
+        raise ContractError("training rows empty or misaligned")
+    sched = cfg.diffusion.schedule()
+    opt = nc.adam_init(groups, lr=cfg.train.lr)
+    history = []
+    for _ in range(cfg.train.steps if steps is None else steps):
+        idx = rng.integers(0, n, size=cfg.train.batch)
+        loss = denoise_loss(score, a_rows[idx], [b[idx] for b in blocks], sched, rng)
         nc.backward(loss, groups)
         nc.adam_step(groups, opt)
         history.append(float(loss.data))

@@ -16,7 +16,7 @@ exactly one of them. A second, cleaner phase-shift testbed.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -305,7 +305,6 @@ class Dataset:
     episodes: list[Episode]
     act_min: np.ndarray
     act_max: np.ndarray
-    _rows_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_episodes(self) -> int:
@@ -324,48 +323,36 @@ class Dataset:
 
     # -- flattened training views -----------------------------------------
 
+    @cached_property
     def _flat(self):
-        if "flat" not in self._rows_cache:
-            mods = {name: [] for name in self.modality_dims}
-            rs, acts = [], []
-            h = self.horizon
-            for ep in self.episodes:
-                t_use = ep.length - h + 1
-                if t_use <= 0:
-                    continue
-                for name in self.modality_dims:
-                    mods[name].append(ep.modalities[name][:t_use])
-                rs.append(ep.robot[:t_use])
-                if h == 1:
-                    acts.append(ep.actions)
-                else:
-                    chunks = [ep.actions[i:i + t_use] for i in range(h)]
-                    acts.append(np.concatenate(chunks, axis=1))
-            self._rows_cache["flat"] = (
-                {name: np.concatenate(v) for name, v in mods.items()},
-                np.concatenate(rs),
-                self.stats().normalize_chunk(np.concatenate(acts)),
-            )
-        return self._rows_cache["flat"]
+        """Each modality's rows, the robot state's and the normalized action
+        chunks, over every step a chunk fits; built on first use."""
+        mods = {name: [] for name in self.modality_dims}
+        rs, acts = [], []
+        h = self.horizon
+        for ep in self.episodes:
+            t_use = ep.length - h + 1
+            if t_use <= 0:
+                continue
+            for name in self.modality_dims:
+                mods[name].append(ep.modalities[name][:t_use])
+            rs.append(ep.robot[:t_use])
+            acts.append(np.concatenate([ep.actions[i:i + t_use] for i in range(h)], axis=1))
+        return ({name: np.concatenate(v) for name, v in mods.items()}, np.concatenate(rs),
+                self.stats().normalize_chunk(np.concatenate(acts)))
 
-    def training_cond_rows(self, order) -> tuple[np.ndarray, np.ndarray, list[slice]]:
-        """Normalized action chunks over all steps, condition rows
-        [modalities in `order`..., robot state], and each block's column
-        slice in the condition rows."""
-        mods, rs, acts = self._flat()
+    def training_rows(self, order) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Normalized action chunks over all steps, and their condition row
+        blocks: one per modality in ``order``, then the robot state's."""
+        mods, rs, acts = self._flat
         missing = [m for m in order if m not in mods]
         if missing:
-            raise ConfigError(f"modalities {missing} not in dataset")
-        blocks = [mods[m] for m in order] + [rs]
-        slices, off = [], 0
-        for b in blocks:
-            slices.append(slice(off, off + b.shape[1]))
-            off += b.shape[1]
-        return acts, np.concatenate(blocks, axis=1), slices
+            raise ConfigError(f"dataset has modalities {list(mods)}, not {missing}")
+        return acts, [mods[m] for m in order] + [rs]
 
     def modality_stds(self) -> dict[str, np.ndarray]:
         """Per-coordinate standard deviation of each raw modality stream."""
-        mods, _, _ = self._flat()
+        mods, _, _ = self._flat
         return {name: rows.std(axis=0) for name, rows in mods.items()}
 
     # -- binary round-trip --------------------------------------------------

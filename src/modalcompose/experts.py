@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numcore as nc
-from .diffusion import fit_denoiser, make_schedule
+from .diffusion import fit_denoiser
 from .errors import ConfigError, ContractError, ShapeError
 
 TIMESTEP_DIM = 16
@@ -261,18 +261,9 @@ def train_expert(dataset, modality: str, cfg, rng: np.random.Generator) -> Modal
     The encoder and the score net train jointly; only the named modality's
     stream and the robot state are ever read. Deterministic given rng.
     """
-    if modality not in dataset.modality_dims:
-        raise ConfigError(
-            f"dataset has modalities {list(dataset.modality_dims)}, not '{modality}'"
-        )
-    a_rows, cond_rows, (m_cols, rs_cols) = dataset.training_cond_rows((modality,))
+    a_rows, blocks = dataset.training_rows((modality,))
     expert = init_expert(modality, dataset.modality_dims[modality],
                          dataset.robot_dim, a_rows.shape[1], cfg, rng)
-    sched = make_schedule(cfg.diffusion.steps, cfg.diffusion.beta_start,
-                          cfg.diffusion.beta_end)
-    score = lambda ak, c, ks: _expert_score_graph(
-        expert, ak, c[:, m_cols], c[:, rs_cols], ks)[0]
-    expert.loss_history = fit_denoiser(
-        score, expert.param_groups(), a_rows, cond_rows, sched,
-        steps=cfg.train.steps, batch=cfg.train.batch, lr=cfg.train.lr, rng=rng)
+    score = lambda a_k, b, ks: _expert_score_graph(expert, a_k, *b, ks)[0]
+    expert.loss_history = fit_denoiser(score, expert.param_groups(), a_rows, blocks, cfg, rng)
     return expert

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import checkpoint as cp
 from .compose import ComposedPolicy, manual_weights, train_concat_policy, train_moe_policy
-from .diffusion import make_schedule
 from .envs import Dataset, generate_dataset, make_env_spec, read_file
 from .errors import ConfigError, ContractError, FormatError
 from .experts import train_expert
@@ -114,8 +113,7 @@ def run_training(cfg: RunConfig) -> dict[str, Path]:
     out = ensure_out_dir(cfg)
     seed = cfg.run.seed
     mhash = model_hash(cfg)
-    sched = make_schedule(cfg.diffusion.steps, cfg.diffusion.beta_start,
-                          cfg.diffusion.beta_end, cfg.diffusion.sigma_mode)
+    sched = cfg.diffusion.schedule()
     stats = dataset.stats()
     mods = list(dataset.modality_dims)
 

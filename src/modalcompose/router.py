@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .diffusion import fit_denoiser, make_schedule
+from .diffusion import fit_denoiser
 from .errors import ConfigError, ContractError, ShapeError
 from .experts import ModalityExpert, _expert_score_graph
 
@@ -101,20 +101,19 @@ def apply_strategy(w: np.ndarray, strategy: str) -> np.ndarray:
     return np.where(few, rows, out).reshape(shape)
 
 
-def _router_score_graph(router: Router, experts: list[ModalityExpert],
-                        a_k: np.ndarray, cond: np.ndarray, ks: np.ndarray,
-                        slices: list[slice], joint: bool) -> nc.Tensor:
-    """Weighted sum of expert scores with the weights on the graph.
+def _router_score_graph(router: Router, experts: list[ModalityExpert], a_k: np.ndarray,
+                        blocks: list[np.ndarray], ks: np.ndarray, joint: bool) -> nc.Tensor:
+    """Weighted sum of expert scores with the weights on the graph; blocks
+    are each expert's modality rows, then the robot state's.
 
     Expert scores enter as constants unless ``joint`` is set, in which case
     they come from the experts' own training graph, so their encoders and
     score nets receive gradients.
     """
-    rs = cond[:, slices[-1]]
+    *m_blocks, rs = blocks
     embs = []
     scores = []
-    for ex, sl in zip(experts, slices[:-1]):
-        m_rows = cond[:, sl]
+    for ex, m_rows in zip(experts, m_blocks):
         if joint:
             score, emb = _expert_score_graph(ex, a_k, m_rows, rs, ks)
         else:
@@ -148,22 +147,14 @@ def train_router(experts: list[ModalityExpert], dataset, cfg,
     names = [ex.modality for ex in experts]
     if len(set(names)) != len(names):
         raise ContractError(f"duplicate expert modalities: {names}")
-    for ex in experts:
-        if ex.modality not in dataset.modality_dims:
-            raise ContractError(f"dataset lacks modality '{ex.modality}'")
-    a_rows, cond_rows, slices = dataset.training_cond_rows(names)
+    a_rows, blocks = dataset.training_rows(names)
     router = init_router(tuple(names), tuple(ex.enc.emb_dim for ex in experts),
                          tuple(cfg.router.hidden), rng)
-    sched = make_schedule(cfg.diffusion.steps, cfg.diffusion.beta_start,
-                          cfg.diffusion.beta_end)
     groups = [("router", router.params)]
     if cfg.router.joint:
         for ex in experts:
             groups += [(f"{ex.modality}.{label}", ps) for label, ps in ex.param_groups()]
-    score = lambda ak, c, ks: _router_score_graph(
-        router, experts, ak, c, ks, slices, cfg.router.joint)
-    router.loss_history = fit_denoiser(
-        score, groups, a_rows, cond_rows, sched,
-        steps=cfg.train.router_steps, batch=cfg.train.batch, lr=cfg.train.lr,
-        rng=rng)
+    score = lambda a_k, b, ks: _router_score_graph(router, experts, a_k, b, ks, cfg.router.joint)
+    router.loss_history = fit_denoiser(score, groups, a_rows, blocks, cfg, rng,
+                                       steps=cfg.train.router_steps)
     return router

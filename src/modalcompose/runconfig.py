@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .diffusion import SIGMA_MODES
+from .diffusion import MAX_STEPS, SIGMA_MODES, NoiseSchedule, make_schedule
 from .errors import ConfigError
 from .numcore import ACTIVATIONS
 from .router import STRATEGIES
@@ -41,12 +41,17 @@ class DiffusionConfig:
     sigma_mode: str = "beta"   # beta | beta_tilde
 
     def __post_init__(self):
-        _require(self.steps >= 1, "[diffusion] steps", self.steps, ">= 1")
+        _require(1 <= self.steps <= MAX_STEPS, "[diffusion] steps", self.steps,
+                 f"in 1..{MAX_STEPS}")
         _require(0.0 < self.beta_start <= self.beta_end < 1.0, "[diffusion] beta_start",
                  (self.beta_start, self.beta_end), "in (0, beta_end] with beta_end < 1")
         _require(self.horizon >= 1, "[diffusion] horizon", self.horizon, ">= 1")
         _require(self.sigma_mode in SIGMA_MODES, "[diffusion] sigma_mode", self.sigma_mode,
                  f"one of {SIGMA_MODES}")
+
+    def schedule(self) -> NoiseSchedule:
+        """The run's noise schedule: the one place a config becomes one."""
+        return make_schedule(self.steps, self.beta_start, self.beta_end, self.sigma_mode)
 
 
 @dataclass(frozen=True)
@@ -135,11 +140,26 @@ class RunConfig:
     probe: ProbeConfig = field(default_factory=ProbeConfig)
     run: RunSection = field(default_factory=RunSection)
 
+    def __post_init__(self):
+        """Every string value, and string tuple item, reads back from ``config_text``."""
+        for name in _SECTIONS:
+            for key, value in vars(getattr(self, name)).items():
+                _require(_reads_back(value), f"[{name}] {key}", value, "free of edge "
+                         "whitespace, line breaks and ' #', tuple items nonempty, no ','")
+
     def with_section(self, section: str, /, **updates) -> "RunConfig":
         return replace(self, **{section: replace(getattr(self, section), **updates)})
 
 
 _SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
+
+
+def _reads_back(value) -> bool:
+    """Whether ``config_text`` writes value so that parsing reads it back."""
+    if isinstance(value, tuple):
+        return all(x and "," not in x and _reads_back(x) for x in value if isinstance(x, str))
+    return not isinstance(value, str) or (value == value.strip() and not _COMMENT.search(value)
+                                          and value.splitlines() in ([], [value]))
 
 
 def _parse_value(raw: str, template, where: str):

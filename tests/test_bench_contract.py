@@ -130,13 +130,17 @@ def test_expert_training_step_records_two_mlp_forwards(tracer):
 
 
 def test_traced_run_training_sees_the_fusion_trainers(tracer, tmp_path):
-    cfg = tiny_cfg(steps=1).with_section("run", methods=("concat", "moe"), demos=1,
+    """Both fusion trainers, and the router's, whose run trains each expert once."""
+    cfg = tiny_cfg(steps=1).with_section("run", methods=("concat", "moe", "router"), demos=1,
                                          out=str(tmp_path))
     pl.gen_data(cfg)
     pl.run_training(cfg)
     assert calls(tracer, "pipeline.run_training") == 1
     assert calls(tracer, "compose.train_concat_policy") == 1
     assert calls(tracer, "compose.train_moe_policy") == 1
+    assert calls(tracer, "router.train_router") == 1
+    assert calls(tracer, "experts.train_expert") == 2
+    assert calls(tracer, "diffusion.fit_denoiser") == 5
 
 
 def test_traced_names_see_training_and_probing(tracer):

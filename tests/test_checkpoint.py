@@ -1,5 +1,6 @@
 """Checkpoint format and typed save/load round-trip tests."""
 
+import copy
 import json
 import struct
 
@@ -10,7 +11,7 @@ from modalcompose import checkpoint as cpt
 from modalcompose import experts as xp
 from modalcompose import router as rt
 from modalcompose.compose import train_concat_policy, train_moe_policy
-from modalcompose.diffusion import make_schedule
+from modalcompose.diffusion import MAX_STEPS, make_schedule
 from modalcompose.envs import ActionStats, Observation, _Reader
 from modalcompose.errors import ContractError, FormatError
 from modalcompose.runconfig import RunConfig
@@ -356,13 +357,15 @@ def saved_checkpoints(tmp_path):
     rpath = tmp_path / "router.mcpf"
     cpt.save_router(router, demo_stats(), make_schedule(), rpath,
                     env_name="occluded_reach", seed=0, config_hash="h")
-    fpath = tmp_path / "moe.mcpf"
-    policy = train_moe_policy(constant_action_dataset(np.array([0.2, -0.2])),
-                              small_cfg(), np.random.default_rng(4))
-    cpt.save_fusion(policy, fpath, env_name="occluded_reach", seed=1, config_hash="h")
-    return {"expert": (epath, cpt.expert_from_checkpoint),
-            "router": (rpath, cpt.router_from_checkpoint),
-            "moe": (fpath, cpt.fusion_from_checkpoint)}
+    saved = {"expert": (epath, cpt.expert_from_checkpoint),
+             "router": (rpath, cpt.router_from_checkpoint)}
+    for kind, train in (("concat", train_concat_policy), ("moe", train_moe_policy)):
+        fpath = tmp_path / f"{kind}.mcpf"
+        policy = train(constant_action_dataset(np.array([0.2, -0.2])), small_cfg(),
+                       np.random.default_rng(4))
+        cpt.save_fusion(policy, fpath, env_name="occluded_reach", seed=1, config_hash="h")
+        saved[kind] = (fpath, cpt.fusion_from_checkpoint)
+    return saved
 
 
 def _drop(key):
@@ -376,6 +379,15 @@ def _put(path, value):
         for key in path[:-1]:
             m = m[key]
         m[path[-1]] = value
+    return edit
+
+
+def _steps(value, *keys):
+    """The schedule's steps, and any other of the given keys, set to value."""
+    def edit(m):
+        for key in keys:
+            m[key] = value
+        m["schedule"]["steps"] = value
     return edit
 
 
@@ -395,7 +407,8 @@ BAD_METADATA = {
                _put(["encoder_spec", "input_dim"], -5), _put(["modality_dim"], 99),
                _put(["noise_band_split"], True),    # band split was retired
                _twice("sub_specs"),                 # so was the averaged sub-policy stack
-               _put(["n_steps"], 49)],              # steps its schedule does not have
+               _put(["n_steps"], 49),               # steps its schedule does not have
+               _steps(2**64, "n_steps"), _steps(MAX_STEPS + 1, "n_steps")],   # too many
     "router": [_drop("router_spec"), _put(["router_spec", "output_dim"], "fifty"),
                _put(["emb_dims"], "fifty"), _put(["modality_order"], [1, 2]),
                _put(["router_spec", "activation"], "relu6")],
@@ -403,7 +416,9 @@ BAD_METADATA = {
             _put(["schedule", "steps"], 0), _put(["sigma_mode"], "sharp"),
             _put(["encoder_specs"], [{}]), _put(["modality_dims"], [5]),
             _put(["modality_dims"], [3, 5]),
-            _drop("stats"), _put(["stats", "horizon"], 2.5)],
+            _drop("stats"), _put(["stats", "horizon"], 2.5),
+            _steps(2**64), _steps(MAX_STEPS + 1)],
+    "concat": [_steps(2**64), _steps(MAX_STEPS + 1)],
 }
 
 
@@ -416,6 +431,64 @@ def test_typed_readers_reject_malformed_metadata(tmp_path, kind, i):
     BAD_METADATA[kind][i](ck.metadata)
     with pytest.raises(FormatError):
         read(ck)
+
+
+@pytest.mark.parametrize("kind, edit", [("expert", _steps(2**64, "n_steps")),
+                                        ("concat", _steps(2**64)), ("moe", _steps(2**64))])
+def test_eval_of_a_schedule_too_long_to_table_is_a_format_error(tmp_path, capsys, kind, edit):
+    """A schedule of more than MAX_STEPS steps in an edited checkpoint is
+    refused before anything is tabled: eval exits 1 with an error line."""
+    from modalcompose.cli import cli_dispatch
+
+    path, _ = saved_checkpoints(tmp_path)[kind]
+    ck = cpt.load_checkpoint(path)
+    edit(ck.metadata)
+    cpt.save_checkpoint(ck.tensors, ck.metadata, path)
+    assert cli_dispatch(["eval", "--manifest", str(path), "--n", "1",
+                         "--out", str(tmp_path / "m.csv")]) == 1
+    assert f"error: {kind} checkpoint: schedule needs 1 <= K <= {MAX_STEPS}" in \
+        capsys.readouterr().err
+
+
+# every metadata path of a saved checkpoint is set to each of these in turn
+EDITED_VALUES = [None, True, False, 0, -1, 2**64, MAX_STEPS + 1, float("nan"), float("inf"),
+                 -float("inf"), "", [None], [1, "x"], [[]], {}, {"kind": "expert"}]
+DELETED = object()
+
+
+def _metadata_paths(node, path=()):
+    """The path of every dict key and list item under node, outermost first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _metadata_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("kind", ["expert", "router", "concat", "moe"])
+def test_edited_metadata_reads_or_is_a_format_error(tmp_path, kind):
+    """Each metadata path set to each of EDITED_VALUES, or deleted: the typed
+    reader returns its part or raises FormatError, never another exception."""
+    path, read = saved_checkpoints(tmp_path)[kind]
+    ck = cpt.load_checkpoint(path)
+    escapes = []
+    for where in _metadata_paths(ck.metadata):
+        for value in EDITED_VALUES + [DELETED]:
+            meta = copy.deepcopy(ck.metadata)
+            node = meta
+            for key in where[:-1]:
+                node = node[key]
+            if value is DELETED:
+                del node[where[-1]]
+            else:
+                node[where[-1]] = value
+            try:
+                read(cpt.Checkpoint(metadata=meta, tensors=ck.tensors))
+            except FormatError:
+                pass
+            except Exception as exc:
+                escapes.append(f"{where} = {value!r}: {type(exc).__name__}: {exc}")
+    assert not escapes, escapes[:5]
 
 
 def _one_wider(spec_key, prefix, side):

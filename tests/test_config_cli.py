@@ -5,6 +5,7 @@ import pytest
 
 from modalcompose import runconfig as rc
 from modalcompose.cli import _parse_scenario, cli_dispatch
+from modalcompose.diffusion import MAX_STEPS
 from modalcompose.envs import Dataset
 from modalcompose.errors import ConfigError
 
@@ -97,13 +98,34 @@ def test_parse_errors_carry_line_numbers():
     ("run", "strategy", "bogus"), ("expert", "enc_out", 0), ("expert", "enc_hidden", (0, 64)),
     ("expert", "score_hidden", (-3,)), ("router", "hidden", (0,)), ("probe", "sigma_scale", -1.0),
     ("probe", "sigma_scale", float("nan")), ("probe", "modalities", ("vis", "vis")),
-    ("run", "demos", 0), ("run", "eval_n", -5)])
+    ("run", "demos", 0), ("run", "eval_n", -5), ("diffusion", "steps", MAX_STEPS + 1),
+    ("diffusion", "steps", 2**64)])
 def test_bad_values_are_refused_when_the_config_is_built(section, key, value):
     text = ",".join(map(str, value)) if isinstance(value, tuple) else value
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must"):
         rc.parse_config_text(f"[{section}]\n{key} = {text}\n")
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must"):
         rc.RunConfig().with_section(section, **{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("out", "my runs #2"), ("out", " x"), ("out", "x "), ("out", "a\nb"), ("out", "a\rb"),
+    ("out", "a\u2028b"), ("out", "#x"), ("dataset", "d.mcds\t# note"),
+    ("methods", ("expert:vis,router",)), ("methods", ("",)), ("methods", ("router", " concat")),
+    ("methods", ("concat\n",))])
+def test_values_config_text_cannot_write_back_are_refused(key, value):
+    """A string, or string tuple item, that config_text would write so that
+    parsing reads back something else is refused when the config is built."""
+    with pytest.raises(ConfigError, match=rf"\[run\] {key} must"):
+        rc.RunConfig().with_section("run", **{key: value})
+
+
+@pytest.mark.parametrize("key, value", [("out", "runs#1"), ("out", "my runs"), ("out", ""),
+                                        ("methods", ("expert:vis", "router")),
+                                        ("dataset", "data/#a.mcds")])
+def test_values_config_text_can_write_back_are_kept(key, value):
+    cfg = rc.RunConfig().with_section("run", **{key: value})
+    assert getattr(rc.parse_config_text(rc.config_text(cfg)).run, key) == value
 
 
 @pytest.mark.parametrize("key, value", [("n_sub", "1"), ("noise_band_split", "false"),

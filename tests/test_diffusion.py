@@ -6,6 +6,7 @@ import pytest
 from modalcompose import diffusion as df
 from modalcompose import numcore as nc
 from modalcompose.errors import ConfigError, ContractError, NumericError
+from modalcompose.runconfig import RunConfig
 from tests.oracles import effective_eps
 
 # Frozen from an exact-fraction product over the default linear schedule
@@ -217,24 +218,23 @@ def test_fit_denoiser_reduces_loss(rng):
     ps.add("W0", np.zeros((2, 2)))
     ps.add("b0", np.zeros(2))
 
-    def score(a_k, cond, ks):
+    def score(a_k, blocks, ks):
         return nc.mlp_forward(ps, spec, nc.const(a_k))
 
     a_rows = np.tile([0.5, -0.5], (32, 1))
-    cond_rows = np.zeros((32, 1))
-    hist = df.fit_denoiser(score, [("lin", ps)], a_rows, cond_rows, s,
-                           steps=200, batch=8, lr=1e-2,
-                           rng=np.random.default_rng(11))
+    cfg = RunConfig().with_section("train", steps=200, batch=8, lr=1e-2)
+    hist = df.fit_denoiser(score, [("lin", ps)], a_rows, [np.zeros((32, 1))], cfg,
+                           np.random.default_rng(11))
     assert len(hist) == 200
     assert np.all(np.isfinite(hist))
     assert np.mean(hist[-20:]) < np.mean(hist[:20])
 
 
 def test_fit_denoiser_rejects_misaligned_rows(rng):
-    s = df.make_schedule()
     ps = nc.ParamSet()
     ps.add("W", np.zeros((2, 2)))
-    with pytest.raises(ContractError):
-        df.fit_denoiser(lambda a, c, k: nc.const(a), [("lin", ps)],
-                        np.zeros((3, 2)), np.zeros((2, 1)), s,
-                        steps=1, batch=1, lr=1e-3, rng=rng)
+    cfg = RunConfig().with_section("train", steps=1, batch=1)
+    for blocks in ([np.zeros((2, 1))], [np.zeros((3, 1)), np.zeros((2, 1))]):
+        with pytest.raises(ContractError):
+            df.fit_denoiser(lambda a, b, k: nc.const(a), [("lin", ps)],
+                            np.zeros((3, 2)), blocks, cfg, rng)

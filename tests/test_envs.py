@@ -415,20 +415,22 @@ def test_stats_key_tracks_contents():
 def test_training_rows_shapes_and_normalization():
     spec = envs.make_env_spec("occluded_reach")
     ds = envs.generate_dataset(spec, 2, seed=3)
-    acts, cond, (m, rs) = ds.training_cond_rows(("vis",))
+    acts, (m, rs) = ds.training_rows(("vis",))
     n = ds.n_steps
-    assert cond[:, m].shape == (n, 5) and cond[:, rs].shape == (n, 2)
+    assert m.shape == (n, 5) and rs.shape == (n, 2)
     assert acts.shape == (n, 2)
     assert np.all(acts >= -1.0 - 1e-12) and np.all(acts <= 1.0 + 1e-12)
+    acts2, (t, m2, rs2) = ds.training_rows(("tac", "vis"))
+    assert t.shape == (n, 3) and m2 is m and rs2 is rs and acts2 is acts
     with pytest.raises(ConfigError):
-        ds.training_cond_rows(("vis", "audio"))
+        ds.training_rows(("vis", "audio"))
 
 
 def test_training_rows_horizon_chunks():
     spec = envs.make_env_spec("occluded_reach")
     ds1 = envs.generate_dataset(spec, 2, seed=4, horizon=1)
     ds2 = envs.generate_dataset(spec, 2, seed=4, horizon=2)
-    acts2, _, _ = ds2.training_cond_rows(("vis",))
+    acts2, _ = ds2.training_rows(("vis",))
     rows = sum(ep.length - 1 for ep in ds2.episodes)
     assert acts2.shape == (rows, 4)
     # row t holds [a_t, a_{t+1}] normalized with the same per-step stats

@@ -179,7 +179,7 @@ def test_train_router_validation(const_dataset):
         rt.train_router([experts[0], experts[0]], const_dataset, cfg,
                         np.random.default_rng(0))
     stranger = xp.init_expert("audio", 5, 2, 2, cfg, np.random.default_rng(1))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):   # the dataset refuses a stream it lacks
         rt.train_router([stranger], const_dataset, cfg, np.random.default_rng(0))
 
 
@@ -224,9 +224,7 @@ def test_joint_training_score_matches_inference(rng):
     vis, tac, rs = rng.normal(size=(n, 5)), rng.normal(size=(n, 3)), rng.normal(size=(n, 2))
     a_k = rng.normal(size=(n, 2))
     ks = rng.integers(1, 51, size=n)
-    cond = np.concatenate([vis, tac, rs], axis=1)
-    slices = [slice(0, 5), slice(5, 8), slice(8, 10)]
-    trained = rt._router_score_graph(router, experts, a_k, cond, ks, slices, True).data
+    trained = rt._router_score_graph(router, experts, a_k, [vis, tac, rs], ks, True).data
     for r in range(n):
         obs = Observation({"vis": vis[r], "tac": tac[r]}, rs[r])
         served = policy.score_provider([obs])(a_k[r:r + 1], int(ks[r]))[0]

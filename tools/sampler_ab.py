@@ -1,4 +1,4 @@
-"""In-process A/B of the sampler: per-kind act() at B = 1, act_rows at B = 64 and episodes.
+"""In-process A/B of the sampler (act() at B = 1, act_rows at B = 64, episodes) or training.
 
 Usage, from the repository root:
 
@@ -25,6 +25,21 @@ pair; a side's rate in the pair is its control steps over its time. The
 JSON gives medians and quartiles of the timings in ms per call and of the
 rates in control steps per second, the change's median over the parent's,
 and in how many pairs the change was faster.
+
+    python3 tools/sampler_ab.py PARENT_SRC CHANGE_SRC --case training --pairs 10 --out BENCH_training.json
+
+The training case trains the same A/B model with each tree and stops unless
+their checkpoints are byte-identical. The parent's package is also loaded a
+second time, under a third name, as an A/A control. Each side then times one
+training step of each trainer: ``train_expert`` (vis), ``train_router`` (on
+the side's own trained experts, frozen), ``train_concat_policy`` and
+``train_moe_policy``, each run afresh for 100 steps at the A/B config's
+batch 64 on the side's own copy of the A/B dataset, from one fixed
+generator; a warm-up run per side must give the parent's loss history. Per
+trainer, each pair times the three sides three times, interleaved, the side
+that runs first rotating by pair, and keeps each side's least time. The JSON
+gives, per trainer, the change against the parent and the A/A control
+against the parent (under the change's keys), in ms per training step.
 """
 
 from __future__ import annotations
@@ -37,6 +52,7 @@ import shutil
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
@@ -47,17 +63,72 @@ KINDS = ("vis", "tac", "equal", "learned", "concat", "moe")
 ROWS = ((1, 20), (64, 10))   # (batch size, calls per timing)
 REPS = 3                     # interleaved timings per side and pair; the least is kept
 EVAL_SEED, EPISODES = 5, 4   # the episodes each side rolls per pair, interleaved
+TRAIN_STEPS = 100            # training steps per timing of one trainer
+
+
+def ab_config(pkg: str, out: str):
+    """The A/B model's run config, built by one tree, writing into ``out``."""
+    runconfig = importlib.import_module(pkg + ".runconfig")
+    return (runconfig.RunConfig()
+            .with_section("run", seed=0, demos=30, out=out)
+            .with_section("train", steps=60, router_steps=30, lr=2e-3))
 
 
 def train_tree(pkg: str, out: str) -> dict:
     """Train the A/B model with one tree into ``out``; {method: checkpoint path}."""
     pl = importlib.import_module(pkg + ".pipeline")
-    runconfig = importlib.import_module(pkg + ".runconfig")
-    cfg = (runconfig.RunConfig()
-           .with_section("run", seed=0, demos=30, out=out)
-           .with_section("train", steps=60, router_steps=30, lr=2e-3))
+    cfg = ab_config(pkg, out)
     pl.gen_data(cfg)
     return pl.run_training(cfg)
+
+
+def trainers(pkg: str, model: dict, out: str) -> dict:
+    """Per timed trainer, a call that runs it afresh with one tree for
+    TRAIN_STEPS steps on the A/B dataset in ``out`` and returns its loss
+    history; the router weighs the frozen experts of ``model``."""
+    mod = lambda name: importlib.import_module(f"{pkg}.{name}")
+    cpt, compose = mod("checkpoint"), mod("compose")
+    cfg = ab_config(pkg, out).with_section("train", steps=TRAIN_STEPS, router_steps=TRAIN_STEPS)
+    dataset = mod("envs").Dataset.read(mod("pipeline").default_dataset_path(cfg, Path(out)))
+    experts = [cpt.expert_from_checkpoint(cpt.load_checkpoint(model[f"expert:{m}"]))[0]
+               for m in ("vis", "tac")]
+    rng = lambda: np.random.default_rng(0)
+    return {
+        "expert": lambda: mod("experts").train_expert(dataset, "vis", cfg, rng()).loss_history,
+        "router": lambda: mod("router").train_router(experts, dataset, cfg, rng()).loss_history,
+        "concat": lambda: compose.train_concat_policy(dataset, cfg, rng()).loss_history,
+        "moe": lambda: compose.train_moe_policy(dataset, cfg, rng()).loss_history,
+    }
+
+
+def training_case(sides: dict, pairs: int) -> dict:
+    """ms per training step of each trainer: {trainer: {"change": summary,
+    "parent_aa": summary}}, each side against "parent"."""
+    labels = list(sides)
+    for method, parent_run in sides["parent"].items():
+        want = parent_run()
+        for label in labels[1:]:
+            if sides[label][method]() != want:
+                raise SystemExit(f"{method}: {label} trains a different loss history")
+    result = {}
+    for method in sides["parent"]:
+        times = {label: [] for label in labels}
+        for pair in range(pairs):
+            order = labels[pair % len(labels):] + labels[:pair % len(labels)]
+            runs = {label: [] for label in labels}
+            for _ in range(REPS):
+                for label in order:
+                    t0 = time.perf_counter()
+                    sides[label][method]()
+                    runs[label].append(time.perf_counter() - t0)
+            for label, ts in runs.items():
+                times[label].append(1e3 * min(ts) / TRAIN_STEPS)
+        result[method] = {
+            against: _summary({"parent": times["parent"], "change": times[against]},
+                              lower_is_faster=True)
+            for against in labels[1:]}
+        print(method, result[method], flush=True)
+    return result
 
 
 def load_tree(pkg: str, model: dict):
@@ -100,10 +171,14 @@ def main(argv=None) -> int:
     ap.add_argument("change_src")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", default=None)
+    ap.add_argument("--case", choices=("sampler", "training"), default="sampler")
     args = ap.parse_args(argv)
     scratch = tempfile.mkdtemp(prefix="sampler_ab_")
     try:
-        for name, src in (("mc_parent", args.parent_src), ("mc_change", args.change_src)):
+        trees = [("mc_parent", args.parent_src), ("mc_change", args.change_src)]
+        if args.case == "training":
+            trees.append(("mc_parent_aa", args.parent_src))
+        for name, src in trees:
             shutil.copytree(os.path.join(src, "modalcompose"), os.path.join(scratch, name))
         sys.path.insert(0, scratch)
         sys.dont_write_bytecode = True
@@ -112,6 +187,24 @@ def main(argv=None) -> int:
         same_model = parent_model.keys() == change_model.keys() and all(
             parent_model[key].read_bytes() == path.read_bytes()
             for key, path in change_model.items())
+        paragraphs = __doc__.split("\n\n")
+        result = {"numpy": np.__version__, "python": sys.version.split()[0],
+                  "blas": _blas_line(), "checkpoints_identical": same_model,
+                  "pairs": args.pairs}
+        if args.case == "training":
+            if not same_model:
+                raise SystemExit("the trees' checkpoints differ: training is timed only "
+                                 "for trees that train the same bytes")
+            result = {"command": paragraphs[4].strip(), "method": " ".join(paragraphs[5].split()),
+                      **result}
+            parent_out, change_out = (os.path.join(scratch, pkg) for pkg in ("mc_parent",
+                                                                              "mc_change"))
+            sides = {"parent": trainers("mc_parent", parent_model, parent_out),
+                     "change": trainers("mc_change", change_model, change_out),
+                     "parent_aa": trainers("mc_parent_aa", parent_model, parent_out)}
+            result["ms_per_step"] = training_case(sides, args.pairs)
+            _write(result, args.out)
+            return 0
         if not same_model:
             print("the trees' checkpoints differ: the byte pre-check is skipped", flush=True)
         parent, change = load_tree("mc_parent", parent_model), load_tree("mc_change", change_model)
@@ -124,11 +217,8 @@ def main(argv=None) -> int:
                     for tree in (parent, change))
             if a != b:
                 raise SystemExit(f"{kind}: the trees' episodes act in different bytes")
-        paragraphs = __doc__.split("\n\n")
         result = {"command": paragraphs[2].strip(), "method": " ".join(paragraphs[3].split()),
-                  "numpy": np.__version__, "python": sys.version.split()[0],
-                  "blas": _blas_line(), "checkpoints_identical": same_model,
-                  "pairs": args.pairs, "ms_per_call": {}, "episode_steps_per_s": {}}
+                  **result, "ms_per_call": {}, "episode_steps_per_s": {}}
         for rows, calls in ROWS:
             for kind in KINDS:
                 times = {"parent": [], "change": []}
@@ -157,13 +247,17 @@ def main(argv=None) -> int:
                     rates[label].append(steps[label] / spent[label])
             result["episode_steps_per_s"][kind] = _summary(rates, lower_is_faster=False)
             print(kind, "episodes", result["episode_steps_per_s"][kind], flush=True)
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(result, fh, indent=1)
-                fh.write("\n")
+        _write(result, args.out)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return 0
+
+
+def _write(result: dict, out: str | None) -> None:
+    if out:
+        with open(out, "w") as fh:
+            json.dump(result, fh, indent=1)
+            fh.write("\n")
 
 
 def _summary(values: dict, *, lower_is_faster: bool) -> dict:
