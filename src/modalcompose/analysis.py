@@ -42,8 +42,8 @@ class CorruptionMode:
     def __init__(self, kind: str, modality: str, sigma_c: float = 0.0):
         if kind not in CORRUPTION_KINDS:
             raise ConfigError(f"unknown corruption kind {kind!r}")
-        if kind == "gaussian" and sigma_c < 0:
-            raise ConfigError("gaussian corruption needs sigma_c >= 0")
+        if kind == "gaussian" and not (np.isfinite(sigma_c) and sigma_c >= 0):
+            raise ConfigError(f"gaussian corruption needs a finite sigma_c >= 0, got {sigma_c}")
         self.kind = kind
         self.modality = modality
         self.sigma_c = float(sigma_c)
@@ -107,6 +107,10 @@ class ScenarioSpec:
 
 def _check_scenario(scenario: ScenarioSpec | None, spec: EnvSpec) -> None:
     """Refuse a scenario the env cannot run, before any episode of it."""
+    if scenario is not None and scenario.kind == "runtime_perturbation" and (
+            scenario.step_star >= spec.t_max):
+        raise ConfigError(f"teleport step {scenario.step_star} is never reached: "
+                          f"{spec.name} episodes run steps 0..{spec.t_max - 1}")
     if scenario is not None and scenario.kind == "corruption":
         dims = spec.modality_dims()
         if scenario.corruption.modality not in dims:

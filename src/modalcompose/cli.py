@@ -108,7 +108,7 @@ def _parse_scenario(text: str) -> ScenarioSpec:
     if text.startswith("corrupt:"):
         body = text.split(":", 1)[1]
         onset = "start"
-        sigma = 0.0
+        sigma = None
         parts = body.split(":")
         if len(parts) < 2:
             raise ConfigError(f"bad corruption scenario {text!r}")
@@ -117,6 +117,8 @@ def _parse_scenario(text: str) -> ScenarioSpec:
             modality = modality[: -len("@entry")]
             onset = "occlusion_entry"
         for extra in parts[2:]:
+            if extra.startswith("sigma=") and sigma is not None:
+                raise ConfigError(f"sigma given twice in {text!r}")
             if extra.startswith("sigma="):
                 try:
                     sigma = float(extra.split("=", 1)[1])
@@ -124,8 +126,13 @@ def _parse_scenario(text: str) -> ScenarioSpec:
                     raise ConfigError(f"bad sigma in {extra!r}") from None
             else:
                 raise ConfigError(f"bad scenario option {extra!r}")
+        # a gaussian at sigma 0 is the identity; zero and freeze draw no noise
+        if kind == "gaussian" and not sigma:
+            raise ConfigError(f"gaussian corruption needs sigma=S with S > 0 in {text!r}")
+        if kind in ("zero", "freeze") and sigma is not None:
+            raise ConfigError(f"{kind} corruption takes no sigma, got {text!r}")
         return ScenarioSpec("corruption", onset=onset,
-                            corruption=CorruptionMode(kind, modality, sigma_c=sigma))
+                            corruption=CorruptionMode(kind, modality, sigma_c=sigma or 0.0))
     raise ConfigError(f"unknown scenario {text!r}")
 
 

@@ -10,7 +10,8 @@ where a_k holds the B sampled rows in the layout of ``numcore.row_layout``,
 k is an int, and the result has a_k's shape; a policy's provider closes over
 its observations. Denoising step indices k run 1..K; array index k-1 holds
 the step-k coefficients, which ``make_schedule`` tables once for the whole
-reverse step, sigma_k included; ``ddpm_sample`` only reads them.
+reverse step, sigma_k included; ``ddpm_sample`` only reads them. It updates
+one row in Python floats and B > 1 rows in numpy, with the same bytes.
 """
 
 from __future__ import annotations
@@ -131,25 +132,53 @@ def ddpm_sample(score, sched: NoiseSchedule, rngs, dim: int) -> np.ndarray:
     schedule's tables, and every sigma_k z is computed for all k at once, by
     the same elementwise operations as one step at a time. The state is
     updated in place in a buffer of its own, so a provider must not keep a_k
-    across steps.
+    across steps. One row (B = 1) is updated in Python floats
+    (``_sample_row``), B > 1 rows by numpy ufuncs; both round every
+    operation once to binary64, so a row's bytes do not depend on B.
     """
-    # (K, B, dim) in row layout: noise[j] holds every row's j-th draw
-    noise = nc.row_layout(np.stack([g.standard_normal((sched.K, dim)) for g in rngs],
-                                   axis=1))
+    steps = zip(range(sched.K, 0, -1), sched.eps_coefs[::-1].tolist(),
+                sched.sqrt_alphas[::-1].tolist())
     sigmas = sched.sigmas[:0:-1]   # sigma_K .. sigma_2
-    a, sz = noise[0], noise[1:] * sigmas.reshape((-1,) + (1,) * (noise.ndim - 1))
-    step = np.empty_like(a)
-    for k, eps_coef, sqrt_alpha in zip(range(sched.K, 0, -1), sched.eps_coefs[::-1].tolist(),
-                                       sched.sqrt_alphas[::-1].tolist()):
-        eps_hat = score(a, k)
-        if eps_hat.shape != a.shape:
-            raise ContractError(f"score rows {eps_hat.shape} for sample rows {a.shape}")
-        a -= np.multiply(eps_hat, eps_coef, out=step)
-        a /= sqrt_alpha
-        if k > 1:
-            a += sz[sched.K - k]
+    if len(rngs) == 1:
+        a = _sample_row(score, steps, sigmas, rngs[0].standard_normal((sched.K, dim)))
+    else:
+        # (K, B, dim) in row layout: noise[j] holds every row's j-th draw
+        noise = nc.row_layout(np.stack([g.standard_normal((sched.K, dim)) for g in rngs],
+                                       axis=1))
+        a, sz = noise[0], noise[1:] * sigmas.reshape((-1,) + (1,) * (noise.ndim - 1))
+        step = np.empty_like(a)
+        for k, eps_coef, sqrt_alpha in steps:
+            eps_hat = _checked(score(a, k), a)
+            a -= np.multiply(eps_hat, eps_coef, out=step)
+            a /= sqrt_alpha
+            if k > 1:
+                a += sz[sched.K - k]
     # a NaN or Inf stays non-finite through every later update, so one check
     # before the clip catches a non-finite score at any step
     if not np.isfinite(a).all():
         raise NumericError("non-finite sample state")
     return np.clip(a, -1.0, 1.0).reshape(-1, dim)
+
+
+def _sample_row(score, steps, sigmas: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """One row's loop over its (K, dim) noise block in Python floats: x =
+    (x - eps_hat * c_k) / sqrt(alpha_k) + sigma_k z, each operation rounded
+    once (CPython fuses no multiply-add). Step 1 adds -0.0, the exact
+    identity of +. Returns the (1, dim) state buffer the provider reads. An
+    index loop: before Python 3.12 a list comprehension costs a call frame."""
+    sz = (noise[1:] * sigmas[:, None]).tolist() + [[-0.0] * noise.shape[1]]
+    a = noise[:1]
+    x = a[0].tolist()
+    dims = range(len(x))
+    for (k, c, s), z in zip(steps, sz):
+        e = _checked(score(a, k), a).tolist()[0]
+        for j in dims:
+            x[j] = (x[j] - e[j] * c) / s + z[j]
+        a[0] = x
+    return a
+
+
+def _checked(eps_hat: np.ndarray, a: np.ndarray) -> np.ndarray:
+    if eps_hat.shape != a.shape:
+        raise ContractError(f"score rows {eps_hat.shape} for sample rows {a.shape}")
+    return eps_hat

@@ -16,7 +16,8 @@ Adam, joint router fine-tuning, checkpoints and ``score_rows`` use that one
 net. ``mixed_score`` copies E experts' nets into one stack, weights of shape
 (E, in, out), and scores them all with one ``mlp_infer`` call per step; each
 slice is bit-identical to that expert's own call, and a lone expert at
-weight 1 is bound alone.
+weight 1 is bound alone. It mixes B > 1 rows with ``np.add.reduce`` and one
+row, every ``act()``'s, in Python floats, with the same bytes.
 """
 
 from __future__ import annotations
@@ -219,10 +220,14 @@ def mixed_score(experts: list[ModalityExpert], embs: list[np.ndarray], weights: 
     binding, are bound once to their embedding rows ``embs`` (``bind_score``):
     a call runs the layer ops and the mix. One expert at weight 1, whose mix
     is the exact identity, is its own net bound to ``embs[0]``, uncopied.
-    The weights are broadcast to the scores' shape once, so the per-step
-    multiply has operands of equal shape (see ``numcore``). Nothing is checked
-    per call; ``ddpm_sample`` checks its state once. The experts share one
-    score_spec and n_steps."""
+    Over B > 1 rows the weights are broadcast to the scores' shape once, so
+    the per-step multiply has operands of equal shape (see ``numcore``), and
+    ``np.add.reduce`` sums the products. One row is mixed in Python floats,
+    0.0 + s_0 w_0 + s_1 w_1 + ... left to right: the same products in the
+    same order from the same start, that reduce's identity, so the bytes,
+    signed zeros included, do not depend on the row count. Nothing is
+    checked per call; ``ddpm_sample`` checks its state once. The experts
+    share one score_spec and n_steps."""
     ex = experts[0]
     if len(experts) == 1 and bool((weights == 1.0).all()):
         return bind_score(ex.score_params, ex.score_spec, embs[0], ex.n_steps)
@@ -231,6 +236,17 @@ def mixed_score(experts: list[ModalityExpert], embs: list[np.ndarray], weights: 
         stack = np.array([e.score_params[name].data for e in experts])
         params[name] = stack[:, None] if stack.ndim == 2 else stack   # biases (E, 1, out)
     score = bind_score(params, ex.score_spec, np.array(embs), ex.n_steps)
+    if weights.shape[1:] == (1, 1):
+        ws, dims = weights.ravel().tolist(), range(ex.action_dim)
+
+        def one_row(a_k, k):
+            x = [0.0] * ex.action_dim
+            for (s,), wi in zip(score(a_k, k).tolist(), ws):
+                for j in dims:
+                    x[j] += s[j] * wi
+            return np.array([x])
+
+        return one_row
     w = np.ascontiguousarray(np.broadcast_to(weights, weights.shape[:-1] + (ex.action_dim,)))
     return lambda a_k, k: np.add.reduce(score(a_k, k) * w, axis=0)
 

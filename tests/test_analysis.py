@@ -97,8 +97,12 @@ def make_obs(rng):
 def test_corruption_mode_validation():
     with pytest.raises(ConfigError):
         an.CorruptionMode("invert", "vis")
-    with pytest.raises(ConfigError):
-        an.CorruptionMode("gaussian", "vis", sigma_c=-0.1)
+    for bad in (-0.1, np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match=f"got {bad}"):
+            an.CorruptionMode("gaussian", "vis", sigma_c=bad)
+    # zero and freeze ignore sigma_c; the pinned scenarios set it on every kind
+    for kind in an.CORRUPTION_KINDS:
+        assert an.CorruptionMode(kind, "vis", sigma_c=0.3).kind == kind
 
 
 def test_zero_corruption_is_idempotent_and_local(rng):
@@ -227,11 +231,25 @@ def test_freeze_state_is_per_episode_however_hooks_are_built():
 
 
 def test_unreached_perturbation_step_is_a_no_op():
+    """The last step an episode can reach teleports nothing in episodes that
+    succeed before it."""
     spec = make_env_spec("occluded_reach")
     base = an.robustness_eval(Follower(), spec, None, 8, seed=7)
-    never = an.ScenarioSpec(kind="runtime_perturbation", step_star=spec.t_max + 100)
+    assert base[0] == 1.0
+    never = an.ScenarioSpec(kind="runtime_perturbation", step_star=spec.t_max - 1)
     same = an.robustness_eval(Follower(), spec, never, 8, seed=7)
     assert same == base
+
+
+@pytest.mark.parametrize("after_end", [0, 1, 100])
+def test_teleport_step_no_episode_reaches_is_refused_before_any_step(after_end):
+    spec = make_env_spec("occluded_reach")
+    step = spec.t_max + after_end
+    never = an.ScenarioSpec(kind="runtime_perturbation", step_star=step)
+    spy = Spy(Follower())
+    with pytest.raises(ConfigError, match=f"teleport step {step} "):
+        an.robustness_eval(spy, spec, never, 3, seed=1)
+    assert spy.seen == []
 
 
 def test_perturbation_and_repositioning_change_trajectories():

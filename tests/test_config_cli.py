@@ -219,6 +219,19 @@ def test_scenario_parse_errors():
                 "corrupt:melt:vis"):
         with pytest.raises(ConfigError):
             _parse_scenario(bad)
+    # settings that would run plain episodes under a corruption label, or
+    # fill a reading with infinities, are refused with the value named
+    for bad, named in (("corrupt:gaussian:vis:sigma=nan", "got nan"),
+                       ("corrupt:gaussian:vis:sigma=inf", "got inf"),
+                       ("corrupt:gaussian:vis:sigma=-0.5", "got -0.5"),
+                       ("corrupt:gaussian:vis", "'corrupt:gaussian:vis'"),
+                       ("corrupt:gaussian:vis:sigma=0", "sigma=0'"),
+                       ("corrupt:gaussian:vis@entry:sigma=0.0", "sigma=0.0'"),
+                       ("corrupt:zero:vis:sigma=0.5", "sigma=0.5'"),
+                       ("corrupt:freeze:tac@entry:sigma=0.5", "sigma=0.5'"),
+                       ("corrupt:gaussian:vis:sigma=0.5:sigma=0.3", "twice")):
+        with pytest.raises(ConfigError, match=named):
+            _parse_scenario(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -128,26 +128,26 @@ def test_sampler_updates_its_own_state_buffer():
     """The state is updated in place in a buffer of the sampler's own, so a
     score that returns its input still sees each step's state: replaying
     every row's noise block one step at a time gives the same states and
-    result."""
+    result, on the one-row path and the batched one."""
     s = df.make_schedule(K=5)
-    seeds = (3, 4)
-    seen = []
+    for seeds in ((3,), (3, 4)):
+        seen = []
 
-    def score(a, k):
-        seen.append(a.copy())
-        return a
+        def score(a, k):
+            seen.append(a.copy())
+            return a
 
-    out = df.ddpm_sample(score, s, [np.random.default_rng(r) for r in seeds], 2)
-    noise = nc.row_layout(np.stack(
-        [np.random.default_rng(r).standard_normal((5, 2)) for r in seeds], axis=1))
-    a = noise[0]
-    for k in range(5, 0, -1):
-        assert np.array_equal(seen[5 - k], a)
-        a = (a - s.betas[k - 1] / np.sqrt(1.0 - s.alpha_bars[k - 1]) * a) / np.sqrt(
-            s.alphas[k - 1])
-        if k > 1:
-            a = a + np.sqrt(s.betas[k - 1]) * noise[6 - k]
-    assert np.array_equal(out, np.clip(a, -1.0, 1.0).reshape(-1, 2))
+        out = df.ddpm_sample(score, s, [np.random.default_rng(r) for r in seeds], 2)
+        noise = nc.row_layout(np.stack(
+            [np.random.default_rng(r).standard_normal((5, 2)) for r in seeds], axis=1))
+        a = noise[0]
+        for k in range(5, 0, -1):
+            assert np.array_equal(seen[5 - k], a)
+            a = (a - s.betas[k - 1] / np.sqrt(1.0 - s.alpha_bars[k - 1]) * a) / np.sqrt(
+                s.alphas[k - 1])
+            if k > 1:
+                a = a + np.sqrt(s.betas[k - 1]) * noise[6 - k]
+        assert np.array_equal(out, np.clip(a, -1.0, 1.0).reshape(-1, 2))
 
 
 def test_sampler_flags_nonfinite_scores():
@@ -163,14 +163,32 @@ def test_sampler_flags_nonfinite_scores():
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
 def test_sampler_flags_a_nonfinite_score_at_one_middle_step(bad_value):
     """The state is checked once, after the loop: a score that is non-finite
-    at one step only still leaves a non-finite state, and is refused."""
+    at one step only still leaves a non-finite state, and is refused, on the
+    one-row path and the batched one."""
     s = df.make_schedule()
 
     def once(a, k):
         return np.full_like(a, bad_value) if k == 25 else np.zeros_like(a)
 
-    with pytest.raises(NumericError):
-        df.ddpm_sample(once, s, [np.random.default_rng(0), np.random.default_rng(1)], 2)
+    for rows in (1, 2):
+        with pytest.raises(NumericError):
+            df.ddpm_sample(once, s, [np.random.default_rng(r) for r in range(rows)], 2)
+
+
+@pytest.mark.parametrize("sigma_mode", df.SIGMA_MODES)
+@pytest.mark.parametrize("score", [lambda a, k: 0.1 * a, lambda a, k: np.zeros_like(a),
+                                   lambda a, k: np.full_like(a, -0.0)],
+                         ids=["scaled", "zeros", "negative_zeros"])
+def test_one_row_sample_is_row_zero_of_a_batched_one(score, sigma_mode):
+    """The one-row path, in Python floats, samples the bytes the batched
+    numpy path gives the same row, exact zeros of either sign included."""
+    s = df.make_schedule(sigma_mode=sigma_mode)
+    for seed in range(3):
+        one = df.ddpm_sample(score, s, [np.random.default_rng(seed)], 3)
+        two = df.ddpm_sample(score, s, [np.random.default_rng(seed),
+                                        np.random.default_rng(seed + 10)], 3)
+        assert one.shape == (1, 3)
+        assert one.tobytes() == two[:1].tobytes()
 
 
 def test_posterior_sigma_modes():

@@ -5,8 +5,10 @@ draw per denoising step; stacked scoring, the feature tables, the per-sample
 step constants and the block noise draw must reproduce them bit for bit. The
 expert-based pins (``vis``, ``tac``, ``equal``, ``learned`` and their probes)
 were re-recorded with one score net per expert when the averaged sub-policy
-stack was retired. Sampling B rows in one act_rows call must reproduce B
-act() calls bit for bit too.
+stack was retired. ``three``, a fixed (0.2, 0.3, 0.5) mix of [vis, tac,
+vis], was recorded while every mix still ran through ``np.add.reduce``; the
+one-row mix in Python floats must reproduce it. Sampling B rows in one
+act_rows call must reproduce B act() calls bit for bit too.
 """
 
 import dataclasses
@@ -44,6 +46,8 @@ PINNED = {
         "b935a4afb8748c6e68da23889b4eb78ffe306b6a67bdb60565fe21085eb08c06",
     "concat_beta_tilde":
         "5036066275571f67b3c9baaac68e14b70673e8fa2180a6f7829715cd6ebc2b48",
+    "three":
+        "1abc4366474647593c93d289cb3f4a48dc47ccfff0386ddff6fc3a749a9987af",
 }
 
 
@@ -75,6 +79,7 @@ def policies():
         "moe": cp.train_moe_policy(ds, cfg, stream(11, TAG_TRAIN, 6)),
         "concat_beta_tilde": cp.train_concat_policy(ds, tilde_cfg,
                                                     stream(11, TAG_TRAIN, 7)),
+        "three": cp.manual_compose([vis, tac, vis], [0.2, 0.3, 0.5], sched, stats),
     }
 
 

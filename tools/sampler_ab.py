@@ -10,21 +10,25 @@ is copied under its own name into a scratch directory, so both load in one
 process and see the same machine. Each tree trains the same config (30 demos
 of ``occluded_reach``, 60 steps per method, router 30, model seed 0, default
 shapes) into its own directory and loads its own checkpoints into the six
-policy kinds of the benchmark. When the two trees' checkpoints are
-byte-identical, every kind's act_rows at B = 1, 7 and 64, and the actions
-of a whole episode, must be too before timing; when they differ, the JSON
-says so and that check is skipped, since the trees then sample different
-models. Then, per kind and batch size, each pair times both trees on the
-same calls (20 act() calls at B = 1, 10 act_rows calls at B = 64) three
-times, interleaved, the side that runs first alternating by pair; a side's
-timing in the pair is the least of its three, so one burst of other load
-moves one run, not the pair. The third case times whole episodes of
-``rollout.run_policy_episode`` (eval seed 5, episodes 0-3 in every pair),
-the sides interleaved by episode, the side that runs first alternating by
-pair; a side's rate in the pair is its control steps over its time. The
-JSON gives medians and quartiles of the timings in ms per call and of the
-rates in control steps per second, the change's median over the parent's,
-and in how many pairs the change was faster.
+policy kinds of the benchmark; the parent's package is also loaded a second
+time, under a third name, on the parent's checkpoints, as an A/A control.
+When the two trees' checkpoints are byte-identical, every kind's act_rows
+at B = 1, 2, 7 and 64 (B = 1 is the one-row path, B = 2 the smallest
+batched call), and the actions of a whole episode, must be too before
+timing; when they differ, the JSON says so and that check is skipped, since
+the trees then sample different models. Then, per kind and batch size, each
+pair times the three sides on the same calls (20 act() calls at B = 1, 10
+act_rows calls at B = 64) three times, interleaved, the side that runs
+first rotating by pair; a side's timing in the pair is the least of its
+three, so one burst of other load moves one run, not the pair. The third
+case times whole episodes of ``rollout.run_policy_episode`` (eval seed 5,
+episodes 0-3 in every pair), the sides interleaved by episode, the side
+that runs first rotating by pair; a side's rate in the pair is its control
+steps over its time. The JSON gives, for the change and for the A/A control
+(under the change's keys), each against the parent: medians and quartiles
+of the timings in ms per call and of the rates in control steps per second,
+the side's median over the parent's, and in how many pairs the side was
+faster.
 
     python3 tools/sampler_ab.py PARENT_SRC CHANGE_SRC --case training --pairs 10 --out BENCH_training.json
 
@@ -113,8 +117,7 @@ def training_case(sides: dict, pairs: int) -> dict:
     result = {}
     for method in sides["parent"]:
         times = {label: [] for label in labels}
-        for pair in range(pairs):
-            order = labels[pair % len(labels):] + labels[:pair % len(labels)]
+        for order in _orders(labels, pairs):
             runs = {label: [] for label in labels}
             for _ in range(REPS):
                 for label in order:
@@ -123,12 +126,56 @@ def training_case(sides: dict, pairs: int) -> dict:
                     runs[label].append(time.perf_counter() - t0)
             for label, ts in runs.items():
                 times[label].append(1e3 * min(ts) / TRAIN_STEPS)
-        result[method] = {
-            against: _summary({"parent": times["parent"], "change": times[against]},
-                              lower_is_faster=True)
-            for against in labels[1:]}
+        result[method] = _against_parent(times, lower_is_faster=True)
         print(method, result[method], flush=True)
     return result
+
+
+def sampler_case(sides: dict, pairs: int) -> dict:
+    """ms per act()/act_rows call per kind and batch size, and control steps
+    per second of whole episodes per kind, each side against "parent"."""
+    labels = list(sides)
+    result = {"ms_per_call": {}, "episode_steps_per_s": {}}
+    for rows, calls in ROWS:
+        for kind in KINDS:
+            times = {label: [] for label in labels}
+            for order in _orders(labels, pairs):
+                runs = {label: [] for label in labels}
+                for _ in range(REPS):
+                    for label in order:
+                        runs[label].append(timed(sides[label], kind, rows, calls)[0])
+                for label, ts in runs.items():
+                    times[label].append(1e3 * min(ts))
+            key = f"{kind} {'act()' if rows == 1 else 'act_rows'} B={rows}"
+            result["ms_per_call"][key] = _against_parent(times, lower_is_faster=True)
+            print(key, result["ms_per_call"][key], flush=True)
+    for kind in KINDS:
+        rates = {label: [] for label in labels}
+        for order in _orders(labels, pairs):
+            spent, steps = dict.fromkeys(labels, 0.0), dict.fromkeys(labels, 0)
+            for ep in range(EPISODES):
+                for label in order:
+                    t0 = time.perf_counter()
+                    steps[label] += sides[label][3](kind, ep).steps
+                    spent[label] += time.perf_counter() - t0
+            for label in labels:
+                rates[label].append(steps[label] / spent[label])
+        result["episode_steps_per_s"][kind] = _against_parent(rates, lower_is_faster=False)
+        print(kind, "episodes", result["episode_steps_per_s"][kind], flush=True)
+    return result
+
+
+def _orders(labels: list, pairs: int):
+    """Per pair, the order the sides run in, the first side rotating by pair."""
+    for pair in range(pairs):
+        yield labels[pair % len(labels):] + labels[:pair % len(labels)]
+
+
+def _against_parent(values: dict, *, lower_is_faster: bool) -> dict:
+    """Every other side's summary against "parent", under the side's label."""
+    return {label: _summary({"parent": values["parent"], "change": v},
+                            lower_is_faster=lower_is_faster)
+            for label, v in values.items() if label != "parent"}
 
 
 def load_tree(pkg: str, model: dict):
@@ -175,9 +222,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     scratch = tempfile.mkdtemp(prefix="sampler_ab_")
     try:
-        trees = [("mc_parent", args.parent_src), ("mc_change", args.change_src)]
-        if args.case == "training":
-            trees.append(("mc_parent_aa", args.parent_src))
+        trees = [("mc_parent", args.parent_src), ("mc_change", args.change_src),
+                 ("mc_parent_aa", args.parent_src)]
         for name, src in trees:
             shutil.copytree(os.path.join(src, "modalcompose"), os.path.join(scratch, name))
         sys.path.insert(0, scratch)
@@ -207,9 +253,12 @@ def main(argv=None) -> int:
             return 0
         if not same_model:
             print("the trees' checkpoints differ: the byte pre-check is skipped", flush=True)
-        parent, change = load_tree("mc_parent", parent_model), load_tree("mc_change", change_model)
+        sides = {"parent": load_tree("mc_parent", parent_model),
+                 "change": load_tree("mc_change", change_model),
+                 "parent_aa": load_tree("mc_parent_aa", parent_model)}
+        parent, change = sides["parent"], sides["change"]
         for kind in KINDS if same_model else ():
-            for rows in (1, 7, 64):
+            for rows in (1, 2, 7, 64):
                 a, b = timed(parent, kind, rows, 1)[1], timed(change, kind, rows, 1)[1]
                 if a.tobytes() != b.tobytes():
                     raise SystemExit(f"{kind} at B = {rows}: the trees sample different bytes")
@@ -218,35 +267,7 @@ def main(argv=None) -> int:
             if a != b:
                 raise SystemExit(f"{kind}: the trees' episodes act in different bytes")
         result = {"command": paragraphs[2].strip(), "method": " ".join(paragraphs[3].split()),
-                  **result, "ms_per_call": {}, "episode_steps_per_s": {}}
-        for rows, calls in ROWS:
-            for kind in KINDS:
-                times = {"parent": [], "change": []}
-                for pair in range(args.pairs):
-                    sides = [("parent", parent), ("change", change)][::1 if pair % 2 == 0 else -1]
-                    runs = {"parent": [], "change": []}
-                    for _ in range(REPS):
-                        for label, tree in sides:
-                            runs[label].append(timed(tree, kind, rows, calls)[0])
-                    for label, ts in runs.items():
-                        times[label].append(1e3 * min(ts))
-                key = f"{kind} {'act()' if rows == 1 else 'act_rows'} B={rows}"
-                result["ms_per_call"][key] = _summary(times, lower_is_faster=True)
-                print(key, result["ms_per_call"][key], flush=True)
-        for kind in KINDS:
-            rates = {"parent": [], "change": []}
-            for pair in range(args.pairs):
-                sides = [("parent", parent), ("change", change)][::1 if pair % 2 == 0 else -1]
-                spent, steps = {"parent": 0.0, "change": 0.0}, {"parent": 0, "change": 0}
-                for ep in range(EPISODES):
-                    for label, tree in sides:
-                        t0 = time.perf_counter()
-                        steps[label] += tree[3](kind, ep).steps
-                        spent[label] += time.perf_counter() - t0
-                for label in rates:
-                    rates[label].append(steps[label] / spent[label])
-            result["episode_steps_per_s"][kind] = _summary(rates, lower_is_faster=False)
-            print(kind, "episodes", result["episode_steps_per_s"][kind], flush=True)
+                  **result, **sampler_case(sides, args.pairs)}
         _write(result, args.out)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -261,8 +282,9 @@ def _write(result: dict, out: str | None) -> None:
 
 
 def _summary(values: dict, *, lower_is_faster: bool) -> dict:
-    """Medians and quartiles of each side's per-pair values, the change's
-    median over the parent's, and in how many pairs the change was faster."""
+    """Medians and quartiles of the "parent" and "change" sides' per-pair
+    values, the change's median over the parent's, and in how many pairs
+    the change was faster."""
     q = {k: np.percentile(v, [25, 50, 75]) for k, v in values.items()}
     wins = sum(c < p if lower_is_faster else c > p
                for p, c in zip(values["parent"], values["change"]))
