@@ -392,6 +392,43 @@ def test_composed_param_count(rng):
 # fusion baselines
 
 
+@pytest.mark.parametrize("act", ["tanh", "relu"])
+@pytest.mark.parametrize("train", [cp.train_concat_policy, cp.train_moe_policy])
+def test_fusion_training_graph_scores_as_the_sampler(rng, monkeypatch, train, act):
+    """Training and inference compute the same function, for the baselines as
+    ``tests/test_experts.py::test_training_graph_scores_as_score_rows`` for
+    an expert: on 64 2-D rows the training graph's cond equals ``_cond`` of
+    the encoders' embedding rows, and its score a checked mlp_infer of the
+    score net over [a_k, cond, timestep features], bit for bit. The MoE
+    gate's output layer is made random, so its weights are not uniform."""
+    graphs = {}
+    real_score_graph = cp.score_graph
+
+    def capture(score, *args, **kw):
+        graphs["score"] = score
+        return []
+
+    def spy(params, spec, a_k, cond, ks, n_steps):
+        graphs["cond"] = cond
+        return real_score_graph(params, spec, a_k, cond, ks, n_steps)
+
+    monkeypatch.setattr(cp, "fit_denoiser", capture)
+    monkeypatch.setattr(cp, "score_graph", spy)
+    cfg = small_cfg().with_section("expert", activation=act)
+    policy = train(constant_action_dataset([0.3, -0.4]), cfg, rng)
+    if isinstance(policy, cp.MoEFeaturePolicy):
+        w = policy.gate.params[f"W{len(policy.gate.spec.hidden)}"]
+        w.data[...] = rng.normal(size=w.shape)
+    blocks = [rng.normal(size=(64, d)) for d in (5, 3, 2)]
+    a, ks = rng.normal(size=(64, 2)), rng.integers(1, policy.sched.K + 1, size=64)
+    score = graphs["score"](a, blocks, ks)
+    *m_blocks, rs = blocks
+    cond = policy._cond([enc.rows(m, rs) for enc, m in zip(policy.encoders, m_blocks)])
+    assert np.array_equal(graphs["cond"].data, cond)
+    rows = np.concatenate([a, cond, xp.timestep_features(ks, policy.sched.K)], axis=1)
+    assert np.array_equal(score.data, nc.mlp_infer(policy.score_params, policy.score_spec, rows))
+
+
 def test_concat_policy_recovers_constant_action():
     ds = constant_action_dataset(np.array([-0.2, 0.5]))
     policy = cp.train_concat_policy(ds, small_cfg(steps=1500), np.random.default_rng(1))

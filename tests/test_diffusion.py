@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from modalcompose import compose as cp
 from modalcompose import diffusion as df
+from modalcompose import experts as xp
 from modalcompose import numcore as nc
+from modalcompose import router as rt
 from modalcompose.errors import ConfigError, ContractError, NumericError
 from modalcompose.runconfig import RunConfig
+from tests.conftest import constant_action_dataset
 from tests.oracles import effective_eps
 
 # Frozen from an exact-fraction product over the default linear schedule
@@ -256,3 +260,81 @@ def test_fit_denoiser_rejects_misaligned_rows(rng):
         with pytest.raises(ContractError):
             df.fit_denoiser(lambda a, b, k: nc.const(a), [("lin", ps)],
                             np.zeros((3, 2)), blocks, cfg, rng)
+
+
+# ---------------------------------------------------------------------------
+# non-finite values in training, through every trainer's fit_denoiser
+
+
+def _trainer(kind: str):
+    """A small config and a call that runs one trainer through its module's
+    ``fit_denoiser``: (module, call)."""
+    cfg = (RunConfig()
+           .with_section("expert", enc_hidden=(16,), enc_out=8, score_hidden=(32,))
+           .with_section("router", hidden=(8,), joint=kind == "router_joint")
+           .with_section("train", steps=3, router_steps=3, batch=16))
+    data, rng = constant_action_dataset([0.3, -0.4]), np.random.default_rng(3)
+    if kind == "expert":
+        return xp, lambda: xp.train_expert(data, "vis", cfg, rng)
+    if kind.startswith("router"):
+        experts = [xp.init_expert(m, d, 2, 2, cfg, rng) for m, d in (("vis", 5), ("tac", 3))]
+        return rt, lambda: rt.train_router(experts, data, cfg, rng)
+    train = {"concat": cp.train_concat_policy, "moe": cp.train_moe_policy}[kind]
+    return cp, lambda: train(data, cfg, rng)
+
+
+class _Refused(Exception):
+    """fit_denoiser refused the planted value before any weight changed."""
+
+
+def _refused_before_adam(monkeypatch, kind: str, plant) -> None:
+    """Run the trainer with ``plant(groups, blocks)`` applied to what it
+    hands fit_denoiser; the real fit_denoiser must raise NumericError in the
+    first step's forward pass, before ``backward`` runs, with every weight of
+    every group as it was given."""
+    module, train = _trainer(kind)
+    real = module.fit_denoiser
+    monkeypatch.setattr(nc, "backward", lambda loss, groups: pytest.fail("backward ran"))
+
+    def fit(score, groups, a_rows, blocks, cfg, rng, steps=None):
+        plant(dict(groups), blocks)
+        before = [t.data.copy() for _, ps in groups for _, t in ps.items()]
+        with pytest.raises(NumericError):
+            real(score, groups, a_rows, blocks, cfg, rng, steps)
+        after = [t.data for _, ps in groups for _, t in ps.items()]
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(after, before))
+        raise _Refused
+
+    monkeypatch.setattr(module, "fit_denoiser", fit)
+    with pytest.raises(_Refused):
+        train()
+
+
+GROUPS = {"expert": ("enc", "score"), "router_frozen": ("router",),
+          "router_joint": ("router", "vis.enc", "vis.score", "tac.enc", "tac.score"),
+          "concat": ("enc_vis", "enc_tac", "score"),
+          "moe": ("enc_vis", "enc_tac", "gate", "score")}
+
+
+@pytest.mark.parametrize("kind,group", [(k, g) for k, gs in GROUPS.items() for g in gs])
+def test_an_inf_weight_is_refused_before_adam(monkeypatch, kind, group):
+    """An Inf in the output layer's weights of any parameter group, of every
+    trainer, raises NumericError in the first step, before Adam moves a
+    weight."""
+    def plant(groups, blocks):
+        ps = groups[group]
+        ps[max(n for n in ps.names() if n[0] == "W")].data[0, 0] = np.inf
+
+    _refused_before_adam(monkeypatch, kind, plant)
+
+
+@pytest.mark.parametrize("block", ["modality", "robot_state"])
+@pytest.mark.parametrize("kind", list(GROUPS))
+def test_a_nan_training_row_is_refused_before_adam(monkeypatch, kind, block):
+    """A NaN column in an in-memory training block, the first modality's or
+    the robot state's, raises NumericError in the first step of every
+    trainer, before Adam moves a weight."""
+    def plant(groups, blocks):
+        blocks[0 if block == "modality" else -1][:, 0] = np.nan
+
+    _refused_before_adam(monkeypatch, kind, plant)

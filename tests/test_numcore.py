@@ -115,10 +115,19 @@ def test_grad_accumulates_when_tensor_reused(rng):
     assert np.allclose(x.grad, 4.0 * x.data, atol=1e-12)
 
 
-def _shared_adjoint_graphs(x, y, c):
+ADJOINT_NETS = {"feed": nc.MlpSpec(3, (5,), 3), "twice": nc.MlpSpec(9, (4,), 3, "relu"),
+                "cat": nc.MlpSpec(6, (5,), 6)}
+
+
+def _shared_adjoint_graphs(x, y, c, nets):
     """Interior nodes that take several adjoints: one g handed to both parents
     of ``add``, a node used twice by ``mul``, and ``concat_cols`` parts that
-    get views of one g; each also reaches the loss another way."""
+    get views of one g; each also reaches the loss another way. Then MLP
+    nodes (``nets``, named as in ``ADJOINT_NETS``): an MLP output that feeds
+    a ``concat_cols`` and a ``mul``, a part used twice in one ``concat_cols``
+    that feeds an MLP, and an MLP whose input, a ``concat_cols`` node, also
+    reaches the loss another way."""
+    mlp = lambda name, h: nc.mlp_forward(nets[name], ADJOINT_NETS[name], h)
     a = nc.mul(x, nc.const(c))
     b = scale(x, -0.7)
     s = nc.add(a, b)
@@ -129,24 +138,68 @@ def _shared_adjoint_graphs(x, y, c):
     p, q = scale(x, 1.3), nc.mul(y, y)
     cat = nc.concat_cols([p, q, p])
     yield sumall(nc.add(nc.mul(cat, nc.concat_cols([q, p, q])), nc.mul(cat, cat)))
+    h = mlp("feed", x)
+    cat = nc.concat_cols([h, y])
+    yield sumall(nc.add(nc.mul(cat, cat), nc.concat_cols([nc.mul(h, y), y])))
+    p = nc.mul(x, nc.const(c))
+    out = mlp("twice", nc.concat_cols([p, y, p]))
+    yield sumall(nc.add(nc.mul(out, out), nc.mul(p, out)))
+    cat = nc.concat_cols([nc.mul(x, x), y])
+    yield sumall(nc.mul(nc.add(mlp("cat", cat), cat), cat))
 
 
-@pytest.mark.parametrize("graph", [0, 1, 2])
-def test_shared_adjoints_sum_as_finite_differences(rng, graph):
-    """An interior node's first adjoint is a fresh array, so a later one
-    added to it reaches no other node."""
+N_ADJOINT_GRAPHS = 6
+
+
+def _adjoint_case(rng):
+    """The parameters (x, y, the nets) and the constant c of every graph of
+    ``_shared_adjoint_graphs``, as groups for ``backward``."""
     ps = nc.ParamSet()
     x, y = ps.add("x", rng.normal(size=(4, 3))), ps.add("y", rng.normal(size=(4, 3)))
     c = rng.normal(size=(4, 3))
+    nets = {name: stacked_nets(rng, spec, 1)[0] for name, spec in ADJOINT_NETS.items()}
+    groups = [("p", ps)] + [(name, nets[name]) for name in ADJOINT_NETS]
+    return groups, (x, y, c, nets)
+
+
+@pytest.mark.parametrize("graph", range(N_ADJOINT_GRAPHS))
+def test_shared_adjoints_sum_as_finite_differences(rng, graph):
+    """An adjoint an interior node keeps is its own, so a later one added to
+    it reaches no other node."""
+    groups, args = _adjoint_case(rng)
 
     def loss_tensor():
-        return list(_shared_adjoint_graphs(x, y, c))[graph]
+        return list(_shared_adjoint_graphs(*args))[graph]
 
-    nc.backward(loss_tensor(), [("p", ps)])
-    analytic = {f"p/{n}": t.grad.copy() for n, t in ps.items()}
-    numeric = finite_diff_grad(lambda: loss_tensor().data.item(), [("p", ps)])
+    nc.backward(loss_tensor(), groups)
+    analytic = {f"{label}/{n}": t.grad.copy() for label, ps in groups for n, t in ps.items()}
+    numeric = finite_diff_grad(lambda: loss_tensor().data.item(), groups)
     for key in analytic:
         assert rel_err(analytic[key], numeric[key]) < 1e-7, key
+
+
+# sha256 over every parameter gradient of each graph of _shared_adjoint_graphs
+# (group and name order), recorded while every first adjoint was copied
+SHARED_ADJOINT_PINS = {
+    0: "e2af6dbbf05a5c641766ba73701ce79b300da2e3f1c3dbafaef7d2b0401ca48c",
+    1: "045171b2d681307736eec4e03f00a3a3cc5aa7f2813e67b050946ffb7f5ddb9e",
+    2: "94bdaf3c479e653282d5040c48ffb77568f18a6b2746c294536e2d31043887c2",
+    3: "62ac1d80fe962f49824893bea49a57f3518eab9b22e1a51214498ba87a2a213e",
+    4: "e9f79b9e9560f5c47ddc674d09234fea7233b7a44a512ae89382a7aeed062d44",
+    5: "9d88a65584d1d280d2b357c5122bef19665aa2c0079b3e586a1d25f6a2a58ba7",
+}
+
+
+@pytest.mark.parametrize("graph", range(N_ADJOINT_GRAPHS))
+def test_shared_adjoint_grads_are_pinned(rng, graph):
+    """The gradients of every shared-adjoint graph, bit for bit."""
+    groups, args = _adjoint_case(rng)
+    nc.backward(list(_shared_adjoint_graphs(*args))[graph], groups)
+    h = hashlib.sha256()
+    for label, ps in groups:
+        for name, t in ps.items():
+            h.update(f"{label}/{name}".encode() + t.grad.tobytes())
+    assert h.hexdigest() == SHARED_ADJOINT_PINS[graph]
 
 
 def test_parameters_off_the_graph_keep_exact_zero_grads(rng):
