@@ -80,8 +80,13 @@ def forward_noise(a0: np.ndarray, ks: np.ndarray, sched: NoiseSchedule,
     """
     if ks.min() < 1 or ks.max() > sched.K:
         raise ContractError(f"denoising indices {ks} outside 1..{sched.K}")
+    return _noised(a0, ks - 1, sched, rng)
+
+
+def _noised(a0: np.ndarray, idx: np.ndarray, sched: NoiseSchedule, rng: np.random.Generator):
+    """forward_noise at table indices idx = ks - 1, unchecked."""
     eps = rng.standard_normal(a0.shape)
-    return sched.sqrt_ab(ks)[:, None] * a0 + sched.sqrt_one_minus_ab(ks)[:, None] * eps, eps
+    return sched.sqrt_abs[idx][:, None] * a0 + sched.sqrt_one_minus_abs[idx][:, None] * eps, eps
 
 
 def denoise_loss(score, a0: np.ndarray, blocks: list[np.ndarray], sched: NoiseSchedule,
@@ -89,12 +94,13 @@ def denoise_loss(score, a0: np.ndarray, blocks: list[np.ndarray], sched: NoiseSc
     """Mean over the batch of ||eps - eps_hat||^2 with k uniform in 1..K.
 
     ``a0`` and ``blocks`` are the batch's action rows and condition row
-    blocks; the training provider is called once on them.
+    blocks; the training provider is called once on them. The loss is
+    checked for NaN/Inf (``nc.mse_rows``); ks, drawn in range, is not.
     """
     if len(a0) == 0:
         raise ContractError("denoise_loss needs a nonempty batch")
     ks = rng.integers(1, sched.K + 1, size=len(a0))
-    a_k, eps = forward_noise(a0, ks, sched, rng)
+    a_k, eps = _noised(a0, ks - 1, sched, rng)
     return nc.mse_rows(score(a_k, blocks, ks), eps)
 
 

@@ -121,8 +121,8 @@ class Encoder:
 
     def graph(self, m_rows: np.ndarray, rs_rows: np.ndarray) -> nc.Tensor:
         """The training twin of ``rows``: gradients flow into the MLP."""
-        code = nc.mlp_forward(self.params, self.spec, nc.const(m_rows))
-        return nc.concat_cols([code, nc.const(rs_rows)])
+        code = nc.mlp_forward(self.params, self.spec, m_rows)
+        return nc.concat_cols([code, rs_rows])
 
 
 def init_encoder(modality: str, modality_dim: int, robot_dim: int, cfg,
@@ -153,8 +153,7 @@ def score_graph(params: nc.ParamSet, spec: nc.MlpSpec, a_k: np.ndarray, cond: nc
                 ks: np.ndarray, n_steps: int) -> nc.Tensor:
     """The training twin of ``bind_score``: one graph forward of a score
     net over rows [a_k, cond, timestep features]."""
-    feats = timestep_features(ks, n_steps)
-    x = nc.concat_cols([nc.const(a_k), cond, nc.const(feats)])
+    x = nc.concat_cols([a_k, cond, timestep_features(ks, n_steps)])
     return nc.mlp_forward(params, spec, x)
 
 

@@ -2,16 +2,26 @@
 
 The graph is recorded eagerly: every op returns a new ``Tensor`` holding its
 value, its parents, and a closure that routes the incoming adjoint to the
-parents. An MLP call is one node, whose backward takes the adjoint steps of
-separate matmul, bias-add and activation ops, layer by layer, in their order.
-``backward`` zeroes the groups' parameter grads; every other reachable node
-but ``const`` leaves takes its first adjoint as a fresh array, then adds the
-rest. Adam keeps all parameters' data and grads in flat buffers.
+parents. Data rows (inputs, noise, features) enter ``concat_cols``,
+``mlp_forward`` and ``weighted_sum`` as plain arrays and, like ``const``
+leaves, take no adjoint. An MLP call is one node, whose backward takes the
+adjoint steps of separate matmul, bias-add and activation ops, layer by layer,
+in their order. ``backward`` zeroes the groups' parameter grads, which add
+every adjoint. Every other reachable node takes its first adjoint as its grad:
+the array itself when the op hands it over (a product made for it, or a
+``concat_cols`` part's columns of that node's own grad), a copy when the op
+gives the same array to another node (``add``), then adds the rest. Adam keeps
+all parameters' data and grads in flat buffers.
 
-Everything is float64 and single-threaded; any NaN/Inf raises ``NumericError``
-at the op that produced it instead of propagating, but for ``mlp_infer`` over
-layers bound by ``mlp_layers``, whose caller checks. An MLP node checks once per
-layer, on the pre-activation, not after each matmul, add and activation.
+Everything is float64 and single-threaded. A NaN/Inf raises ``NumericError``
+before ``backward`` runs: leaves are checked when made, and so is the output
+of every op that can turn finite inputs non-finite (``add`` and ``mul``
+overflow, each MLP layer's pre-activation, ``weighted_sum``, the loss). An
+MLP layer checks once, before its activation, as tanh would hide an Inf.
+``concat_cols``, ``col`` and ``softmax_rows`` cannot make a NaN/Inf and are
+not checked, nor are data rows: the ``.mcds`` reader refuses non-finite rows,
+and any other fails the first MLP layer or loss it reaches. ``mlp_infer``
+over layers bound by ``mlp_layers`` is checked by its caller.
 
 Inference keeps one rule on the one-row path a sampler runs 50 times per
 action: elementwise operands have equal shapes. On a 64-wide row numpy takes
@@ -24,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -69,12 +80,30 @@ class _Const(Tensor):
     __slots__ = ()
 
 
-def _acc(t: Tensor, g: Array) -> None:
-    """Add adjoint g, of t's shape; the first is a fresh array, the bits of 0 + g."""
+def _node(data: Array, parents: tuple, op: str | None = None) -> Tensor:
+    """An op's output, a float64 array of its own, as a node; checked for
+    NaN/Inf unless ``op`` is None (an op that cannot make one)."""
+    if op is not None:
+        check_finite(data, op)
+    t = Tensor.__new__(Tensor)
+    t.data, t.grad, t._parents, t._bw = data, None, parents, None
+    return t
+
+
+def _on_graph(part) -> bool:
+    """Whether an op input takes an adjoint: a Tensor, not a const leaf or
+    data rows given as an array."""
+    return isinstance(part, Tensor) and type(part) is not _Const
+
+
+def _acc(t: Tensor, g: Array, own: bool = False) -> None:
+    """Add adjoint g, of t's shape. The first becomes t's grad: g itself if
+    the caller hands it over (``own``: no other node reads or writes g),
+    else a copy, ``g + 0.0``, the bits of 0 + g."""
     if t.grad is not None:
         t.grad += g
     elif type(t) is not _Const:
-        t.grad = g + 0.0
+        t.grad = g if own else g + 0.0
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -104,8 +133,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data, (a, b), _op="mul")
-    out._bw = lambda g: (_acc(a, _unbroadcast(g * b.data, a.data.shape)),
-                         _acc(b, _unbroadcast(g * a.data, b.data.shape)))
+    out._bw = lambda g: (_acc(a, _unbroadcast(g * b.data, a.data.shape), True),
+                         _acc(b, _unbroadcast(g * a.data, b.data.shape), True))
     return out
 
 
@@ -119,62 +148,101 @@ def mse_rows(a: Tensor, target: Array) -> Tensor:
 
     def bw(g: Array) -> None:
         t = d * (float(g) * c)
-        _acc(a, np.add(t, t, out=t))
+        _acc(a, np.add(t, t, out=t), True)
 
     out._bw = bw
     return out
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    datas = [p.data for p in parts]
-    out = Tensor(np.concatenate(datas, axis=1), tuple(parts), _op="concat")
-    widths = [d.shape[1] for d in datas]
+def concat_cols(parts: Sequence[Tensor | Array]) -> Tensor | Array:
+    """Parts side by side: Tensors, or data rows as arrays, which take no
+    adjoint. Not checked: it makes no NaN/Inf, and the MLP or loss a row
+    reaches refuses one. With no part on the graph the result is data rows,
+    an array. Each part on the graph gets its columns of g, handed over: g
+    is this node's own, and no node reads it once this backward has run."""
+    datas = [p.data if isinstance(p, Tensor) else p for p in parts]
+    data = np.concatenate(datas, axis=1)
+    spans, off = [], 0
+    for p, d in zip(parts, datas):
+        if _on_graph(p):
+            spans.append((p, off, off + d.shape[1]))
+        off += d.shape[1]
+    if not spans:
+        return data
+    out = _node(data, tuple(p for p, _, _ in spans))
 
     def bw(g: Array) -> None:
-        off = 0
-        for p, w in zip(parts, widths):
-            _acc(p, g[:, off:off + w])
-            off += w
+        for p, lo, hi in spans:
+            _acc(p, g[:, lo:hi], True)
 
     out._bw = bw
     return out
 
 
 def col(a: Tensor, j: int) -> Tensor:
-    out = Tensor(a.data[:, j:j + 1], (a,), _op="col")
+    out = _node(a.data[:, j:j + 1], (a,))
 
     def bw(g: Array) -> None:
         full = np.zeros_like(a.data)
         full[:, j:j + 1] = g
-        _acc(a, full)
+        _acc(a, full, True)
 
     out._bw = bw
     return out
 
 
 def softmax_rows(a: Tensor) -> Tensor:
+    """Row softmax; unchecked, as it maps finite rows to finite rows."""
     z = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y, (a,), _op="softmax")
+    out = _node(y, (a,))
 
     def bw(g: Array) -> None:
         dot = (g * y).sum(axis=1, keepdims=True)
-        _acc(a, y * (g - dot))
+        _acc(a, y * (g - dot), True)
 
     out._bw = bw
     return out
 
 
-def _tanh_adjoint(z: Array, y: Array, g: Array) -> Array:
+def weighted_sum(w: Tensor, terms: Sequence[Tensor | Array]) -> Tensor:
+    """sum_i w[:, i] t_i over (B, d) terms, Tensors or data rows, as one node
+    with the bits of the op chain ``add(mul(col(w, 0), t_0), mul(col(w, 1),
+    t_1))``, ... in order. Its adjoints are the chain's: g w[:, i] to t_i and
+    row sums of g t_i to column i of w."""
+    if w.data.shape[1] != len(terms):
+        raise ShapeError(f"{w.data.shape[1]} weight columns for {len(terms)} terms")
+    datas = [t.data if isinstance(t, Tensor) else t for t in terms]
+    ws = [w.data[:, i:i + 1] for i in range(len(terms))]
+    total = ws[0] * datas[0]
+    for wi, d in zip(ws[1:], datas[1:]):
+        total += wi * d
+    graph = [(i, t) for i, t in enumerate(terms) if _on_graph(t)]
+    out = _node(total, (w, *(t for _, t in graph)), "weighted_sum")
+
+    def bw(g: Array) -> None:
+        gw = np.empty_like(w.data)
+        for i, d in enumerate(datas):
+            gw[:, i] = (g * d).sum(axis=1)
+        _acc(w, gw, True)
+        for i, t in graph:
+            _acc(t, g * ws[i], True)
+
+    out._bw = bw
+    return out
+
+
+def _tanh_adjoint(y: Array, g: Array) -> Array:
     d = y * y                           # g * (1 - y*y) in one fresh array
     return np.multiply(np.subtract(1.0, d, out=d), g, out=d)
 
 
-# activation, and adjoint g times its factor from pre-activation z and output y
+# activation (in place with ``out``), and adjoint g times its factor from
+# the output y; relu's y > 0 exactly where its pre-activation is
 ACTIVATIONS = {
     "tanh": (np.tanh, _tanh_adjoint),
-    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda z, y, g: g * (z > 0.0)),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda y, g: g * (y > 0.0)),
 }
 
 
@@ -248,40 +316,57 @@ def init_mlp(spec: MlpSpec, rng: np.random.Generator) -> ParamSet:
     return ps
 
 
-def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor) -> Tensor:
-    """Recorded forward pass of one net as one graph node; input shape
-    (batch, input_dim), weights as ``init_mlp`` makes them.
+@lru_cache(maxsize=64)
+def _mlp_plan(spec: MlpSpec) -> tuple:
+    """What ``mlp_forward`` reads of a spec: per layer the weight and bias
+    names, the weight's dims and check label, then activation and adjoint."""
+    layers = tuple((f"W{i}", f"b{i}", dims, f"mlp layer {i}")
+                   for i, dims in enumerate(spec.layer_dims()))
+    return (layers, *ACTIVATIONS[spec.activation])
 
-    Each layer checks its pre-activation ``h @ W + b`` for NaN/Inf. The
-    backward takes the separate ops' adjoint steps in their order, last layer
-    first: activation factor, bias sum, ``h^T @ g``, then ``g @ W^T`` (not
-    into a ``const`` input)."""
-    if x.data.ndim != 2 or x.data.shape[1] != spec.input_dim:
-        raise ShapeError(f"MLP input shape {x.data.shape} does not match "
+
+def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor | Array) -> Tensor:
+    """Recorded forward pass of one net as one graph node; input shape
+    (batch, input_dim), a Tensor or data rows as an array (no adjoint),
+    weights as ``init_mlp`` makes them.
+
+    Each layer computes ``z = h @ W; z += b``, the bits of ``h @ W + b``, and
+    checks z for NaN/Inf: on hidden layers before the activation, which runs
+    in place (tanh would hide an Inf), and on the output. A non-finite input
+    row fails the first check. The backward takes the separate ops' adjoint
+    steps in their order, last layer first: activation factor, bias sum,
+    ``h^T @ g``, then ``g @ W^T``, handed to an input on the graph (not
+    computed for another)."""
+    xd = x.data if isinstance(x, Tensor) else x
+    if xd.ndim != 2 or xd.shape[1] != spec.input_dim:
+        raise ShapeError(f"MLP input shape {xd.shape} does not match "
                          f"input_dim {spec.input_dim}")
-    act, dact = ACTIVATIONS[spec.activation]
-    last = len(spec.hidden)
-    Ws = [params[f"W{i}"] for i in range(last + 1)]
-    bs = [params[f"b{i}"] for i in range(last + 1)]
-    hs, zs = [x.data], []     # each layer's input and pre-activation
-    for i, (W, dims) in enumerate(zip(Ws, spec.layer_dims())):
+    layers, act, dact = _mlp_plan(spec)
+    tensors = params._tensors
+    Ws = [tensors[w] for w, _, _, _ in layers]
+    bs = [tensors[b] for _, b, _, _ in layers]
+    hs = [xd]                 # each layer's input, then the output
+    for (_, _, dims, label), W, b in zip(layers, Ws, bs):
         if W.data.shape != dims:
-            raise ShapeError(f"MLP layer {i}: W {W.data.shape} does not fit {dims}")
-        zs.append(hs[-1] @ W.data + bs[i].data)
-        if i < last:
-            check_finite(zs[-1], f"mlp layer {i}")
-            hs.append(act(zs[-1]))
-    out = Tensor(zs[-1], (x, *Ws, *bs), _op=f"mlp layer {last}")
+            raise ShapeError(f"{label}: W {W.data.shape} does not fit {dims}")
+        z = hs[-1] @ W.data
+        z += b.data
+        check_finite(z, label)
+        hs.append(z if len(hs) == len(layers) else act(z, out=z))
+    on_graph = _on_graph(x)
+    out = _node(hs.pop(), (x, *Ws, *bs) if on_graph else (*Ws, *bs))
+    last = len(hs) - 1
 
     def bw(g: Array) -> None:
         for i in range(last, -1, -1):
             if i < last:
-                g = dact(zs[i], hs[i + 1], g)
-            _acc(bs[i], _unbroadcast(g, bs[i].data.shape))
+                g = dact(hs[i + 1], g)
+            _acc(bs[i], g.sum(axis=0))
             _acc(Ws[i], hs[i].T @ g)
-            if i or type(x) is not _Const:
+            if i or on_graph:
                 g = g @ Ws[i].data.T
-        _acc(x, g)
+        if on_graph:
+            _acc(x, g, True)
 
     out._bw = bw
     return out
@@ -354,7 +439,7 @@ def backward(loss: Tensor, groups: ParamGroups) -> None:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     seen: set[int] = set()
     for _, ps in groups:
-        for _, t in ps.items():
+        for t in ps._tensors.values():
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
             else:
@@ -372,7 +457,7 @@ def backward(loss: Tensor, groups: ParamGroups) -> None:
             stack.append((node, True))
             stack.extend((p, False) for p in node._parents
                          if id(p) not in seen and type(p) is not _Const)
-    loss.grad = np.ones_like(loss.data)
+    loss.grad = np.ones(loss.data.shape)
     for node in reversed(topo):
         if node._bw is not None:
             node._bw(node.grad)

@@ -106,9 +106,9 @@ def _router_score_graph(router: Router, experts: list[ModalityExpert], a_k: np.n
     """Weighted sum of expert scores with the weights on the graph; blocks
     are each expert's modality rows, then the robot state's.
 
-    Expert scores enter as constants unless ``joint`` is set, in which case
-    they come from the experts' own training graph, so their encoders and
-    score nets receive gradients.
+    Expert scores and embeddings enter as data rows unless ``joint`` is
+    set, in which case they come from the experts' own training graph, so
+    their encoders and score nets receive gradients.
     """
     *m_blocks, rs = blocks
     embs = []
@@ -117,22 +117,19 @@ def _router_score_graph(router: Router, experts: list[ModalityExpert], a_k: np.n
         if joint:
             score, emb = _expert_score_graph(ex, a_k, m_rows, rs, ks)
         else:
-            emb_np = ex.encode_rows(m_rows, rs)
-            score, emb = nc.const(ex.score_rows(a_k, emb_np, ks)), nc.const(emb_np)
+            emb = ex.encode_rows(m_rows, rs)
+            score = ex.score_rows(a_k, emb, ks)
         scores.append(score)
         embs.append(emb)
     return gated_sum(router, embs, scores)
 
 
-def gated_sum(gate: Router, embs: list[nc.Tensor], terms: list[nc.Tensor]) -> nc.Tensor:
+def gated_sum(gate: Router, embs: list, terms: list) -> nc.Tensor:
     """The graph twin of weighting by ``weights_rows``: softmax(MLP(the
-    concatenated embeddings)) times each term, summed in order."""
+    concatenated embeddings)) times each term, summed in order. Embeddings
+    and terms are Tensors or data rows."""
     w = nc.softmax_rows(nc.mlp_forward(gate.params, gate.spec, nc.concat_cols(embs)))
-    total = None
-    for i, t in enumerate(terms):
-        term = nc.mul(nc.col(w, i), t)
-        total = term if total is None else nc.add(total, term)
-    return total
+    return nc.weighted_sum(w, terms)
 
 
 def train_router(experts: list[ModalityExpert], dataset, cfg,

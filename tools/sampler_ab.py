@@ -36,19 +36,25 @@ The training case trains the same A/B model with each tree and stops unless
 their checkpoints are byte-identical. The parent's package is also loaded a
 second time, under a third name, as an A/A control. Each side then times one
 training step of each trainer: ``train_expert`` (vis), ``train_router`` (on
-the side's own trained experts, frozen), ``train_concat_policy`` and
-``train_moe_policy``, each run afresh for 100 steps at the A/B config's
-batch 64 on the side's own copy of the A/B dataset, from one fixed
-generator; a warm-up run per side must give the parent's loss history. Per
-trainer, each pair times the three sides three times, interleaved, the side
-that runs first rotating by pair, and keeps each side's least time. The JSON
-gives, per trainer, the change against the parent and the A/A control
-against the parent (under the change's keys), in ms per training step.
+the side's own trained experts, frozen, and with ``[router] joint = true``
+on a fresh copy of them), ``train_concat_policy`` and ``train_moe_policy``,
+each run afresh for 100 steps at the A/B config's batch 64 on the side's own
+copy of the A/B dataset, from one fixed generator; and one
+``pipeline.run_training`` of all five methods at the benchmark's ``train``
+size (100 demos, 144 steps, router 48, default lr), whose steps include its
+dataset read and file writes. A warm-up run per side must give the parent's
+loss history, and for ``run_training`` the parent's checkpoint and loss CSV
+bytes. Per trainer, each pair times the three sides three times,
+interleaved, the side that runs first rotating by pair, and keeps each
+side's least time. The JSON gives, per trainer, the change against the
+parent and the A/A control against the parent (under the change's keys), in
+ms per training step.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import importlib
 import json
 import os
@@ -68,6 +74,7 @@ ROWS = ((1, 20), (64, 10))   # (batch size, calls per timing)
 REPS = 3                     # interleaved timings per side and pair; the least is kept
 EVAL_SEED, EPISODES = 5, 4   # the episodes each side rolls per pair, interleaved
 TRAIN_STEPS = 100            # training steps per timing of one trainer
+FULL_STEPS, FULL_ROUTER_STEPS = 144, 48   # the benchmark's train size, 100 demos
 
 
 def ab_config(pkg: str, out: str):
@@ -87,21 +94,40 @@ def train_tree(pkg: str, out: str) -> dict:
 
 
 def trainers(pkg: str, model: dict, out: str) -> dict:
-    """Per timed trainer, a call that runs it afresh with one tree for
-    TRAIN_STEPS steps on the A/B dataset in ``out`` and returns its loss
-    history; the router weighs the frozen experts of ``model``."""
+    """Per timed trainer, (a call that runs it afresh with one tree and
+    returns its loss history, its training steps): TRAIN_STEPS steps on the
+    A/B dataset in ``out``, the router over the experts of ``model`` (a
+    fresh copy of them when joint, as joint training changes them), then
+    one run_training at the benchmark's train size into ``out``/full, whose
+    result is the bytes of every file it writes."""
     mod = lambda name: importlib.import_module(f"{pkg}.{name}")
-    cpt, compose = mod("checkpoint"), mod("compose")
+    cpt, compose, pl = mod("checkpoint"), mod("compose"), mod("pipeline")
     cfg = ab_config(pkg, out).with_section("train", steps=TRAIN_STEPS, router_steps=TRAIN_STEPS)
-    dataset = mod("envs").Dataset.read(mod("pipeline").default_dataset_path(cfg, Path(out)))
+    joint = cfg.with_section("router", joint=True)
+    dataset = mod("envs").Dataset.read(pl.default_dataset_path(cfg, Path(out)))
     experts = [cpt.expert_from_checkpoint(cpt.load_checkpoint(model[f"expert:{m}"]))[0]
                for m in ("vis", "tac")]
     rng = lambda: np.random.default_rng(0)
+    router = lambda c, exs: mod("router").train_router(exs, dataset, c, rng()).loss_history
+    full = (mod("runconfig").RunConfig()
+            .with_section("run", seed=0, demos=100, out=os.path.join(out, "full"))
+            .with_section("train", steps=FULL_STEPS, router_steps=FULL_ROUTER_STEPS))
+    pl.gen_data(full)
+
+    def run_training():
+        pl.run_training(full)
+        files = sorted(Path(full.run.out).iterdir())
+        return [(f.name, f.read_bytes()) for f in files if f.suffix != ".mcds"]
+
     return {
-        "expert": lambda: mod("experts").train_expert(dataset, "vis", cfg, rng()).loss_history,
-        "router": lambda: mod("router").train_router(experts, dataset, cfg, rng()).loss_history,
-        "concat": lambda: compose.train_concat_policy(dataset, cfg, rng()).loss_history,
-        "moe": lambda: compose.train_moe_policy(dataset, cfg, rng()).loss_history,
+        "expert": (lambda: mod("experts").train_expert(dataset, "vis", cfg, rng()).loss_history,
+                   TRAIN_STEPS),
+        "router": (lambda: router(cfg, experts), TRAIN_STEPS),
+        "router_joint": (lambda: router(joint, copy.deepcopy(experts)), TRAIN_STEPS),
+        "concat": (lambda: compose.train_concat_policy(dataset, cfg, rng()).loss_history,
+                   TRAIN_STEPS),
+        "moe": (lambda: compose.train_moe_policy(dataset, cfg, rng()).loss_history, TRAIN_STEPS),
+        "run_training": (run_training, 4 * FULL_STEPS + FULL_ROUTER_STEPS),
     }
 
 
@@ -109,23 +135,23 @@ def training_case(sides: dict, pairs: int) -> dict:
     """ms per training step of each trainer: {trainer: {"change": summary,
     "parent_aa": summary}}, each side against "parent"."""
     labels = list(sides)
-    for method, parent_run in sides["parent"].items():
+    for method, (parent_run, _) in sides["parent"].items():
         want = parent_run()
         for label in labels[1:]:
-            if sides[label][method]() != want:
+            if sides[label][method][0]() != want:
                 raise SystemExit(f"{method}: {label} trains a different loss history")
     result = {}
-    for method in sides["parent"]:
+    for method, (_, steps) in sides["parent"].items():
         times = {label: [] for label in labels}
         for order in _orders(labels, pairs):
             runs = {label: [] for label in labels}
             for _ in range(REPS):
                 for label in order:
                     t0 = time.perf_counter()
-                    sides[label][method]()
+                    sides[label][method][0]()
                     runs[label].append(time.perf_counter() - t0)
             for label, ts in runs.items():
-                times[label].append(1e3 * min(ts) / TRAIN_STEPS)
+                times[label].append(1e3 * min(ts) / steps)
         result[method] = _against_parent(times, lower_is_faster=True)
         print(method, result[method], flush=True)
     return result
