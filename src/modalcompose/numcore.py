@@ -2,25 +2,20 @@
 
 The graph is recorded eagerly: every op returns a new ``Tensor`` holding its
 value, its parents, and a closure that routes the incoming adjoint to the
-parents. Data rows (inputs, noise, features) enter ``concat_cols``,
-``mlp_forward`` and ``weighted_sum`` as plain arrays and, like ``const``
-leaves, take no adjoint. An MLP call is one node, whose backward takes the
-adjoint steps of separate matmul, bias-add and activation ops, layer by layer,
-in their order. ``backward`` zeroes the groups' parameter grads, which add
-every adjoint. Every other reachable node takes its first adjoint as its grad:
-the array itself when the op hands it over (a product made for it, or a
-``concat_cols`` part's columns of that node's own grad), a copy when the op
-gives the same array to another node (``add``), then adds the rest. Adam keeps
-all parameters' data and grads in flat buffers.
+parents. Data rows enter ``concat_cols``, ``mlp_forward`` and
+``weighted_sum`` as plain arrays and, like ``const`` leaves, take no adjoint.
+An MLP call is one node, whose backward takes the adjoint steps of separate
+matmul, bias-add and activation ops, layer by layer, in their order.
+``backward`` zeroes the groups' parameter grads; every other reachable node
+takes its first adjoint as its grad, the array itself when the op hands it
+over (see ``_acc``), then adds the rest. Adam keeps all parameters' data and
+grads in flat buffers.
 
 Everything is float64 and single-threaded. A NaN/Inf raises ``NumericError``
-before ``backward`` runs: leaves are checked when made, and so is the output
-of every op that can turn finite inputs non-finite (``add`` and ``mul``
-overflow, each MLP layer's pre-activation, ``weighted_sum``, the loss). An
-MLP layer checks once, before its activation, as tanh would hide an Inf.
-``concat_cols``, ``col`` and ``softmax_rows`` cannot make a NaN/Inf and are
-not checked, nor are data rows: the ``.mcds`` reader refuses non-finite rows,
-and any other fails the first MLP layer or loss it reaches. ``mlp_infer``
+before ``backward`` runs: leaves and the outputs of ops that can make one
+(``add``, ``mul``, each MLP layer before its activation, ``weighted_sum``, the
+loss) are checked; ``concat_cols`` and ``softmax_rows`` cannot, and a
+non-finite data row fails the first MLP layer or loss it reaches. ``mlp_infer``
 over layers bound by ``mlp_layers`` is checked by its caller.
 
 Inference keeps one rule on the one-row path a sampler runs 50 times per
@@ -35,6 +30,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -80,26 +76,23 @@ class _Const(Tensor):
     __slots__ = ()
 
 
-def _node(data: Array, parents: tuple, op: str | None = None) -> Tensor:
-    """An op's output, a float64 array of its own, as a node; checked for
-    NaN/Inf unless ``op`` is None (an op that cannot make one)."""
-    if op is not None:
-        check_finite(data, op)
+def _node(data: Array, parents: tuple) -> Tensor:
+    """An op's float64 output as a node, unchecked."""
     t = Tensor.__new__(Tensor)
     t.data, t.grad, t._parents, t._bw = data, None, parents, None
     return t
 
 
 def _on_graph(part) -> bool:
-    """Whether an op input takes an adjoint: a Tensor, not a const leaf or
-    data rows given as an array."""
+    """Whether an op input takes an adjoint: a Tensor but not a const leaf."""
     return isinstance(part, Tensor) and type(part) is not _Const
 
 
 def _acc(t: Tensor, g: Array, own: bool = False) -> None:
     """Add adjoint g, of t's shape. The first becomes t's grad: g itself if
-    the caller hands it over (``own``: no other node reads or writes g),
-    else a copy, ``g + 0.0``, the bits of 0 + g."""
+    the op hands it over (``own``: no other node reads g), else ``g + 0.0``;
+    the two differ only in the sign of an exact zero, which no parameter
+    grad, zeroed and then added to, keeps."""
     if t.grad is not None:
         t.grad += g
     elif type(t) is not _Const:
@@ -155,18 +148,13 @@ def mse_rows(a: Tensor, target: Array) -> Tensor:
 
 
 def concat_cols(parts: Sequence[Tensor | Array]) -> Tensor | Array:
-    """Parts side by side: Tensors, or data rows as arrays, which take no
-    adjoint. Not checked: it makes no NaN/Inf, and the MLP or loss a row
-    reaches refuses one. With no part on the graph the result is data rows,
-    an array. Each part on the graph gets its columns of g, handed over: g
-    is this node's own, and no node reads it once this backward has run."""
+    """Tensors or data rows side by side; data rows if no part is on the
+    graph. A part gets its columns of g handed over: no node reads this
+    node's own g once its backward has run."""
     datas = [p.data if isinstance(p, Tensor) else p for p in parts]
+    ends = list(accumulate(d.shape[1] for d in datas))
+    spans = [(p, e - d.shape[1], e) for p, d, e in zip(parts, datas, ends) if _on_graph(p)]
     data = np.concatenate(datas, axis=1)
-    spans, off = [], 0
-    for p, d in zip(parts, datas):
-        if _on_graph(p):
-            spans.append((p, off, off + d.shape[1]))
-        off += d.shape[1]
     if not spans:
         return data
     out = _node(data, tuple(p for p, _, _ in spans))
@@ -179,20 +167,7 @@ def concat_cols(parts: Sequence[Tensor | Array]) -> Tensor | Array:
     return out
 
 
-def col(a: Tensor, j: int) -> Tensor:
-    out = _node(a.data[:, j:j + 1], (a,))
-
-    def bw(g: Array) -> None:
-        full = np.zeros_like(a.data)
-        full[:, j:j + 1] = g
-        _acc(a, full, True)
-
-    out._bw = bw
-    return out
-
-
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row softmax; unchecked, as it maps finite rows to finite rows."""
     z = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=1, keepdims=True)
@@ -208,21 +183,19 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 def weighted_sum(w: Tensor, terms: Sequence[Tensor | Array]) -> Tensor:
     """sum_i w[:, i] t_i over (B, d) terms, Tensors or data rows, as one node
-    with the bits of the op chain ``add(mul(col(w, 0), t_0), mul(col(w, 1),
-    t_1))``, ... in order. Its adjoints are the chain's: g w[:, i] to t_i and
-    row sums of g t_i to column i of w."""
-    if w.data.shape[1] != len(terms):
-        raise ShapeError(f"{w.data.shape[1]} weight columns for {len(terms)} terms")
+    with the bits of the chain of ``mul`` and ``add`` ops that sums the
+    terms in order, forward and back (``tests/oracles.py`` keeps it)."""
     datas = [t.data if isinstance(t, Tensor) else t for t in terms]
     ws = [w.data[:, i:i + 1] for i in range(len(terms))]
     total = ws[0] * datas[0]
     for wi, d in zip(ws[1:], datas[1:]):
         total += wi * d
+    check_finite(total, "weighted_sum")
     graph = [(i, t) for i, t in enumerate(terms) if _on_graph(t)]
-    out = _node(total, (w, *(t for _, t in graph)), "weighted_sum")
+    out = _node(total, (w, *(t for _, t in graph)))
 
     def bw(g: Array) -> None:
-        gw = np.empty_like(w.data)
+        gw = np.zeros_like(w.data)
         for i, d in enumerate(datas):
             gw[:, i] = (g * d).sum(axis=1)
         _acc(w, gw, True)
@@ -238,8 +211,8 @@ def _tanh_adjoint(y: Array, g: Array) -> Array:
     return np.multiply(np.subtract(1.0, d, out=d), g, out=d)
 
 
-# activation (in place with ``out``), and adjoint g times its factor from
-# the output y; relu's y > 0 exactly where its pre-activation is
+# activation, and adjoint g times its factor from the output y (relu: y > 0
+# where z > 0)
 ACTIVATIONS = {
     "tanh": (np.tanh, _tanh_adjoint),
     "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda y, g: g * (y > 0.0)),
@@ -327,16 +300,14 @@ def _mlp_plan(spec: MlpSpec) -> tuple:
 
 def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor | Array) -> Tensor:
     """Recorded forward pass of one net as one graph node; input shape
-    (batch, input_dim), a Tensor or data rows as an array (no adjoint),
-    weights as ``init_mlp`` makes them.
+    (batch, input_dim), a Tensor or data rows, weights as ``init_mlp`` makes
+    them.
 
-    Each layer computes ``z = h @ W; z += b``, the bits of ``h @ W + b``, and
-    checks z for NaN/Inf: on hidden layers before the activation, which runs
-    in place (tanh would hide an Inf), and on the output. A non-finite input
-    row fails the first check. The backward takes the separate ops' adjoint
-    steps in their order, last layer first: activation factor, bias sum,
-    ``h^T @ g``, then ``g @ W^T``, handed to an input on the graph (not
-    computed for another)."""
+    Each layer computes ``z = h @ W; z += b`` (the bits of ``h @ W + b``) and
+    checks z for NaN/Inf, then runs a hidden activation in place. The
+    backward takes the separate ops' adjoint steps in their order, last layer
+    first: activation factor, bias sum, ``h^T @ g``, then ``g @ W^T`` (only
+    into an input on the graph)."""
     xd = x.data if isinstance(x, Tensor) else x
     if xd.ndim != 2 or xd.shape[1] != spec.input_dim:
         raise ShapeError(f"MLP input shape {xd.shape} does not match "
@@ -345,17 +316,18 @@ def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor | Array) -> Tensor:
     tensors = params._tensors
     Ws = [tensors[w] for w, _, _, _ in layers]
     bs = [tensors[b] for _, b, _, _ in layers]
-    hs = [xd]                 # each layer's input, then the output
-    for (_, _, dims, label), W, b in zip(layers, Ws, bs):
+    last = len(layers) - 1
+    hs = [xd]                 # each layer's input
+    for i, ((_, _, dims, label), W, b) in enumerate(zip(layers, Ws, bs)):
         if W.data.shape != dims:
             raise ShapeError(f"{label}: W {W.data.shape} does not fit {dims}")
         z = hs[-1] @ W.data
         z += b.data
         check_finite(z, label)
-        hs.append(z if len(hs) == len(layers) else act(z, out=z))
+        if i < last:
+            hs.append(act(z, out=z))
     on_graph = _on_graph(x)
-    out = _node(hs.pop(), (x, *Ws, *bs) if on_graph else (*Ws, *bs))
-    last = len(hs) - 1
+    out = _node(z, (x, *Ws, *bs) if on_graph else (*Ws, *bs))
 
     def bw(g: Array) -> None:
         for i in range(last, -1, -1):

@@ -111,8 +111,7 @@ def _router_score_graph(router: Router, experts: list[ModalityExpert], a_k: np.n
     their encoders and score nets receive gradients.
     """
     *m_blocks, rs = blocks
-    embs = []
-    scores = []
+    embs, scores = [], []
     for ex, m_rows in zip(experts, m_blocks):
         if joint:
             score, emb = _expert_score_graph(ex, a_k, m_rows, rs, ks)

@@ -1,8 +1,10 @@
 """Reference code the tests check the package against, kept out of it.
 
-``sub``, ``scale`` and ``sumall`` are graph ops in the style of
-``modalcompose.numcore``: the eps-MSE op chain whose bits ``numcore.mse_rows``
-reproduces as one node, and the small losses the gradient tests build.
+``sub``, ``scale``, ``sumall`` and ``col`` are graph ops in the style of
+``modalcompose.numcore``: with its ``mul`` and ``add``, the eps-MSE op chain
+whose bits ``numcore.mse_rows`` reproduces as one node, the weighted-sum chain
+``numcore.weighted_sum`` reproduces, and the small losses the gradient tests
+build.
 ``finite_diff_grad`` is the gradient oracle, ``effective_eps`` a perfect
 denoiser for the sampler tests, ``read_metrics_csv`` reads back the rows
 ``pipeline.write_metrics_csv`` writes, and ``eval_scripted`` is the scripted
@@ -37,6 +39,18 @@ def scale(a: Tensor, c: float) -> Tensor:
 def sumall(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(), (a,), _op="sumall")
     out._bw = lambda g: _acc(a, np.full(a.data.shape, float(g)))
+    return out
+
+
+def col(a: Tensor, j: int) -> Tensor:
+    out = Tensor(a.data[:, j:j + 1], (a,), _op="col")
+
+    def bw(g: Array) -> None:
+        full = np.zeros_like(a.data)
+        full[:, j:j + 1] = g
+        _acc(a, full)
+
+    out._bw = bw
     return out
 
 

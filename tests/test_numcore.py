@@ -11,7 +11,7 @@ from modalcompose.errors import ContractError, NumericError, ShapeError
 from modalcompose.router import train_router
 from modalcompose.runconfig import RunConfig
 from tests.conftest import constant_action_dataset
-from tests.oracles import finite_diff_grad, scale, sub, sumall
+from tests.oracles import col, finite_diff_grad, scale, sub, sumall
 
 
 def rel_err(a, b):
@@ -100,7 +100,7 @@ def test_concat_cols_and_col_roundtrip_grads(rng):
     b = nc.Tensor(rng.normal(size=(4, 3)))
     cat = nc.concat_cols([a, b])
     assert cat.data.shape == (4, 5)
-    picked = nc.col(cat, 3)
+    picked = col(cat, 3)
     nc.backward(sumall(nc.mul(picked, picked)), [("p", _as_paramset(a=a, b=b))])
     assert np.allclose(a.grad, 0.0)
     expect = np.zeros((4, 3))
@@ -238,6 +238,34 @@ def test_mse_rows_has_the_bits_of_the_op_chain(rng):
             nc.backward(loss, [("g", ps)])
             results.append((loss.data.tobytes(), p.grad.tobytes(), p.data.copy()))
         assert results[0][:2] == results[1][:2], name
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, 3])
+def test_weighted_sum_has_the_bits_of_the_op_chain(rng, n_terms):
+    """Value and adjoints of the one weighted-sum node equal the chain
+    add(mul(col(w, 0), t_0), mul(col(w, 1), t_1)), ... bit for bit, with
+    terms on the graph and as data rows; exact zeros included."""
+    w_data = rng.dirichlet(np.ones(n_terms), size=6)
+    t_data = [rng.normal(size=(6, 4)) for _ in range(n_terms)]
+    t_data[0][0] = 0.0
+    adj = rng.normal(size=(6, 4))
+    results = []
+    for fused in (False, True):
+        ps = nc.ParamSet()
+        logits = ps.add("logits", np.log(w_data))
+        w = nc.softmax_rows(scale(logits, 1.0))
+        terms = [ps.add(f"t{i}", d.copy()) if i % 2 == 0 else d
+                 for i, d in enumerate(t_data)]
+        if fused:
+            total = nc.weighted_sum(w, terms)
+        else:
+            total = None
+            for i, t in enumerate(terms):
+                term = nc.mul(col(w, i), t if isinstance(t, nc.Tensor) else nc.const(t))
+                total = term if total is None else nc.add(total, term)
+        nc.backward(sumall(nc.mul(total, nc.const(adj))), [("p", ps)])
+        results.append([total.data.tobytes()] + [t.grad.tobytes() for _, t in ps.items()])
+    assert results[0] == results[1]
 
 
 def test_backward_rejects_nonscalar(rng):
