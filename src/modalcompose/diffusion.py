@@ -41,12 +41,6 @@ class NoiseSchedule:
     eps_coefs: np.ndarray    # beta_k / sqrt(1 - ab_k)
     sqrt_alphas: np.ndarray  # sqrt(alpha_k)
 
-    def sqrt_ab(self, k) -> np.ndarray | float:
-        return self.sqrt_abs[np.asarray(k) - 1]
-
-    def sqrt_one_minus_ab(self, k) -> np.ndarray | float:
-        return self.sqrt_one_minus_abs[np.asarray(k) - 1]
-
 
 def make_schedule(K: int = 50, beta_start: float = 1e-4, beta_end: float = 0.02,
                   sigma_mode: str = "beta") -> NoiseSchedule:

@@ -326,7 +326,8 @@ class Dataset:
     @cached_property
     def _flat(self):
         """Each modality's rows, the robot state's and the normalized action
-        chunks, over every step a chunk fits; built on first use."""
+        chunks, over every step a chunk fits; built on first use. A dataset
+        where no step fits one is refused."""
         mods = {name: [] for name in self.modality_dims}
         rs, acts = [], []
         h = self.horizon
@@ -338,6 +339,10 @@ class Dataset:
                 mods[name].append(ep.modalities[name][:t_use])
             rs.append(ep.robot[:t_use])
             acts.append(np.concatenate([ep.actions[i:i + t_use] for i in range(h)], axis=1))
+        if not acts:
+            longest = max((ep.length for ep in self.episodes), default=0)
+            raise ConfigError(f"no step fits an action chunk of [diffusion] horizon {h}: "
+                              f"the dataset's longest episode has {longest} steps")
         return ({name: np.concatenate(v) for name, v in mods.items()}, np.concatenate(rs),
                 self.stats().normalize_chunk(np.concatenate(acts)))
 

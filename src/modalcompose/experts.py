@@ -189,9 +189,6 @@ class ModalityExpert:
     def param_groups(self) -> list[tuple[str, nc.ParamSet]]:
         return [("enc", self.enc.params), ("score", self.score_params)]
 
-    def checksum(self) -> str:
-        return self.enc.params.checksum() + self.score_params.checksum()
-
     # -- frozen (numpy) paths used by sampling, routing, and analysis --
 
     def encode_rows(self, m_rows: np.ndarray, rs_rows: np.ndarray) -> np.ndarray:

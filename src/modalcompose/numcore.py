@@ -2,21 +2,21 @@
 
 The graph is recorded eagerly: every op returns a new ``Tensor`` holding its
 value, its parents, and a closure that routes the incoming adjoint to the
-parents. Data rows enter ``concat_cols``, ``mlp_forward`` and
-``weighted_sum`` as plain arrays and, like ``const`` leaves, take no adjoint.
-An MLP call is one node, whose backward takes the adjoint steps of separate
-matmul, bias-add and activation ops, layer by layer, in their order.
-``backward`` zeroes the groups' parameter grads; every other reachable node
-takes its first adjoint as its grad, the array itself when the op hands it
-over (see ``_acc``), then adds the rest. Adam keeps all parameters' data and
-grads in flat buffers.
+parents. Data rows enter ``concat_cols``, ``mlp_forward``, ``weighted_sum``
+and ``mse_rows`` as plain arrays and take no adjoint. An MLP call is one
+node, whose backward takes the adjoint steps of separate matmul, bias-add and
+activation ops, layer by layer, in their order. Every op hands each input an
+adjoint array that no other node reads; ``_acc`` keeps the first as the
+input's grad and adds the rest to it. ``backward`` zeroes the groups'
+parameter grads first, so those always add. Adam keeps all parameters' data
+and grads in flat buffers.
 
 Everything is float64 and single-threaded. A NaN/Inf raises ``NumericError``
 before ``backward`` runs: leaves and the outputs of ops that can make one
-(``add``, ``mul``, each MLP layer before its activation, ``weighted_sum``, the
-loss) are checked; ``concat_cols`` and ``softmax_rows`` cannot, and a
-non-finite data row fails the first MLP layer or loss it reaches. ``mlp_infer``
-over layers bound by ``mlp_layers`` is checked by its caller.
+(each MLP layer before its activation, ``weighted_sum``, the loss) are
+checked; ``concat_cols`` and ``softmax_rows`` cannot, and a non-finite data
+row fails the first MLP layer or loss it reaches. ``mlp_infer`` over layers
+bound by ``mlp_layers`` is checked by its caller.
 
 Inference keeps one rule on the one-row path a sampler runs 50 times per
 action: elementwise operands have equal shapes. On a 64-wide row numpy takes
@@ -27,7 +27,6 @@ arrays.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -70,12 +69,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-class _Const(Tensor):
-    """A leaf whose grad ``backward`` leaves ``None``: it takes no adjoint."""
-
-    __slots__ = ()
-
-
 def _node(data: Array, parents: tuple) -> Tensor:
     """An op's float64 output as a node, unchecked."""
     t = Tensor.__new__(Tensor)
@@ -83,65 +76,27 @@ def _node(data: Array, parents: tuple) -> Tensor:
     return t
 
 
-def _on_graph(part) -> bool:
-    """Whether an op input takes an adjoint: a Tensor but not a const leaf."""
-    return isinstance(part, Tensor) and type(part) is not _Const
-
-
-def _acc(t: Tensor, g: Array, own: bool = False) -> None:
-    """Add adjoint g, of t's shape. The first becomes t's grad: g itself if
-    the op hands it over (``own``: no other node reads g), else ``g + 0.0``;
-    the two differ only in the sign of an exact zero, which no parameter
-    grad, zeroed and then added to, keeps."""
-    if t.grad is not None:
+def _acc(t: Tensor, g: Array) -> None:
+    """Take adjoint g, of t's shape, which no other node reads: the first
+    becomes t's grad, later ones are added to it."""
+    if t.grad is None:
+        t.grad = g
+    else:
         t.grad += g
-    elif type(t) is not _Const:
-        t.grad = g if own else g + 0.0
-
-
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum an adjoint back down to the shape it was broadcast from."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def const(data) -> Tensor:
-    """A leaf tensor that never receives gradients (inputs, targets)."""
-    return _Const(data, _op="const")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, (a, b), _op="add")
-    out._bw = lambda g: (_acc(a, _unbroadcast(g, a.data.shape)),
-                         _acc(b, _unbroadcast(g, b.data.shape)))
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, (a, b), _op="mul")
-    out._bw = lambda g: (_acc(a, _unbroadcast(g * b.data, a.data.shape), True),
-                         _acc(b, _unbroadcast(g * a.data, b.data.shape), True))
-    return out
 
 
 def mse_rows(a: Tensor, target: Array) -> Tensor:
-    """sum((a - target)^2) * c, c = 1 / len(a), as one node, with the bits of
-    the op chain ``scale(sumall(mul(d, d)), c)``, d = ``sub(a, const(target))``
-    (the tests keep sub, scale and sumall as its reference): the adjoint of a
-    is t + t, t = (g c) d, as mul(d, d) hands d t twice."""
+    """sum((a - target)^2) * c, c = 1 / len(a), target data rows, as one node
+    with the bits of the op chain ``scale(sumall(mul(d, d)), c)``,
+    d = ``sub(a, target)``, which ``tests/oracles.py`` keeps as its
+    reference: the adjoint of a is t + t, t = (g c) d, as mul(d, d) hands
+    d t twice."""
     c, d = 1.0 / len(a.data), a.data - target
     out = Tensor((d * d).sum() * c, (a,), _op="mse_rows")
 
     def bw(g: Array) -> None:
         t = d * (float(g) * c)
-        _acc(a, np.add(t, t, out=t), True)
+        _acc(a, np.add(t, t, out=t))
 
     out._bw = bw
     return out
@@ -153,7 +108,8 @@ def concat_cols(parts: Sequence[Tensor | Array]) -> Tensor | Array:
     node's own g once its backward has run."""
     datas = [p.data if isinstance(p, Tensor) else p for p in parts]
     ends = list(accumulate(d.shape[1] for d in datas))
-    spans = [(p, e - d.shape[1], e) for p, d, e in zip(parts, datas, ends) if _on_graph(p)]
+    spans = [(p, e - d.shape[1], e) for p, d, e in zip(parts, datas, ends)
+             if isinstance(p, Tensor)]
     data = np.concatenate(datas, axis=1)
     if not spans:
         return data
@@ -161,7 +117,7 @@ def concat_cols(parts: Sequence[Tensor | Array]) -> Tensor | Array:
 
     def bw(g: Array) -> None:
         for p, lo, hi in spans:
-            _acc(p, g[:, lo:hi], True)
+            _acc(p, g[:, lo:hi])
 
     out._bw = bw
     return out
@@ -175,7 +131,7 @@ def softmax_rows(a: Tensor) -> Tensor:
 
     def bw(g: Array) -> None:
         dot = (g * y).sum(axis=1, keepdims=True)
-        _acc(a, y * (g - dot), True)
+        _acc(a, y * (g - dot))
 
     out._bw = bw
     return out
@@ -183,24 +139,25 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 def weighted_sum(w: Tensor, terms: Sequence[Tensor | Array]) -> Tensor:
     """sum_i w[:, i] t_i over (B, d) terms, Tensors or data rows, as one node
-    with the bits of the chain of ``mul`` and ``add`` ops that sums the
-    terms in order, forward and back (``tests/oracles.py`` keeps it)."""
+    with the bits, forward and back, of the op chain that sums the terms in
+    order, ``add(mul(col(w, 0), t_0), mul(col(w, 1), t_1))``, ..., which
+    ``tests/oracles.py`` keeps as its reference."""
     datas = [t.data if isinstance(t, Tensor) else t for t in terms]
     ws = [w.data[:, i:i + 1] for i in range(len(terms))]
     total = ws[0] * datas[0]
     for wi, d in zip(ws[1:], datas[1:]):
         total += wi * d
     check_finite(total, "weighted_sum")
-    graph = [(i, t) for i, t in enumerate(terms) if _on_graph(t)]
+    graph = [(i, t) for i, t in enumerate(terms) if isinstance(t, Tensor)]
     out = _node(total, (w, *(t for _, t in graph)))
 
     def bw(g: Array) -> None:
         gw = np.zeros_like(w.data)
         for i, d in enumerate(datas):
             gw[:, i] = (g * d).sum(axis=1)
-        _acc(w, gw, True)
+        _acc(w, gw)
         for i, t in graph:
-            _acc(t, g * ws[i], True)
+            _acc(t, g * ws[i])
 
     out._bw = bw
     return out
@@ -265,19 +222,6 @@ class ParamSet:
     def n_params(self) -> int:
         return sum(t.size for t in self._tensors.values())
 
-    def copy(self) -> "ParamSet":
-        ps = ParamSet()
-        for name, t in self._tensors.items():
-            ps.add(name, t.data.copy())
-        return ps
-
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        for name in sorted(self._tensors):
-            h.update(name.encode("utf-8"))
-            h.update(self._tensors[name].data.tobytes())
-        return h.hexdigest()
-
 
 def init_mlp(spec: MlpSpec, rng: np.random.Generator) -> ParamSet:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
@@ -326,7 +270,7 @@ def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor | Array) -> Tensor:
         check_finite(z, label)
         if i < last:
             hs.append(act(z, out=z))
-    on_graph = _on_graph(x)
+    on_graph = isinstance(x, Tensor)
     out = _node(z, (x, *Ws, *bs) if on_graph else (*Ws, *bs))
 
     def bw(g: Array) -> None:
@@ -338,7 +282,7 @@ def mlp_forward(params: ParamSet, spec: MlpSpec, x: Tensor | Array) -> Tensor:
             if i or on_graph:
                 g = g @ Ws[i].data.T
         if on_graph:
-            _acc(x, g, True)
+            _acc(x, g)
 
     out._bw = bw
     return out
@@ -427,12 +371,14 @@ def backward(loss: Tensor, groups: ParamGroups) -> None:
         elif id(node) not in seen:
             seen.add(id(node))
             stack.append((node, True))
-            stack.extend((p, False) for p in node._parents
-                         if id(p) not in seen and type(p) is not _Const)
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
     loss.grad = np.ones(loss.data.shape)
     for node in reversed(topo):
         if node._bw is not None:
             node._bw(node.grad)
+
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and denominator offset
 
 
 @dataclass
@@ -449,9 +395,6 @@ class OptimState:
     upd: Array
     den: Array
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
 
 
@@ -481,19 +424,19 @@ def adam_step(groups: ParamGroups, state: OptimState) -> None:
             gv[...], t.grad = t.grad, gv
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     g, upd, den, m, v = state.grad, state.upd, state.den, state.m, state.v
     if not np.isfinite(g).all():
         i = next(i for i, (_, gv) in enumerate(state.views) if not np.isfinite(gv).all())
         raise NumericError(f"NaN/Inf gradient for parameter '{qual(i)}'")
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=upd)
-    v *= state.beta2
-    np.multiply(g, 1.0 - state.beta2, out=upd)
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=upd)
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=upd)
     v += np.multiply(upd, g, out=upd)
     np.sqrt(np.divide(v, bc2, out=den), out=den)
-    den += state.eps
+    den += EPS
     np.divide(m, bc1, out=upd)
     upd *= state.lr
     upd /= den

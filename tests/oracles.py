@@ -1,25 +1,58 @@
 """Reference code the tests check the package against, kept out of it.
 
-``sub``, ``scale``, ``sumall`` and ``col`` are graph ops in the style of
-``modalcompose.numcore``: with its ``mul`` and ``add``, the eps-MSE op chain
-whose bits ``numcore.mse_rows`` reproduces as one node, the weighted-sum chain
-``numcore.weighted_sum`` reproduces, and the small losses the gradient tests
-build.
+``add``, ``mul``, ``sub``, ``scale``, ``sumall`` and ``col`` are graph ops in
+the style of ``modalcompose.numcore``, broadcasting as numpy does: the eps-MSE
+op chain whose bits ``numcore.mse_rows`` reproduces as one node, the
+weighted-sum chain ``numcore.weighted_sum`` reproduces, and the small losses
+the gradient tests build. Each hands its inputs adjoints that no other node
+reads, as the package's ops do; ``add``, which routes one g to two parents,
+gives each its own copy. A constant is a plain ``Tensor`` leaf outside the
+parameter groups: it takes an adjoint that nobody reads.
 ``finite_diff_grad`` is the gradient oracle, ``effective_eps`` a perfect
-denoiser for the sampler tests, ``read_metrics_csv`` reads back the rows
-``pipeline.write_metrics_csv`` writes, and ``eval_scripted`` is the scripted
-demonstrator's metrics row, the ceiling the evaluation tests compare against.
+denoiser for the sampler tests, ``checksum``, ``expert_checksum`` and
+``copy_params`` fingerprint and copy weights, ``read_metrics_csv`` reads back
+the rows ``pipeline.write_metrics_csv`` writes, and ``eval_scripted`` is the
+scripted demonstrator's metrics row, the ceiling the evaluation tests compare
+against.
 """
 
 import csv
+import hashlib
 from typing import Callable
 
 import numpy as np
 
 from modalcompose.envs import make_env_spec, run_expert_episode
 from modalcompose.errors import ContractError
-from modalcompose.numcore import Array, ParamGroups, Tensor, _acc, _unbroadcast
+from modalcompose.numcore import Array, ParamGroups, ParamSet, Tensor, _acc
 from modalcompose.rngstream import TAG_EVAL, stream
+
+
+def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
+    """Sum an adjoint back down to the shape it was broadcast from."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    out = Tensor(a.data + b.data, (a, b), _op="add")
+    out._bw = lambda g: (_acc(a, _unbroadcast(g, a.data.shape) + 0.0),
+                         _acc(b, _unbroadcast(g, b.data.shape) + 0.0))
+    return out
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    out = Tensor(a.data * b.data, (a, b), _op="mul")
+    out._bw = lambda g: (_acc(a, _unbroadcast(g * b.data, a.data.shape)),
+                         _acc(b, _unbroadcast(g * a.data, b.data.shape)))
+    return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -60,7 +93,27 @@ def effective_eps(a_k: np.ndarray, a0: np.ndarray, k, sched) -> np.ndarray:
     As a sampling provider ``(a_k, k)`` it is a perfect denoiser: step k = 1
     injects no noise, so the sampler lands on a0 whatever state it reached.
     """
-    return (a_k - sched.sqrt_ab(k) * a0) / sched.sqrt_one_minus_ab(k)
+    return (a_k - sched.sqrt_abs[k - 1] * a0) / sched.sqrt_one_minus_abs[k - 1]
+
+
+def checksum(ps: ParamSet) -> str:
+    """sha256 over a ParamSet's names and weights, in name order."""
+    h = hashlib.sha256()
+    for name in sorted(ps.names()):
+        h.update(name.encode("utf-8"))
+        h.update(ps[name].data.tobytes())
+    return h.hexdigest()
+
+
+def expert_checksum(expert) -> str:
+    return checksum(expert.enc.params) + checksum(expert.score_params)
+
+
+def copy_params(ps: ParamSet) -> ParamSet:
+    out = ParamSet()
+    for name, t in ps.items():
+        out.add(name, t.data.copy())
+    return out
 
 
 def finite_diff_grad(

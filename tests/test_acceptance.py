@@ -28,7 +28,7 @@ from modalcompose.router import Router
 from modalcompose.rngstream import TAG_EVAL, TAG_TRAIN, stream
 from modalcompose.runconfig import RunConfig
 from tests.conftest import constant_action_dataset
-from tests.oracles import finite_diff_grad, scale, sub, sumall
+from tests.oracles import copy_params, finite_diff_grad, mul, scale, sub, sumall
 
 SEEDS = (0, 1, 2)
 EVAL_N = 100
@@ -162,8 +162,8 @@ def test_ac2_gradient_correctness():
         target = rng.normal(size=(4, dout))
 
         def loss_tensor():
-            diff = sub(nc.mlp_forward(ps, spec, nc.const(x)), nc.const(target))
-            return scale(sumall(nc.mul(diff, diff)), 1.0 / x.shape[0])
+            diff = sub(nc.mlp_forward(ps, spec, x), nc.Tensor(target))
+            return scale(sumall(mul(diff, diff)), 1.0 / x.shape[0])
 
         nc.backward(loss_tensor(), [("net", ps)])
         analytic = {f"net/{n}": t.grad.copy() for n, t in ps.items()}
@@ -322,7 +322,7 @@ def test_ac8_routing_strategies(suite):
                 for rate, steps in results.values())
     identical = results["top2"] == results["soft"]
 
-    saturated = Router(params=router.params.copy(), spec=router.spec,
+    saturated = Router(params=copy_params(router.params), spec=router.spec,
                        modality_order=router.modality_order,
                        emb_dims=router.emb_dims)
     last = len(saturated.spec.layer_dims()) - 1

@@ -6,7 +6,7 @@ import pytest
 from modalcompose import runconfig as rc
 from modalcompose.cli import _parse_scenario, cli_dispatch
 from modalcompose.diffusion import MAX_STEPS
-from modalcompose.envs import Dataset
+from modalcompose.envs import Dataset, make_env_spec
 from modalcompose.errors import ConfigError
 
 
@@ -160,6 +160,33 @@ def test_train_with_a_bad_config_exits_1_and_writes_nothing(tmp_path, capsys):
     assert cli_dispatch(["train", "--config", str(cfg)]) == 1
     assert "[train] steps" in capsys.readouterr().err
     assert sorted(out.iterdir()) == before
+
+
+def test_train_on_a_dataset_where_no_chunk_fits_exits_1(tmp_path, capsys):
+    """Demos shorter than the horizon, and a dataset of no episodes, are
+    refused as config errors naming the horizon and the longest episode."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[run]\ndemos = 3\nout = {out}\n[diffusion]\nhorizon = 100\n")
+    assert cli_dispatch(["gen-data", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["train", "--config", str(cfg), "--method", "expert:vis"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no step fits an action chunk of [diffusion] horizon 100: "
+                          "the dataset's longest episode has ")
+    assert "Traceback" not in err
+
+    spec = make_env_spec("occluded_reach")
+    empty = tmp_path / "empty.mcds"
+    Dataset("occluded_reach", spec.modality_dims(), spec.robot_dim, spec.action_dim, 1, [],
+            np.zeros(spec.action_dim), np.zeros(spec.action_dim)).write(empty)
+    cfg.write_text(f"[run]\ndataset = {empty}\nout = {out}\n")
+    assert cli_dispatch(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: no step fits an action chunk of [diffusion] horizon 1: "
+                   "the dataset's longest episode has 0 steps\n")
+    with pytest.raises(ConfigError, match="horizon 1"):   # analyze's path
+        Dataset.read(empty).modality_stds()
 
 
 def test_load_config_missing_file(tmp_path):

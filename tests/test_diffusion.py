@@ -36,9 +36,9 @@ def test_alpha_bar_matches_exact_fraction_oracle():
     s = df.make_schedule()
     assert abs(s.alpha_bars[24] - AB_25) < 1e-13
     assert abs(s.alpha_bars[-1] - AB_50) < 1e-13
-    # spot-check the helper accessors at k=25 (array index 24)
-    assert abs(s.sqrt_ab(25) - np.sqrt(AB_25)) < 1e-13
-    assert abs(s.sqrt_one_minus_ab(25) - np.sqrt(1.0 - AB_25)) < 1e-13
+    # spot-check the square-root tables at k=25 (array index 24)
+    assert abs(s.sqrt_abs[24] - np.sqrt(AB_25)) < 1e-13
+    assert abs(s.sqrt_one_minus_abs[24] - np.sqrt(1.0 - AB_25)) < 1e-13
 
 
 def test_schedule_validation():
@@ -220,7 +220,7 @@ def test_denoise_loss_perfect_score_is_zero(rng):
     def oracle(a_k, cond, ks):
         sab = np.sqrt(s.alpha_bars[ks - 1])[:, None]
         somab = np.sqrt(1 - s.alpha_bars[ks - 1])[:, None]
-        return nc.const((a_k - sab * a0) / somab)
+        return nc.Tensor((a_k - sab * a0) / somab)
 
     loss = df.denoise_loss(oracle, a0, cond, s, np.random.default_rng(4))
     assert float(loss.data) < 1e-20
@@ -241,7 +241,7 @@ def test_fit_denoiser_reduces_loss(rng):
     ps.add("b0", np.zeros(2))
 
     def score(a_k, blocks, ks):
-        return nc.mlp_forward(ps, spec, nc.const(a_k))
+        return nc.mlp_forward(ps, spec, a_k)
 
     a_rows = np.tile([0.5, -0.5], (32, 1))
     cfg = RunConfig().with_section("train", steps=200, batch=8, lr=1e-2)
@@ -252,13 +252,40 @@ def test_fit_denoiser_reduces_loss(rng):
     assert np.mean(hist[-20:]) < np.mean(hist[:20])
 
 
+def test_fit_denoiser_keeps_an_out_of_group_paramset_on_the_graph_frozen(rng):
+    """An encoder's graph output feeds the score net, and only the score
+    net's params are in the groups: the encoder keeps its bytes, and the
+    score net takes, bit for bit, the grads, weights and losses of a run fed
+    the same encoder output as data rows."""
+    a_rows, cond = rng.uniform(-1.0, 1.0, size=(16, 2)), rng.normal(size=(16, 4))
+    enc_spec, score_spec = nc.MlpSpec(4, (5,), 3), nc.MlpSpec(5, (6,), 2)
+    enc = nc.init_mlp(enc_spec, rng)
+    enc_bytes = [t.data.tobytes() for _, t in enc.items()]
+    cfg = RunConfig().with_section("train", steps=4, batch=8)
+    runs = []
+    for embed in (nc.mlp_infer, nc.mlp_forward):
+        ps = nc.init_mlp(score_spec, np.random.default_rng(3))
+
+        def score(a_k, blocks, ks):
+            return nc.mlp_forward(ps, score_spec,
+                                  nc.concat_cols([a_k, embed(enc, enc_spec, blocks[0])]))
+
+        hist = df.fit_denoiser(score, [("score", ps)], a_rows, [cond], cfg,
+                               np.random.default_rng(5))
+        runs.append((hist, [(t.grad.tobytes(), t.data.tobytes()) for _, t in ps.items()]))
+        assert [t.data.tobytes() for _, t in enc.items()] == enc_bytes
+        # the graph run reaches the encoder: its params take adjoints, unread
+        assert all((t.grad is None) == (embed is nc.mlp_infer) for _, t in enc.items())
+    assert runs[0] == runs[1]
+
+
 def test_fit_denoiser_rejects_misaligned_rows(rng):
     ps = nc.ParamSet()
     ps.add("W", np.zeros((2, 2)))
     cfg = RunConfig().with_section("train", steps=1, batch=1)
     for blocks in ([np.zeros((2, 1))], [np.zeros((3, 1)), np.zeros((2, 1))]):
         with pytest.raises(ContractError):
-            df.fit_denoiser(lambda a, b, k: nc.const(a), [("lin", ps)],
+            df.fit_denoiser(lambda a, b, k: nc.Tensor(a), [("lin", ps)],
                             np.zeros((3, 2)), blocks, cfg, rng)
 
 

@@ -11,7 +11,8 @@ from modalcompose.errors import ContractError, NumericError, ShapeError
 from modalcompose.router import train_router
 from modalcompose.runconfig import RunConfig
 from tests.conftest import constant_action_dataset
-from tests.oracles import col, finite_diff_grad, scale, sub, sumall
+from tests.oracles import (add, checksum, col, copy_params, finite_diff_grad, mul, scale,
+                           sub, sumall)
 
 
 def rel_err(a, b):
@@ -26,7 +27,7 @@ def rel_err(a, b):
 def test_add_mul_broadcast_backward(rng):
     x = nc.Tensor(rng.normal(size=(4, 3)))
     b = nc.Tensor(rng.normal(size=(3,)))
-    y = sumall(nc.mul(nc.add(x, b), nc.add(x, b)))
+    y = sumall(mul(add(x, b), add(x, b)))
     nc.backward(y, [("p", _as_paramset(x=x, b=b))])
     # d/dx sum((x+b)^2) = 2(x+b); d/db sums over the broadcast rows
     expect_x = 2.0 * (x.data + b.data)
@@ -85,7 +86,7 @@ def test_softmax_backward_vs_finite_difference(rng):
     xt = ps.add("x", x0)
 
     def loss_tensor():
-        return sumall(nc.mul(nc.softmax_rows(xt), nc.const(coeff)))
+        return sumall(mul(nc.softmax_rows(xt), nc.Tensor(coeff)))
 
     loss = loss_tensor()
     nc.backward(loss, [("p", ps)])
@@ -101,7 +102,7 @@ def test_concat_cols_and_col_roundtrip_grads(rng):
     cat = nc.concat_cols([a, b])
     assert cat.data.shape == (4, 5)
     picked = col(cat, 3)
-    nc.backward(sumall(nc.mul(picked, picked)), [("p", _as_paramset(a=a, b=b))])
+    nc.backward(sumall(mul(picked, picked)), [("p", _as_paramset(a=a, b=b))])
     assert np.allclose(a.grad, 0.0)
     expect = np.zeros((4, 3))
     expect[:, 1] = 2.0 * b.data[:, 1]
@@ -110,7 +111,7 @@ def test_concat_cols_and_col_roundtrip_grads(rng):
 
 def test_grad_accumulates_when_tensor_reused(rng):
     x = nc.Tensor(rng.normal(size=(3,)))
-    y = sumall(nc.add(nc.mul(x, x), nc.mul(x, x)))
+    y = sumall(add(mul(x, x), mul(x, x)))
     nc.backward(y, [("p", _as_paramset(x=x))])
     assert np.allclose(x.grad, 4.0 * x.data, atol=1e-12)
 
@@ -128,24 +129,24 @@ def _shared_adjoint_graphs(x, y, c, nets):
     that feeds an MLP, and an MLP whose input, a ``concat_cols`` node, also
     reaches the loss another way."""
     mlp = lambda name, h: nc.mlp_forward(nets[name], ADJOINT_NETS[name], h)
-    a = nc.mul(x, nc.const(c))
+    a = mul(x, nc.Tensor(c))
     b = scale(x, -0.7)
-    s = nc.add(a, b)
-    yield sumall(nc.add(nc.mul(s, s), nc.mul(a, b)))
-    a = nc.mul(x, nc.const(c))
-    s = nc.add(a, a)
-    yield sumall(nc.mul(nc.add(s, a), s))
-    p, q = scale(x, 1.3), nc.mul(y, y)
+    s = add(a, b)
+    yield sumall(add(mul(s, s), mul(a, b)))
+    a = mul(x, nc.Tensor(c))
+    s = add(a, a)
+    yield sumall(mul(add(s, a), s))
+    p, q = scale(x, 1.3), mul(y, y)
     cat = nc.concat_cols([p, q, p])
-    yield sumall(nc.add(nc.mul(cat, nc.concat_cols([q, p, q])), nc.mul(cat, cat)))
+    yield sumall(add(mul(cat, nc.concat_cols([q, p, q])), mul(cat, cat)))
     h = mlp("feed", x)
     cat = nc.concat_cols([h, y])
-    yield sumall(nc.add(nc.mul(cat, cat), nc.concat_cols([nc.mul(h, y), y])))
-    p = nc.mul(x, nc.const(c))
+    yield sumall(add(mul(cat, cat), nc.concat_cols([mul(h, y), y])))
+    p = mul(x, nc.Tensor(c))
     out = mlp("twice", nc.concat_cols([p, y, p]))
-    yield sumall(nc.add(nc.mul(out, out), nc.mul(p, out)))
-    cat = nc.concat_cols([nc.mul(x, x), y])
-    yield sumall(nc.mul(nc.add(mlp("cat", cat), cat), cat))
+    yield sumall(add(mul(out, out), mul(p, out)))
+    cat = nc.concat_cols([mul(x, x), y])
+    yield sumall(mul(add(mlp("cat", cat), cat), cat))
 
 
 N_ADJOINT_GRAPHS = 6
@@ -211,7 +212,7 @@ def test_parameters_off_the_graph_keep_exact_zero_grads(rng):
     state = nc.adam_init(groups)
     w0 = w.data.copy()
     for _ in range(2):
-        nc.backward(sumall(nc.mul(x, x)), groups)
+        nc.backward(sumall(mul(x, x)), groups)
         assert np.array_equal(w.grad, np.zeros((2, 2)))
         assert not np.signbit(w.grad).any()
         nc.adam_step(groups, state)
@@ -233,8 +234,8 @@ def test_mse_rows_has_the_bits_of_the_op_chain(rng):
             if fused:
                 loss = nc.mse_rows(pred, target)
             else:
-                d = sub(pred, nc.const(target))
-                loss = scale(sumall(nc.mul(d, d)), 1.0 / len(target))
+                d = sub(pred, nc.Tensor(target))
+                loss = scale(sumall(mul(d, d)), 1.0 / len(target))
             nc.backward(loss, [("g", ps)])
             results.append((loss.data.tobytes(), p.grad.tobytes(), p.data.copy()))
         assert results[0][:2] == results[1][:2], name
@@ -261,9 +262,9 @@ def test_weighted_sum_has_the_bits_of_the_op_chain(rng, n_terms):
         else:
             total = None
             for i, t in enumerate(terms):
-                term = nc.mul(col(w, i), t if isinstance(t, nc.Tensor) else nc.const(t))
-                total = term if total is None else nc.add(total, term)
-        nc.backward(sumall(nc.mul(total, nc.const(adj))), [("p", ps)])
+                term = mul(col(w, i), t if isinstance(t, nc.Tensor) else nc.Tensor(t))
+                total = term if total is None else add(total, term)
+        nc.backward(sumall(mul(total, nc.Tensor(adj))), [("p", ps)])
         results.append([total.data.tobytes()] + [t.grad.tobytes() for _, t in ps.items()])
     assert results[0] == results[1]
 
@@ -271,7 +272,7 @@ def test_weighted_sum_has_the_bits_of_the_op_chain(rng, n_terms):
 def test_backward_rejects_nonscalar(rng):
     x = nc.Tensor(rng.normal(size=(3, 2)))
     with pytest.raises(ContractError):
-        nc.backward(nc.add(x, x), [("p", _as_paramset(x=x))])
+        nc.backward(add(x, x), [("p", _as_paramset(x=x))])
 
 
 def test_nonfinite_raises_numeric_error():
@@ -279,7 +280,7 @@ def test_nonfinite_raises_numeric_error():
         nc.Tensor(np.array([1.0, np.inf]))
     big = nc.Tensor(np.array([1e308]))
     with pytest.raises(NumericError):
-        nc.mul(big, big)
+        mul(big, big)
 
 
 def test_shape_mismatch_raises(rng):
@@ -324,7 +325,7 @@ def test_mlp_forward_matches_manual(rng):
     spec = nc.MlpSpec(4, (5,), 2)
     ps = nc.init_mlp(spec, rng)
     x = rng.normal(size=(3, 4))
-    out = nc.mlp_forward(ps, spec, nc.const(x)).data
+    out = nc.mlp_forward(ps, spec, x).data
     manual = np.tanh(x @ ps["W0"].data + ps["b0"].data) @ ps["W1"].data + ps["b1"].data
     assert np.allclose(out, manual, atol=1e-14)
     assert np.allclose(nc.mlp_infer(ps, spec, x), manual, atol=1e-14)
@@ -350,8 +351,8 @@ def test_mlp_gradcheck_many_random_shapes(rng):
         target = rng.normal(size=(4, dout))
 
         def loss_tensor():
-            diff = sub(nc.mlp_forward(ps, spec, nc.const(x)), nc.const(target))
-            return scale(sumall(nc.mul(diff, diff)), 1.0 / x.shape[0])
+            diff = sub(nc.mlp_forward(ps, spec, x), nc.Tensor(target))
+            return scale(sumall(mul(diff, diff)), 1.0 / x.shape[0])
 
         loss = loss_tensor()
         nc.backward(loss, [("net", ps)])
@@ -451,7 +452,7 @@ def test_mlp_backward_grads_are_pinned(act, n_stack):
     x = nc.Tensor(rng.normal(size=(9, 5)))
     out = nc.mlp_forward(ps, spec, x)
     adj = rng.normal(size=out.shape)
-    nc.backward(sumall(nc.mul(out, nc.const(adj))),
+    nc.backward(sumall(mul(out, nc.Tensor(adj))),
                 [("net", ps), ("in", _as_paramset(x=x))])
     got = {name: hashlib.sha256(t.grad.tobytes()).hexdigest() for name, t in ps.items()}
     got["x"] = hashlib.sha256(x.grad.tobytes()).hexdigest()
@@ -590,7 +591,7 @@ def test_in_place_weight_edit_is_seen_by_scoring_and_the_next_adam_step(rng):
     emb = ex.encode_rows(rng.normal(size=(5, 5)), rng.normal(size=(5, 2)))
     before = ex.score_rows(a, emb, ks)
     ex.score_params["W0"].data[2, 3] += 0.5
-    fresh = xp.ModalityExpert(**{**vars(ex), "score_params": ex.score_params.copy()})
+    fresh = xp.ModalityExpert(**{**vars(ex), "score_params": copy_params(ex.score_params)})
     assert not np.array_equal(ex.score_rows(a, emb, ks), before)
     assert np.array_equal(ex.score_rows(a, emb, ks), fresh.score_rows(a, emb, ks))
 
@@ -651,17 +652,17 @@ def test_joint_router_training_updates_the_experts_own_weights(rng):
     cfg = cfg.with_section("train", steps=3, batch=8, router_steps=3)
     ds = constant_action_dataset([0.1, 0.2])
     experts = [xp.train_expert(ds, m, cfg, rng) for m in ("vis", "tac")]
-    copies = [(ex.enc.params.copy(), ex.score_params.copy()) for ex in experts]
+    copies = [(copy_params(ex.enc.params), copy_params(ex.score_params)) for ex in experts]
     train_router(experts, ds, cfg, rng)
     for ex, (enc, score) in zip(experts, copies):
-        assert ex.enc.params.checksum() != enc.checksum()
-        assert ex.score_params.checksum() != score.checksum()
+        assert checksum(ex.enc.params) != checksum(enc)
+        assert checksum(ex.score_params) != checksum(score)
 
 
 def test_paramset_checksum_tracks_values(rng):
     ps = nc.ParamSet()
     ps.add("w", rng.normal(size=(2, 2)))
-    before = ps.checksum()
-    assert ps.copy().checksum() == before
+    before = checksum(ps)
+    assert checksum(copy_params(ps)) == before
     ps["w"].data[0, 0] += 1e-9
-    assert ps.checksum() != before
+    assert checksum(ps) != before

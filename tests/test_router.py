@@ -11,6 +11,7 @@ from modalcompose.envs import Observation
 from modalcompose.errors import ConfigError, ContractError
 from modalcompose.runconfig import RunConfig
 from tests.conftest import constant_action_dataset
+from tests.oracles import checksum, expert_checksum
 
 
 def small_cfg(router_steps=0, joint=False):
@@ -186,9 +187,9 @@ def test_train_router_validation(const_dataset):
 def test_train_router_freezes_experts(const_dataset):
     cfg = small_cfg(router_steps=30)
     experts = two_experts(const_dataset, cfg)
-    before = [ex.checksum() for ex in experts]
+    before = [expert_checksum(ex) for ex in experts]
     router = rt.train_router(experts, const_dataset, cfg, np.random.default_rng(3))
-    assert [ex.checksum() for ex in experts] == before
+    assert [expert_checksum(ex) for ex in experts] == before
     assert len(router.loss_history) == 30
     assert router.modality_order == ("vis", "tac")
     assert router.emb_dims == (10, 10)
@@ -197,9 +198,9 @@ def test_train_router_freezes_experts(const_dataset):
 def test_train_router_joint_updates_experts(const_dataset):
     cfg = small_cfg(router_steps=10, joint=True)
     experts = two_experts(const_dataset, cfg)
-    before = [ex.checksum() for ex in experts]
+    before = [expert_checksum(ex) for ex in experts]
     rt.train_router(experts, const_dataset, cfg, np.random.default_rng(3))
-    assert [ex.checksum() for ex in experts] != before
+    assert [expert_checksum(ex) for ex in experts] != before
 
 
 def test_train_router_reproducible(const_dataset):
@@ -208,7 +209,7 @@ def test_train_router_reproducible(const_dataset):
     for _ in range(2):
         experts = two_experts(const_dataset, cfg)
         router = rt.train_router(experts, const_dataset, cfg, np.random.default_rng(8))
-        runs.append((router.params.checksum(), tuple(router.loss_history)))
+        runs.append((checksum(router.params), tuple(router.loss_history)))
     assert runs[0] == runs[1]
 
 
