@@ -6,8 +6,8 @@ it actually took, with the same sampling randomness for both. Probing never
 drives the environment with a perturbed action.
 
 Nothing here steps an environment itself: a scenario is a set of hooks on
-``rollout.run_policy_episode`` (a state edit for repositioning and the
-teleport perturbation, an observation filter for corruption), scored by
+``rollout.run_policy_episode`` (a state edit for the teleport perturbation,
+an observation filter for corruption), scored by
 ``rollout.evaluate_policy``. The probe rolls a plain episode with the policy
 itself, then samples every perturbed view of its recorded observations in one
 ``act_rows`` call.
@@ -27,7 +27,7 @@ from .rollout import evaluate_policy, run_policy_episode
 from .runconfig import ProbeConfig
 
 CORRUPTION_KINDS = ("zero", "freeze", "gaussian")
-SCENARIO_KINDS = ("runtime_perturbation", "repositioning", "corruption")
+SCENARIO_KINDS = ("runtime_perturbation", "corruption")
 ONSETS = ("start", "occlusion_entry")
 
 
@@ -83,8 +83,8 @@ class ScenarioSpec:
     """A robustness scenario.
 
     runtime_perturbation: at step step_star the target teleports to a fresh
-    draw from the reset distribution. repositioning: the target alone is
-    re-drawn at reset, so eval placements differ from the seeded baseline.
+    draw from the reset distribution; at step 0 (the CLI's ``reposition``)
+    eval placements differ from the seeded baseline before the first action.
     corruption: the given CorruptionMode is applied to every observation the
     policy sees, starting immediately or at first occlusion-region entry.
     """
@@ -116,6 +116,9 @@ def _check_scenario(scenario: ScenarioSpec | None, spec: EnvSpec) -> None:
         if scenario.corruption.modality not in dims:
             raise ConfigError(f"corruption modality {scenario.corruption.modality!r} is "
                               f"not one of {spec.name}'s modalities {list(dims)}")
+        if scenario.onset == "occlusion_entry" and spec.name != "occluded_reach":
+            raise ConfigError(f"corruption at occlusion entry needs an occlusion region, "
+                              f"and {spec.name} has none")
 
 
 def _scenario_hooks(scenario: ScenarioSpec | None, spec: EnvSpec, seed: int,
@@ -124,10 +127,8 @@ def _scenario_hooks(scenario: ScenarioSpec | None, spec: EnvSpec, seed: int,
     if scenario is None:
         return {}
     if scenario.kind != "corruption":
-        at = 0 if scenario.kind == "repositioning" else scenario.step_star
-
         def teleport(state):
-            if state.t != at:
+            if state.t != scenario.step_star:
                 return state
             return teleport_target(state, stream(seed, TAG_SCENARIO, ep))
 
@@ -188,8 +189,6 @@ class ImportanceTrace:
 
 def _ema(raw: np.ndarray, alpha: float) -> np.ndarray:
     out = np.empty_like(raw)
-    if raw.size == 0:
-        return out
     out[0] = raw[0]
     for t in range(1, raw.size):
         out[t] = alpha * raw[t] + (1.0 - alpha) * out[t - 1]

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
+from .compose import ConcatPolicy, MoEFeaturePolicy
 from .diffusion import NoiseSchedule, make_schedule
 from .envs import ActionStats, _Reader, read_file
 from .errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
@@ -32,9 +33,6 @@ VERSION = 1
 class Checkpoint:
     metadata: dict
     tensors: dict[str, np.ndarray]
-
-    def n_params(self) -> int:
-        return int(sum(t.size for t in self.tensors.values()))
 
 
 def _meta_bytes(metadata: dict) -> bytes:
@@ -261,11 +259,11 @@ def expert_from_checkpoint(ck: Checkpoint) -> tuple[ModalityExpert, ActionStats,
         raise FormatError(f"expert checkpoint samples {m['n_steps']} steps on a schedule of "
                           f"{m['schedule']['steps']}")
     spec = _spec_from_meta(m["sub_specs"][0])
-    expert = ModalityExpert(
-        enc=enc, action_dim=m["action_dim"],
-        score_params=_params_from_tensors(ck, "sub0", spec), score_spec=spec,
-        n_steps=m["n_steps"],
-    )
+    if m["action_dim"] != spec.output_dim:
+        raise FormatError(f"expert checkpoint acts in {m['action_dim']} dimensions, its "
+                          f"score net predicts {spec.output_dim}")
+    expert = ModalityExpert(enc=enc, score_params=_params_from_tensors(ck, "sub0", spec),
+                            score_spec=spec, n_steps=m["n_steps"])
     return expert, _stats_from_meta(m["stats"]), _sched_from_meta(m)
 
 
@@ -291,7 +289,6 @@ def router_from_checkpoint(ck: Checkpoint) -> Router:
 
 def save_fusion(policy, path, *, env_name: str, seed: int, config_hash: str) -> None:
     """Save a ConcatPolicy or MoEFeaturePolicy checkpoint."""
-    from .compose import ConcatPolicy, MoEFeaturePolicy
     if isinstance(policy, ConcatPolicy):
         kind = "concat"
     elif isinstance(policy, MoEFeaturePolicy):
@@ -319,7 +316,6 @@ def save_fusion(policy, path, *, env_name: str, seed: int, config_hash: str) -> 
 
 @_typed_reader("concat", "moe")
 def fusion_from_checkpoint(ck: Checkpoint):
-    from .compose import ConcatPolicy, MoEFeaturePolicy
     m = ck.metadata
     if not len(m["modality_order"]) == len(m["modality_dims"]) == len(m["encoder_specs"]):
         raise FormatError("fusion checkpoint modality_order, modality_dims and "

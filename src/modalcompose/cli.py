@@ -30,13 +30,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "manipulation tasks.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed=True, out=True, config=True):
+    def common(p, *, seed=True, config=True):
         if config:
             p.add_argument("--config", help="run-config file")
         if seed:
             p.add_argument("--seed", type=int, help="overrides [run] seed")
-        if out:
-            p.add_argument("--out", help="output path or directory")
+        p.add_argument("--out", help="output path or directory")
 
     p = sub.add_parser("gen-data", help="generate a demonstration dataset")
     common(p)
@@ -82,9 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_cfg(args, **overrides) -> RunConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    env = overrides.pop("env", None) or getattr(args, "env", None)
-    if env:
-        cfg = cfg.with_section("env", name=env)
+    if getattr(args, "env", None):
+        cfg = cfg.with_section("env", name=args.env)
     run_updates = {}
     if getattr(args, "seed", None) is not None:
         run_updates["seed"] = args.seed
@@ -103,8 +101,8 @@ def _parse_scenario(text: str) -> ScenarioSpec:
         except ValueError:
             raise ConfigError(f"bad teleport step in {text!r}") from None
         return ScenarioSpec("runtime_perturbation", step_star=step)
-    if text == "reposition":
-        return ScenarioSpec("repositioning")
+    if text == "reposition":   # a teleport before the first action
+        return ScenarioSpec("runtime_perturbation", step_star=0)
     if text.startswith("corrupt:"):
         body = text.split(":", 1)[1]
         onset = "start"

@@ -251,9 +251,10 @@ def _fit_fusion(cls, dataset, cfg, rng: np.random.Generator, encoders: list[Enco
     """Build a fusion baseline over these encoders with a fresh score net of
     cond_dim wide conditions, and train it end to end; cond_graph(embedding
     tensors) is the graph twin of how its act() builds the condition."""
-    spec = score_net_spec(dataset.chunk_dim, cond_dim, cfg)
+    stats = dataset.stats()
+    spec = score_net_spec(stats.chunk_dim, cond_dim, cfg)
     policy = cls(encoders=encoders, score_params=nc.init_mlp(spec, rng), score_spec=spec,
-                 sched=cfg.diffusion.schedule(), stats=dataset.stats(), **gate)
+                 sched=cfg.diffusion.schedule(), stats=stats, **gate)
     a_rows, blocks = dataset.training_rows(policy.modality_order)
 
     def score(a_k, b, ks):

@@ -65,20 +65,10 @@ def make_schedule(K: int = 50, beta_start: float = 1e-4, beta_end: float = 0.02,
                          sigmas, betas / sqrt_one_minus_abs, np.sqrt(alphas))
 
 
-def forward_noise(a0: np.ndarray, ks: np.ndarray, sched: NoiseSchedule,
-                  rng: np.random.Generator):
-    """Noise action rows to their steps: a^k = sqrt(ab_k) a0 + sqrt(1-ab_k) eps.
-
-    a0 is (B, dim) and ks an int array of B step indices. Returns (a_k, eps)
-    with eps drawn from rng.
-    """
-    if ks.min() < 1 or ks.max() > sched.K:
-        raise ContractError(f"denoising indices {ks} outside 1..{sched.K}")
-    return _noised(a0, ks - 1, sched, rng)
-
-
 def _noised(a0: np.ndarray, idx: np.ndarray, sched: NoiseSchedule, rng: np.random.Generator):
-    """forward_noise at table indices idx = ks - 1, unchecked."""
+    """Noise action rows (B, dim) to their steps, unchecked, at table indices
+    idx = ks - 1: a^k = sqrt(ab_k) a0 + sqrt(1-ab_k) eps. Returns (a_k, eps)
+    with eps drawn from rng."""
     eps = rng.standard_normal(a0.shape)
     return sched.sqrt_abs[idx][:, None] * a0 + sched.sqrt_one_minus_abs[idx][:, None] * eps, eps
 

@@ -183,8 +183,8 @@ def teleport_target(state: EnvState, rng: np.random.Generator) -> EnvState:
     """Move the target to a fresh draw from the reset distribution.
 
     For occluded_reach the per-episode calibration offset is preserved, so the
-    apparent target moves with the true one. Used by runtime-perturbation and
-    repositioning scenarios.
+    apparent target moves with the true one. Used by the runtime-perturbation
+    scenario.
     """
     spec = state.spec
     if spec.name == "occluded_reach":
@@ -305,18 +305,6 @@ class Dataset:
     episodes: list[Episode]
     act_min: np.ndarray
     act_max: np.ndarray
-
-    @property
-    def n_episodes(self) -> int:
-        return len(self.episodes)
-
-    @property
-    def n_steps(self) -> int:
-        return sum(ep.length for ep in self.episodes)
-
-    @property
-    def chunk_dim(self) -> int:
-        return self.action_dim * self.horizon
 
     def stats(self) -> ActionStats:
         return ActionStats(self.act_min, self.act_max, self.action_dim, self.horizon)

@@ -61,11 +61,6 @@ def timestep_features(k, n_steps: int) -> np.ndarray:
     the formula bit for bit. k outside 1..n_steps raises ContractError.
     """
     table = _feature_table(n_steps)
-    # a Python int k costs no numpy call
-    if isinstance(k, int):
-        if not 1 <= k <= n_steps:
-            raise ContractError(f"denoising index outside 1..{n_steps}: {k}")
-        return table[k - 1]
     karr = np.asarray(k)
     if karr.dtype.kind not in "iu" or (
             karr.size and not (1 <= karr.min() and karr.max() <= n_steps)):
@@ -160,7 +155,6 @@ def score_graph(params: nc.ParamSet, spec: nc.MlpSpec, a_k: np.ndarray, cond: nc
 @dataclass
 class ModalityExpert:
     enc: Encoder
-    action_dim: int
     score_params: nc.ParamSet
     score_spec: nc.MlpSpec
     n_steps: int
@@ -182,6 +176,10 @@ class ModalityExpert:
     @property
     def modality(self) -> str:
         return self.enc.modality
+
+    @property
+    def action_dim(self) -> int:
+        return self.score_spec.output_dim
 
     def n_params(self) -> int:
         return self.enc.params.n_params() + self.score_params.n_params()
@@ -252,10 +250,8 @@ def init_expert(modality: str, modality_dim: int, robot_dim: int, action_dim: in
     """Fresh expert with random encoder and score-net weights from cfg shapes."""
     enc = init_encoder(modality, modality_dim, robot_dim, cfg, rng)
     spec = score_net_spec(action_dim, enc.emb_dim, cfg)
-    return ModalityExpert(
-        enc=enc, action_dim=action_dim, score_params=nc.init_mlp(spec, rng), score_spec=spec,
-        n_steps=cfg.diffusion.steps,
-    )
+    return ModalityExpert(enc=enc, score_params=nc.init_mlp(spec, rng), score_spec=spec,
+                          n_steps=cfg.diffusion.steps)
 
 
 def _expert_score_graph(expert: ModalityExpert, a_k: np.ndarray, m_rows: np.ndarray,

@@ -49,13 +49,13 @@ class Tensor:
 
     __slots__ = ("data", "grad", "_parents", "_bw")
 
-    def __init__(self, data, _parents=(), _bw=None, _op="leaf"):
+    def __init__(self, data, _parents=(), _op="leaf"):
         arr = np.asarray(data, dtype=np.float64)
         check_finite(arr, _op)
         self.data = arr
         self.grad: Array | None = None
         self._parents: tuple[Tensor, ...] = _parents
-        self._bw: Callable[[Array], None] | None = _bw
+        self._bw: Callable[[Array], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:

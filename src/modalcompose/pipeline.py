@@ -335,7 +335,9 @@ def write_metrics_csv(path, rows: list[dict]) -> None:
 
 
 def sweep_dataset_size(cfg: RunConfig, sizes: list[int]) -> list[dict]:
-    """Train composed + concat at each dataset size; two metrics rows per size."""
+    """Train composed + concat at each dataset size, each size's dataset,
+    checkpoints and loss CSVs in ``<out>/sweep_n<size>/``; two metrics rows
+    per size."""
     if not sizes:
         raise ConfigError("sweep needs at least one size")
     if len(set(sizes)) != len(sizes):
@@ -343,15 +345,12 @@ def sweep_dataset_size(cfg: RunConfig, sizes: list[int]) -> list[dict]:
     if sorted(sizes) != list(sizes):
         raise ConfigError(f"sweep sizes must be ascending, got {sizes}")
     out = ensure_out_dir(cfg)
+    mods = list(make_env_spec(cfg.env.name).modality_dims())
     rows = []
     for size in sizes:
-        sub = cfg.with_section("run", demos=size,
-                               dataset=str(out / f"sweep_{cfg.env.name}_n{size}"
-                                           f"_seed{cfg.run.seed}.mcds"))
-        gen_data(sub, sub.run.dataset)
-        mods = list(make_env_spec(cfg.env.name).modality_dims())
-        sub = sub.with_section(
-            "run", methods=tuple(f"expert:{m}" for m in mods) + ("router", "concat"))
+        sub = cfg.with_section("run", demos=size, dataset="", out=str(out / f"sweep_n{size}"),
+                               methods=tuple(f"expert:{m}" for m in mods) + ("router", "concat"))
+        gen_data(sub)
         paths = run_training(sub)
         composed, _ = compose_checkpoints([paths[f"expert:{m}"] for m in mods],
                                           router=paths["router"], strategy=cfg.run.strategy)

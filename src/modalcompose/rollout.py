@@ -10,8 +10,8 @@ Robustness scenarios are hooks on this loop, each optional and built per
 episode:
 
 - ``edit(state) -> EnvState`` runs after reset and before every step; a
-  returned state that is not the given one is observed afresh (target
-  repositioning, the teleport perturbation);
+  returned state that is not the given one is observed afresh (the teleport
+  perturbation);
 - ``obs_filter(obs, state, t) -> Observation`` rewrites the view the policy
   gets (sensor corruption); the environment and the contact flag keep the
   true observation.

@@ -193,8 +193,8 @@ def _parse_value(raw: str, template, where: str):
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    cfg = base or RunConfig()
+def parse_config_text(text: str) -> RunConfig:
+    cfg = RunConfig()
     section = None
     sec_updates: dict[str, dict] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -232,12 +232,12 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
-def load_config(path: str | Path, base: RunConfig | None = None) -> RunConfig:
+def load_config(path: str | Path) -> RunConfig:
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return parse_config_text(text, base)
+    return parse_config_text(text)
 
 
 def _section_lines(cfg: RunConfig, name: str) -> list[str]:

@@ -88,7 +88,8 @@ def col(a: Tensor, j: int) -> Tensor:
 
 
 def effective_eps(a_k: np.ndarray, a0: np.ndarray, k, sched) -> np.ndarray:
-    """The noise that forward_noise would have to have drawn to map a0 to a_k.
+    """The noise that forward noising (``diffusion._noised``) would have to have
+    drawn to map a0 to a_k.
 
     As a sampling provider ``(a_k, k)`` it is a perfect denoiser: step k = 1
     injects no noise, so the sampler lands on a0 whatever state it reached.

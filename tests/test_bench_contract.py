@@ -7,10 +7,15 @@ in each policy class's own body, ``ModalityExpert.score_rows`` and
 I/O entry points. A refactor that renames or moves one of them breaks
 ``perfbench/run.py --trace 1``; these tests make that fail here first. The
 tracer is loaded from its file as it is and uninstalled after every test.
+Every other package name a perfbench file reads is resolved from its source,
+so cutting one fails here too, not first in a benchmark run.
 """
 
+import ast
+import importlib
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +33,8 @@ from modalcompose.rngstream import TAG_ACT, TAG_EVAL, stream
 from modalcompose.runconfig import ProbeConfig, RunConfig
 from tests.conftest import constant_action_dataset
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracer():
@@ -158,3 +164,91 @@ def test_traced_names_see_training_and_probing(tracer):
     assert tracer.counts_of("main")["probe.steps"] == trace.steps
     assert tracer.counts_of("main")["rollout.episode_steps"] == trace.steps
     assert calls(tracer, "rngstream.stream") > trace.steps
+
+
+def _dotted(node) -> str | None:
+    """``a.b.c`` of a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def package_names(path: Path) -> set[tuple[int, str]]:
+    """(line, full dotted name) of every package name a file reads: each
+    name a ``from modalcompose... import`` takes, each attribute chain on a
+    name so imported, and each (owner, "attr") pair, the form the tracer
+    patches by."""
+    tree = ast.parse(path.read_text(), str(path))
+    aliases, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("modalcompose"):
+            for a in node.names:
+                aliases[a.asname or a.name] = f"{node.module}.{a.name}"
+                found.add((node.lineno, f"{node.module}.{a.name}"))
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("modalcompose"):
+                    aliases[a.asname or "modalcompose"] = a.name if a.asname else "modalcompose"
+
+    def full(node):
+        name = _dotted(node)
+        head, _, rest = (name or "").partition(".")
+        if head in aliases:
+            return aliases[head] + (f".{rest}" if rest else "")
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (name := full(node)):
+            found.add((node.lineno, name))
+        elif (isinstance(node, ast.Tuple) and len(node.elts) >= 2
+              and (owner := full(node.elts[0])) and isinstance(node.elts[1], ast.Constant)
+              and isinstance(node.elts[1].value, str)):
+            found.add((node.lineno, f"{owner}.{node.elts[1].value}"))
+    return found
+
+
+def resolves(name: str) -> bool:
+    """Whether a dotted package name exists. Past a value that is neither a
+    module nor a class, the rest names an instance's attributes, unchecked."""
+    parts = name.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if not isinstance(obj, (types.ModuleType, type)):
+            return True
+        if isinstance(obj, types.ModuleType) and not hasattr(obj, part):
+            try:
+                importlib.import_module(".".join(parts[:i]))
+            except ModuleNotFoundError:
+                return False
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_package_name_perfbench_reads_exists():
+    """The benchmark's files, parsed as they are: a cut of a name they call
+    (a module, function, class, method or constant) fails here."""
+    seen, missing = set(), []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for line, name in sorted(package_names(path)):
+            seen.add(name)
+            if not resolves(name):
+                missing.append(f"perfbench/{path.name}:{line}: {name}")
+    assert not missing, missing
+    # the walk finds what the benchmark calls, in each form it calls it
+    assert {"modalcompose.compose.single_expert_policy", "modalcompose.pipeline.RandomPolicy",
+            "modalcompose.analysis.CorruptionMode", "modalcompose.runconfig.RunConfig",
+            "modalcompose.envs.Dataset.read",
+            "modalcompose.experts.ModalityExpert.score_rows"} <= seen
+
+
+def test_a_cut_package_name_does_not_resolve(monkeypatch):
+    assert resolves("modalcompose.compose.single_expert_policy")
+    monkeypatch.delattr(cp, "single_expert_policy")
+    assert not resolves("modalcompose.compose.single_expert_policy")
+    assert not resolves("modalcompose.no_such_module.name")
+    assert not resolves("modalcompose.experts.ModalityExpert.no_such_method")

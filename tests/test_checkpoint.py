@@ -51,7 +51,7 @@ def test_raw_round_trip(tmp_path, rng):
         want = np.asarray(tensors[name], dtype=np.float64)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    assert back.n_params() == 12 + 7 + 1
+    assert sum(t.size for t in back.tensors.values()) == 12 + 7 + 1
 
 
 def test_save_is_byte_deterministic(tmp_path, rng):

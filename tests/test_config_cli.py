@@ -230,7 +230,8 @@ def test_model_hash_ignores_run_and_probe():
 def test_scenario_parsing():
     s = _parse_scenario("teleport@12")
     assert s.kind == "runtime_perturbation" and s.step_star == 12
-    assert _parse_scenario("reposition").kind == "repositioning"
+    r = _parse_scenario("reposition")
+    assert r.kind == "runtime_perturbation" and r.step_star == 0
     c = _parse_scenario("corrupt:zero:vis")
     assert (c.kind, c.onset) == ("corruption", "start")
     assert c.corruption.kind == "zero" and c.corruption.modality == "vis"
@@ -306,7 +307,7 @@ def test_gen_data_cli_round_trip(tmp_path, capsys):
     path = tmp_path / "occluded_reach_n2_seed4.mcds"
     assert str(path) in out
     ds = Dataset.read(path)
-    assert ds.n_episodes == 2
+    assert len(ds.episodes) == 2
     assert ds.env_name == "occluded_reach"
 
 

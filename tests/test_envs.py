@@ -270,7 +270,7 @@ def test_dataset_round_trip(tmp_path):
     assert back.env_name == ds.env_name
     assert back.modality_dims == ds.modality_dims
     assert back.horizon == ds.horizon
-    assert back.n_episodes == ds.n_episodes
+    assert len(back.episodes) == len(ds.episodes)
     for e1, e2 in zip(ds.episodes, back.episodes):
         for name in ds.modality_dims:
             assert e1.modalities[name].tobytes() == e2.modalities[name].tobytes()
@@ -416,7 +416,7 @@ def test_training_rows_shapes_and_normalization():
     spec = envs.make_env_spec("occluded_reach")
     ds = envs.generate_dataset(spec, 2, seed=3)
     acts, (m, rs) = ds.training_rows(("vis",))
-    n = ds.n_steps
+    n = sum(ep.length for ep in ds.episodes)
     assert m.shape == (n, 5) and rs.shape == (n, 2)
     assert acts.shape == (n, 2)
     assert np.all(acts >= -1.0 - 1e-12) and np.all(acts <= 1.0 + 1e-12)

@@ -188,7 +188,7 @@ def test_expert_needs_a_score_net_of_its_spec(rng):
     odd = nc.init_mlp(nc.MlpSpec(28, (16,), 2), rng)
     for params in (nc.ParamSet(), one_stack, odd):
         with pytest.raises(ShapeError):
-            xp.ModalityExpert(ex.enc, 2, params, ex.score_spec, 50)
+            xp.ModalityExpert(ex.enc, params, ex.score_spec, 50)
 
 
 def test_init_expert_deterministic():

@@ -17,7 +17,7 @@ from modalcompose.errors import ConfigError, ContractError, FormatError
 from modalcompose.rngstream import TAG_ACT, TAG_EVAL, TAG_TRAIN, stream
 from modalcompose.rollout import evaluate_policy, run_policy_episode
 from modalcompose.router import train_router
-from modalcompose.runconfig import RunConfig
+from modalcompose.runconfig import RunConfig, config_text
 from tests.oracles import eval_scripted, read_metrics_csv
 
 
@@ -326,6 +326,26 @@ def test_robust_refuses_an_unknown_corruption_modality_before_the_baseline(
     assert not out.exists()
 
 
+def test_robust_refuses_a_corruption_at_occlusion_entry_where_nothing_occludes(
+        tmp_path, capsys, monkeypatch):
+    """phase_reach has no occlusion region, so an @entry onset would start at
+    occluded_reach's box coordinates: refused before any episode."""
+    cfg = tiny_cfg(tmp_path, methods=("expert:wpa",)).with_section("env", name="phase_reach")
+    pl.gen_data(cfg)
+    written = pl.run_training(cfg)
+
+    def no_step(*args):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr("modalcompose.rollout.env_step", no_step)
+    out = tmp_path / "r.csv"
+    assert cli_dispatch(["robust", "--manifest", str(written["expert:wpa"]), "--n", "20",
+                         "--scenario", "corrupt:zero:wpa@entry", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "occlusion" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [("eval",), ("analyze",),
                                      ("robust", "--scenario", "reposition")])
 def test_policy_commands_refuse_a_manifest_that_is_not_utf8(tmp_path, command, capsys):
@@ -628,3 +648,24 @@ def test_sweep_rows_shape(tmp_path):
     for r in rows:
         assert 0.0 <= r["success_rate"] <= 1.0
         assert r["param_count"] > 0
+
+
+def test_sweep_leaves_the_files_of_train_in_its_out_dir_alone(tmp_path):
+    """train, then sweep, in one out dir: each size trains in a directory of
+    its own, so train's dataset, checkpoints and loss CSVs keep their bytes
+    and a manifest over its experts still loads."""
+    conf = tmp_path / "run.cfg"
+    conf.write_text(config_text(tiny_cfg(tmp_path / "run", eval_n=1)))
+    assert cli_dispatch(["gen-data", "--config", str(conf)]) == 0
+    assert cli_dispatch(["train", "--config", str(conf)]) == 0
+    run = tmp_path / "run"
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    man = tmp_path / "composed.txt"
+    assert cli_dispatch(["compose", "--experts", f"{run / 'expert-vis_seed3.mcpf'},"
+                         f"{run / 'expert-tac_seed3.mcpf'}", "--router",
+                         str(run / "router_seed3.mcpf"), "--out", str(man)]) == 0
+    assert cli_dispatch(["sweep", "--n", "3", "--config", str(conf)]) == 0
+    assert {name: (run / name).read_bytes() for name in before} == before
+    assert {p.name for p in run.iterdir()} - set(before) == {"sweep_n3",
+                                                            "sweep_metrics_seed3.csv"}
+    pl.load_manifest(man)
